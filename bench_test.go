@@ -1,399 +1,6 @@
 package skipvector
 
-// One testing.B benchmark per table/figure in the paper's evaluation
-// (Section V). These are the go-bench counterparts of the cmd/svbench and
-// cmd/ycsbbench drivers: each sub-benchmark measures per-operation cost for
-// one (variant, parameter) cell of the corresponding figure. Run a specific
-// figure with e.g.
-//
-//	go test -bench 'Fig4' -benchmem
-//
-// Concurrency scaling (the figures' X axis) comes from -cpu:
-//
-//	go test -bench 'Fig4' -cpu 1,2,4,8
-//
-// Key ranges are scaled down from the paper's 2^20..2^31 so each cell's
-// prefill stays in the millisecond range; EXPERIMENTS.md records the mapping
-// and the full-scale runs.
-
-import (
-	"fmt"
-	"testing"
-
-	"skipvector/internal/bench"
-	"skipvector/internal/dbx"
-	"skipvector/internal/seqset"
-	"skipvector/internal/workload"
-)
-
-// benchVariants is the Figure 4/5 legend.
-func benchVariants() []bench.Variant {
-	return bench.ScalabilityVariants()
-}
-
-// runMixedOp executes one operation of a mix against m.
-func runMixedOp(m bench.IntMap, mix workload.Mix, rng *workload.RNG, keyRange int64) {
-	k := rng.Intn(keyRange)
-	switch mix.Next(rng) {
-	case workload.OpLookup:
-		m.Lookup(k)
-	case workload.OpInsert:
-		m.Insert(k, uint64(k))
-	default:
-		m.Remove(k)
-	}
-}
-
-// BenchmarkFig1SequentialSets reproduces Figure 1: sequential set cost for
-// an 80/10/10 mix as the key range grows, for the four classic structures.
-func BenchmarkFig1SequentialSets(b *testing.B) {
-	makers := map[string]func() seqset.Set{
-		"unsorted-vector": func() seqset.Set { return seqset.NewUnsortedVec() },
-		"sorted-vector":   func() seqset.Set { return seqset.NewSortedVec() },
-		"tree-map":        func() seqset.Set { return seqset.NewTreeMap() },
-		"skip-list":       func() seqset.Set { return seqset.NewSkipList() },
-	}
-	for _, bits := range []int{8, 12, 16} {
-		keyRange := bench.Pow2(bits)
-		for name, mk := range makers {
-			b.Run(fmt.Sprintf("%s/k%d", name, bits), func(b *testing.B) {
-				set := mk()
-				pf := workload.NewPrefiller(keyRange, 7)
-				pf.Keys(0, pf.Count(), func(k int64) { set.Insert(k) })
-				rng := workload.NewRNG(99)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k := rng.Intn(keyRange)
-					switch workload.MixReadHeavy.Next(rng) {
-					case workload.OpLookup:
-						set.Contains(k)
-					case workload.OpInsert:
-						set.Insert(k)
-					default:
-						set.Remove(k)
-					}
-				}
-			})
-		}
-	}
-}
-
-// benchScalability is the shared body of the Figure 4 and 5 benchmarks.
-func benchScalability(b *testing.B, mix workload.Mix, rangeBits []int) {
-	for _, bits := range rangeBits {
-		keyRange := bench.Pow2(bits)
-		for _, v := range benchVariants() {
-			b.Run(fmt.Sprintf("%s/k%d", v.Name, bits), func(b *testing.B) {
-				m := v.New(keyRange)
-				bench.Prefill(m, keyRange, 7, 4)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					rng := workload.NewRNG(workload.NewRNG(uint64(b.N)).Uint64())
-					for pb.Next() {
-						runMixedOp(m, mix, rng, keyRange)
-					}
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig4Mixed801010 reproduces Figure 4: 80/10/10 throughput across
-// the SV/USL/FSL variants (scale concurrency with -cpu 1,2,4,8).
-func BenchmarkFig4Mixed801010(b *testing.B) {
-	benchScalability(b, workload.MixReadHeavy, []int{16, 20})
-}
-
-// BenchmarkFig5WriteHeavy reproduces Figure 5: the 0/50/50 mix.
-func BenchmarkFig5WriteHeavy(b *testing.B) {
-	benchScalability(b, workload.MixWriteOnly, []int{16, 20})
-}
-
-// BenchmarkFig6YCSB reproduces Figure 6: YCSB transactions on the
-// mini-DBx1000 with each index, per Zipfian theta.
-func BenchmarkFig6YCSB(b *testing.B) {
-	indexes := []struct {
-		name string
-		mk   func(int64) dbx.Index
-	}{
-		{"SV-HP", dbx.NewSkipVectorIndex},
-		{"USL-HP", dbx.NewUnrolledIndex},
-		{"SL-HP", dbx.NewSkipListIndex},
-	}
-	const rows = 1 << 16
-	for _, theta := range []float64{0.1, 0.6, 0.9} {
-		for _, ix := range indexes {
-			b.Run(fmt.Sprintf("%s/theta%.1f", ix.name, theta), func(b *testing.B) {
-				cfg := dbx.DefaultYCSBConfig()
-				cfg.Rows = rows
-				cfg.Theta = theta
-				cfg.Threads = 1
-				table, err := dbx.LoadTable(cfg, ix.mk(rows))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.TxnsPerThread = b.N
-				b.ResetTimer()
-				if _, err := dbx.RunYCSB(table, cfg); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig7aIndexVectorSize reproduces Figure 7a: sensitivity to the
-// index chunk target size under the 80/10/10 mix.
-func BenchmarkFig7aIndexVectorSize(b *testing.B) {
-	const bits = 18
-	keyRange := bench.Pow2(bits)
-	for _, ti := range []int{2, 8, 32, 128} {
-		v := bench.TunedSV(fmt.Sprintf("Ti%d", ti), 32, ti, true, false)
-		b.Run(fmt.Sprintf("Ti%d", ti), func(b *testing.B) {
-			m := v.New(keyRange)
-			bench.Prefill(m, keyRange, 7, 4)
-			rng := workload.NewRNG(3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runMixedOp(m, workload.MixReadHeavy, rng, keyRange)
-			}
-		})
-	}
-}
-
-// BenchmarkFig7bSortedUnsorted reproduces Figure 7b: the four
-// sorted/unsorted chunk policy combinations.
-func BenchmarkFig7bSortedUnsorted(b *testing.B) {
-	const bits = 18
-	keyRange := bench.Pow2(bits)
-	combos := []struct {
-		name     string
-		idx, dat bool
-	}{
-		{"idxS-datU", true, false},
-		{"idxS-datS", true, true},
-		{"idxU-datU", false, false},
-		{"idxU-datS", false, true},
-	}
-	for _, c := range combos {
-		v := bench.TunedSV(c.name, 32, 32, c.idx, c.dat)
-		b.Run(c.name, func(b *testing.B) {
-			m := v.New(keyRange)
-			bench.Prefill(m, keyRange, 7, 4)
-			rng := workload.NewRNG(3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runMixedOp(m, workload.MixReadHeavy, rng, keyRange)
-			}
-		})
-	}
-}
-
-// BenchmarkFig8RangeOps reproduces Figure 8: mutating range operations on
-// the chunked skip vector versus the un-chunked configuration.
-func BenchmarkFig8RangeOps(b *testing.B) {
-	const bits = 16
-	keyRange := bench.Pow2(bits)
-	variants := []bench.Variant{
-		bench.TunedSV("SV", 32, 32, true, false),
-		bench.TunedSV("SL", 1, 1, true, true),
-	}
-	for _, spanBits := range []int{8, 13} {
-		span := bench.Pow2(spanBits)
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("%s/span%d", v.Name, spanBits), func(b *testing.B) {
-				m := v.New(keyRange)
-				rm, ok := m.(bench.RangeMap)
-				if !ok {
-					b.Fatal("variant lacks range support")
-				}
-				bench.Prefill(m, keyRange, 7, 4)
-				rng := workload.NewRNG(3)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					lo := rng.Intn(keyRange)
-					rm.RangeUpdate(lo, lo+span-1, func(_ int64, v uint64) uint64 {
-						return v + 1
-					})
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationHazardCost isolates the hazard-pointer protocol cost
-// (Section V-A's SV-HP vs SV-Leak comparison).
-func BenchmarkAblationHazardCost(b *testing.B) {
-	const bits = 18
-	keyRange := bench.Pow2(bits)
-	for _, v := range []bench.Variant{bench.SVHP, bench.SVLeak} {
-		b.Run(v.Name, func(b *testing.B) {
-			m := v.New(keyRange)
-			bench.Prefill(m, keyRange, 7, 4)
-			rng := workload.NewRNG(3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runMixedOp(m, workload.MixReadHeavy, rng, keyRange)
-			}
-		})
-	}
-}
-
-// BenchmarkPointOps is a plain per-operation microbenchmark of the public
-// API (not tied to a figure; useful for profiling).
-func BenchmarkPointOps(b *testing.B) {
-	const keyRange = 1 << 18
-	b.Run("Lookup", func(b *testing.B) {
-		m := New[uint64]()
-		for k := int64(0); k < keyRange; k += 2 {
-			m.Insert(k, uint64(k))
-		}
-		rng := workload.NewRNG(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Lookup(rng.Intn(keyRange))
-		}
-	})
-	b.Run("InsertRemove", func(b *testing.B) {
-		m := New[uint64]()
-		rng := workload.NewRNG(2)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := rng.Intn(keyRange)
-			if i%2 == 0 {
-				m.Insert(k, uint64(k))
-			} else {
-				m.Remove(k)
-			}
-		}
-	})
-	b.Run("RangeQuery256", func(b *testing.B) {
-		m := New[uint64]()
-		for k := int64(0); k < keyRange; k++ {
-			m.Insert(k, uint64(k))
-		}
-		rng := workload.NewRNG(3)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lo := rng.Intn(keyRange - 256)
-			n := 0
-			m.RangeQuery(lo, lo+255, func(int64, uint64) bool {
-				n++
-				return true
-			})
-		}
-	})
-}
-
-// BenchmarkFingerLocality measures the search-finger fast path against its
-// ablation for the locality spectrum: ascending lookups and cursor scans
-// (near-perfect locality), ascending bulk ingest, and uniform lookups (the
-// adversarial no-locality case, which bounds the finger's overhead). The
-// cmd/svbench "finger" figure is the multi-threaded counterpart.
-func BenchmarkFingerLocality(b *testing.B) {
-	const keyRange = 1 << 18
-	build := func(finger bool) *Map[uint64] {
-		m := New[uint64](WithSearchFinger(finger))
-		for k := int64(0); k < keyRange; k += 2 {
-			m.Insert(k, uint64(k))
-		}
-		return m
-	}
-	for _, mode := range []struct {
-		name   string
-		finger bool
-	}{{"finger-on", true}, {"finger-off", false}} {
-		b.Run("SeqLookup/"+mode.name, func(b *testing.B) {
-			m := build(mode.finger)
-			h := m.NewHandle()
-			defer h.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Lookup(int64(i) % keyRange)
-			}
-		})
-		b.Run("UniformLookup/"+mode.name, func(b *testing.B) {
-			m := build(mode.finger)
-			h := m.NewHandle()
-			defer h.Close()
-			rng := workload.NewRNG(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Lookup(rng.Intn(keyRange))
-			}
-		})
-		b.Run("CursorScan/"+mode.name, func(b *testing.B) {
-			m := build(mode.finger)
-			cur := m.Cursor(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, ok := cur.Next(); !ok {
-					cur.SeekTo(0)
-				}
-			}
-			b.StopTimer()
-			cur.Close()
-		})
-		b.Run("AscendingInsert/"+mode.name, func(b *testing.B) {
-			m := New[uint64](WithSearchFinger(mode.finger))
-			h := m.NewHandle()
-			defer h.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Insert(int64(i), uint64(i))
-			}
-		})
-	}
-}
-
-// BenchmarkTelemetryOnOff measures the cost of the telemetry gate on the
-// hot paths: the same workloads with hot-path metric recording enabled and
-// disabled. Disabled is the shipping default, so the interesting number is
-// the "off" column against the pre-telemetry baseline (EXPERIMENTS.md §9
-// records both gaps; the disabled gap is required to stay under 3%). Uniform
-// lookups are the sensitive case — every operation pays the descent-depth
-// gate — and the insert/remove mix adds the freeze-counter gate.
-func BenchmarkTelemetryOnOff(b *testing.B) {
-	const keyRange = 1 << 18
-	prev := TelemetryEnabled()
-	defer SetTelemetry(prev)
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"off", false}, {"on", true}} {
-		b.Run("UniformLookup/"+mode.name, func(b *testing.B) {
-			SetTelemetry(false) // build phase identical for both modes
-			m := New[uint64]()
-			for k := int64(0); k < keyRange; k += 2 {
-				m.Insert(k, uint64(k))
-			}
-			h := m.NewHandle()
-			defer h.Close()
-			rng := workload.NewRNG(1)
-			SetTelemetry(mode.on)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Lookup(rng.Intn(keyRange))
-			}
-		})
-		b.Run("InsertRemove/"+mode.name, func(b *testing.B) {
-			SetTelemetry(mode.on)
-			m := New[uint64]()
-			h := m.NewHandle()
-			defer h.Close()
-			rng := workload.NewRNG(2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := rng.Intn(keyRange)
-				if i%2 == 0 {
-					h.Insert(k, uint64(k))
-				} else {
-					h.Remove(k)
-				}
-			}
-		})
-	}
-}
+import "testing"
 
 // BenchmarkBulkLoad compares O(n) bulk loading against incremental inserts
 // for index construction (the database-index build path).

@@ -1,15 +1,15 @@
 // Command svbench regenerates the paper's microbenchmark figures (1, 4, 5,
-// 7a, 7b, 8) plus the repo's own ablations (hazard-pointer cost, merge
-// threshold, memory footprint, B-link-tree comparator, search-finger locality
-// sweep, hot-path prefetch×branchless grid, chunk-fanout sweep, WAL
-// durability cost), printing each figure as an aligned table (or CSV) of
-// throughput numbers.
+// 7a, 7b, 8) plus the paper-shaped ablations (hazard-pointer cost, merge
+// threshold, memory footprint, B-link-tree comparator), printing each figure
+// as an aligned table (or CSV) of throughput numbers. It is report-only:
+// nothing here passes or fails on a ratio. Numbers that are judged come from
+// `go run ./benchmark`.
 //
 // Usage:
 //
 //	svbench -fig 4 -scale paper
 //	svbench -fig all -scale quick -csv
-//	svbench -fig finger -scale paper -reps 6 -json BENCH_finger.json
+//	svbench -fig 7a -scale paper -reps 6 -json fig7a.json
 //
 // The "paper" scale is the scaled-down reproduction documented in
 // EXPERIMENTS.md; "quick" is a smoke-test setting.
@@ -22,15 +22,57 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"skipvector/internal/bench"
 	"skipvector/internal/telemetry"
-	"skipvector/internal/walbench"
 	"skipvector/internal/workload"
 )
+
+// figures is every -fig value with its runner, in the order "all" runs them.
+// The usage string, the "all" list and dispatch all read this one table.
+var figures = []struct {
+	name string
+	run  func(bench.Scale) ([]*bench.Table, error)
+}{
+	{"1", func(s bench.Scale) ([]*bench.Table, error) { return []*bench.Table{bench.Fig1(s)}, nil }},
+	{"4", bench.Fig4},
+	{"5", bench.Fig5},
+	{"7a", one(bench.Fig7a)},
+	{"7b", one(bench.Fig7b)},
+	{"8", bench.Fig8},
+	{"hp", one(bench.AblationHazardCost)},
+	{"merge", one(bench.AblationMergeThreshold)},
+	{"mem", func(s bench.Scale) ([]*bench.Table, error) {
+		return []*bench.Table{bench.MemoryFootprint(s.MixedRangeExps, s.Seed)}, nil
+	}},
+	{"blt", one(func(s bench.Scale) (*bench.Table, error) {
+		return bench.AblationBLinkTree(s, workload.MixReadHeavy)
+	})},
+}
+
+// one adapts a single-table figure to the runner signature.
+func one(f func(bench.Scale) (*bench.Table, error)) func(bench.Scale) ([]*bench.Table, error) {
+	return func(s bench.Scale) ([]*bench.Table, error) {
+		t, err := f(s)
+		if err != nil {
+			return nil, err
+		}
+		return []*bench.Table{t}, nil
+	}
+}
+
+// figureNames returns the -fig values in table order.
+func figureNames() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -42,7 +84,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("svbench", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "all", "figure to run: 1, 4, 5, 7a, 7b, 8, hp, merge, mem, blt, finger, batch, snapshot, hotpath, fanout, wal, shard, all")
+		fig      = fs.String("fig", "all", "figure to run: "+strings.Join(figureNames(), ", ")+", all")
 		scale    = fs.String("scale", "paper", "experiment scale: quick or paper")
 		duration = fs.Duration("duration", 0, "override per-trial duration")
 		reps     = fs.Int("reps", 0, "override repetitions per cell")
@@ -55,13 +97,14 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *fig != "all" && !slices.Contains(figureNames(), *fig) {
+		return fmt.Errorf("unknown figure %q", *fig)
+	}
 
 	// The structures under test are created per trial inside the figure
 	// runners, so the stable scrape target is the process-global registry:
 	// the seqlock spin/CAS and vectormap shift-distance instruments, which
-	// accumulate across every trial in the run. Per-map catalogs (restarts,
-	// occupancy, hazard counters) are reachable programmatically through
-	// bench.Metricser.
+	// accumulate across every trial in the run.
 	if *metrics != "" || *metOut != "" {
 		telemetry.SetEnabled(true)
 	}
@@ -120,149 +163,33 @@ func run(args []string) error {
 	}
 
 	var emitted []*bench.Table
-	emit := func(tables ...*bench.Table) {
-		for _, t := range tables {
-			emitted = append(emitted, t)
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.name {
+			continue
+		}
+		start := time.Now()
+		ts, err := f.run(s)
+		if err != nil {
+			return err
+		}
+		for _, t := range ts {
 			if *csv {
 				fmt.Print(t.CSV())
 			} else {
 				fmt.Println(t.Render())
 			}
 		}
+		emitted = append(emitted, ts...)
+		fmt.Fprintf(os.Stderr, "[fig %s done in %v]\n", f.name, time.Since(start).Round(time.Millisecond))
 	}
-	writeJSON := func() error {
-		if *jsonOut == "" {
-			return nil
-		}
-		data, err := json.MarshalIndent(emitted, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-	}
-
-	runFig := func(name string) error {
-		start := time.Now()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "[fig %s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
-		}()
-		switch name {
-		case "1":
-			emit(bench.Fig1(s))
-		case "4":
-			ts, err := bench.Fig4(s)
-			if err != nil {
-				return err
-			}
-			emit(ts...)
-		case "5":
-			ts, err := bench.Fig5(s)
-			if err != nil {
-				return err
-			}
-			emit(ts...)
-		case "7a":
-			t, err := bench.Fig7a(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "7b":
-			t, err := bench.Fig7b(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "8":
-			ts, err := bench.Fig8(s)
-			if err != nil {
-				return err
-			}
-			emit(ts...)
-		case "hp":
-			t, err := bench.AblationHazardCost(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "merge":
-			t, err := bench.AblationMergeThreshold(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "mem":
-			emit(bench.MemoryFootprint(s.MixedRangeExps, s.Seed))
-		case "blt":
-			t, err := bench.AblationBLinkTree(s, workload.MixReadHeavy)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "finger":
-			t, err := bench.FigFinger(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "batch":
-			t, err := bench.FigBatch(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "snapshot":
-			t, err := bench.FigSnapshot(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "hotpath":
-			t, err := bench.FigHotpath(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "fanout":
-			t, err := bench.FigFanout(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "wal":
-			t, err := walbench.FigWAL(s)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		case "shard":
-			ts, err := bench.FigShard(s)
-			if err != nil {
-				return err
-			}
-			rt, err := bench.FigRebalance(s)
-			if err != nil {
-				return err
-			}
-			emit(append(ts, rt)...)
-		default:
-			return fmt.Errorf("unknown figure %q", name)
-		}
+	if *jsonOut == "" {
 		return nil
 	}
-
-	if *fig == "all" {
-		for _, name := range []string{"1", "4", "5", "7a", "7b", "8", "hp", "merge", "mem", "blt", "finger", "batch", "snapshot", "hotpath", "fanout", "wal", "shard"} {
-			if err := runFig(name); err != nil {
-				return err
-			}
-		}
-		return writeJSON()
-	}
-	if err := runFig(*fig); err != nil {
+	data, err := json.MarshalIndent(emitted, "", "  ")
+	if err != nil {
 		return err
 	}
-	return writeJSON()
+	return os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
 }
 
 // parseThreads parses the -threads axis override ("1,2,4,8").

@@ -47,13 +47,24 @@ func TestRunFig7bQuickWithOverrides(t *testing.T) {
 }
 
 func TestFigureListMentionsAllFigures(t *testing.T) {
-	// Guard that the "all" list and the usage string stay in sync with the
-	// figure switch: run each figure name through the dispatcher with an
-	// invalid scale so dispatch is exercised without timing anything.
-	for _, name := range []string{"1", "4", "5", "7a", "7b", "8", "hp", "merge", "mem", "blt"} {
+	// The usage string, the "all" list and dispatch read one table; it holds
+	// exactly the ten kept figures. A kept name gets past the figure check
+	// (an invalid scale stops the run before anything is timed); a retired
+	// name does not, whatever the scale.
+	want := []string{"1", "4", "5", "7a", "7b", "8", "hp", "merge", "mem", "blt"}
+	if got := figureNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("figures = %v, want %v", got, want)
+	}
+	for _, name := range append(want, "all") {
 		err := run([]string{"-fig", name, "-scale", "nope"})
 		if err == nil || !strings.Contains(err.Error(), "unknown scale") {
 			t.Errorf("fig %s: dispatcher did not reach scale validation: %v", name, err)
+		}
+	}
+	for _, name := range []string{"finger", "batch", "snapshot", "hotpath", "fanout", "wal", "shard"} {
+		err := run([]string{"-fig", name, "-scale", "nope"})
+		if err == nil || !strings.Contains(err.Error(), "unknown figure") {
+			t.Errorf("retired fig %s: err = %v, want unknown figure", name, err)
 		}
 	}
 }

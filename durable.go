@@ -244,8 +244,13 @@ func (d *DurableMap[V]) commit(unit uint64, _ core.CommitKind, ops []core.Commit
 		wops = append(wops, wal.Op{Key: op.Key, Val: buf[start:]})
 	}
 	// The appends below consume wops synchronously (the log copies into its
-	// own frame buffer), so the scratch is reusable on return. Append errors
-	// poison the log; the write call in progress reports them on its way out.
+	// own frame buffer), so the scratch is reusable on return. The hook runs
+	// under a chunk lock and returns nothing, so append errors are dropped
+	// here: a failed append has poisoned the log, and the facade call reports
+	// that through log.Commit/Err. Appends mostly just stage in memory, so a
+	// dead disk shows at the flush: within the same call under SyncEveryCommit
+	// and SyncOS, at the next Sync under SyncInterval (whose earlier calls may
+	// have returned nil, that policy's window).
 	if unit == 0 {
 		_ = d.log.AppendOps(wops)
 	} else {

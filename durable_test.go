@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"skipvector/internal/wal"
 )
@@ -182,6 +184,136 @@ func TestDurableWriteAfterCloseFails(t *testing.T) {
 	}
 	if _, err := d.ApplyBatch([]BatchOp[string]{{Key: 2, Val: "late"}}); !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("batch after close acknowledged: %v", err)
+	}
+}
+
+// TestDurablePoisonedLogSurfaces pins what a dead disk looks like from the
+// facade. The commit hook discards the append error (it runs under a chunk
+// lock and has nobody to return it to), so the guarantee rests on the log
+// poisoning itself and Commit/Err reporting that: no write is acknowledged
+// unless its record reached the log, the failure is sticky, and what a
+// reopen finds is only acknowledged data. For each sync policy and each
+// kind of call made first after the disk dies:
+//
+//   - the call fails at once under SyncEveryCommit and SyncOS (each write
+//     hands its record to the filesystem before returning); under
+//     SyncInterval it may return nil, which is that policy's contract, and
+//     the next Sync reports the failure;
+//   - every call after that fails, no-op Insert and Remove included;
+//   - after the crash settles, the directory reopens to the last synced
+//     state, plus at most the one write that was acknowledged but unsynced.
+func TestDurablePoisonedLogSurfaces(t *testing.T) {
+	type call struct {
+		name string
+		do   func(d *DurableMap[string]) error
+	}
+	writes := []call{
+		{"Insert", func(d *DurableMap[string]) error { _, err := d.Insert(100, "new"); return err }},
+		{"Upsert", func(d *DurableMap[string]) error { _, err := d.Upsert(2, "changed"); return err }},
+		{"Remove", func(d *DurableMap[string]) error { _, err := d.Remove(3); return err }},
+		{"ApplyBatch", func(d *DurableMap[string]) error {
+			_, err := d.ApplyBatch([]BatchOp[string]{{Key: 101, Val: "b"}, {Key: 4, Delete: true}})
+			return err
+		}},
+		{"RangeUpdate", func(d *DurableMap[string]) error {
+			_, err := d.RangeUpdate(5, 6, func(_ int64, v string) string { return v + "!" })
+			return err
+		}},
+	}
+	syncCall := call{"Sync", func(d *DurableMap[string]) error { return d.Sync() }}
+	compactCall := call{"Compact", func(d *DurableMap[string]) error { return d.Compact() }}
+	firsts := append(slices.Clone(writes), syncCall, compactCall)
+	later := append(slices.Clone(writes),
+		call{"no-op Insert", func(d *DurableMap[string]) error { _, err := d.Insert(7, "dup"); return err }},
+		call{"no-op Remove", func(d *DurableMap[string]) error { _, err := d.Remove(9999); return err }},
+		syncCall, compactCall)
+
+	policies := []struct {
+		name   string
+		policy SyncPolicy
+	}{{"every-commit", SyncEveryCommit}, {"interval", SyncInterval}, {"os", SyncOS}}
+	for pi, p := range policies {
+		for fi, first := range firsts {
+			t.Run(p.name+"/"+first.name, func(t *testing.T) {
+				fs := wal.NewMemFS(uint64(31*pi + fi))
+				// An hour-long interval keeps the background flusher out of it:
+				// under SyncInterval only an explicit Sync touches the disk.
+				opts := []DurableOption{WithWALFS(fs), WithSyncPolicy(p.policy), WithSyncInterval(time.Hour)}
+				d, err := OpenDurable[string]("/db", StringCodec(), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				synced := map[int64]string{}
+				for k := int64(1); k <= 8; k++ {
+					synced[k] = "v" + strconv.FormatInt(k, 10)
+					if _, err := d.Insert(k, synced[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := d.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				// One acknowledged write the disk has not been asked to keep
+				// (except under SyncEveryCommit, where the ack is the fsync).
+				if _, err := d.Insert(9, "pending"); err != nil {
+					t.Fatal(err)
+				}
+				fs.SetCrashAfter(0) // the next write, fsync, create or rename fails
+
+				mustFail := func(c call, err error) {
+					t.Helper()
+					if !errors.Is(err, wal.ErrCrashed) {
+						t.Fatalf("%s on a dead disk returned %v, want wal.ErrCrashed", c.name, err)
+					}
+				}
+				err1 := first.do(d)
+				err2 := d.Sync()
+				switch {
+				case p.policy == SyncEveryCommit && first.name == "Sync":
+					// Nothing is pending, so there is nothing for Sync to fail
+					// at; the first write below finds the dead disk.
+					if err1 != nil || err2 != nil {
+						t.Fatalf("Sync with nothing pending: %v, %v", err1, err2)
+					}
+				case p.policy == SyncInterval && first.name != "Sync" && first.name != "Compact":
+					if err1 != nil {
+						mustFail(first, err1)
+					}
+					mustFail(syncCall, err2)
+				default:
+					mustFail(first, err1)
+					mustFail(syncCall, err2)
+				}
+				for _, c := range later {
+					mustFail(c, c.do(d))
+				}
+
+				_ = d.Close() // fails on the dead disk; the map is gone either way
+				fs.Crash()
+				d2, err := OpenDurable[string]("/db", StringCodec(), opts...)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer d2.Close()
+				if p.policy == SyncEveryCommit {
+					synced[9] = "pending"
+				}
+				got := map[int64]string{}
+				d2.Ascend(func(k int64, v string) bool { got[k] = v; return true })
+				if v, ok := got[9]; ok && v == "pending" {
+					delete(got, 9) // acknowledged; kept or lost is the policy's window
+					delete(synced, 9)
+				}
+				if len(got) != len(synced) {
+					t.Fatalf("reopened map holds %v, want the synced state %v", got, synced)
+				}
+				for k, v := range synced {
+					if got[k] != v {
+						t.Fatalf("reopened key %d = %q, want %q (nothing after the crash was acknowledged)", k, got[k], v)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"skipvector/internal/blink"
 	"skipvector/internal/core"
 	"skipvector/internal/skiplist"
-	"skipvector/internal/telemetry"
 )
 
 // IntMap is the uniform adapter interface the harness drives: an ordered map
@@ -89,19 +88,6 @@ func (s *svMap) RangeUpdate(lo, hi int64, fn func(k int64, v uint64) uint64) int
 // Stats exposes the underlying skip vector counters (for ablation output).
 func (s *svMap) Stats() core.StatsSnapshot { return s.m.Stats() }
 
-// Metricser is implemented by adapters whose structure exposes a telemetry
-// view; svbench uses it to serve and snapshot Prometheus metrics for the
-// structure under test.
-type Metricser interface {
-	Metrics() *telemetry.View
-}
-
-var _ Metricser = (*svMap)(nil)
-
-// Metrics exposes the skip vector's metric catalog (per-map registry plus the
-// process-global seqlock/vectormap instruments).
-func (s *svMap) Metrics() *telemetry.View { return s.m.Metrics() }
-
 var _ Sessioner = (*svMap)(nil)
 
 // NewSession pins a per-worker handle (and with it a search finger).
@@ -109,41 +95,13 @@ func (s *svMap) NewSession() Session {
 	return &svSession{owner: s, h: s.m.NewHandle()}
 }
 
-// BatchWriter is the extra session capability the batch-update figure
-// drives: upserts issued one key at a time and the same keys as one
-// ApplyBatch call.
-type BatchWriter interface {
-	Upsert(k int64, v uint64) bool
-	UpsertBatch(ks []int64)
-}
-
 // svSession is a worker-pinned view of a skip vector.
 type svSession struct {
 	owner *svMap
 	h     *core.Handle[uint64]
-	// ops is the reusable ApplyBatch request slice, so the batched side of
-	// the figure measures the commit path rather than allocation.
-	ops []core.BatchOp[uint64]
 }
-
-var _ BatchWriter = (*svSession)(nil)
 
 func (ss *svSession) Insert(k int64, v uint64) bool { return ss.h.Insert(k, &v) }
-
-func (ss *svSession) Upsert(k int64, v uint64) bool { return ss.h.Upsert(k, &v) }
-
-func (ss *svSession) UpsertBatch(ks []int64) {
-	ops := ss.ops[:0]
-	// One value block per batch instead of one allocation per key — the
-	// arena-style value handling batch callers get for free.
-	vals := make([]uint64, len(ks))
-	for i, k := range ks {
-		vals[i] = uint64(k)
-		ops = append(ops, core.BatchOp[uint64]{Key: k, Val: &vals[i]})
-	}
-	ss.ops = ops
-	ss.h.ApplyBatch(ops)
-}
 
 func (ss *svSession) Lookup(k int64) (uint64, bool) {
 	p, ok := ss.h.Lookup(k)

@@ -48,9 +48,6 @@ type Scale struct {
 	// (0 = the paper's Figure 6 point-access workload).
 	YCSBScanPct int
 	YCSBScanLen int
-	// ShardCounts is the shard-count axis of the sharding sweep (FigShard);
-	// the first entry is the ratio baseline and should be 1.
-	ShardCounts []int
 	// Seed drives all randomness.
 	Seed uint64
 }
@@ -58,7 +55,7 @@ type Scale struct {
 // QuickScale returns a seconds-long smoke configuration.
 func QuickScale() Scale {
 	return Scale{
-		Duration:            50 * time.Millisecond,
+		Duration:            25 * time.Millisecond,
 		Reps:                1,
 		Threads:             []int{1, 2},
 		MixedRangeExps:      []int{12, 14},
@@ -72,7 +69,6 @@ func QuickScale() Scale {
 		YCSBTxns:            500,
 		YCSBThetas:          []float64{0.1, 0.9},
 		YCSBThreads:         []int{1, 2},
-		ShardCounts:         []int{1, 2},
 		Seed:                0xbe9c4,
 	}
 }
@@ -97,7 +93,6 @@ func PaperScale() Scale {
 		YCSBTxns:            10_000,
 		YCSBThetas:          []float64{0.1, 0.6, 0.9},
 		YCSBThreads:         []int{1, 2, 4, 8},
-		ShardCounts:         []int{1, 2, 4, 8},
 		Seed:                0xbe9c4,
 	}
 }

@@ -24,13 +24,6 @@ type TrialConfig struct {
 	KeyRange int64
 	// Mix is the operation mixture.
 	Mix workload.Mix
-	// Zipf, if nonzero, draws keys from a scrambled Zipfian with this theta
-	// instead of the uniform distribution.
-	Zipf float64
-	// SeqWindow, if nonzero, draws keys in sequential ascending runs of this
-	// length (jumping to a random start between runs) instead of the uniform
-	// distribution — the locality extreme for the search-finger sweep.
-	SeqWindow int64
 	// RangeSpan is the width of range operations for OpRange.
 	RangeSpan int64
 	// Seed makes the trial deterministic.
@@ -51,9 +44,6 @@ func (c *TrialConfig) Validate() error {
 	}
 	if c.Mix.RangePct > 0 && c.RangeSpan <= 0 {
 		return fmt.Errorf("bench: range ops requested with RangeSpan %d", c.RangeSpan)
-	}
-	if c.Zipf > 0 && c.SeqWindow > 0 {
-		return fmt.Errorf("bench: Zipf and SeqWindow are mutually exclusive")
 	}
 	return c.Mix.Validate()
 }
@@ -110,33 +100,17 @@ func RunTrial(m IntMap, cfg TrialConfig) (TrialResult, error) {
 		counts = make([]int64, cfg.Threads)
 	)
 	root := workload.NewRNG(cfg.Seed ^ 0xabcdef)
-	var sharedZipf *workload.ZipfKeys
-	if cfg.Zipf > 0 {
-		sharedZipf = workload.NewZipfKeys(root.Split(), cfg.KeyRange, cfg.Zipf, cfg.Seed)
-	}
 
 	start.Add(1)
 	for t := 0; t < cfg.Threads; t++ {
 		rng := root.Split()
-		var keys workload.KeyGen
-		switch {
-		case sharedZipf != nil:
-			keys = sharedZipf.WithRNG(rng)
-		case cfg.SeqWindow > 0:
-			keys = workload.NewSeqWindow(rng, cfg.KeyRange, cfg.SeqWindow)
-		default:
-			keys = workload.NewUniform(rng, cfg.KeyRange)
-		}
+		keys := workload.NewUniform(rng, cfg.KeyRange)
 		done.Add(1)
-		go func(id int, rng *workload.RNG, keys workload.KeyGen) {
+		go func(id int, rng *workload.RNG, keys *workload.Uniform) {
 			defer done.Done()
 			// Label the worker for CPU profiles: `go tool pprof -tagfocus`
-			// can then separate worker time by goroutine and key
-			// distribution when svbench runs under -cpuprofile.
-			labels := pprof.Labels(
-				"sv_worker", strconv.Itoa(id),
-				"sv_keys", keyGenLabel(cfg),
-			)
+			// can then separate worker time by goroutine.
+			labels := pprof.Labels("sv_worker", strconv.Itoa(id))
 			pprof.Do(context.Background(), labels, func(context.Context) {
 				// Workers operate through a pinned session when the structure
 				// offers one, so per-handle state (the search finger) sticks to
@@ -198,18 +172,6 @@ func RunTrial(m IntMap, cfg TrialConfig) (TrialResult, error) {
 		Elapsed:    elapsed,
 		Throughput: float64(total) / elapsed.Seconds(),
 	}, nil
-}
-
-// keyGenLabel names the trial's key distribution for profile labels.
-func keyGenLabel(cfg TrialConfig) string {
-	switch {
-	case cfg.Zipf > 0:
-		return fmt.Sprintf("zipf%.1f", cfg.Zipf)
-	case cfg.SeqWindow > 0:
-		return fmt.Sprintf("seq%d", cfg.SeqWindow)
-	default:
-		return "uniform"
-	}
 }
 
 // RunAveraged runs the trial reps times on fresh structures and returns the

@@ -85,13 +85,6 @@ var (
 	SLHP = Variant{Name: "SL-HP", New: func(r int64) IntMap {
 		return NewSkipVector(svConfig(r, 1, 1, core.ReclaimHazard))
 	}}
-	// SVNoFinger is the skip vector with the search finger disabled — the
-	// ablation baseline for the locality sweep.
-	SVNoFinger = Variant{Name: "SV-NoFinger", New: func(r int64) IntMap {
-		cfg := svConfig(r, 32, 32, core.ReclaimHazard)
-		cfg.DisableFinger = true
-		return NewSkipVector(cfg)
-	}}
 	// FSL is the lock-free skip list baseline ("FSL").
 	FSL = Variant{Name: "FSL", New: func(r int64) IntMap {
 		return NewFSL()

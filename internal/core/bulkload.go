@@ -12,12 +12,13 @@ import (
 // must be strictly ascending and within (MinKey, MaxKey); vals must be the
 // same length as keys (vals may be nil to load all-nil values).
 //
-// Every chunk is filled to exactly its target size, so the loaded structure
-// matches the steady-state shape the height distribution would converge to,
-// and every node at layer L>0 gets a parent entry except at the top layer,
-// where non-head nodes are marked orphans (the invariant normal operation
-// maintains; lazy merging will coalesce them if the top layer is overfull
-// for the configured LayerCount).
+// Every chunk is filled to exactly its target size (index chunks to two
+// entries when T_I = 1), so the loaded structure matches the steady-state
+// shape the height distribution would converge to, and every node at layer
+// L>0 gets a parent entry except at the top layer, where non-head nodes are
+// marked orphans (the invariant normal operation maintains; lazy merging
+// will coalesce them if the top layer is overfull for the configured
+// LayerCount).
 func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 	if vals != nil && len(vals) != len(keys) {
 		return nil, fmt.Errorf("core: BulkLoad with %d keys but %d values", len(keys), len(vals))
@@ -74,15 +75,20 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 	prev.next.Store(tail)
 
 	// Build index layers bottom-up: one entry per child node, T_I entries
-	// per index node, until the top configured layer absorbs the rest.
+	// per index node, until the top configured layer absorbs the rest. With
+	// T_I = 1 (the un-chunked USL/SL emulation) one entry per node would
+	// repeat every entry in every layer and leave a top layer as long as the
+	// data layer, so the fan-out falls back to 2, the same p = 1/2 that
+	// randomHeight uses for that configuration.
+	fanout := max(cfg.TargetIndexVectorSize, 2)
 	for level := 1; level < cfg.LayerCount; level++ {
 		lhead := m.heads[level]
 		ltail := lhead.next.Load()
 		lprev := lhead
 		var parents []childRef[V]
 		isTop := level == cfg.LayerCount-1
-		for off := 0; off < len(refs); off += cfg.TargetIndexVectorSize {
-			end := off + cfg.TargetIndexVectorSize
+		for off := 0; off < len(refs); off += fanout {
+			end := off + fanout
 			if end > len(refs) {
 				end = len(refs)
 			}

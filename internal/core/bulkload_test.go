@@ -179,6 +179,39 @@ func TestBulkLoadChunkPacking(t *testing.T) {
 	mustCheck(t, m)
 }
 
+func TestBulkLoadUnchunkedIndexHalves(t *testing.T) {
+	// T_I = 1 is the USL/SL emulation. One entry per index node would copy
+	// every entry into every layer, so a lookup walks a top layer as long as
+	// the data layer; each layer must instead halve, like randomHeight's
+	// p = 1/2 for this configuration.
+	cfg := DefaultConfig()
+	cfg.TargetDataVectorSize = 1
+	cfg.TargetIndexVectorSize = 1
+	cfg.LayerCount = 6
+	m, err := BulkLoad[int64](cfg, sortedKeys(256), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := m.NodeCount()
+	want := []int{256 + 2, 128 + 2, 64 + 2, 32 + 2, 16 + 2, 8 + 2}
+	for l, w := range want {
+		if counts[l] != w {
+			t.Fatalf("layer node counts = %v, want %v", counts, want)
+		}
+	}
+	mustCheck(t, m)
+	// Index nodes are loaded full (capacity 2); writes must split them.
+	for k := int64(1); k < 768; k += 3 {
+		m.Insert(k, nil)
+	}
+	for k := int64(0); k < 768; k += 3 {
+		if !m.Remove(k) {
+			t.Fatalf("Remove(%d) failed", k)
+		}
+	}
+	mustCheck(t, m)
+}
+
 func TestBulkLoadUnsorted(t *testing.T) {
 	keys := []int64{50, 10, 30, 20, 40}
 	vals := []*int64{v64(5), v64(1), v64(3), v64(2), v64(4)}

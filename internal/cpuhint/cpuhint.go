@@ -19,25 +19,19 @@
 // compiles Prefetch down to nothing — the `supported` constant folds the
 // whole body away, so unsupported platforms pay zero, not a dynamic check.
 //
-// On supported platforms a process-wide kill switch (SetEnabled) exists for
-// ablation benchmarks; it costs one atomic load per hint, which the figures
-// in BENCH_hotpath.json show is far below the win. The hint count is
-// recorded in the process-global telemetry registry as
+// That build-time choice is the only switch: nothing turns hints on or off
+// at run time, and a no-prefetch comparison is a `-tags purego` build. The
+// hint count is recorded in the process-global telemetry registry as
 // sv_prefetch_issued_total (telemetry-gated, like every other instrument).
 package cpuhint
 
 import (
-	"sync/atomic"
 	"unsafe"
 
 	"skipvector/internal/telemetry"
 )
 
-// disabled is the ablation kill switch; the zero value keeps hints on.
-// Inverted so that package init needs no store.
-var disabled atomic.Bool
-
-// issued counts hints actually executed (supported platform, toggle on).
+// issued counts hints actually executed (supported builds only).
 // Sharded by cache-line address bits: prefetch sites have no per-goroutine
 // stripe at hand, and the line address is a free locality token.
 var issued = telemetry.Global.Counter("sv_prefetch_issued_total",
@@ -46,17 +40,6 @@ var issued = telemetry.Global.Counter("sv_prefetch_issued_total",
 // Supported reports whether this build issues real prefetch instructions.
 func Supported() bool { return supported }
 
-// Enabled reports whether hints are currently being issued (always false on
-// unsupported builds).
-func Enabled() bool { return supported && !disabled.Load() }
-
-// SetEnabled toggles hint emission on supported platforms. It exists for the
-// prefetch on/off ablation (svbench -fig hotpath); production callers leave
-// it alone. Toggling while other goroutines run is safe (the flag is atomic)
-// but mid-trial flips make ablation numbers meaningless, so the benchmarks
-// set it before starting workers.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
 // Prefetch hints that the cache line containing p will be read soon
 // (PREFETCHT0 on amd64, PRFM PLDL1KEEP on arm64). p may be nil, stale, torn,
 // or otherwise garbage: prefetch instructions ignore faults by definition,
@@ -64,18 +47,18 @@ func SetEnabled(on bool) { disabled.Store(!on) }
 // Go-level read of *p ever occurs. On unsupported builds the call compiles
 // to nothing.
 func Prefetch(p unsafe.Pointer) {
-	if !supported || p == nil || disabled.Load() {
+	if !supported || p == nil {
 		return
 	}
 	issued.Inc(int(uintptr(p) >> 6))
 	prefetch(p)
 }
 
-// Prefetch2 issues hints for two lines with one toggle check. It is the
-// common shape on the descent: the next node's header line plus the first
-// line of the chunk array the following step will search.
+// Prefetch2 issues hints for two lines. It is the common shape on the
+// descent: the next node's header line plus the first line of the chunk
+// array the following step will search.
 func Prefetch2(p, q unsafe.Pointer) {
-	if !supported || disabled.Load() {
+	if !supported {
 		return
 	}
 	if p != nil {

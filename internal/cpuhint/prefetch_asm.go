@@ -8,7 +8,7 @@ import "unsafe"
 const supported = true
 
 // prefetch is implemented in prefetch_{amd64,arm64}.s. It must never be
-// called directly: the wrappers own the nil check and the ablation toggle.
+// called directly: the wrappers own the nil check and the hint counter.
 //
 //go:noescape
 func prefetch(p unsafe.Pointer)

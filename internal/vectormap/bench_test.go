@@ -67,41 +67,38 @@ func BenchmarkChunkInsertRemove(b *testing.B) {
 }
 
 // BenchmarkChunkIndexOf pits the branchless lower-bound core against the
-// reference binary search on sorted chunks of 8–512 keys with uniformly
-// random (maximally branch-hostile) lookup targets. EXPERIMENTS.md cites
-// these numbers for the hotpath ablation's intra-chunk component.
+// reference binary search (the test-only oracle) on sorted chunks of 8–512
+// keys with uniformly random (maximally branch-hostile) lookup targets.
+// EXPERIMENTS.md cites the ratio of the two columns.
 func BenchmarkChunkIndexOf(b *testing.B) {
-	defer SetBranchlessSearch(true)
-	for _, impl := range []string{"branchless", "ref"} {
-		for _, size := range []int{8, 32, 64, 128, 512} {
-			c := benchChunk(size, true)
-			// Pre-generate probe keys: half present (even), half absent (odd),
-			// in random order, so the probe sequence defeats the predictor the
-			// same way uniform workload keys do.
-			rng := rand.New(rand.NewSource(42))
-			probes := make([]int64, 4096)
-			for i := range probes {
-				probes[i] = int64(rng.Intn(size * 2))
-			}
-			b.Run(fmt.Sprintf("impl=%s/T=%d", impl, size), func(b *testing.B) {
-				SetBranchlessSearch(impl == "branchless")
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.Get(probes[i&4095])
-				}
-			})
+	for _, size := range []int{8, 32, 64, 128, 512} {
+		c := benchChunk(size, true)
+		// Pre-generate probe keys: half present (even), half absent (odd),
+		// in random order, so the probe sequence defeats the predictor the
+		// same way uniform workload keys do.
+		rng := rand.New(rand.NewSource(42))
+		probes := make([]int64, 4096)
+		for i := range probes {
+			probes[i] = int64(rng.Intn(size * 2))
 		}
+		b.Run(fmt.Sprintf("impl=branchless/T=%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.Get(probes[i&4095])
+			}
+		})
+		b.Run(fmt.Sprintf("impl=ref/T=%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.getRef(probes[i&4095])
+			}
+		})
 	}
 }
 
 // BenchmarkDescend models the descent's memory behaviour in isolation: a
 // pointer-chase through a chain of chunks far larger than L2, searching each
-// one, with the next hop's key lines either prefetched while the current
-// search runs (as core.descendToData does) or not. The prefetch × branchless
-// grid here is the microbenchmark backing for the full-map hotpath figure.
+// one while the next hop's key lines are prefetched (as core.descendToData
+// does). A `-tags purego` run of the same benchmark is the no-prefetch row.
 func BenchmarkDescend(b *testing.B) {
-	defer cpuhint.SetEnabled(true)
-	defer SetBranchlessSearch(true)
 	const chainLen = 1 << 14 // 16Ki chunks × 64 keys ≈ 16 MiB of key cells
 	chunks := make([]*Chunk[int64], chainLen)
 	rng := rand.New(rand.NewSource(7))
@@ -110,34 +107,26 @@ func BenchmarkDescend(b *testing.B) {
 		chunks[i] = benchChunk(64, true)
 	}
 	// Random probe targets, like ChunkIndexOf's: a periodic pattern would let
-	// the branch predictor memorize the reference search's decisions, which no
-	// uniform workload allows it.
+	// a branch predictor memorize the search's decisions, which no uniform
+	// workload allows it.
 	probes := make([]int64, 4096)
 	for i := range probes {
 		probes[i] = int64(rng.Intn(128))
 	}
-	for _, pf := range []bool{true, false} {
-		for _, bl := range []bool{true, false} {
-			b.Run(fmt.Sprintf("prefetch=%t/branchless=%t", pf, bl), func(b *testing.B) {
-				cpuhint.SetEnabled(pf)
-				SetBranchlessSearch(bl)
-				b.ResetTimer()
-				pos := 0
-				for i := 0; i < b.N; i++ {
-					c := chunks[order[pos]]
-					pos++
-					if pos == chainLen {
-						pos = 0
-					}
-					// Hint the *next* chunk before searching the current one,
-					// mirroring the overlap structure of the real descent.
-					next := chunks[order[pos]]
-					cpuhint.Prefetch(unsafe.Pointer(&next.keys[0]))
-					next.PrefetchKeys()
-					c.Get(probes[i&4095])
-				}
-			})
+	b.ResetTimer()
+	pos := 0
+	for i := 0; i < b.N; i++ {
+		c := chunks[order[pos]]
+		pos++
+		if pos == chainLen {
+			pos = 0
 		}
+		// Hint the *next* chunk before searching the current one,
+		// mirroring the overlap structure of the real descent.
+		next := chunks[order[pos]]
+		cpuhint.Prefetch(unsafe.Pointer(&next.keys[0]))
+		next.PrefetchKeys()
+		c.Get(probes[i&4095])
 	}
 }
 

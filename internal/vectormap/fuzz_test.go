@@ -15,10 +15,6 @@ func FuzzChunkModel(f *testing.F) {
 	f.Add([]byte{255, 255, 0, 0, 128, 128}, true)
 
 	f.Fuzz(func(t *testing.T, ops []byte, sorted bool) {
-		defer SetBranchlessSearch(true)
-		// Alternate implementations between runs so the model check also
-		// differentially covers the branchless core at the API level.
-		SetBranchlessSearch(len(ops)%2 == 0)
 		var c Chunk[int64]
 		c.Init(4, sorted) // capacity 8
 		model := map[int64]int64{}

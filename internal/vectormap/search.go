@@ -32,22 +32,8 @@ import (
 // search on every non-decreasing array — duplicates included — and in-bounds
 // and terminating on arbitrary (torn, unsorted) array states.
 //
-// The old implementation is kept below (lowerBoundRef/upperBoundRef) as the
-// differential oracle and as the runtime fallback selected by
-// SetBranchlessSearch(false) for the svbench -fig hotpath ablation.
-
-// branchlessOff disables the CMOV core and routes sorted-chunk searches
-// through the reference binary search. Inverted so the zero value keeps the
-// fast path on. Ablation-only, like cpuhint.SetEnabled.
-var branchlessOff atomic.Bool
-
-// SetBranchlessSearch selects between the branchless core (true, the
-// default) and the reference binary search. It exists for the on/off
-// ablation; toggling mid-trial is safe but makes the numbers meaningless.
-func SetBranchlessSearch(on bool) { branchlessOff.Store(!on) }
-
-// BranchlessSearch reports which implementation sorted-chunk searches use.
-func BranchlessSearch() bool { return !branchlessOff.Load() }
+// That textbook search is test-only code (search_ref_test.go); nothing
+// selects between the two at run time.
 
 // cellSize is the stride of the probe pointer arithmetic. atomic.Int64 is
 // exactly its payload (the align64/noCopy markers are zero-sized), which the
@@ -83,9 +69,6 @@ func (c *Chunk[P]) lowerBound(k int64, s int) int {
 	if s <= 0 {
 		return 0
 	}
-	if branchlessOff.Load() {
-		return c.lowerBoundRef(k, s)
-	}
 	base := unsafe.Pointer(unsafe.SliceData(c.keys))
 	kb := uint64(k) ^ signFlip
 	off, n := uintptr(0), uintptr(s)
@@ -114,9 +97,6 @@ func (c *Chunk[P]) upperBound(k int64, s int) int {
 	if s <= 0 {
 		return 0
 	}
-	if branchlessOff.Load() {
-		return c.upperBoundRef(k, s)
-	}
 	base := unsafe.Pointer(unsafe.SliceData(c.keys))
 	kb := uint64(k) ^ signFlip
 	off, n := uintptr(0), uintptr(s)
@@ -132,35 +112,6 @@ func (c *Chunk[P]) upperBound(k int64, s int) int {
 	}
 	off += probeLE(base, off, 1, kb)
 	return int(off)
-}
-
-// lowerBoundRef is the pre-existing binary search, kept verbatim as the
-// differential oracle and the SetBranchlessSearch(false) fallback.
-func (c *Chunk[P]) lowerBoundRef(k int64, s int) int {
-	lo, hi := 0, s
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.keys[mid].Load() < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// upperBoundRef is the reference upper bound (first key > k).
-func (c *Chunk[P]) upperBoundRef(k int64, s int) int {
-	lo, hi := 0, s
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.keys[mid].Load() <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // keyLine is how many keys share one 64-byte cache line.

@@ -247,60 +247,6 @@ func TestZipfKeysScrambled(t *testing.T) {
 	}
 }
 
-func TestSeqWindowRuns(t *testing.T) {
-	const n, window = 1 << 16, 256
-	g := NewSeqWindow(NewRNG(11), n, window)
-	if g.Range() != n || g.Window() != window {
-		t.Fatal("Range/Window wrong")
-	}
-	prev := g.Next()
-	steps, jumps := 0, 0
-	for i := 1; i < 10*window; i++ {
-		k := g.Next()
-		if k < 0 || k >= n {
-			t.Fatalf("key %d out of range", k)
-		}
-		if k == prev+1 || (prev == n-1 && k == 0) {
-			steps++
-		} else {
-			jumps++
-		}
-		prev = k
-	}
-	// In 10 windows of 256, exactly 9 or 10 discontinuities are possible
-	// (the first draw may or may not land at a window boundary).
-	if jumps > 10 {
-		t.Fatalf("%d jumps in 10 windows, want ≤ 10", jumps)
-	}
-	if steps < 9*window {
-		t.Fatalf("only %d sequential steps in 10 windows", steps)
-	}
-}
-
-func TestSeqWindowDeterministic(t *testing.T) {
-	a := NewSeqWindow(NewRNG(3), 1000, 10)
-	b := NewSeqWindow(NewRNG(3), 1000, 10)
-	for i := 0; i < 500; i++ {
-		if a.Next() != b.Next() {
-			t.Fatal("same seed diverged")
-		}
-	}
-}
-
-func TestSeqWindowClampsWindow(t *testing.T) {
-	g := NewSeqWindow(NewRNG(1), 8, 100)
-	if g.Window() != 8 {
-		t.Fatalf("window not clamped: %d", g.Window())
-	}
-	seen := map[int64]bool{}
-	for i := 0; i < 8; i++ {
-		seen[g.Next()] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("full-range window visited %d/8 keys", len(seen))
-	}
-}
-
 func TestPrefillerHalfDistinct(t *testing.T) {
 	const n = 1 << 12
 	p := NewPrefiller(n, 31)
