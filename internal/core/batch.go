@@ -424,7 +424,7 @@ func (m *Map[V]) batchGroupAttempt(
 	// Group extent. While curr's write lock is held the data layer's
 	// partition is frozen at curr: no key can enter or leave curr's span
 	// (linking, merging, or unlinking a neighbor all require this lock), so
-	// curr.data.Bounds() is exact and every group key ≤ max(curr) is
+	// curr.chunk.Bounds() is exact and every group key ≤ max(curr) is
 	// provably curr's — no successor reads at all. That covers nearly every
 	// group of a uniform batch (groups of one or two keys deep inside a
 	// chunk), which is what lets ApplyBatch dominate the singleton loop even
@@ -437,7 +437,7 @@ func (m *Map[V]) batchGroupAttempt(
 	// to make extending the group worthwhile) or when curr offers no
 	// evidence (k0 past its max, or an empty chunk).
 	g := 0
-	minK, maxK, hasBounds := curr.data.Bounds()
+	minK, maxK, hasBounds := curr.chunk.Bounds()
 	if hasBounds && k0 <= maxK {
 		// g ≥ 1: k0 ≤ maxK. A failed extension walk just keeps this prefix —
 		// never a restart.
@@ -521,7 +521,7 @@ func (m *Map[V]) batchGroupAttempt(
 			})
 		}
 		s := segs[si]
-		pos += s.data.ApplyOps(slots[pos:runEnd], outs[pos:runEnd])
+		pos += s.data().ApplyOps(slots[pos:runEnd], outs[pos:runEnd])
 		chaos.Step(chaos.CoreBatch)
 		if pos < runEnd {
 			// The segment filled mid-run: split its upper half into a fresh

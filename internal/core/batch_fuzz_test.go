@@ -14,9 +14,9 @@ import (
 // boundaries and split mid-group. Run with `go test -fuzz FuzzApplyBatch`;
 // plain `go test` replays the seed corpus.
 func FuzzApplyBatch(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(0), uint8(12))  // one ascending batch
-	f.Add([]byte{7, 7, 7, 71, 135, 199, 7, 7}, uint8(1), uint8(8))            // duplicate-heavy
-	f.Add([]byte{255, 254, 253, 128, 127, 64, 63, 0}, uint8(1), uint8(4))     // descending, mixed kinds
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(0), uint8(12))   // one ascending batch
+	f.Add([]byte{7, 7, 7, 71, 135, 199, 7, 7}, uint8(1), uint8(8))             // duplicate-heavy
+	f.Add([]byte{255, 254, 253, 128, 127, 64, 63, 0}, uint8(1), uint8(4))      // descending, mixed kinds
 	f.Add([]byte{0, 64, 128, 192, 1, 65, 129, 193, 2, 66}, uint8(2), uint8(5)) // kind sweep per key
 	f.Add([]byte{40, 41, 42, 43, 44, 45, 46, 47, 40, 41, 42, 43}, uint8(3), uint8(6))
 

@@ -60,7 +60,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 			if vals != nil {
 				v = vals[i]
 			}
-			n.data.Insert(keys[i], v)
+			n.data().Insert(keys[i], v)
 		}
 		prev.next.Store(n)
 		prev = n
@@ -94,7 +94,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 			}
 			n := m.mem.allocRaw(level)
 			for i := off; i < end; i++ {
-				n.index.Insert(refs[i].min, refs[i].node)
+				n.index().Insert(refs[i].min, refs[i].node)
 			}
 			lprev.next.Store(n)
 			lprev = n

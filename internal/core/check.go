@@ -42,14 +42,8 @@ func (m *Map[V]) CheckInvariants() error {
 			if w.Locked() || w.Frozen() {
 				return fmt.Errorf("layer %d node %d: lock word dirty (%v)", l, i, w)
 			}
-			var chunkErr error
-			if n.isIndex() {
-				chunkErr = n.index.CheckInvariants()
-			} else {
-				chunkErr = n.data.CheckInvariants()
-			}
-			if chunkErr != nil {
-				return fmt.Errorf("layer %d node %d: %w", l, i, chunkErr)
+			if err := n.chunk.CheckInvariants(); err != nil {
+				return fmt.Errorf("layer %d node %d: %w", l, i, err)
 			}
 			minK, hasMin := n.minKey()
 			maxK, _ := n.maxKey()
@@ -73,7 +67,7 @@ func (m *Map[V]) CheckInvariants() error {
 		childKeys := keySet(layers[l-1])
 		for i, n := range layers[l] {
 			var badEntry error
-			n.index.ForEach(func(k int64, child *node[V]) bool {
+			n.index().ForEach(func(k int64, child *node[V]) bool {
 				if child == nil {
 					if k == MaxKey && n == layers[l][len(layers[l])-1] {
 						return true // tail sentinel entry carries no child
@@ -145,12 +139,11 @@ func (m *Map[V]) CheckInvariants() error {
 	// Length accounting.
 	dataKeys := 0
 	for _, n := range layers[0] {
-		n.data.ForEach(func(k int64, _ *V) bool {
+		for _, k := range n.chunk.Keys() {
 			if k != MinKey && k != MaxKey {
 				dataKeys++
 			}
-			return true
-		})
+		}
 	}
 	if got := m.Len(); got != dataKeys {
 		return fmt.Errorf("Len() = %d but data layer holds %d keys", got, dataKeys)
@@ -162,15 +155,10 @@ func (m *Map[V]) CheckInvariants() error {
 func keySet[V any](nodes []*node[V]) map[int64]struct{} {
 	set := make(map[int64]struct{})
 	for _, n := range nodes {
-		collect := func(k int64) {
+		for _, k := range n.chunk.Keys() {
 			if k != MinKey && k != MaxKey {
 				set[k] = struct{}{}
 			}
-		}
-		if n.isIndex() {
-			n.index.ForEach(func(k int64, _ *node[V]) bool { collect(k); return true })
-		} else {
-			n.data.ForEach(func(k int64, _ *V) bool { collect(k); return true })
 		}
 	}
 	return set
@@ -181,12 +169,11 @@ func keySet[V any](nodes []*node[V]) map[int64]struct{} {
 func (m *Map[V]) Keys() []int64 {
 	var out []int64
 	for n := m.heads[0]; n != nil; n = n.next.Load() {
-		n.data.ForEach(func(k int64, _ *V) bool {
+		for _, k := range n.chunk.Keys() {
 			if k != MinKey && k != MaxKey {
 				out = append(out, k)
 			}
-			return true
-		})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -198,12 +185,7 @@ func (m *Map[V]) Dump() string {
 	for l := m.cfg.LayerCount - 1; l >= 0; l-- {
 		fmt.Fprintf(&b, "L%d:", l)
 		for n := m.heads[l]; n != nil; n = n.next.Load() {
-			keys := make([]int64, 0, 8)
-			if n.isIndex() {
-				n.index.ForEach(func(k int64, _ *node[V]) bool { keys = append(keys, k); return true })
-			} else {
-				n.data.ForEach(func(k int64, _ *V) bool { keys = append(keys, k); return true })
-			}
+			keys := n.chunk.Keys()
 			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 			flag := ""
 			if n.lock.IsOrphan() {

@@ -51,14 +51,14 @@ func TestHeightDistribution(t *testing.T) {
 	for l := 0; l < cfg.LayerCount; l++ {
 		for node := m.heads[l]; node != nil; node = node.next.Load() {
 			if node.isIndex() {
-				node.index.ForEach(func(k int64, _ *node_alias[int64]) bool {
+				node.index().ForEach(func(k int64, _ *node_alias[int64]) bool {
 					if k != MinKey && k != MaxKey {
 						layerKeys[l]++
 					}
 					return true
 				})
 			} else {
-				node.data.ForEach(func(k int64, _ *int64) bool {
+				node.data().ForEach(func(k int64, _ *int64) bool {
 					if k != MinKey && k != MaxKey {
 						layerKeys[l]++
 					}

@@ -145,7 +145,7 @@ func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode) (*node[V], 
 		minK, maxK = f.lo, f.hi
 	} else {
 		var ok bool
-		minK, maxK, ok = n.data.Bounds()
+		minK, maxK, ok = n.chunk.Bounds()
 		if !ok {
 			ctx.drop(n)
 			f.punish()

@@ -33,7 +33,7 @@ func fingerOn(t *testing.T, m *Map[int64], ctx *opCtx[int64], k int64) (n *node[
 	if n == nil {
 		t.Fatalf("lookup(%d) did not record a finger", k)
 	}
-	minK, maxK, ok := n.data.Bounds()
+	minK, maxK, ok := n.chunk.Bounds()
 	if !ok {
 		t.Fatalf("finger node for %d is empty", k)
 	}
@@ -263,7 +263,7 @@ func TestFingerFollowsOrphans(t *testing.T) {
 	found := false
 	for n := m.heads[0]; n != nil; n = n.next.Load() {
 		if n.lock.IsOrphan() {
-			if k, ok := n.data.MinKey(); ok {
+			if k, ok := n.minKey(); ok {
 				orphanKey, found = k, true
 				break
 			}

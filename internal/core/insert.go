@@ -125,7 +125,7 @@ func (m *Map[V]) insertAttempt(
 		}
 		resume = false
 
-		kf, child, found := curr.index.FindLE(k)
+		kf, child, found := curr.index().FindLE(k)
 		if !found || child == nil {
 			// Violates the traversal invariant; only possible on a torn
 			// read of an unfrozen node. Restart.
@@ -171,7 +171,7 @@ func (m *Map[V]) finishInsertData(
 	m.freezes.Inc(ctx.stripe)
 	chaos.Step(chaos.CoreFreeze)
 
-	if curr.data.Contains(k) {
+	if curr.data().Contains(k) {
 		st.thawAll(height)
 		ctx.dropAll()
 		return false, true
@@ -202,10 +202,10 @@ func (m *Map[V]) applyInsert(
 	m.noteDataWrite(d) // CoW pre-image before the first mutation (snapshot.go)
 	if height == 0 {
 		target := d
-		if d.data.Full() {
+		if d.chunk.Full() {
 			target = m.splitFull(ctx, d, k)
 		}
-		if !target.data.Insert(k, v) {
+		if !target.data().Insert(k, v) {
 			panic("core: insert into data chunk failed after absence check")
 		}
 		m.logPut(ctx, k, v) // before the release that publishes it (commit.go)
@@ -222,8 +222,8 @@ func (m *Map[V]) applyInsert(
 	// below its height, each stealing the elements greater than k from its
 	// frozen predecessor.
 	nd := m.mem.allocRaw(0)
-	d.data.MoveGreaterTo(k, &nd.data)
-	nd.data.Insert(k, v)
+	d.data().MoveGreaterTo(k, nd.data())
+	nd.data().Insert(k, v)
 	inheritVerEpoch(d, nd)
 	nd.next.Store(d.next.Load())
 	d.next.Store(nd)
@@ -240,8 +240,8 @@ func (m *Map[V]) applyInsert(
 		p := st.prevs[layer]
 		p.lock.UpgradeFrozen()
 		ni := m.mem.allocRaw(layer)
-		p.index.MoveGreaterTo(k, &ni.index)
-		ni.index.Insert(k, child)
+		p.index().MoveGreaterTo(k, ni.index())
+		ni.index().Insert(k, child)
 		ni.next.Store(p.next.Load())
 		p.next.Store(ni)
 		p.lock.Release()
@@ -255,10 +255,10 @@ func (m *Map[V]) applyInsert(
 	p := st.prevs[height]
 	p.lock.UpgradeFrozen()
 	target := p
-	if p.index.Full() {
+	if p.chunk.Full() {
 		target = m.splitFull(ctx, p, k)
 	}
-	if !target.index.Insert(k, child) {
+	if !target.index().Insert(k, child) {
 		panic("core: insert into index chunk failed after absence check")
 	}
 	p.lock.Release()
@@ -289,9 +289,9 @@ func (m *Map[V]) splitOrphanHalf(ctx *opCtx[V], n *node[V]) (*node[V], int64) {
 	o := m.mem.allocRaw(int(n.level))
 	var pivot int64
 	if n.isIndex() {
-		pivot = n.index.SplitUpperHalfTo(&o.index)
+		pivot = n.index().SplitUpperHalfTo(o.index())
 	} else {
-		pivot = n.data.SplitUpperHalfTo(&o.data)
+		pivot = n.data().SplitUpperHalfTo(o.data())
 	}
 	// The orphan's content was part of n's at every epoch n's current
 	// verEpoch covers; the caller already ran noteDataWrite on n.

@@ -38,7 +38,7 @@ func (m *Map[V]) lookupOnce(ctx *opCtx[V], k int64) (v *V, found, ok bool) {
 			return nil, false, false
 		}
 	}
-	v, found = curr.data.Get(k)
+	v, found = curr.data().Get(k)
 	// Linearization point: if the data node is unchanged, the speculative
 	// Get above observed a consistent state (Listing 2 line 14).
 	if !curr.lock.Validate(ver) {

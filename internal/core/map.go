@@ -236,11 +236,11 @@ func NewMap[V any](cfg Config) (*Map[V], error) {
 		head := m.mem.allocRaw(l)
 		tail := m.mem.allocRaw(l)
 		if l == 0 {
-			head.data.Insert(MinKey, nil)
-			tail.data.Insert(MaxKey, nil)
+			head.data().Insert(MinKey, nil)
+			tail.data().Insert(MaxKey, nil)
 		} else {
-			head.index.Insert(MinKey, below)
-			tail.index.Insert(MaxKey, nil)
+			head.index().Insert(MinKey, below)
+			tail.index().Insert(MaxKey, nil)
 		}
 		head.next.Store(tail)
 		m.heads[l] = head

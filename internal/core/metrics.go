@@ -134,10 +134,10 @@ func (m *Map[V]) Occupancy() OccupancySnapshot {
 		m.walkLayer(l, func(n *node[V]) {
 			if n.isIndex() {
 				s.IndexChunks++
-				s.IndexElems += n.index.Size()
+				s.IndexElems += n.size()
 			} else {
 				s.DataChunks++
-				s.DataElems += n.data.Size()
+				s.DataElems += n.size()
 			}
 		})
 	}

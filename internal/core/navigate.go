@@ -40,7 +40,7 @@ func (m *Map[V]) floorOnce(ctx *opCtx[V], k int64) (key int64, v *V, found, ok b
 			return 0, nil, false, false
 		}
 	}
-	fk, fv, has := curr.data.FindLE(k)
+	fk, fv, has := curr.data().FindLE(k)
 	if !curr.lock.Validate(ver) {
 		return 0, nil, false, false
 	}
@@ -90,7 +90,7 @@ func (m *Map[V]) ceilingOnce(ctx *opCtx[V], k int64) (key int64, v *V, found, ok
 	// the one owning k; successors are reached hand-over-hand with the same
 	// validation discipline as traverseRight.
 	for {
-		ck, cv, has := curr.data.FindGE(k)
+		ck, cv, has := curr.data().FindGE(k)
 		if has {
 			if !curr.lock.Validate(ver) {
 				return 0, nil, false, false

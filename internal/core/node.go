@@ -9,21 +9,25 @@ import (
 	"skipvector/internal/vectormap"
 )
 
-// node is a skip vector node at any layer. Data-layer nodes (level 0) use
-// the data chunk (key → *V); index nodes use the index chunk (key → child
-// node one layer down). Exactly one of the two chunks is initialized.
+// node is a skip vector node at any layer: one sequence lock, one next
+// pointer and one chunk (the paper's Listing 1). A data-layer node (level 0)
+// reads the chunk as key → *V through data(); an index node reads it as key →
+// child node one layer down through index().
 //
-// The sequence lock protects both chunks and the next pointer. Optimistic
+// The sequence lock protects the chunk and the next pointer. Optimistic
 // readers snapshot the lock, read atomic cells, and validate; writers hold
 // the lock. The lock word is never reset when a node is recycled, so its
 // sequence number grows monotonically across lifetimes and a validation
 // against a stale snapshot from a previous lifetime always fails.
+//
+// Field order: everything a traversal hop reads (lock, next, level, the
+// chunk's slice headers and size) lies in the first 80 bytes; the snapshot
+// epoch words, which only data-layer writers and snapshots touch, come last.
 type node[V any] struct {
 	lock  seqlock.Lock
 	next  atomic.Pointer[node[V]]
 	level int32
-	data  vectormap.Chunk[V]
-	index vectormap.Chunk[node[V]]
+	chunk vectormap.Chunk[node[V]]
 
 	// verEpoch is the snapshot epoch at which the node's current data-layer
 	// contents were installed. It is only advanced by a writer holding the
@@ -47,29 +51,31 @@ type node[V any] struct {
 // isIndex reports whether the node belongs to an index layer.
 func (n *node[V]) isIndex() bool { return n.level > 0 }
 
-// size returns the current element count of the active chunk.
-func (n *node[V]) size() int {
-	if n.isIndex() {
-		return n.index.Size()
-	}
-	return n.data.Size()
-}
+// index returns the chunk as an index node reads it. The caller must know
+// the node is an index node (level > 0).
+func (n *node[V]) index() *vectormap.Chunk[node[V]] { return &n.chunk }
+
+// data returns the chunk as a data node reads it (vectormap.View has the
+// layout argument). The caller must know the node is a data node (level 0).
+//
+// Which view is right is decided by level alone, and an optimistic reader may
+// still be choosing it for a node that has since been retired and recycled.
+// So a node's class must never change across lifetimes: a recycled data node
+// is only ever handed out as a data node again and an index node as an index
+// node, which is why memory keeps freeData and freeIndex apart. Were the
+// class to flip, such a reader could load a *V and follow it as a *node[V].
+func (n *node[V]) data() *vectormap.Chunk[V] { return vectormap.View[V](&n.chunk) }
+
+// size returns the node's current element count. Like minKey and maxKey it
+// reads only the chunk's keys and size, which do not depend on the payload
+// type, so it needs no view.
+func (n *node[V]) size() int { return n.chunk.Size() }
 
 // minKey returns the smallest key in the node (ok=false when empty).
-func (n *node[V]) minKey() (int64, bool) {
-	if n.isIndex() {
-		return n.index.MinKey()
-	}
-	return n.data.MinKey()
-}
+func (n *node[V]) minKey() (int64, bool) { return n.chunk.MinKey() }
 
 // maxKey returns the largest key in the node (ok=false when empty).
-func (n *node[V]) maxKey() (int64, bool) {
-	if n.isIndex() {
-		return n.index.MaxKey()
-	}
-	return n.data.MaxKey()
-}
+func (n *node[V]) maxKey() (int64, bool) { return n.chunk.MaxKey() }
 
 // markOrphanPrivate flags an unpublished node as an orphan. The node must
 // not be reachable by other goroutines yet: the transient lock acquisition
@@ -151,9 +157,9 @@ func (m *memory[V]) allocRaw(level int) *node[V] {
 	}
 	n.level = int32(level)
 	if level == 0 {
-		n.data.Init(m.cfg.TargetDataVectorSize, m.cfg.SortedData)
+		n.chunk.Init(m.cfg.TargetDataVectorSize, m.cfg.SortedData)
 	} else {
-		n.index.Init(m.cfg.TargetIndexVectorSize, m.cfg.SortedIndex)
+		n.chunk.Init(m.cfg.TargetIndexVectorSize, m.cfg.SortedIndex)
 	}
 	return n
 }

@@ -32,7 +32,7 @@ func buildOrphanChain(t *testing.T) (*Map[int64], []int64) {
 			continue
 		}
 		if !n.lock.IsOrphan() {
-			if minK, ok := n.data.MinKey(); ok {
+			if minK, ok := n.minKey(); ok {
 				towers = append(towers, minK)
 			}
 		}

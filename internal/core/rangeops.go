@@ -128,7 +128,7 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 			break
 		}
 		noted := false
-		n.data.ForEachOrdered(func(k int64, v *V) bool {
+		n.data().ForEachOrdered(func(k int64, v *V) bool {
 			if k < lo || k > hi {
 				return true
 			}
@@ -138,7 +138,7 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 					noted = true
 					notePre(n)
 				}
-				n.data.Set(k, nv)
+				n.data().Set(k, nv)
 				if logging {
 					rcommits = append(rcommits, CommitOp[V]{Key: k, Val: nv})
 				}

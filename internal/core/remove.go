@@ -52,7 +52,7 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 		if !ok {
 			return false, false
 		}
-		kf, child, found := curr.index.FindLE(k)
+		kf, child, found := curr.index().FindLE(k)
 		if !found || child == nil {
 			return false, false
 		}
@@ -61,7 +61,7 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 			// non-orphan node, then k must also appear one layer up — we
 			// raced with an Insert and missed it; restart to find the true
 			// topmost occurrence (Listing 4 line 13).
-			minK, hasMin := curr.index.MinKey()
+			minK, hasMin := curr.minKey()
 			if !curr.lock.Validate(ver) {
 				return false, false
 			}
@@ -100,7 +100,7 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 	// parents, so no hazard pointers are needed.
 	curr = locked
 	for curr.isIndex() {
-		child, found := curr.index.Remove(k)
+		child, found := curr.index().Remove(k)
 		if !found || child == nil {
 			panic("core: index entry vanished under write lock")
 		}
@@ -114,7 +114,7 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 		curr = child
 	}
 	m.noteDataWrite(curr) // CoW pre-image before the first mutation (snapshot.go)
-	if _, found := curr.data.Remove(k); !found {
+	if _, found := curr.data().Remove(k); !found {
 		panic("core: data entry for indexed key missing under write lock")
 	}
 	m.logDel(ctx, k) // before the release that publishes it (commit.go)
@@ -137,7 +137,7 @@ func (m *Map[V]) removeFromDataLayer(
 	// Mirror of the index-layer race check (Listing 4 line 28): if k is the
 	// minimum of a non-orphan data node, a concurrent Insert gave k an
 	// index entry that this descent missed; restart and remove it top-down.
-	minK, hasMin := curr.data.MinKey()
+	minK, hasMin := curr.minKey()
 	if hasMin && minK == k && !curr.lock.IsOrphan() {
 		curr.lock.Abort()
 		return false, false
@@ -147,14 +147,14 @@ func (m *Map[V]) removeFromDataLayer(
 	// absence path releases with Abort, which forbids any modification —
 	// including a verEpoch bump — so presence is settled first.
 	if m.snaps.count.Load() > 0 {
-		if !curr.data.Contains(k) {
+		if !curr.data().Contains(k) {
 			m.recordFinger(ctx, curr, curr.lock.Abort())
 			ctx.dropAll()
 			return false, true
 		}
 		m.noteDataWrite(curr)
 	}
-	_, removed := curr.data.Remove(k)
+	_, removed := curr.data().Remove(k)
 	if removed {
 		m.logDel(ctx, k) // before the release that publishes it (commit.go)
 		fver := curr.lock.Release()

@@ -356,13 +356,13 @@ func (m *Map[V]) noteDataWrite2(a, b *node[V]) uint64 {
 func (m *Map[V]) publishPreImage(n *node[V], e uint64) {
 	old := n.verEpoch.Load()
 	n.verEpoch.Store(e)
-	sz := n.data.Size()
+	sz := n.size()
 	if sz == 0 {
 		return
 	}
 	keys := make([]int64, 0, sz)
 	vals := make([]*V, 0, sz)
-	n.data.ForEachOrdered(func(k int64, v *V) bool {
+	n.data().ForEachOrdered(func(k int64, v *V) bool {
 		if k != MinKey && k != MaxKey {
 			keys = append(keys, k)
 			vals = append(vals, v)
@@ -405,7 +405,7 @@ func (s *Snapshot[V]) Get(k int64) (*V, bool) {
 			continue
 		}
 		ve := curr.verEpoch.Load()
-		v, found := curr.data.Get(k)
+		v, found := curr.data().Get(k)
 		if !curr.lock.Validate(ver) {
 			m.restart(ctx, opSnap)
 			continue
@@ -572,7 +572,7 @@ func (w *snapWalker[V]) readNode() {
 		}
 		qual := n.verEpoch.Load() <= w.s.epoch
 		if qual {
-			n.data.ForEachOrdered(func(k int64, v *V) bool {
+			n.data().ForEachOrdered(func(k int64, v *V) bool {
 				if k != MinKey && k != MaxKey {
 					w.liveK = append(w.liveK, k)
 					w.liveV = append(w.liveV, v)

@@ -338,7 +338,7 @@ func TestSnapshotRangeAndCursor(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 400; i++ {
 		k := int64(rng.Intn(1000))
-		m.Upsert(k, v64(k * 3))
+		m.Upsert(k, v64(k*3))
 		ref[k] = k * 3
 	}
 	s := m.Snapshot()

@@ -8,9 +8,10 @@ import (
 	"skipvector/internal/seqlock"
 )
 
-// prefetchNode hints the first two cache lines of n's struct — the seqlock
-// word, next pointer, and both chunks' slice headers — so the header reads
-// that follow (ReadVersion, size, the chunk's key-array address) hit cache.
+// prefetchNode hints the two cache lines that cover n's whole 96-byte struct
+// (the seqlock word, next pointer, level and the chunk's slice headers and
+// size sit in the first 80 bytes) so the header reads that follow
+// (ReadVersion, size, the chunk's key-array address) hit cache.
 // It only does address arithmetic on the pointer value, never a dereference,
 // so it is safe on a speculative, not-yet-validated pointer: a prefetch of a
 // recycled node's memory is a wasted hint, not a fault or a data race (the
@@ -19,17 +20,11 @@ func prefetchNode[V any](n *node[V]) {
 	cpuhint.Prefetch2(unsafe.Pointer(n), unsafe.Add(unsafe.Pointer(n), 64))
 }
 
-// prefetchKeys hints the key-array cache lines of n's active chunk. Unlike
+// prefetchKeys hints the key-array cache lines of n's chunk. Unlike
 // prefetchNode this reads the chunk's slice header, so callers must already
 // hold a validated hazard pointer for n (the header write happened-before
 // the node's publication, which the validation ordered before these reads).
-func prefetchKeys[V any](n *node[V]) {
-	if n.isIndex() {
-		n.index.PrefetchKeys()
-	} else {
-		n.data.PrefetchKeys()
-	}
-}
+func prefetchKeys[V any](n *node[V]) { n.chunk.PrefetchKeys() }
 
 // traverseMode distinguishes read-only traversals from mutating ones:
 // Lookup only unlinks empty orphans, while Insert and Remove additionally
@@ -177,14 +172,14 @@ func (m *Map[V]) mergeOrphan(
 		panic("core: merging nodes from different layer classes")
 	}
 	if curr.isIndex() {
-		curr.index.AbsorbFrom(&next.index)
+		curr.index().AbsorbFrom(next.index())
 	} else {
 		// One epoch covers the whole merge: both pre-images (the absorber's
 		// and the emptied source's) are published before either chunk moves,
 		// so a snapshot pinned before this point reads the pair from the
 		// version store and skips both nodes' live content (snapshot.go).
 		m.noteDataWrite2(curr, next)
-		curr.data.AbsorbFrom(&next.data)
+		curr.data().AbsorbFrom(next.data())
 	}
 	curr.next.Store(next.next.Load())
 	ctx.retire(next)
@@ -238,7 +233,7 @@ func (m *Map[V]) descendToData(
 		if !ok {
 			return nil, 0, false
 		}
-		_, child, found := curr.index.FindLE(k)
+		_, child, found := curr.index().FindLE(k)
 		if !found || child == nil {
 			// The traversal invariant (minKey ≤ k) says this cannot happen
 			// in a consistent snapshot; restart. The speculative FindLE

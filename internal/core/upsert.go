@@ -52,14 +52,14 @@ func (m *Map[V]) setOnce(ctx *opCtx[V], k int64, v *V) (updated, done bool) {
 	// before publishing the pre-image, because the absence path must leave
 	// the node (and its verEpoch) untouched for Abort.
 	if m.snaps.count.Load() > 0 {
-		if !curr.data.Contains(k) {
+		if !curr.data().Contains(k) {
 			m.recordFinger(ctx, curr, curr.lock.Abort())
 			ctx.dropAll()
 			return false, true
 		}
 		m.noteDataWrite(curr)
 	}
-	if curr.data.Set(k, v) {
+	if curr.data().Set(k, v) {
 		m.logPut(ctx, k, v) // before the release that publishes it (commit.go)
 		fver := curr.lock.Release()
 		m.recordFinger(ctx, curr, fver)

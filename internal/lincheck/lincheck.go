@@ -146,14 +146,14 @@ func (it BatchItem) String() string {
 type Event struct {
 	Proc   int
 	Kind   Kind
-	Key    int64 // point-op key; lower bound of a range window
-	Hi     int64 // inclusive upper bound of a range window
-	Val    int64 // value argument for Insert
-	Delta  int64 // increment a RangeUpdate applies to each value in range
-	Pairs  []KV  // snapshot a RangeQuery observed, ascending key order
+	Key    int64       // point-op key; lower bound of a range window
+	Hi     int64       // inclusive upper bound of a range window
+	Val    int64       // value argument for Insert
+	Delta  int64       // increment a RangeUpdate applies to each value in range
+	Pairs  []KV        // snapshot a RangeQuery observed, ascending key order
 	Items  []BatchItem // ops of a KindBatch event, in request order
-	RetOK  bool  // operation's boolean result (found / inserted / removed)
-	RetVal int64 // value returned by a Lookup; count visited by a RangeUpdate
+	RetOK  bool        // operation's boolean result (found / inserted / removed)
+	RetVal int64       // value returned by a Lookup; count visited by a RangeUpdate
 	Invoke int64
 	Return int64
 }

@@ -95,8 +95,8 @@ func TestMigrationInvalidArgs(t *testing.T) {
 	cases := []func() error{
 		func() error { _, err := s.SplitShard(-1, 10); return err },
 		func() error { _, err := s.SplitShard(2, 10); return err },
-		func() error { _, err := s.SplitShard(0, 50); return err },  // == highOf(0)
-		func() error { _, err := s.SplitShard(1, 50); return err },  // == lowOf(1)
+		func() error { _, err := s.SplitShard(0, 50); return err }, // == highOf(0)
+		func() error { _, err := s.SplitShard(1, 50); return err }, // == lowOf(1)
 		func() error { _, err := s.SplitShard(0, MinKey); return err },
 		func() error { _, err := s.MergeShards(-1); return err },
 		func() error { _, err := s.MergeShards(1); return err }, // no right neighbor

@@ -74,11 +74,11 @@ func FuzzLowerBound(f *testing.F) {
 		return b
 	}
 	f.Add(k8(1, 2, 3, 4), int64(3), uint8(4))
-	f.Add(k8(5, 5, 5, 9), int64(5), uint8(4))           // duplicates
+	f.Add(k8(5, 5, 5, 9), int64(5), uint8(4))             // duplicates
 	f.Add(k8(NegInf, 0, PosInf), int64(NegInf), uint8(3)) // sentinel extremes
-	f.Add(k8(9, 2, -7, 2), int64(2), uint8(200))        // unsorted + torn size
-	f.Add(k8(), int64(0), uint8(0))                     // empty
-	f.Add(k8(PosInf, NegInf), int64(PosInf-1), uint8(2)) // reversed at extremes
+	f.Add(k8(9, 2, -7, 2), int64(2), uint8(200))          // unsorted + torn size
+	f.Add(k8(), int64(0), uint8(0))                       // empty
+	f.Add(k8(PosInf, NegInf), int64(PosInf-1), uint8(2))  // reversed at extremes
 
 	f.Fuzz(func(t *testing.T, raw []byte, k int64, rawSize uint8) {
 		var c Chunk[int64]

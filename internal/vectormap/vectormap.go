@@ -30,6 +30,7 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"skipvector/internal/telemetry"
 )
@@ -67,9 +68,26 @@ type Chunk[P any] struct {
 	sorted bool
 }
 
+// View reinterprets c as a chunk of payload type Q over the same memory. A
+// skip vector node holds one chunk and reads it as key → value at the data
+// layer and as key → child node in the index layers.
+//
+// The conversion is sound because Chunk's layout does not depend on P: keys
+// and size do not mention it, and a vals cell is atomic.Pointer[P], which is
+// one unsafe.Pointer word (plus zero-sized markers) whatever P is, so size,
+// field offsets and the collector's pointer map are the same for every
+// instantiation (TestChunkLayoutIndependentOfPayload pins this). What the
+// layout cannot guarantee is the payloads themselves: every payload stored
+// through one view must only ever be loaded through a view of the same Q.
+func View[Q, P any](c *Chunk[P]) *Chunk[Q] {
+	return (*Chunk[Q])(unsafe.Pointer(c))
+}
+
 // Init prepares the chunk with capacity 2×targetSize. It may be called again
 // on a recycled chunk to reset it (the backing arrays are reused when the
-// capacity matches).
+// capacity matches). Only the live prefix is cleared: every slot at an index
+// ≥ size already holds nil, because each primitive that takes an entry out
+// nils the slot it vacates (CheckInvariants enforces this).
 func (c *Chunk[P]) Init(targetSize int, sorted bool) {
 	if targetSize < 1 {
 		panic(fmt.Sprintf("vectormap: targetSize %d < 1", targetSize))
@@ -79,7 +97,7 @@ func (c *Chunk[P]) Init(targetSize int, sorted bool) {
 		c.keys = make([]atomic.Int64, capacity)
 		c.vals = make([]atomic.Pointer[P], capacity)
 	} else {
-		for i := range c.vals {
+		for i, s := 0, c.snapshotSize(); i < s; i++ {
 			c.vals[i].Store(nil)
 		}
 	}
@@ -608,7 +626,9 @@ func (c *Chunk[P]) Keys() []int64 {
 }
 
 // CheckInvariants validates internal consistency (used by tests): size in
-// bounds, no duplicate keys, and ascending order for sorted chunks.
+// bounds, no duplicate keys, ascending order for sorted chunks, and no
+// payload left in a slot past the live prefix (Init relies on it, and a
+// stale pointer there would keep its target alive).
 func (c *Chunk[P]) CheckInvariants() error {
 	s := int(c.size.Load())
 	if s < 0 || s > len(c.keys) {
@@ -626,6 +646,11 @@ func (c *Chunk[P]) CheckInvariants() error {
 			return fmt.Errorf("sorted chunk out of order at %d: %d <= %d", i, k, prev)
 		}
 		prev = k
+	}
+	for i := s; i < len(c.vals); i++ {
+		if c.vals[i].Load() != nil {
+			return fmt.Errorf("slot %d past size %d holds a payload", i, s)
+		}
 	}
 	return nil
 }

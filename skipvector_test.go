@@ -335,8 +335,8 @@ func TestApplyBatchFacade(t *testing.T) {
 	m.Insert(2, "two")
 	m.Insert(4, "four")
 	res := m.ApplyBatch([]BatchOp[string]{
-		{Key: 1, Val: "one"},                   // fresh insert
-		{Key: 2, Val: "TWO"},                   // overwrite
+		{Key: 1, Val: "one"},                    // fresh insert
+		{Key: 2, Val: "TWO"},                    // overwrite
 		{Key: 4, Val: "FOUR", InsertOnly: true}, // blocked: key present
 		{Key: 3, Val: "three", InsertOnly: true},
 		{Key: 2, Delete: true},
