@@ -1,9 +1,8 @@
 // Command svbench regenerates the paper's microbenchmark figures (1, 4, 5,
 // 7a, 7b, 8) plus the paper-shaped ablations (hazard-pointer cost, merge
-// threshold, memory footprint, B-link-tree comparator), printing each figure
-// as an aligned table (or CSV) of throughput numbers. It is report-only:
-// nothing here passes or fails on a ratio. Numbers that are judged come from
-// `go run ./benchmark`.
+// threshold, memory footprint), printing each figure as an aligned table (or
+// CSV) of throughput numbers. It is report-only: nothing here passes or fails
+// on a ratio. Numbers that are judged come from `go run ./benchmark`.
 //
 // Usage:
 //
@@ -29,7 +28,6 @@ import (
 
 	"skipvector/internal/bench"
 	"skipvector/internal/telemetry"
-	"skipvector/internal/workload"
 )
 
 // figures is every -fig value with its runner, in the order "all" runs them.
@@ -49,9 +47,6 @@ var figures = []struct {
 	{"mem", func(s bench.Scale) ([]*bench.Table, error) {
 		return []*bench.Table{bench.MemoryFootprint(s.MixedRangeExps, s.Seed)}, nil
 	}},
-	{"blt", one(func(s bench.Scale) (*bench.Table, error) {
-		return bench.AblationBLinkTree(s, workload.MixReadHeavy)
-	})},
 }
 
 // one adapts a single-table figure to the runner signature.

@@ -48,10 +48,10 @@ func TestRunFig7bQuickWithOverrides(t *testing.T) {
 
 func TestFigureListMentionsAllFigures(t *testing.T) {
 	// The usage string, the "all" list and dispatch read one table; it holds
-	// exactly the ten kept figures. A kept name gets past the figure check
+	// exactly the nine kept figures. A kept name gets past the figure check
 	// (an invalid scale stops the run before anything is timed); a retired
 	// name does not, whatever the scale.
-	want := []string{"1", "4", "5", "7a", "7b", "8", "hp", "merge", "mem", "blt"}
+	want := []string{"1", "4", "5", "7a", "7b", "8", "hp", "merge", "mem"}
 	if got := figureNames(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("figures = %v, want %v", got, want)
 	}
@@ -61,7 +61,7 @@ func TestFigureListMentionsAllFigures(t *testing.T) {
 			t.Errorf("fig %s: dispatcher did not reach scale validation: %v", name, err)
 		}
 	}
-	for _, name := range []string{"finger", "batch", "snapshot", "hotpath", "fanout", "wal", "shard"} {
+	for _, name := range []string{"finger", "batch", "snapshot", "hotpath", "fanout", "wal", "shard", "blt"} {
 		err := run([]string{"-fig", name, "-scale", "nope"})
 		if err == nil || !strings.Contains(err.Error(), "unknown figure") {
 			t.Errorf("retired fig %s: err = %v, want unknown figure", name, err)

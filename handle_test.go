@@ -106,34 +106,3 @@ func TestHandlesConcurrent(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
-
-// TestSearchFingerOption verifies the WithSearchFinger ablation switch: with
-// the finger off no hits or misses are counted and results are unchanged;
-// with it on (the default) an ascending handle workload registers hits.
-func TestSearchFingerOption(t *testing.T) {
-	build := func(enabled bool) *Map[int64] {
-		m := New[int64](WithSearchFinger(enabled))
-		h := m.NewHandle()
-		defer h.Close()
-		for k := int64(0); k < 2000; k++ {
-			if !h.Insert(k, k) {
-				t.Fatalf("Insert(%d) failed", k)
-			}
-			if v, ok := h.Lookup(k); !ok || v != k {
-				t.Fatalf("Lookup(%d) = %d,%t", k, v, ok)
-			}
-		}
-		return m
-	}
-	off := build(false)
-	if st := off.Stats(); st.FingerHits != 0 || st.FingerMisses != 0 {
-		t.Fatalf("disabled finger counted activity: %+v", st)
-	}
-	on := build(true)
-	if st := on.Stats(); st.FingerHits == 0 {
-		t.Fatal("enabled finger never hit on an ascending workload")
-	}
-	if off.Len() != on.Len() {
-		t.Fatalf("ablation changed contents: %d vs %d", off.Len(), on.Len())
-	}
-}

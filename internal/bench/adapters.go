@@ -5,7 +5,6 @@
 package bench
 
 import (
-	"skipvector/internal/blink"
 	"skipvector/internal/core"
 	"skipvector/internal/skiplist"
 )
@@ -140,28 +139,3 @@ func (f *fslMap) Lookup(k int64) (uint64, bool) {
 func (f *fslMap) Remove(k int64) bool { return f.l.Remove(k) }
 
 func (f *fslMap) Len() int { return f.l.Len() }
-
-// bltMap adapts the B-link tree comparator (the concurrent B+ tree the
-// paper could not find an implementation of; see internal/blink).
-type bltMap struct {
-	t *blink.Tree[uint64]
-}
-
-// NewBLinkTree builds the B-link tree adapter.
-func NewBLinkTree() IntMap { return &bltMap{t: blink.New[uint64]()} }
-
-var _ IntMap = (*bltMap)(nil)
-
-func (b *bltMap) Insert(k int64, v uint64) bool { return b.t.Insert(k, &v) }
-
-func (b *bltMap) Lookup(k int64) (uint64, bool) {
-	p, ok := b.t.Lookup(k)
-	if !ok {
-		return 0, false
-	}
-	return *p, true
-}
-
-func (b *bltMap) Remove(k int64) bool { return b.t.Remove(k) }
-
-func (b *bltMap) Len() int { return b.t.Len() }

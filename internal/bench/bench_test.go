@@ -417,66 +417,3 @@ func TestDifferentialVariants(t *testing.T) {
 		}
 	}
 }
-
-func TestBLTAdapter(t *testing.T) {
-	m := BLT.New(1 << 10)
-	if !m.Insert(5, 50) || m.Insert(5, 51) {
-		t.Fatal("Insert semantics wrong")
-	}
-	if v, ok := m.Lookup(5); !ok || v != 50 {
-		t.Fatalf("Lookup = %d,%t", v, ok)
-	}
-	if !m.Remove(5) || m.Remove(5) {
-		t.Fatal("Remove semantics wrong")
-	}
-}
-
-func TestDifferentialBLT(t *testing.T) {
-	blt := BLT.New(1 << 10)
-	sv := SVHP.New(1 << 10)
-	model := map[int64]bool{}
-	rng := workload.NewRNG(55)
-	for i := 0; i < 5000; i++ {
-		k := rng.Intn(256)
-		switch rng.Intn(3) {
-		case 0:
-			a, b := blt.Insert(k, uint64(k)), sv.Insert(k, uint64(k))
-			if a != b || a == model[k] {
-				t.Fatalf("op %d Insert(%d): blt=%t sv=%t model=%t", i, k, a, b, model[k])
-			}
-			model[k] = true
-		case 1:
-			a, b := blt.Remove(k), sv.Remove(k)
-			if a != b || a != model[k] {
-				t.Fatalf("op %d Remove(%d): blt=%t sv=%t", i, k, a, b)
-			}
-			delete(model, k)
-		default:
-			_, a := blt.Lookup(k)
-			_, b := sv.Lookup(k)
-			if a != b || a != model[k] {
-				t.Fatalf("op %d Lookup(%d): blt=%t sv=%t", i, k, a, b)
-			}
-		}
-	}
-	if blt.Len() != sv.Len() {
-		t.Fatalf("Len: blt=%d sv=%d", blt.Len(), sv.Len())
-	}
-}
-
-func TestAblationBLinkTreeQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tb, err := AblationBLinkTree(QuickScale(), workload.MixReadHeavy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tb.Cells {
-		for _, v := range tb.Cells[i] {
-			if v <= 0 {
-				t.Fatal("empty cell")
-			}
-		}
-	}
-}

@@ -417,38 +417,3 @@ func AblationMergeThreshold(s Scale) (*Table, error) {
 	}
 	return t, nil
 }
-
-// AblationBLinkTree compares the skip vector against the B-link tree
-// comparator the paper wanted but lacked ("we were not able to find any
-// correct, concurrent, high-performance open-source B+ trees to compare
-// against", Section V-A), plus the FSL reference point, across key ranges.
-func AblationBLinkTree(s Scale, mix workload.Mix) (*Table, error) {
-	variants := []Variant{SVHP, BLT, FSL}
-	cols := make([]string, len(variants))
-	for i, v := range variants {
-		cols[i] = v.Name
-	}
-	t := NewTable(
-		fmt.Sprintf("Ablation: skip vector vs B-link tree, %s mix", mix),
-		"key-bits", cols)
-	threads := s.Threads[len(s.Threads)-1]
-	for _, exp := range s.MixedRangeExps {
-		keyRange := Pow2(exp)
-		row := make([]float64, len(variants))
-		for i, v := range variants {
-			tp, err := RunAveraged(v, TrialConfig{
-				Threads:  threads,
-				Duration: s.Duration,
-				KeyRange: keyRange,
-				Mix:      mix,
-				Seed:     s.Seed,
-			}, s.Reps)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = tp
-		}
-		t.AddRow(fmt.Sprintf("2^%d", exp), row)
-	}
-	return t, nil
-}

@@ -89,11 +89,6 @@ var (
 	FSL = Variant{Name: "FSL", New: func(r int64) IntMap {
 		return NewFSL()
 	}}
-	// BLT is the B-link tree comparator (Section V-A's missing concurrent
-	// B+ tree, built in internal/blink on the same seqlock primitive).
-	BLT = Variant{Name: "BLT", New: func(r int64) IntMap {
-		return NewBLinkTree()
-	}}
 )
 
 // ScalabilityVariants is the Figure 4/5 legend.

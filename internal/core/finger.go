@@ -101,9 +101,6 @@ const (
 // snapshot of its lock — exactly the postcondition of descendToData. On a
 // miss nothing is held and the caller performs the full descent.
 func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode) (*node[V], seqlock.Version, bool) {
-	if m.cfg.DisableFinger {
-		return nil, 0, false
-	}
 	f := &ctx.fing
 	n := f.node
 	if n == nil {
@@ -210,7 +207,7 @@ func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode) (*node[V], 
 // next probe re-publishes a hazard pointer and revalidates ver (which a
 // recycled node's monotonic lock word always fails).
 func (m *Map[V]) recordFinger(ctx *opCtx[V], n *node[V], ver seqlock.Version) {
-	if m.cfg.DisableFinger || n == nil {
+	if n == nil {
 		return
 	}
 	if ver.Locked() || ver.Frozen() {

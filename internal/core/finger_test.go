@@ -364,27 +364,6 @@ func TestFingerProbeBackoff(t *testing.T) {
 	}
 }
 
-func TestFingerDisabled(t *testing.T) {
-	cfg := testConfigs()["tiny-chunks"]
-	cfg.DisableFinger = true
-	m := newTestMap(t, cfg)
-	h := m.NewHandle()
-	defer h.Close()
-	for k := int64(0); k < 500; k++ {
-		if !h.Insert(k, v64(k)) {
-			t.Fatalf("Insert(%d) failed", k)
-		}
-		if _, found := h.Lookup(k); !found {
-			t.Fatalf("Lookup(%d) missed", k)
-		}
-	}
-	st := m.Stats()
-	if st.FingerHits != 0 || st.FingerMisses != 0 {
-		t.Fatalf("disabled finger recorded activity: hits=%d misses=%d", st.FingerHits, st.FingerMisses)
-	}
-	mustCheck(t, m)
-}
-
 func TestFingerHitRateOnAscendingHandle(t *testing.T) {
 	m := newTestMap(t, testConfigs()["default"])
 	h := m.NewHandle()

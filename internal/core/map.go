@@ -83,12 +83,6 @@ type Config struct {
 	// Seed seeds the per-operation height RNG streams. A zero seed is
 	// replaced with a fixed constant so behaviour is reproducible.
 	Seed uint64
-	// DisableFinger turns off the per-context search finger (the locality
-	// cache that lets an operation skip the top-down descent when its key
-	// falls inside the data node the previous operation finished on). The
-	// zero value keeps the finger enabled; disabling exists for ablation
-	// benchmarks and as an escape hatch.
-	DisableFinger bool
 	// MetricLabels are constant label name/value pairs attached to every
 	// series of the map's metric registry. Nil (the default) leaves series
 	// unlabeled. A sharded deployment labels each shard's map (shard="3") so

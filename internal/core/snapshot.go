@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -379,6 +378,15 @@ func (m *Map[V]) publishPreImage(n *node[V], e uint64) {
 		installed: old, superseded: e, keys: keys, vals: vals,
 	})
 	m.snapChainLen.Observe(int(e), int64(chain))
+	// The caller saw a pin before it issued e, but the last Close may have
+	// dropped the count to zero and pruned since, on a store that did not
+	// hold this record yet. Nothing else would prune it until the next pin,
+	// so the writer that lost that race cleans up. A count still above zero
+	// here means a Close, and its prune, are yet to come. pruneVersions takes
+	// snaps.mu then vstore.mu and never a node lock.
+	if m.snaps.count.Load() == 0 {
+		m.pruneVersions()
+	}
 }
 
 // inheritVerEpoch stamps a freshly linked data node created from src's
@@ -663,15 +671,4 @@ func (w *snapWalker[V]) emitWindow(u int64, liveK []int64, liveV []*V) {
 		w.outV = append(w.outV, liveV[li])
 	}
 	w.pos = u + 1
-}
-
-// SnapshotDebugString summarizes snapshot-subsystem state for tests.
-func (m *Map[V]) SnapshotDebugString() string {
-	r := &m.snaps
-	r.mu.Lock()
-	mp, any := r.minPinnedLocked()
-	n := r.count.Load()
-	r.mu.Unlock()
-	return fmt.Sprintf("snapshots=%d minPinned=%d(any=%t) records=%d epoch=%d",
-		n, mp, any, m.vstore.resident(), m.epoch.Load())
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -883,4 +884,50 @@ func TestSnapshotDifferentialSeeded(t *testing.T) {
 			snapDiffRun(t, cfg, tape, 96)
 		})
 	}
+}
+
+// TestSnapshotLastCloseRacingPreImagePush is the regression test for the
+// version-store leak behind TestMetricInvariantsAfterChaosStress's flake: a
+// writer that saw a pin in noteDataWrite, then lost the race with the last
+// Close (count → 0, prune on a store that does not hold the record yet),
+// must not leave its pre-image behind. The epoch advance is the writer's
+// first step after it read the pin count, so the closer waits for it and
+// releases inside the publication window; the chaos yield at CoreSnapshot
+// holds that window open even on one processor.
+func TestSnapshotLastCloseRacingPreImagePush(t *testing.T) {
+	m := newTestMap(t, testConfigs()["default"])
+	const keys = 32
+	for k := int64(0); k < keys; k++ {
+		m.Insert(k, v64(k))
+	}
+	chaos.Enable(chaos.Config{
+		Seed: stressSeed(0x5ea1), YieldOneIn: 1, Sites: chaos.MaskOf(chaos.CoreSnapshot),
+	})
+	defer chaos.Disable()
+
+	rounds := 4000
+	if testing.Short() {
+		rounds = 1000
+	}
+	start, done := make(chan int64), make(chan struct{})
+	go func() {
+		for k := range start {
+			m.Upsert(k, v64(k))
+			done <- struct{}{}
+		}
+	}()
+	defer close(start)
+	for i := 0; i < rounds; i++ {
+		s := m.Snapshot()
+		start <- int64(i % keys)
+		for m.epoch.Load() == s.Epoch() {
+			runtime.Gosched() // the writer has not read the pin count yet
+		}
+		s.Close()
+		<-done
+		if n := m.Stats().SnapshotRecords; n != 0 {
+			t.Fatalf("round %d: version store holds %d records with no snapshot pinned", i, n)
+		}
+	}
+	mustCheck(t, m)
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"skipvector/internal/core"
 )
 
 // collect returns the map's full content as key→value.
@@ -265,79 +267,6 @@ func TestHandleRebindAcrossMigration(t *testing.T) {
 	mustCheck(t, s)
 }
 
-// TestRebalancePlannerSplitsHotShard drives a skewed load — every op on
-// shard 0 — and checks one Rebalance pass splits it at the occupancy
-// median.
-func TestRebalancePlannerSplitsHotShard(t *testing.T) {
-	s := newTest(t, tinyCfg(), []int64{1000, 2000, 3000})
-	for k := int64(0); k < 4000; k += 10 {
-		v := k
-		s.Upsert(k, &v)
-	}
-	// Fresh window (migration-free so far): hammer shard 0 only.
-	for i := 0; i < 3000; i++ {
-		s.Lookup(int64(i % 1000))
-	}
-	cfg := RebalanceConfig{MinOps: 100, HotFactor: 2, MinKeys: 4}
-	rep, acted, err := s.Rebalance(cfg)
-	if err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if !acted || rep.Kind != "split" || rep.Aborted {
-		t.Fatalf("planner did not split the hot shard: acted=%t rep=%+v stats=%+v",
-			acted, rep, s.LoadStats())
-	}
-	b := s.Bounds()
-	if len(b) != 4 {
-		t.Fatalf("bounds after planner split: %v", b)
-	}
-	// The new split is the hot shard's occupancy median: strictly inside
-	// (MinKey, 1000), near 500 for the uniform 100-key population.
-	if b[0] <= 0 || b[0] >= 1000 {
-		t.Fatalf("split key %d outside hot shard's interval", b[0])
-	}
-	if b[0] < 300 || b[0] > 700 {
-		t.Fatalf("split key %d far from occupancy median ~500", b[0])
-	}
-	mustCheck(t, s)
-}
-
-// TestRebalancePlannerMergesColdPair drives load everywhere except two
-// adjacent shards and checks the planner reclaims them.
-func TestRebalancePlannerMergesColdPair(t *testing.T) {
-	s := newTest(t, tinyCfg(), []int64{100, 200, 300})
-	for k := int64(0); k < 400; k += 5 {
-		v := k
-		s.Upsert(k, &v)
-	}
-	// Shards 0 and 3 hot (evenly), shards 1 and 2 cold.
-	for i := 0; i < 2000; i++ {
-		s.Lookup(int64(i % 100))
-		s.Lookup(300 + int64(i%100))
-	}
-	cfg := RebalanceConfig{MinOps: 100, HotFactor: 1000 /* never split */, ColdFactor: 0.5}
-	rep, acted, err := s.Rebalance(cfg)
-	if err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if !acted || rep.Kind != "merge" {
-		t.Fatalf("planner did not merge: acted=%t rep=%+v stats=%+v", acted, rep, s.LoadStats())
-	}
-	if got := s.Bounds(); len(got) != 2 {
-		t.Fatalf("bounds after merge: %v", got)
-	}
-	mustCheck(t, s)
-}
-
-func TestRebalanceBelowMinOpsDoesNothing(t *testing.T) {
-	s := newTest(t, tinyCfg(), []int64{100})
-	put(t, s, 1, 2, 3)
-	_, acted, err := s.Rebalance(RebalanceConfig{MinOps: 1 << 30})
-	if err != nil || acted {
-		t.Fatalf("acted=%t err=%v on a quiet window", acted, err)
-	}
-}
-
 // TestLoadStatsWindowResets proves the observer window: counters count ops
 // since the current table landed and reset at every publication.
 func TestLoadStatsWindowResets(t *testing.T) {
@@ -365,39 +294,6 @@ func TestLoadStatsWindowResets(t *testing.T) {
 			t.Fatalf("shard %d window not reset: %+v", i, fresh)
 		}
 	}
-}
-
-func TestStartStopRebalancer(t *testing.T) {
-	s := newTest(t, tinyCfg(), []int64{1000})
-	for k := int64(0); k < 1000; k += 5 {
-		v := k
-		s.Upsert(k, &v)
-	}
-	cfg := RebalanceConfig{Interval: 2 * time.Millisecond, MinOps: 50, HotFactor: 1.5, MinKeys: 4}
-	if err := s.StartRebalancer(cfg); err != nil {
-		t.Fatalf("StartRebalancer: %v", err)
-	}
-	if err := s.StartRebalancer(cfg); err == nil {
-		t.Fatal("double StartRebalancer accepted")
-	}
-	// Skewed load on shard 0; the background observer must split it.
-	deadline := time.After(5 * time.Second)
-	for s.ShardCount() < 3 {
-		for i := 0; i < 500; i++ {
-			s.Lookup(int64(i))
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("rebalancer never split under skew: stats=%+v", s.LoadStats())
-		default:
-		}
-	}
-	s.StopRebalancer()
-	s.StopRebalancer() // idempotent
-	if s.rebSplits.Load() == 0 {
-		t.Fatal("split not counted")
-	}
-	mustCheck(t, s)
 }
 
 // TestRebalanceMetricsExposed checks the new counter families render in the
@@ -558,4 +454,28 @@ func TestMigrationLostUpdateCampaign(t *testing.T) {
 		t.Fatalf("campaign ran no migrations %s", seedNote(seed))
 	}
 	mustCheck(t, s)
+}
+
+// medianKey returns the occupancy-median key of m's interval [lo, hi) — the
+// key with half the shard's entries below it — or false when the shard is
+// too small to split (under two keys). The returned key is strictly inside
+// the interval: the median index is ≥1, so at least one key sorts below it.
+func medianKey[V any](m *core.Map[V], lo, hi int64) (int64, bool) {
+	n := m.Len()
+	if n < 2 {
+		return 0, false
+	}
+	target := n / 2
+	var key int64
+	found := false
+	idx := 0
+	m.RangeQuery(lo, hi-1, func(k int64, _ *V) bool {
+		if idx == target {
+			key, found = k, true
+			return false
+		}
+		idx++
+		return true
+	})
+	return key, found
 }

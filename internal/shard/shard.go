@@ -13,13 +13,14 @@
 //
 // Boundaries are not fixed: the migrator (migrate.go) splits hot shards and
 // merges cold ones online, copying the affected key range into fresh maps
-// through pinned snapshots and swapping a new table in, while the skew
-// observer (rebalance.go) decides when from per-shard op counters and
-// occupancy. Readers never block during a migration; writes into the
-// migrating range are redirected (briefly parked) across the swap, and every
-// write is counted through a generation gate (gate.go) so the migrator can
-// drain in-flight writes before it captures the sealed range's final state.
-// Point operations stay linearizable across a table swap.
+// through pinned snapshots and swapping a new table in. When to move a
+// boundary is the caller's decision (SplitShard, MergeShards): the caller is
+// the skew observer, and LoadStats reports the per-shard op counters and
+// occupancy it decides from. Readers never block during a migration; writes
+// into the migrating range are redirected (briefly parked) across the swap,
+// and every write is counted through a generation gate (gate.go) so the
+// migrator can drain in-flight writes before it captures the sealed range's
+// final state. Point operations stay linearizable across a table swap.
 //
 // Consistency model: point operations and per-shard batch units are
 // linearizable (each shard is a fully linearizable map), including across
@@ -158,10 +159,6 @@ type Sharded[V any] struct {
 	mig    sync.Mutex // serializes migrations (one boundary move at a time)
 	nextID atomic.Int64
 
-	// rebMu guards the background rebalancer's lifecycle.
-	rebMu sync.Mutex
-	reb   *rebalancer
-
 	// Router metrics: always-on atomics collected func-backed at exposition
 	// time, so the hot path pays nothing for them.
 	swaps       atomic.Int64 // boundary-table publications (1 at construction)
@@ -169,7 +166,7 @@ type Sharded[V any] struct {
 	fanoutParts atomic.Int64 // per-shard commit units issued by fan-out batches
 	singleBatch atomic.Int64 // ApplyBatch calls resolved entirely by one shard
 
-	// Rebalance metrics (migrate.go / rebalance.go).
+	// Rebalance metrics (migrate.go).
 	rebSplits     atomic.Int64 // completed split migrations
 	rebMerges     atomic.Int64 // completed merge migrations
 	rebAborts     atomic.Int64 // migrations aborted mid-flight (all rolled back)
@@ -430,8 +427,8 @@ type ShardLoadStat struct {
 }
 
 // LoadStats samples each shard's op count (since the current table landed)
-// and occupancy, indexed by shard. This is the skew observer's input; the
-// counters are always on.
+// and occupancy, indexed by shard: what a caller decides a SplitShard or
+// MergeShards from. The counters are always on.
 func (s *Sharded[V]) LoadStats() []ShardLoadStat {
 	t := s.tab.Load()
 	out := make([]ShardLoadStat, len(t.maps))

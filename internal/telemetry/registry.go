@@ -133,14 +133,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// MaxGauge creates, registers, and returns a high-water tracker, exposed as
-// a gauge.
-func (r *Registry) MaxGauge(name, help string) *Max {
-	m := &Max{}
-	r.add(entry{name: name, help: help, kind: KindGauge, val: func() float64 { return float64(m.Load()) }})
-	return m
-}
-
 // Histogram creates, registers, and returns a power-of-two histogram.
 func (r *Registry) Histogram(name, help string) *Histogram {
 	h := &Histogram{}

@@ -478,11 +478,6 @@ func (l *Log) Close() error {
 	return syncErr
 }
 
-// MaxAppendedUnit returns the highest batch unit id ever observed (recovery
-// seeds it past every unit in the log, committed or not, so a reused id can
-// never adopt an earlier life's orphaned part frames).
-func (l *Log) MaxAppendedUnit() uint64 { return l.unitSeq.Load() }
-
 // CheckpointWriter streams one checkpoint's chunk images into a fresh file;
 // Commit swaps the manifest and prunes everything the checkpoint replaced.
 type CheckpointWriter struct {

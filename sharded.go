@@ -35,9 +35,9 @@ import (
 //
 // Boundaries are not fixed at construction: SplitShard/MergeShards move
 // them online (readers never block; writes into the moving range are
-// briefly parked), and StartRebalancer runs a skew observer that does it
-// automatically when per-shard load goes hot or cold. Point operations stay
-// linearizable across a boundary move.
+// briefly parked); ShardLoadStats reports the per-shard load a caller
+// decides a move from. Point operations stay linearizable across a boundary
+// move.
 //
 // Construct with NewSharded. All methods are safe for concurrent use.
 type ShardedMap[V any] struct {
@@ -268,12 +268,6 @@ func (h *ShardedHandle[V]) Ceiling(k int64) (int64, V, bool) { return unwrap[V](
 // ShardStats reports each shard's internal event counters, indexed by shard.
 func (m *ShardedMap[V]) ShardStats() []core.StatsSnapshot { return m.s.ShardStats() }
 
-// RebalanceConfig tunes the skew observer: observation interval, hot/cold
-// thresholds as multiples of the fair per-shard share, and floors that keep
-// the planner from acting on noise. The zero value uses the defaults
-// documented on each field.
-type RebalanceConfig = shard.RebalanceConfig
-
 // Migration reports what one online boundary move did: kind, pairs copied
 // through the pinned snapshots, sealed-window reconcile fixes, how long the
 // write redirect was in force, and the resulting bounds — or the step an
@@ -284,8 +278,8 @@ type Migration = shard.Migration
 // routed to it since the table was published, and its current occupancy.
 type ShardLoadStat = shard.ShardLoadStat
 
-// ShardLoadStats samples each shard's op count and occupancy — the skew
-// observer's input, exposed for external planners and diagnostics.
+// ShardLoadStats samples each shard's op count and occupancy: the input for
+// deciding a SplitShard or MergeShards, and a diagnostic.
 func (m *ShardedMap[V]) ShardLoadStats() []ShardLoadStat { return m.s.LoadStats() }
 
 // SplitShard splits shard i at key online: keys below key stay left, keys
@@ -299,21 +293,6 @@ func (m *ShardedMap[V]) SplitShard(i int, key int64) (Migration, error) {
 // MergeShards merges shards i and i+1 online, dropping the split between
 // them. Same online protocol and blocking behavior as SplitShard.
 func (m *ShardedMap[V]) MergeShards(i int) (Migration, error) { return m.s.MergeShards(i) }
-
-// Rebalance runs one observe→plan→migrate pass: split the hottest shard at
-// its occupancy median or merge the coldest adjacent pair, at most one move
-// per call. It reports the migration and whether a move was attempted.
-func (m *ShardedMap[V]) Rebalance(cfg RebalanceConfig) (Migration, bool, error) {
-	return m.s.Rebalance(cfg)
-}
-
-// StartRebalancer runs Rebalance every cfg.Interval in a background
-// goroutine until StopRebalancer. Starting twice is an error.
-func (m *ShardedMap[V]) StartRebalancer(cfg RebalanceConfig) error { return m.s.StartRebalancer(cfg) }
-
-// StopRebalancer stops the background skew observer and waits for it (any
-// in-flight migration completes first). No-op when not running.
-func (m *ShardedMap[V]) StopRebalancer() { m.s.StopRebalancer() }
 
 // Metrics returns the combined metric catalog: the router's own instruments
 // (sv_shard_count, fan-out counters), every shard's registry — each labeled

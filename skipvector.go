@@ -101,17 +101,6 @@ func WithSeed(seed uint64) Option {
 	return func(c *core.Config) { c.Seed = seed }
 }
 
-// WithSearchFinger enables (true, default) or disables the search finger: a
-// per-session cache of the data chunk the previous operation finished on.
-// When consecutive operations touch nearby keys — cursors, ascending loads,
-// Zipfian traffic — the finger resolves them in O(1) at the data layer,
-// skipping the index descent entirely; validation against the chunk's
-// sequence lock falls back to the full descent whenever the chunk changed.
-// Disabling exists for ablation benchmarks and as an escape hatch.
-func WithSearchFinger(enabled bool) Option {
-	return func(c *core.Config) { c.DisableFinger = !enabled }
-}
-
 // Map is a concurrent ordered map from int64 keys to values of type V.
 // The zero value is not usable; construct with New.
 type Map[V any] struct {

@@ -394,7 +394,7 @@ func TestApplyBatchFacadeValueCopies(t *testing.T) {
 }
 
 func TestHandleUpsertAndApplyBatch(t *testing.T) {
-	m := New[int](WithSearchFinger(true))
+	m := New[int]()
 	h := m.NewHandle()
 	defer h.Close()
 	if !h.Upsert(3, 30) {
