@@ -55,6 +55,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 			end = len(keys)
 		}
 		n := m.mem.allocRaw(0)
+		n.chunk.Reserve(end - off)
 		for i := off; i < end; i++ {
 			var v *V
 			if vals != nil {
@@ -93,6 +94,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 				end = len(refs)
 			}
 			n := m.mem.allocRaw(level)
+			n.chunk.Reserve(end - off)
 			for i := off; i < end; i++ {
 				n.index().Insert(refs[i].min, refs[i].node)
 			}

@@ -1,0 +1,150 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// TestChunkPropertiesTinyTargets sweeps the chunk sizes where every burst of
+// writes crosses capacity, split and merge boundaries: T_D 1…8 × T_I 1…4,
+// sorted and unsorted data chunks. Each burst mixes singleton inserts,
+// upserts and removes with ApplyBatch runs (and, once per map, a bulk-loaded
+// start), then the whole structure is checked — core.CheckInvariants runs
+// every chunk's own invariant too — and the contents are compared with a
+// model. BulkLoad's T_I = 1 defect sat in this corner.
+func TestChunkPropertiesTinyTargets(t *testing.T) {
+	for td := 1; td <= 8; td++ {
+		for ti := 1; ti <= 4; ti++ {
+			for _, sortedData := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.TargetDataVectorSize = td
+				cfg.TargetIndexVectorSize = ti
+				cfg.SortedData = sortedData
+				cfg.LayerCount = 8
+				name := fmt.Sprintf("TD%d/TI%d/sorted=%t", td, ti, sortedData)
+				seed := int64(td*100 + ti*10)
+				if sortedData {
+					seed++
+				}
+				t.Run(name, func(t *testing.T) { chunkPropertyRun(t, cfg, seed) })
+			}
+		}
+	}
+}
+
+func chunkPropertyRun(t *testing.T, cfg Config, seed int64) {
+	const (
+		keySpace = 160
+		bursts   = 24
+		burstOps = 40
+	)
+	rng := rand.New(rand.NewSource(seed))
+
+	// Start from a bulk-loaded map of every third key.
+	var keys []int64
+	var vals []*int64
+	model := map[int64]int64{}
+	for k := int64(1); k <= keySpace; k += 3 {
+		keys = append(keys, k)
+		vals = append(vals, v64(-k))
+		model[k] = -k
+	}
+	m, err := BulkLoad(cfg, keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v\n%s", when, err, m.Dump())
+		}
+		if m.Len() != len(model) {
+			t.Fatalf("%s: Len %d, model %d", when, m.Len(), len(model))
+		}
+		got := m.Keys()
+		want := make([]int64, 0, len(model))
+		for k := range model {
+			want = append(want, k)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d keys, model %d", when, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: key %d is %d, model %d", when, i, got[i], want[i])
+			}
+			if v, ok := m.Lookup(want[i]); !ok || *v != model[want[i]] {
+				t.Fatalf("%s: Lookup(%d) = %v, %t, model %d", when, want[i], v, ok, model[want[i]])
+			}
+		}
+	}
+	check("bulk load")
+
+	for b := 0; b < bursts; b++ {
+		// Two bursts in three lean toward growth and the third toward
+		// shrinkage, so chunks sweep the whole range between empty and full.
+		grow := b%3 != 2
+		removes, batchDels := 3, 1 // out of 10 singleton ops, out of 4 batch ops
+		if !grow {
+			removes, batchDels = 6, 3
+		}
+		for i := 0; i < burstOps; i++ {
+			k := int64(rng.Intn(keySpace) + 1)
+			x := int64(b*1000 + i)
+			switch r := rng.Intn(10); {
+			case r < removes:
+				if m.Remove(k) != hasKey(model, k) {
+					t.Fatalf("burst %d: Remove(%d) disagrees with the model", b, k)
+				}
+				delete(model, k)
+			case r < removes+2:
+				if m.Insert(k, v64(x)) == hasKey(model, k) {
+					t.Fatalf("burst %d: Insert(%d) disagrees with the model", b, k)
+				}
+				if !hasKey(model, k) {
+					model[k] = x
+				}
+			case r < removes+3:
+				if m.Upsert(k, v64(x)) == hasKey(model, k) {
+					t.Fatalf("burst %d: Upsert(%d) disagrees with the model", b, k)
+				}
+				model[k] = x
+			default:
+				// A run of nearby keys, duplicates included, so that one
+				// group commit fills and splits a chunk privately.
+				ops := make([]BatchOp[int64], 1+rng.Intn(3*cfg.TargetDataVectorSize+4))
+				lo := int64(rng.Intn(keySpace) + 1)
+				for j := range ops {
+					ops[j].Key = min(lo+int64(rng.Intn(2*len(ops)+1)), keySpace)
+					if rng.Intn(4) < batchDels {
+						ops[j].Del = true
+						continue
+					}
+					ops[j].Val = v64(x*100 + int64(j))
+					ops[j].InsertOnly = rng.Intn(4) == 0
+				}
+				m.ApplyBatch(ops)
+				// ApplyBatch resolves duplicates in request order.
+				for _, op := range ops {
+					switch {
+					case op.Del:
+						delete(model, op.Key)
+					case op.InsertOnly && hasKey(model, op.Key):
+					default:
+						model[op.Key] = *op.Val
+					}
+				}
+			}
+		}
+		m.FlushRetired()
+		check(fmt.Sprintf("burst %d", b))
+	}
+}
+
+func hasKey(model map[int64]int64, k int64) bool {
+	_, ok := model[k]
+	return ok
+}

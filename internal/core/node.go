@@ -21,8 +21,10 @@ import (
 // against a stale snapshot from a previous lifetime always fails.
 //
 // Field order: everything a traversal hop reads (lock, next, level, the
-// chunk's slice headers and size) lies in the first 80 bytes; the snapshot
+// chunk's block pointer and size) lies in the first 48 bytes; the snapshot
 // epoch words, which only data-layer writers and snapshots touch, come last.
+// The whole node is 64 bytes, one cache line and one size class: the keys
+// and payloads live in the chunk's block, sized to what the chunk holds.
 type node[V any] struct {
 	lock  seqlock.Lock
 	next  atomic.Pointer[node[V]]
@@ -124,7 +126,8 @@ func (m *memory[V]) recycle(n *node[V]) {
 
 // allocRaw returns a node for the given layer with an initialized, empty
 // chunk. Recycled nodes keep their sequence-lock word (see node docs) but
-// have next cleared and their chunk reset.
+// have next cleared and their chunk reset to the shared empty block, so a
+// node parked on a freelist holds no chunk storage.
 func (m *memory[V]) allocRaw(level int) *node[V] {
 	var n *node[V]
 	if m.domain != nil {

@@ -6,19 +6,28 @@ import (
 	"unsafe"
 )
 
-// TestNodeLayout pins the one-chunk node: the whole struct fits the 96-byte
-// size class and everything a traversal hop reads ends by byte 80. A second
-// chunk header, or a field slipped in ahead of the chunk, fails here.
+// TestNodeLayout pins the one-chunk node: the whole struct fits the 64-byte
+// size class, one cache line, and everything a traversal hop reads ends by
+// byte 48. A chunk's keys and payloads are one block allocation beside it.
+// A second chunk header, a field slipped in ahead of the chunk, or storage
+// that takes a second allocation fails here.
 func TestNodeLayout(t *testing.T) {
 	var n node[uint64]
-	if sz := unsafe.Sizeof(n); sz > 96 {
-		t.Errorf("unsafe.Sizeof(node[uint64]{}) = %d, want ≤ 96", sz)
+	if sz := unsafe.Sizeof(n); sz > 64 {
+		t.Errorf("unsafe.Sizeof(node[uint64]{}) = %d, want ≤ 64", sz)
 	}
-	if end := unsafe.Offsetof(n.chunk) + unsafe.Sizeof(n.chunk); end > 80 {
-		t.Errorf("chunk ends at byte %d, want ≤ 80 (lock, next, level, chunk lead the struct)", end)
+	if end := unsafe.Offsetof(n.chunk) + unsafe.Sizeof(n.chunk); end > 48 {
+		t.Errorf("chunk ends at byte %d, want ≤ 48 (lock, next, level, chunk lead the struct)", end)
 	}
 	if a, b := unsafe.Sizeof(n), unsafe.Sizeof(node[[4]uint64]{}); a != b {
 		t.Errorf("node size depends on V: %d vs %d", a, b)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		n.chunk.Init(32, false)
+		n.chunk.Reserve(40)
+	})
+	if allocs != 1 {
+		t.Errorf("a chunk with room for 40 keys took %v allocations, want 1", allocs)
 	}
 }
 

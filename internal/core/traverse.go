@@ -8,22 +8,22 @@ import (
 	"skipvector/internal/seqlock"
 )
 
-// prefetchNode hints the two cache lines that cover n's whole 96-byte struct
-// (the seqlock word, next pointer, level and the chunk's slice headers and
-// size sit in the first 80 bytes) so the header reads that follow
-// (ReadVersion, size, the chunk's key-array address) hit cache.
+// prefetchNode hints the one cache line that holds n's whole 64-byte struct
+// (the seqlock word, next pointer, level and the chunk's block pointer and
+// size) so the header reads that follow (ReadVersion, size, the chunk's
+// block address) hit cache.
 // It only does address arithmetic on the pointer value, never a dereference,
 // so it is safe on a speculative, not-yet-validated pointer: a prefetch of a
 // recycled node's memory is a wasted hint, not a fault or a data race (the
 // race detector does not observe the asm stub).
 func prefetchNode[V any](n *node[V]) {
-	cpuhint.Prefetch2(unsafe.Pointer(n), unsafe.Add(unsafe.Pointer(n), 64))
+	cpuhint.Prefetch(uintptr(unsafe.Pointer(n)))
 }
 
-// prefetchKeys hints the key-array cache lines of n's chunk. Unlike
-// prefetchNode this reads the chunk's slice header, so callers must already
-// hold a validated hazard pointer for n (the header write happened-before
-// the node's publication, which the validation ordered before these reads).
+// prefetchKeys hints the key cache lines of n's chunk block. Unlike
+// prefetchNode this reads n's header (the block pointer and size), so callers
+// issue it once they hold a validated hazard pointer for n: before that the
+// hint may be for a node the descent is not about to search.
 func prefetchKeys[V any](n *node[V]) { n.chunk.PrefetchKeys() }
 
 // traverseMode distinguishes read-only traversals from mutating ones:
@@ -66,10 +66,8 @@ func (m *Map[V]) traverseRightN(
 		// Stop when curr plausibly owns k: it has elements and its max key
 		// is ≥ k. The reads are speculative; if they lied, a later
 		// validation catches it.
-		if sz := curr.size(); sz != 0 {
-			if maxK, ok := curr.maxKey(); ok && k <= maxK {
-				return curr, ver, true
-			}
+		if maxK, ok := curr.maxKey(); ok && k <= maxK {
+			return curr, ver, true
 		}
 
 		next := curr.next.Load()

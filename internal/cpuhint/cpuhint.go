@@ -25,11 +25,7 @@
 // sv_prefetch_issued_total (telemetry-gated, like every other instrument).
 package cpuhint
 
-import (
-	"unsafe"
-
-	"skipvector/internal/telemetry"
-)
+import "skipvector/internal/telemetry"
 
 // issued counts hints actually executed (supported builds only).
 // Sharded by cache-line address bits: prefetch sites have no per-goroutine
@@ -40,33 +36,17 @@ var issued = telemetry.Global.Counter("sv_prefetch_issued_total",
 // Supported reports whether this build issues real prefetch instructions.
 func Supported() bool { return supported }
 
-// Prefetch hints that the cache line containing p will be read soon
-// (PREFETCHT0 on amd64, PRFM PLDL1KEEP on arm64). p may be nil, stale, torn,
-// or otherwise garbage: prefetch instructions ignore faults by definition,
-// and the hint body is assembly the race detector does not instrument, so no
-// Go-level read of *p ever occurs. On unsupported builds the call compiles
-// to nothing.
-func Prefetch(p unsafe.Pointer) {
-	if !supported || p == nil {
+// Prefetch hints that the cache line containing addr will be read soon
+// (PREFETCHT0 on amd64, PRFM PLDL1KEEP on arm64). It takes an address, not a
+// pointer, so addr may be 0, stale, torn, past the end of its object or
+// otherwise garbage: prefetch instructions ignore faults by definition, the
+// collector never sees the value, and the hint body is assembly the race
+// detector does not instrument, so no Go-level read ever occurs. On
+// unsupported builds the call compiles to nothing.
+func Prefetch(addr uintptr) {
+	if !supported || addr == 0 {
 		return
 	}
-	issued.Inc(int(uintptr(p) >> 6))
-	prefetch(p)
-}
-
-// Prefetch2 issues hints for two lines. It is the common shape on the
-// descent: the next node's header line plus the first line of the chunk
-// array the following step will search.
-func Prefetch2(p, q unsafe.Pointer) {
-	if !supported {
-		return
-	}
-	if p != nil {
-		issued.Inc(int(uintptr(p) >> 6))
-		prefetch(p)
-	}
-	if q != nil {
-		issued.Inc(int(uintptr(q) >> 6))
-		prefetch(q)
-	}
+	issued.Inc(int(addr >> 6))
+	prefetch(addr)
 }

@@ -8,19 +8,19 @@ import (
 	"skipvector/internal/telemetry"
 )
 
-// TestPrefetchIsSafeOnAnyPointer exercises the hint with the pointer classes
-// the hot paths feed it: live heap memory, interior pointers, nil, and a
-// dangling-looking address. None may fault — prefetch is architecturally
-// exempt from memory faults, and the no-op build never dereferences at all.
+// TestPrefetchIsSafeOnAnyPointer exercises the hint with the address classes
+// the hot paths feed it: live heap memory, interior and misaligned
+// addresses, zero, and addresses past the end of an object. None may fault —
+// prefetch is architecturally exempt from memory faults, and the no-op build
+// never dereferences at all.
 func TestPrefetchIsSafeOnAnyPointer(t *testing.T) {
 	buf := make([]byte, 4096)
-	Prefetch(unsafe.Pointer(&buf[0]))
-	Prefetch(unsafe.Pointer(&buf[len(buf)-1]))
-	Prefetch(nil)
-	// A misaligned interior pointer: hints take any byte address.
-	Prefetch(unsafe.Pointer(&buf[13]))
-	Prefetch2(unsafe.Pointer(&buf[0]), unsafe.Pointer(&buf[64]))
-	Prefetch2(nil, nil)
+	base := uintptr(unsafe.Pointer(&buf[0]))
+	Prefetch(base)
+	Prefetch(base + uintptr(len(buf)-1))
+	Prefetch(0)
+	Prefetch(base + 13)    // a misaligned interior address
+	Prefetch(base + 1<<20) // far past the end of buf
 	runtime.KeepAlive(buf)
 }
 
@@ -45,10 +45,11 @@ func TestIssuedCountsHints(t *testing.T) {
 	telemetry.SetEnabled(true)
 	var x int64
 	before := issued.Load()
-	Prefetch(unsafe.Pointer(&x))
-	Prefetch2(unsafe.Pointer(&x), unsafe.Pointer(&x))
-	Prefetch(nil)
-	Prefetch2(nil, nil)
+	addr := uintptr(unsafe.Pointer(&x))
+	Prefetch(addr)
+	Prefetch(addr)
+	Prefetch(addr + 64)
+	Prefetch(0)
 	got := issued.Load() - before
 	want := int64(0)
 	if supported {
@@ -63,7 +64,9 @@ func TestIssuedCountsHints(t *testing.T) {
 // EXPERIMENTS.md can cite it against the miss latency it hides.
 func BenchmarkPrefetch(b *testing.B) {
 	buf := make([]byte, 1<<16)
+	base := uintptr(unsafe.Pointer(&buf[0]))
 	for i := 0; i < b.N; i++ {
-		Prefetch(unsafe.Pointer(&buf[(i*64)&(1<<16-1)]))
+		Prefetch(base + uintptr(i*64)&(1<<16-1))
 	}
+	runtime.KeepAlive(buf)
 }

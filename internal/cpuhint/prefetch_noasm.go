@@ -2,13 +2,11 @@
 
 package cpuhint
 
-import "unsafe"
-
 // supported folds the Prefetch wrappers away entirely on this build: with a
 // constant false guard the compiler deletes the call sites, so platforms
 // without a stub (or purego builds, the fallback CI leg) pay nothing.
 const supported = false
 
-// prefetch is unreachable on this build (the wrappers guard on supported);
+// prefetch is unreachable on this build (Prefetch guards on supported);
 // it exists so both build flavours present the same internal surface.
-func prefetch(p unsafe.Pointer) {}
+func prefetch(addr uintptr) {}

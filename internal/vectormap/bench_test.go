@@ -124,7 +124,7 @@ func BenchmarkDescend(b *testing.B) {
 		// Hint the *next* chunk before searching the current one,
 		// mirroring the overlap structure of the real descent.
 		next := chunks[order[pos]]
-		cpuhint.Prefetch(unsafe.Pointer(&next.keys[0]))
+		cpuhint.Prefetch(uintptr(unsafe.Pointer(next)))
 		next.PrefetchKeys()
 		c.Get(probes[i&4095])
 	}

@@ -1,0 +1,428 @@
+package vectormap
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"skipvector/internal/seqlock"
+)
+
+// blockCap is the capacity of c's current block.
+func blockCap(c *Chunk[int64]) int { return int(c.blk.Load().cap) }
+
+// filled returns a chunk of the given target size holding the keys 0, 2, …,
+// 2(n-1), inserted one at a time so its block is whatever the policy makes.
+func filled(target, n int, sorted bool) *Chunk[int64] {
+	var c Chunk[int64]
+	c.Init(target, sorted)
+	for i := 0; i < n; i++ {
+		c.Insert(int64(2*i), val(int64(2*i)))
+	}
+	return &c
+}
+
+// allocsPerOp applies op to freshly built, identical chunks inside
+// testing.AllocsPerRun, so that every run sees the same starting state.
+func allocsPerOp(build func() *Chunk[int64], op func(c *Chunk[int64])) float64 {
+	const runs = 8
+	pool := make([]*Chunk[int64], runs+1)
+	for i := range pool {
+		pool[i] = build()
+	}
+	i := 0
+	return testing.AllocsPerRun(runs, func() {
+		op(pool[i])
+		i++
+	})
+}
+
+// TestBlockGrowsWhenFull walks every size from empty to full: an insert
+// allocates exactly one block when, and only when, the block is full, and
+// the new block has room(size) cells rounded to its size class.
+func TestBlockGrowsWhenFull(t *testing.T) {
+	for _, target := range []int{1, 2, 4, 32} {
+		bothPolicies(t, func(t *testing.T, sorted bool) {
+			limit := 2 * target
+			for n := 0; n < limit; n++ {
+				before := blockCap(filled(target, n, sorted))
+				fresh := val(-1)
+				got := allocsPerOp(func() *Chunk[int64] { return filled(target, n, sorted) },
+					func(c *Chunk[int64]) { c.Insert(2*int64(n)+1, fresh) })
+				want := 0.0
+				if n == before {
+					want = 1
+				}
+				if got != want {
+					t.Fatalf("T=%d: insert into %d/%d cells took %v allocations, want %v", target, n, before, got, want)
+				}
+				c := filled(target, n+1, sorted)
+				if n == before {
+					if bc := blockCap(c); bc != capFor(room(n), limit) {
+						t.Fatalf("T=%d: grew a full block of %d to %d cells, want %d", target, n, bc, capFor(room(n), limit))
+					}
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("T=%d size %d: %v", target, n+1, err)
+				}
+			}
+		})
+	}
+}
+
+// TestBlockShrinksUnderHalf drains a full chunk one key at a time: a removal
+// allocates exactly one smaller block when it leaves fewer than half the
+// cells used, and the last removal drops to the shared empty block for free.
+func TestBlockShrinksUnderHalf(t *testing.T) {
+	for _, target := range []int{1, 2, 4, 32} {
+		bothPolicies(t, func(t *testing.T, sorted bool) {
+			limit := 2 * target
+			// drained holds the keys 2i for i in [0, n) after removing the
+			// upper ones from a full chunk, one at a time.
+			drained := func(n int) *Chunk[int64] {
+				c := filled(target, limit, sorted)
+				for i := limit - 1; i >= n; i-- {
+					c.Remove(int64(2 * i))
+				}
+				return c
+			}
+			for n := limit; n > 0; n-- {
+				before := blockCap(drained(n))
+				got := allocsPerOp(func() *Chunk[int64] { return drained(n) },
+					func(c *Chunk[int64]) { c.Remove(int64(2 * (n - 1))) })
+				left := n - 1
+				shrinks := left > 0 && left < before/2 && capFor(room(left), limit) < before
+				want := 0.0
+				if shrinks {
+					want = 1
+				}
+				if got != want {
+					t.Fatalf("T=%d: removal leaving %d in %d cells took %v allocations, want %v", target, left, before, got, want)
+				}
+				c := drained(left)
+				switch bc := blockCap(c); {
+				case left == 0 && c.blk.Load() != &emptyBlock:
+					t.Fatalf("T=%d: empty chunk kept a block of %d cells", target, bc)
+				case shrinks && bc != capFor(room(left), limit):
+					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit))
+				case !shrinks && left > 0 && bc != before:
+					t.Fatalf("T=%d: removal leaving %d of %d cells resized to %d", target, left, before, bc)
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("T=%d size %d: %v", target, left, err)
+				}
+			}
+		})
+	}
+}
+
+// TestBlockMovesSizeDestinationOnce: a split destination gets one block, with
+// room for what it received and the inserts after it; the source keeps its
+// own unless the split left it under half used; a merge allocates only when
+// the absorber's block is too small.
+func TestBlockMovesSizeDestinationOnce(t *testing.T) {
+	const target, limit = 32, 64
+	bothPolicies(t, func(t *testing.T, sorted bool) {
+		sized := func(n int) func() *Chunk[int64] {
+			return func() *Chunk[int64] { return filled(target, n, sorted) }
+		}
+		// Destinations are built outside the measured runs.
+		var dsts []*Chunk[int64]
+		dstPool := func() func() *Chunk[int64] {
+			dsts = dsts[:0]
+			for range 9 {
+				dsts = append(dsts, filled(target, 0, sorted))
+			}
+			i := 0
+			return func() *Chunk[int64] { i++; return dsts[i-1] }
+		}
+		next := dstPool()
+		want := 1.0
+		if !sorted {
+			want++ // the copy of the keys that picks the median
+		}
+		if got := allocsPerOp(sized(limit), func(c *Chunk[int64]) { c.SplitUpperHalfTo(next()) }); got != want {
+			t.Fatalf("capacity split took %v allocations, want %v", got, want)
+		}
+		for _, d := range dsts {
+			if d.Size() != target || blockCap(d) != capFor(room(target), limit) {
+				t.Fatalf("split destination holds %d in %d cells, want %d in %d",
+					d.Size(), blockCap(d), target, capFor(room(target), limit))
+			}
+		}
+		next = dstPool()
+		if got := allocsPerOp(sized(40), func(c *Chunk[int64]) { c.MoveGreaterTo(50, next()) }); got != 1 {
+			t.Fatalf("keyed split took %v allocations, want 1", got)
+		}
+		next = dstPool()
+		if got := allocsPerOp(sized(40), func(c *Chunk[int64]) { c.MoveGreaterTo(1000, next()) }); got != 0 {
+			t.Fatalf("keyed split moving nothing took %v allocations, want 0", got)
+		}
+		for _, tc := range []struct {
+			k            int64
+			kept, shrunk int
+		}{{60, 31, 0}, {10, 6, capFor(room(6), limit)}} {
+			c := filled(target, 40, sorted)
+			before := blockCap(c)
+			c.MoveGreaterTo(tc.k, filled(target, 0, sorted))
+			want := before
+			if tc.shrunk > 0 {
+				want = tc.shrunk
+			}
+			if c.Size() != tc.kept || blockCap(c) != want {
+				t.Fatalf("keyed split at %d left %d in %d cells (had %d), want %d in %d",
+					tc.k, c.Size(), blockCap(c), before, tc.kept, want)
+			}
+		}
+
+		// Absorbing fits or grows once.
+		src := func(n int) *Chunk[int64] {
+			var s Chunk[int64]
+			s.Init(target, sorted)
+			for i := 0; i < n; i++ {
+				s.Insert(int64(1000+i), val(int64(i)))
+			}
+			return &s
+		}
+		for _, tc := range []struct{ have, take int }{{20, 2}, {20, 30}, {40, 24}} {
+			have := filled(target, tc.have, sorted)
+			want := 0.0
+			if tc.have+tc.take > blockCap(have) {
+				want = 1
+			}
+			srcs := make([]*Chunk[int64], 0, 9)
+			for range 9 {
+				srcs = append(srcs, src(tc.take))
+			}
+			got := allocsPerOp(func() *Chunk[int64] { return filled(target, tc.have, sorted) },
+				func(c *Chunk[int64]) { c.AbsorbFrom(srcs[0]); srcs = srcs[1:] })
+			if got != want {
+				t.Fatalf("absorbing %d into %d/%d cells took %v allocations, want %v", tc.take, tc.have, blockCap(have), got, want)
+			}
+		}
+	})
+}
+
+// TestBlockApplyOpsGrowsOncePerRun: a batch run that inserts many keys into a
+// full block resizes it once, for all of them.
+func TestBlockApplyOpsGrowsOncePerRun(t *testing.T) {
+	const target = 32
+	bothPolicies(t, func(t *testing.T, sorted bool) {
+		full := func() *Chunk[int64] {
+			c := filled(target, 3, sorted)
+			c.Reserve(0)
+			for blockCap(c) != c.Size() {
+				c.Insert(int64(2*c.Size()), val(0))
+			}
+			return c
+		}
+		n0 := full().Size()
+		ops := make([]SlotOp[int64], 0, 24)
+		for i := 0; i < 24; i++ {
+			ops = append(ops, SlotOp[int64]{Key: int64(2*(n0+i) + 1), Val: val(int64(i))})
+		}
+		out := make([]SlotOutcome, len(ops))
+		if got := allocsPerOp(full, func(c *Chunk[int64]) { c.ApplyOps(ops, out) }); got != 1 {
+			t.Fatalf("a run of %d inserts into a full %d-cell block took %v allocations, want 1", len(ops), n0, got)
+		}
+		c := full()
+		c.ApplyOps(ops, out)
+		if c.Size() != n0+len(ops) || blockCap(c) < c.Size() {
+			t.Fatalf("after the run: %d elements in %d cells", c.Size(), blockCap(c))
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestBlockReserve: Reserve allocates once when the block is too small and
+// never past the logical capacity; Init allocates nothing.
+func TestBlockReserve(t *testing.T) {
+	empty := func() *Chunk[int64] { return filled(32, 0, false) }
+	if got := allocsPerOp(empty, func(c *Chunk[int64]) { c.Init(32, true) }); got != 0 {
+		t.Fatalf("Init took %v allocations", got)
+	}
+	if got := allocsPerOp(empty, func(c *Chunk[int64]) { c.Reserve(40) }); got != 1 {
+		t.Fatalf("Reserve(40) took %v allocations, want 1", got)
+	}
+	c := empty()
+	c.Reserve(1000)
+	if blockCap(c) != c.Cap() {
+		t.Fatalf("Reserve past capacity made %d cells, want %d", blockCap(c), c.Cap())
+	}
+	if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 10, false) },
+		func(c *Chunk[int64]) { c.Reserve(1) }); got != 0 {
+		t.Fatalf("Reserve with room to spare took %v allocations", got)
+	}
+}
+
+// TestChunkConcurrentResize runs optimistic readers against a writer that
+// keeps replacing the chunk's block: it fills the chunk, drains it, and
+// splits and re-absorbs it, every step under a seqlock write hold as a skip
+// vector node does, and grows the block for an insert while the lock is only
+// frozen, as Insert does. Readers never lock. A read may see anything while
+// a write is in flight, but it must not panic, and every read the seqlock
+// validates must match the contents the writer published for that version.
+func TestChunkConcurrentResize(t *testing.T) {
+	const (
+		target       = 8
+		keySpace     = 48
+		cycles       = 150
+		minValidated = 5000
+	)
+	bothPolicies(t, func(t *testing.T, sorted bool) {
+		var (
+			lock  seqlock.Lock
+			c, d  Chunk[int64]
+			model atomic.Pointer[[]int64] // c's sorted keys at the lock's current version
+		)
+		c.Init(target, sorted)
+		d.Init(target, sorted)
+		payload := make([]*int64, keySpace)
+		for k := range payload {
+			payload[k] = val(int64(k) * 3)
+		}
+		// commit runs f under the held write lock and publishes the model.
+		commit := func(f func()) {
+			f()
+			keys := c.Keys()
+			slices.Sort(keys)
+			model.Store(&keys)
+			lock.Release()
+		}
+		write := func(f func()) {
+			lock.Acquire()
+			commit(f)
+		}
+		// insert grows the block the way a skip vector Insert does: while
+		// the lock is only frozen, so reads keep validating across the swap.
+		insert := func(k int) {
+			if _, ok := lock.TryFreeze(lock.Current()); !ok {
+				panic("single writer failed to freeze")
+			}
+			c.Reserve(1)
+			lock.UpgradeFrozen()
+			commit(func() { c.Insert(int64(k), payload[k]) })
+		}
+		write(func() {})
+
+		var (
+			wg                  sync.WaitGroup
+			stop                atomic.Bool
+			validated, mismatch atomic.Int64
+		)
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for ; !stop.Load(); runtime.Gosched() { // leave the writer a CPU
+					v, ok := lock.ReadVersion()
+					if !ok {
+						continue
+					}
+					q := int64(rng.Intn(keySpace+2) - 1)
+					op := rng.Intn(6)
+					var (
+						gotK    int64
+						gotV    *int64
+						gotOK   bool
+						minK    int64
+						maxK    int64
+						visited []int64
+					)
+					switch op {
+					case 0:
+						gotV, gotOK = c.Get(q)
+						gotK = q
+					case 1:
+						gotK, gotV, gotOK = c.FindLE(q)
+					case 2:
+						gotK, gotV, gotOK = c.FindGE(q)
+					case 3:
+						minK, maxK, gotOK = c.Bounds()
+					case 4:
+						c.ForEach(func(k int64, _ *int64) bool {
+							visited = append(visited, k)
+							return len(visited) <= 2*target
+						})
+					default:
+						c.PrefetchKeys()
+					}
+					keys := *model.Load()
+					if !lock.Validate(v) {
+						continue
+					}
+					validated.Add(1)
+					want := func() (int64, bool) { return 0, false }
+					switch op {
+					case 0:
+						want = func() (int64, bool) { _, ok := slices.BinarySearch(keys, q); return q, ok }
+					case 1:
+						want = func() (int64, bool) {
+							i, _ := slices.BinarySearch(keys, q+1)
+							if i == 0 {
+								return 0, false
+							}
+							return keys[i-1], true
+						}
+					case 2:
+						want = func() (int64, bool) {
+							i, _ := slices.BinarySearch(keys, q)
+							if i == len(keys) {
+								return 0, false
+							}
+							return keys[i], true
+						}
+					}
+					bad := false
+					switch op {
+					case 0, 1, 2:
+						wk, wok := want()
+						bad = gotOK != wok || gotOK && (gotK != wk || gotV == nil || *gotV != gotK*3)
+					case 3:
+						bad = gotOK != (len(keys) > 0) || gotOK && (minK != keys[0] || maxK != keys[len(keys)-1])
+					case 4:
+						slices.Sort(visited)
+						bad = !slices.Equal(visited, keys)
+					}
+					if bad {
+						mismatch.Add(1)
+					}
+				}
+			}(int64(r) + 1)
+		}
+
+		rng := rand.New(rand.NewSource(7))
+		for cycle := 0; cycle < cycles || validated.Load() < minValidated; cycle++ {
+			for !c.Full() {
+				insert(rng.Intn(keySpace))
+			}
+			for c.Size() > 0 {
+				keys := c.Keys()
+				k := keys[rng.Intn(len(keys))]
+				write(func() { c.Remove(k) })
+			}
+			for n := 2 + rng.Intn(2*target-2); c.Size() < n; {
+				insert(rng.Intn(keySpace))
+			}
+			write(func() { c.SplitUpperHalfTo(&d) })
+			write(func() { c.AbsorbFrom(&d) })
+		}
+		stop.Store(true)
+		wg.Wait()
+		if n := mismatch.Load(); n > 0 {
+			t.Fatalf("%d of %d validated reads disagree with the published contents", n, validated.Load())
+		}
+		if validated.Load() == 0 {
+			t.Fatal("no read validated; the test exercised nothing")
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -83,6 +83,8 @@ func FuzzLowerBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, k int64, rawSize uint8) {
 		var c Chunk[int64]
 		c.Init(16, true) // capacity 32
+		c.Reserve(c.Cap())
+		b := c.blk.Load()
 		n := len(raw) / 8
 		if n > c.Cap() {
 			n = c.Cap()
@@ -90,20 +92,20 @@ func FuzzLowerBound(f *testing.F) {
 		keys := make([]int64, n)
 		for i := range keys {
 			keys[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
-			c.keys[i].Store(keys[i])
+			b.key(i).Store(keys[i])
 		}
 		// A torn size may exceed the populated prefix or the capacity; the
-		// clamp in snapshotSize is part of what this fuzz exercises.
+		// clamp in chunk.load is part of what this fuzz exercises.
 		c.size.Store(int32(rawSize))
-		s := int(rawSize)
-		if s > c.Cap() {
-			s = c.Cap()
+		_, s := c.load()
+		if s != min(int(rawSize), c.Cap()) {
+			t.Fatalf("load clamped size %d to %d, want it capped at %d", rawSize, s, c.Cap())
 		}
 
 		// Arbitrary contents: in-bounds and terminating, nothing more.
 		for _, got := range []int{
-			c.lowerBound(k, s), c.upperBound(k, s),
-			c.lowerBoundRef(k, s), c.upperBoundRef(k, s),
+			b.lowerBound(k, s), b.upperBound(k, s),
+			b.lowerBoundRef(k, s), b.upperBoundRef(k, s),
 		} {
 			if got < 0 || got > s {
 				t.Fatalf("result %d outside [0, %d] on arbitrary keys", got, s)
@@ -116,15 +118,15 @@ func FuzzLowerBound(f *testing.F) {
 		// keys are negative, so cap s at the populated prefix here).
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for i, kk := range keys {
-			c.keys[i].Store(kk)
+			b.key(i).Store(kk)
 		}
 		if s > n {
 			s = n
 		}
-		if got, want := c.lowerBound(k, s), c.lowerBoundRef(k, s); got != want {
+		if got, want := b.lowerBound(k, s), b.lowerBoundRef(k, s); got != want {
 			t.Fatalf("lowerBound(%d, %d) = %d, reference = %d (keys %v)", k, s, got, want, keys[:s])
 		}
-		if got, want := c.upperBound(k, s), c.upperBoundRef(k, s); got != want {
+		if got, want := b.upperBound(k, s), b.upperBoundRef(k, s); got != want {
 			t.Fatalf("upperBound(%d, %d) = %d, reference = %d (keys %v)", k, s, got, want, keys[:s])
 		}
 	})

@@ -9,20 +9,23 @@ import (
 // chunkLayout is everything View relies on being the same for every P.
 type chunkLayout struct {
 	size, align                    uintptr
-	keys, vals, sizeField, sortedF uintptr
-	cell                           uintptr // one vals element
+	blk, sizeField, limit, sortedF uintptr
+	cell                           uintptr // one payload cell of the block
 }
 
 func layoutOf[P any]() chunkLayout {
 	var c Chunk[P]
+	c.Init(4, false)
+	c.Insert(1, nil)
+	b := c.blk.Load()
 	return chunkLayout{
 		size:      unsafe.Sizeof(c),
 		align:     unsafe.Alignof(c),
-		keys:      unsafe.Offsetof(c.keys),
-		vals:      unsafe.Offsetof(c.vals),
+		blk:       unsafe.Offsetof(c.blk),
 		sizeField: unsafe.Offsetof(c.size),
+		limit:     unsafe.Offsetof(c.limit),
 		sortedF:   unsafe.Offsetof(c.sorted),
-		cell:      unsafe.Sizeof(c.vals[0]),
+		cell:      uintptr(unsafe.Pointer(b.val(1))) - uintptr(unsafe.Pointer(b.val(0))),
 	}
 }
 
@@ -32,7 +35,7 @@ func layoutOf[P any]() chunkLayout {
 func TestChunkLayoutIndependentOfPayload(t *testing.T) {
 	want := layoutOf[uint64]()
 	if want.cell != unsafe.Sizeof(unsafe.Pointer(nil)) {
-		t.Fatalf("vals cell is %d bytes, want one pointer word", want.cell)
+		t.Fatalf("payload cell is %d bytes, want one pointer word", want.cell)
 	}
 	for name, got := range map[string]chunkLayout{
 		"[4]uint64":      layoutOf[[4]uint64](),
@@ -89,29 +92,41 @@ func TestViewRoundTrip(t *testing.T) {
 	})
 }
 
-// TestInitTrustsNilTail covers both halves of the recycled-chunk reset: a
-// payload past the live prefix is an invariant violation CheckInvariants
-// reports, and Init stores nothing past the prefix, so it does not hide one.
-func TestInitTrustsNilTail(t *testing.T) {
+// TestInitLeavesOldBlockAlone covers both halves of the recycled-chunk
+// reset: a payload past the live prefix is an invariant violation
+// CheckInvariants reports, and Init drops the block for the shared empty one
+// without writing to it, so a reader still working from the old block sees
+// it exactly as it was.
+func TestInitLeavesOldBlockAlone(t *testing.T) {
 	c := newChunk(t, 4, true)
-	for k := int64(0); k < 3; k++ {
+	for k := int64(0); k < 6; k++ {
 		c.Insert(k, val(k))
+	}
+	c.Remove(5)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	old := c.blk.Load()
+	old.storeVal(5, unsafe.Pointer(val(99)))
+	err := c.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "slot 5 past size 5") {
+		t.Fatalf("CheckInvariants = %v, want the planted payload at slot 5 reported", err)
+	}
+	c.Init(4, false)
+	if c.blk.Load() != &emptyBlock || c.Size() != 0 || c.Sorted() || c.Cap() != 8 {
+		t.Fatalf("reinit left block cap %d, size %d, sorted %t, Cap %d",
+			c.blk.Load().cap, c.Size(), c.Sorted(), c.Cap())
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	c.vals[5].Store(val(99))
-	err := c.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "slot 5 past size 3") {
-		t.Fatalf("CheckInvariants = %v, want the planted payload at slot 5 reported", err)
-	}
-	c.Init(4, true)
-	for i := 0; i < 3; i++ {
-		if _, v := c.At(i); v != nil {
-			t.Fatalf("live slot %d not cleared on reinit", i)
+	for i := 0; i < 6; i++ {
+		if k, v := old.key(i).Load(), (*int64)(old.loadVal(i)); k != int64(i) || v == nil || *v != [6]int64{0, 1, 2, 3, 4, 99}[i] {
+			t.Fatalf("Init wrote to the old block: cell %d holds %d → %v", i, k, v)
 		}
 	}
-	if _, v := c.At(5); v == nil {
-		t.Fatal("Init stored past the live prefix")
+	c.Insert(3, val(3))
+	if v, ok := c.Get(3); !ok || *v != 3 {
+		t.Fatal("chunk unusable after reinit")
 	}
 }

@@ -23,9 +23,10 @@ import (
 // all, only the trip count, which depends solely on the size.
 //
 // Bounds checks are hoisted out by construction rather than left to the
-// compiler: probes use raw offset arithmetic on the key array's base
-// pointer. The safety argument is exactly snapshotSize's: every probe index
-// stays in [0, s) and s is clamped to the capacity, so even a torn size or
+// compiler: probes use raw offset arithmetic on the block's key-array base.
+// The safety argument is exactly chunk.load's: every probe index stays in
+// [0, s) and s is clamped to the capacity of the block being probed, which
+// the caller loaded once, so even a torn size, a replaced block or
 // concurrently shifting keys can only yield garbage *values* (discarded when
 // the seqlock validation fails), never an out-of-bounds access. The fuzz
 // suite (FuzzLowerBound) proves the core equivalent to the textbook binary
@@ -64,12 +65,12 @@ func probeLE(base unsafe.Pointer, i, half uintptr, kb uint64) uintptr {
 
 // lowerBound returns the first position in [0, s) whose key is ≥ k, or s
 // when no key qualifies, probing branchlessly (see the file comment). s must
-// already be clamped (snapshotSize); s ≤ 0 returns 0.
-func (c *Chunk[P]) lowerBound(k int64, s int) int {
+// already be clamped to b's capacity (chunk.load); s ≤ 0 returns 0.
+func (b *block) lowerBound(k int64, s int) int {
 	if s <= 0 {
 		return 0
 	}
-	base := unsafe.Pointer(unsafe.SliceData(c.keys))
+	base := unsafe.Pointer(b.key(0))
 	kb := uint64(k) ^ signFlip
 	off, n := uintptr(0), uintptr(s)
 	// Two probes per iteration: the trip count is ⌈log2 s⌉ total, so the 2×
@@ -93,11 +94,11 @@ func (c *Chunk[P]) lowerBound(k int64, s int) int {
 // when no key qualifies. Same shape and safety argument as lowerBound; using
 // a distinct ≤ comparison instead of lowerBound(k+1) sidesteps the k ==
 // PosInf overflow.
-func (c *Chunk[P]) upperBound(k int64, s int) int {
+func (b *block) upperBound(k int64, s int) int {
 	if s <= 0 {
 		return 0
 	}
-	base := unsafe.Pointer(unsafe.SliceData(c.keys))
+	base := unsafe.Pointer(b.key(0))
 	kb := uint64(k) ^ signFlip
 	off, n := uintptr(0), uintptr(s)
 	for n > 1 {
@@ -118,25 +119,27 @@ func (c *Chunk[P]) upperBound(k int64, s int) int {
 const keyLine = 64 / int(cellSize)
 
 // PrefetchKeys hints the cache lines a search of this chunk will touch
-// first: the first line (every linear scan, minKey, and the final probes of
-// a binary search), the middle line (a binary search's first probe), and the
-// last occupied line (maxKey, the traversal's stop test). Callers issue it
-// for the *next* node of a descent while the current node's protocol work is
-// still in flight; the reads here are the same speculative atomic-cell and
-// clamped-size loads every optimistic reader performs, so a concurrently
-// recycled chunk yields only useless (never unsafe) hints.
-func (c *Chunk[P]) PrefetchKeys() {
-	s := c.snapshotSize()
-	if s == 0 {
+// first: the first line (the block's capacity word, every linear scan,
+// minKey, and the final probes of a binary search), the middle line (a
+// binary search's first probe), and the last occupied line (maxKey, the
+// traversal's stop test). Callers issue it for the *next* node of a descent
+// while the current node's protocol work is still in flight, so it reads
+// only the chunk header, never the block: waiting here for the block's first
+// line would turn the hint into the very miss it is meant to hide. The
+// addresses therefore come from a size not clamped to the block's capacity
+// and may lie past its end, which is harmless for a hint (cpuhint.Prefetch
+// takes addresses, not pointers).
+func (c *chunk) PrefetchKeys() {
+	s := uintptr(c.size.Load())
+	if s == 0 || s > uintptr(c.limit) {
 		return
 	}
-	ks := c.keys
-	if s <= keyLine {
-		cpuhint.Prefetch(unsafe.Pointer(&ks[0]))
-		return
+	keys := uintptr(unsafe.Pointer(c.blk.Load())) + keysOff
+	cpuhint.Prefetch(keys)
+	if s > uintptr(keyLine) {
+		cpuhint.Prefetch(keys + s>>1*cellSize)
 	}
-	cpuhint.Prefetch2(unsafe.Pointer(&ks[0]), unsafe.Pointer(&ks[s>>1]))
-	if s > 2*keyLine {
-		cpuhint.Prefetch(unsafe.Pointer(&ks[s-1]))
+	if s > 2*uintptr(keyLine) {
+		cpuhint.Prefetch(keys + (s-1)*cellSize)
 	}
 }

@@ -3,11 +3,11 @@ package vectormap
 // lowerBoundRef is the textbook binary search the branchless core in
 // search.go displaced, kept verbatim as the differential oracle of
 // FuzzLowerBound and the "ref" column of BenchmarkChunkIndexOf.
-func (c *Chunk[P]) lowerBoundRef(k int64, s int) int {
+func (b *block) lowerBoundRef(k int64, s int) int {
 	lo, hi := 0, s
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.keys[mid].Load() < k {
+		if b.key(mid).Load() < k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -17,11 +17,11 @@ func (c *Chunk[P]) lowerBoundRef(k int64, s int) int {
 }
 
 // upperBoundRef is the reference upper bound (first key > k).
-func (c *Chunk[P]) upperBoundRef(k int64, s int) int {
+func (b *block) upperBoundRef(k int64, s int) int {
 	lo, hi := 0, s
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.keys[mid].Load() <= k {
+		if b.key(mid).Load() <= k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -33,9 +33,9 @@ func (c *Chunk[P]) upperBoundRef(k int64, s int) int {
 // getRef is Get's sorted-chunk path over lowerBoundRef, so the two columns of
 // BenchmarkChunkIndexOf differ in the search and nothing else.
 func (c *Chunk[P]) getRef(k int64) (*P, bool) {
-	s := c.snapshotSize()
-	if i := c.lowerBoundRef(k, s); i < s && c.keys[i].Load() == k {
-		return c.vals[i].Load(), true
+	b, s := c.load()
+	if i := b.lowerBoundRef(k, s); i < s && b.key(i).Load() == k {
+		return (*P)(b.loadVal(i)), true
 	}
 	return nil, false
 }

@@ -331,19 +331,19 @@ func TestForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestInitReusesBackingArrays(t *testing.T) {
+// TestInitDropsBlock: a recycled chunk holds no storage until it is used
+// again, so nodes parked on a freelist cost their header and nothing more.
+func TestInitDropsBlock(t *testing.T) {
 	c := newChunk(t, 4, true)
 	for k := int64(0); k < 8; k++ {
 		c.Insert(k, val(k))
 	}
 	c.Init(4, false)
-	if c.Size() != 0 || c.Sorted() {
-		t.Fatalf("reinit failed: size=%d sorted=%t", c.Size(), c.Sorted())
+	if c.Size() != 0 || c.Sorted() || c.Cap() != 8 {
+		t.Fatalf("reinit failed: size=%d sorted=%t cap=%d", c.Size(), c.Sorted(), c.Cap())
 	}
-	for i := 0; i < c.Cap(); i++ {
-		if _, v := c.At(i); v != nil {
-			t.Fatalf("slot %d payload not cleared on reinit", i)
-		}
+	if b := c.blk.Load(); b != &emptyBlock {
+		t.Fatalf("reinit kept a block of %d cells", b.cap)
 	}
 	c.Insert(3, val(3))
 	if v, ok := c.Get(3); !ok || *v != 3 {
