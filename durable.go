@@ -145,13 +145,17 @@ func rebuild[V any](rec *wal.Recovery, codec Codec[V], mapOpts []Option) (*core.
 	for _, opt := range mapOpts {
 		opt(&cfg)
 	}
+	// The map copies every value it is given, so the decoded values live in
+	// one slice rather than one allocation each.
+	decoded := make([]V, len(rec.CheckpointKeys))
 	vals := make([]*V, len(rec.CheckpointKeys))
 	for i, b := range rec.CheckpointVals {
 		v, err := codec.Decode(b)
 		if err != nil {
 			return nil, 0, fmt.Errorf("skipvector: checkpoint value for key %d: %w", rec.CheckpointKeys[i], err)
 		}
-		vals[i] = &v
+		decoded[i] = v
+		vals[i] = &decoded[i]
 	}
 	m, err := core.BulkLoad(cfg, rec.CheckpointKeys, vals)
 	if err != nil {
@@ -163,6 +167,7 @@ func rebuild[V any](rec *wal.Recovery, codec Codec[V], mapOpts []Option) (*core.
 	// records reaches the same final state as applying them one by one.
 	const replayBatch = 4096
 	var ops []core.BatchOp[V]
+	opVals := make([]V, replayBatch) // ops[i].Val's value; ApplyBatch copies it
 	flush := func() error {
 		if len(ops) == 0 {
 			return nil
@@ -179,7 +184,8 @@ func rebuild[V any](rec *wal.Recovery, codec Codec[V], mapOpts []Option) (*core.
 				if err != nil {
 					return nil, 0, fmt.Errorf("skipvector: log value for key %d: %w", op.Key, err)
 				}
-				cop.Val = &v
+				opVals[len(ops)] = v
+				cop.Val = &opVals[len(ops)]
 			}
 			ops = append(ops, cop)
 			if len(ops) >= replayBatch {
@@ -239,6 +245,8 @@ func (d *DurableMap[V]) commit(unit uint64, _ core.CommitKind, ops []core.Commit
 			wops = append(wops, wal.Op{Key: op.Key, Del: true})
 			continue
 		}
+		// op.Val is the map's scratch copy, valid for this call only: it is
+		// encoded here and not kept.
 		start := len(buf)
 		buf = d.codec.Append(buf, *op.Val)
 		wops = append(wops, wal.Op{Key: op.Key, Val: buf[start:]})

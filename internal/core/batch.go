@@ -50,7 +50,7 @@ import (
 // BatchOp is one element of an ApplyBatch request.
 type BatchOp[V any] struct {
 	Key int64
-	Val *V   // payload for puts; ignored for deletes
+	Val *V   // value for puts, read once during the call; ignored for deletes
 	Del bool // delete Key instead of writing it
 	// InsertOnly makes a put succeed only when Key is absent; an existing
 	// key is left untouched and reported as BatchExists. The zero value is
@@ -86,7 +86,8 @@ type batchScratch[V any] struct {
 	order   []int
 	tall    []bool
 	heights []int
-	slots   []vectormap.SlotOp[V]
+	cells   []vectormap.Cell // each op's value as stored, by request index
+	slots   []vectormap.CellOp
 	outs    []vectormap.SlotOutcome
 	segs    []*node[V]
 	segMins []int64
@@ -109,6 +110,7 @@ type batchScratch[V any] struct {
 }
 
 func (sc *batchScratch[V]) release() {
+	clear(sc.cells[:cap(sc.cells)])
 	clear(sc.slots[:cap(sc.slots)])
 	clear(sc.segs[:cap(sc.segs)])
 	clear(sc.commits[:cap(sc.commits)])
@@ -159,14 +161,20 @@ func (m *Map[V]) applyBatchCtx(ctx *opCtx[V], ops []BatchOp[V]) []BatchResult {
 	// arrive presorted, so detect that before paying for a sort.
 	sc := &ctx.batch
 	order := sc.order[:0]
+	cells := sc.cells[:0]
 	presorted := true
 	for i := range ops {
 		order = append(order, i)
 		if i > 0 && ops[i].Key < ops[i-1].Key {
 			presorted = false
 		}
+		var c vectormap.Cell
+		if !ops[i].Del {
+			c = m.cellOf(ops[i].Val)
+		}
+		cells = append(cells, c)
 	}
-	sc.order = order
+	sc.order, sc.cells = order, cells
 	if !presorted {
 		sort.Stable(&batchSorter[V]{ops: ops, order: order})
 	}
@@ -249,13 +257,13 @@ func (m *Map[V]) applyKeySingletons(
 				results[oi].Outcome = BatchAbsent
 			}
 		case op.InsertOnly:
-			if m.insertWithHeight(ctx, op.Key, op.Val, height) {
+			if m.insertWithHeight(ctx, op.Key, ctx.batch.cells[oi], height) {
 				results[oi].Outcome = BatchInserted
 			} else {
 				results[oi].Outcome = BatchExists
 			}
 		default:
-			if m.upsertWithHeight(ctx, op.Key, op.Val, height) {
+			if m.upsertWithHeight(ctx, op.Key, ctx.batch.cells[oi], height) {
 				results[oi].Outcome = BatchInserted
 			} else {
 				results[oi].Outcome = BatchUpdated
@@ -498,7 +506,7 @@ func (m *Map[V]) batchGroupAttempt(
 	outs := sc.outs[:0]
 	for i := 0; i < g; i++ {
 		op := &ops[group[i]]
-		slots = append(slots, vectormap.SlotOp[V]{Key: op.Key, Val: op.Val, Del: op.Del, InsertOnly: op.InsertOnly})
+		slots = append(slots, vectormap.CellOp{Key: op.Key, Val: sc.cells[group[i]], Del: op.Del, InsertOnly: op.InsertOnly})
 		outs = append(outs, vectormap.SlotNone)
 	}
 	sc.slots, sc.outs = slots, outs

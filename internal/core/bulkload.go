@@ -10,7 +10,8 @@ import (
 // loading, and the fast path database index builds want (the paper's
 // future-work direction of using the skip vector as a database index). Keys
 // must be strictly ascending and within (MinKey, MaxKey); vals must be the
-// same length as keys (vals may be nil to load all-nil values).
+// same length as keys (vals, or any of its elements, may be nil to load zero
+// values). Each *vals[i] is copied; the map keeps none of the pointers.
 //
 // Every chunk is filled to exactly its target size (index chunks to two
 // entries when T_I = 1), so the loaded structure matches the steady-state
@@ -61,7 +62,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 			if vals != nil {
 				v = vals[i]
 			}
-			n.data().Insert(keys[i], v)
+			n.data().Insert(keys[i], m.cellOf(v))
 		}
 		prev.next.Store(n)
 		prev = n

@@ -60,8 +60,8 @@ func TestBulkLoadNilValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, found := m.Lookup(0); !found || v != nil {
-		t.Fatalf("Lookup = %v,%t", v, found)
+	if v, found := m.Lookup(0); !found || *v != 0 {
+		t.Fatalf("Lookup = %v,%t, want the zero value", v, found)
 	}
 	mustCheck(t, m)
 }

@@ -11,7 +11,8 @@ import (
 // runs to prove the structure survived intact. The checks cover every
 // structural invariant Section IV relies on:
 //
-//  1. per-chunk consistency (size bounds, uniqueness, sort order);
+//  1. per-chunk consistency (size bounds, uniqueness, sort order), with
+//     word cells exactly in the data chunks of an inline map (value.go);
 //  2. strict key ordering across each layer (max of a node < min of its
 //     successor), which also implies layer-wide uniqueness;
 //  3. every index entry ⟨K, child⟩ points to a node in the layer below
@@ -44,6 +45,9 @@ func (m *Map[V]) CheckInvariants() error {
 			}
 			if err := n.chunk.CheckInvariants(); err != nil {
 				return fmt.Errorf("layer %d node %d: %w", l, i, err)
+			}
+			if words := l == 0 && m.inline; n.chunk.Words() != words {
+				return fmt.Errorf("layer %d node %d: word cells %t, want %t", l, i, !words, words)
 			}
 			minK, hasMin := n.minKey()
 			maxK, _ := n.maxKey()

@@ -13,28 +13,43 @@ import (
 // upserts and removes with ApplyBatch runs (and, once per map, a bulk-loaded
 // start), then the whole structure is checked — core.CheckInvariants runs
 // every chunk's own invariant too — and the contents are compared with a
-// model. BulkLoad's T_I = 1 defect sat in this corner.
+// model. BulkLoad's T_I = 1 defect sat in this corner. The sweep runs for
+// int64 values, stored inline in word cells, and again under boxed/ for a
+// value too wide for a word, stored in a box behind a pointer cell.
 func TestChunkPropertiesTinyTargets(t *testing.T) {
-	for td := 1; td <= 8; td++ {
-		for ti := 1; ti <= 4; ti++ {
-			for _, sortedData := range []bool{false, true} {
-				cfg := DefaultConfig()
-				cfg.TargetDataVectorSize = td
-				cfg.TargetIndexVectorSize = ti
-				cfg.SortedData = sortedData
-				cfg.LayerCount = 8
-				name := fmt.Sprintf("TD%d/TI%d/sorted=%t", td, ti, sortedData)
-				seed := int64(td*100 + ti*10)
-				if sortedData {
-					seed++
+	for _, boxed := range []bool{false, true} {
+		for td := 1; td <= 8; td++ {
+			for ti := 1; ti <= 4; ti++ {
+				for _, sortedData := range []bool{false, true} {
+					cfg := DefaultConfig()
+					cfg.TargetDataVectorSize = td
+					cfg.TargetIndexVectorSize = ti
+					cfg.SortedData = sortedData
+					cfg.LayerCount = 8
+					name := fmt.Sprintf("TD%d/TI%d/sorted=%t", td, ti, sortedData)
+					seed := int64(td*100 + ti*10)
+					if sortedData {
+						seed++
+					}
+					if boxed {
+						t.Run("boxed/"+name, func(t *testing.T) {
+							chunkPropertyRun(t, cfg, seed, func(x int64) wide { return wide{x, ^x, x} },
+								func(v wide) int64 { return v[0] })
+						})
+						continue
+					}
+					t.Run(name, func(t *testing.T) {
+						chunkPropertyRun(t, cfg, seed, func(x int64) int64 { return x }, func(v int64) int64 { return v })
+					})
 				}
-				t.Run(name, func(t *testing.T) { chunkPropertyRun(t, cfg, seed) })
 			}
 		}
 	}
 }
 
-func chunkPropertyRun(t *testing.T, cfg Config, seed int64) {
+// chunkPropertyRun drives one map of V, whose values carry the model's int64
+// through enc and dec.
+func chunkPropertyRun[V any](t *testing.T, cfg Config, seed int64, enc func(int64) V, dec func(V) int64) {
 	const (
 		keySpace = 160
 		bursts   = 24
@@ -43,12 +58,16 @@ func chunkPropertyRun(t *testing.T, cfg Config, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Start from a bulk-loaded map of every third key.
+	val := func(x int64) *V {
+		v := enc(x)
+		return &v
+	}
 	var keys []int64
-	var vals []*int64
+	var vals []*V
 	model := map[int64]int64{}
 	for k := int64(1); k <= keySpace; k += 3 {
 		keys = append(keys, k)
-		vals = append(vals, v64(-k))
+		vals = append(vals, val(-k))
 		model[k] = -k
 	}
 	m, err := BulkLoad(cfg, keys, vals)
@@ -76,8 +95,8 @@ func chunkPropertyRun(t *testing.T, cfg Config, seed int64) {
 			if got[i] != want[i] {
 				t.Fatalf("%s: key %d is %d, model %d", when, i, got[i], want[i])
 			}
-			if v, ok := m.Lookup(want[i]); !ok || *v != model[want[i]] {
-				t.Fatalf("%s: Lookup(%d) = %v, %t, model %d", when, want[i], v, ok, model[want[i]])
+			if v, ok := m.Lookup(want[i]); !ok || dec(*v) != model[want[i]] {
+				t.Fatalf("%s: Lookup(%d) = %v, %t, model %d", when, want[i], *v, ok, model[want[i]])
 			}
 		}
 	}
@@ -101,21 +120,21 @@ func chunkPropertyRun(t *testing.T, cfg Config, seed int64) {
 				}
 				delete(model, k)
 			case r < removes+2:
-				if m.Insert(k, v64(x)) == hasKey(model, k) {
+				if m.Insert(k, val(x)) == hasKey(model, k) {
 					t.Fatalf("burst %d: Insert(%d) disagrees with the model", b, k)
 				}
 				if !hasKey(model, k) {
 					model[k] = x
 				}
 			case r < removes+3:
-				if m.Upsert(k, v64(x)) == hasKey(model, k) {
+				if m.Upsert(k, val(x)) == hasKey(model, k) {
 					t.Fatalf("burst %d: Upsert(%d) disagrees with the model", b, k)
 				}
 				model[k] = x
 			default:
 				// A run of nearby keys, duplicates included, so that one
 				// group commit fills and splits a chunk privately.
-				ops := make([]BatchOp[int64], 1+rng.Intn(3*cfg.TargetDataVectorSize+4))
+				ops := make([]BatchOp[V], 1+rng.Intn(3*cfg.TargetDataVectorSize+4))
 				lo := int64(rng.Intn(keySpace) + 1)
 				for j := range ops {
 					ops[j].Key = min(lo+int64(rng.Intn(2*len(ops)+1)), keySpace)
@@ -123,7 +142,7 @@ func chunkPropertyRun(t *testing.T, cfg Config, seed int64) {
 						ops[j].Del = true
 						continue
 					}
-					ops[j].Val = v64(x*100 + int64(j))
+					ops[j].Val = val(x*100 + int64(j))
 					ops[j].InsertOnly = rng.Intn(4) == 0
 				}
 				m.ApplyBatch(ops)
@@ -134,7 +153,7 @@ func chunkPropertyRun(t *testing.T, cfg Config, seed int64) {
 						delete(model, op.Key)
 					case op.InsertOnly && hasKey(model, op.Key):
 					default:
-						model[op.Key] = *op.Val
+						model[op.Key] = dec(*op.Val)
 					}
 				}
 			}

@@ -20,7 +20,8 @@ import "skipvector/internal/vectormap"
 //
 // The hook must be fast and allocation-shy (it runs under a seqlock write
 // lock), must not call back into the map, and must not retain the ops slice
-// (it is scratch, reused by the next operation on the same context).
+// or the values its Val fields point at (both are scratch copies, reused by
+// the next operation on the same context).
 
 // CommitKind classifies a commit-hook invocation.
 type CommitKind uint8
@@ -37,7 +38,7 @@ const (
 // CommitOp is one effective mutation reported to the commit hook.
 type CommitOp[V any] struct {
 	Key int64
-	Val *V   // payload for puts; nil for deletes
+	Val *V   // a copy of the value for puts; nil for deletes
 	Del bool // Key was removed
 }
 
@@ -67,13 +68,15 @@ func (m *Map[V]) ApplyBatchLogged(unit uint64, ops []BatchOp[V]) []BatchResult {
 
 // logPut reports one effective put. Caller holds the write lock whose
 // release publishes it.
-func (m *Map[V]) logPut(ctx *opCtx[V], k int64, v *V) {
+func (m *Map[V]) logPut(ctx *opCtx[V], k int64, v vectormap.Cell) {
 	if m.commitHook == nil {
 		return
 	}
-	ctx.commitScratch[0] = CommitOp[V]{Key: k, Val: v}
+	vals := ctx.commitVals(1)
+	m.load(v, &vals[0])
+	ctx.commitScratch[0] = CommitOp[V]{Key: k, Val: &vals[0]}
 	m.commitHook(ctx.walUnit, CommitSingleton, ctx.commitScratch[:1])
-	ctx.commitScratch[0] = CommitOp[V]{} // don't pin the value past the call
+	clear(vals) // don't pin the value past the call
 }
 
 // logDel reports one effective delete under the same contract as logPut.
@@ -83,22 +86,23 @@ func (m *Map[V]) logDel(ctx *opCtx[V], k int64) {
 	}
 	ctx.commitScratch[0] = CommitOp[V]{Key: k, Del: true}
 	m.commitHook(ctx.walUnit, CommitSingleton, ctx.commitScratch[:1])
-	ctx.commitScratch[0] = CommitOp[V]{}
 }
 
 // logBatchGroup reports one group commit's effective ops, in slot order
 // (same-key runs keep request order, so replay preserves last-write-wins).
 // Caller holds the group's lock.
-func (m *Map[V]) logBatchGroup(ctx *opCtx[V], slots []vectormap.SlotOp[V], outs []vectormap.SlotOutcome) {
+func (m *Map[V]) logBatchGroup(ctx *opCtx[V], slots []vectormap.CellOp, outs []vectormap.SlotOutcome) {
 	if m.commitHook == nil {
 		return
 	}
 	sc := &ctx.batch
 	cs := sc.commits[:0]
+	vals := ctx.commitVals(len(slots))
 	for i := range slots {
 		switch outs[i] {
 		case vectormap.SlotInserted, vectormap.SlotUpdated:
-			cs = append(cs, CommitOp[V]{Key: slots[i].Key, Val: slots[i].Val})
+			m.load(slots[i].Val, &vals[len(cs)])
+			cs = append(cs, CommitOp[V]{Key: slots[i].Key, Val: &vals[len(cs)]})
 		case vectormap.SlotRemoved:
 			cs = append(cs, CommitOp[V]{Key: slots[i].Key, Del: true})
 		}
@@ -107,4 +111,5 @@ func (m *Map[V]) logBatchGroup(ctx *opCtx[V], slots []vectormap.SlotOp[V], outs 
 	if len(cs) > 0 {
 		m.commitHook(ctx.walUnit, CommitBatchGroup, cs)
 	}
+	clear(vals)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"skipvector/internal/vectormap"
 )
 
 // TestOversizedLayerCountHarmless reproduces the Section V-B observation
@@ -58,7 +60,7 @@ func TestHeightDistribution(t *testing.T) {
 					return true
 				})
 			} else {
-				node.data().ForEach(func(k int64, _ *int64) bool {
+				node.data().ForEach(func(k int64, _ vectormap.Cell) bool {
 					if k != MinKey && k != MaxKey {
 						layerKeys[l]++
 					}

@@ -52,14 +52,23 @@ func testConfigs() map[string]Config {
 
 func newTestMap(t testing.TB, cfg Config) *Map[int64] {
 	t.Helper()
-	m, err := NewMap[int64](cfg)
+	return newTestMapOf[int64](t, cfg)
+}
+
+func newTestMapOf[V any](t testing.TB, cfg Config) *Map[V] {
+	t.Helper()
+	m, err := NewMap[V](cfg)
 	if err != nil {
 		t.Fatalf("NewMap: %v", err)
 	}
 	return m
 }
 
-func mustCheck(t testing.TB, m *Map[int64]) {
+// wide is a value type too big to store inline: maps of it keep each value
+// in a box (value.go), the path every 8-byte workload value no longer takes.
+type wide [3]int64
+
+func mustCheck[V any](t testing.TB, m *Map[V]) {
 	t.Helper()
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("invariants violated: %v\n%s", err, m.Dump())
@@ -431,18 +440,32 @@ func TestLeakModeNeverRecycles(t *testing.T) {
 	mustCheck(t, m)
 }
 
-func TestValuesArePointerStable(t *testing.T) {
-	m := newTestMap(t, DefaultConfig())
-	p := v64(7)
+// TestValuesAreCopied pins the ownership rules of value.go for both value
+// representations: the map copies a value in, so changing the caller's
+// variable afterwards changes nothing, and hands a copy out, so changing a
+// result changes nothing either.
+func TestValuesAreCopied(t *testing.T) {
+	t.Run("inline", func(t *testing.T) {
+		valuesAreCopied(t, func(x int64) int64 { return x }, func(v int64) int64 { return v })
+	})
+	t.Run("boxed", func(t *testing.T) {
+		valuesAreCopied(t, func(x int64) wide { return wide{x, -x, 1} }, func(v wide) int64 { return v[0] })
+	})
+}
+
+func valuesAreCopied[V any](t *testing.T, enc func(int64) V, dec func(V) int64) {
+	m := newTestMapOf[V](t, DefaultConfig())
+	p := new(V)
+	*p = enc(7)
 	m.Insert(1, p)
+	*p = enc(9)
 	got, _ := m.Lookup(1)
-	if got != p {
-		t.Fatal("Lookup returned a different pointer")
+	if got == p || dec(*got) != 7 {
+		t.Fatalf("Lookup after the caller changed its variable = %d, want the inserted 7", dec(*got))
 	}
-	*p = 9
-	got, _ = m.Lookup(1)
-	if *got != 9 {
-		t.Fatal("value mutation not visible through map")
+	*got = enc(11)
+	if again, _ := m.Lookup(1); dec(*again) != 7 {
+		t.Fatalf("Lookup after the caller changed a result = %d, want 7", dec(*again))
 	}
 }
 

@@ -27,9 +27,20 @@ type opCtx[V any] struct {
 
 	// walUnit tags commit-hook calls with the batch commit unit this context
 	// is executing (0 outside ApplyBatchLogged); commitScratch is the
-	// singleton hook's one-op argument buffer (see commit.go).
+	// singleton hook's one-op argument buffer and commitVal the value copies
+	// the hook's ops point at (see commit.go).
 	walUnit       uint64
 	commitScratch [1]CommitOp[V]
+	commitVal     []V
+}
+
+// commitVals returns scratch for n value copies handed to the commit hook.
+// Its contents are overwritten by the next hook call on this context.
+func (c *opCtx[V]) commitVals(n int) []V {
+	if len(c.commitVal) < n {
+		c.commitVal = make([]V, max(n, 2*len(c.commitVal)))
+	}
+	return c.commitVal[:n]
 }
 
 // splitmix64 advances the RNG and returns the next 64-bit value. It is the

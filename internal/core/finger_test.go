@@ -26,7 +26,7 @@ func fingerTestMap(t *testing.T, step, limit int64) *Map[int64] {
 // now remembers, with its exact bounds read under the remembered version.
 func fingerOn(t *testing.T, m *Map[int64], ctx *opCtx[int64], k int64) (n *node[int64], minK, maxK int64) {
 	t.Helper()
-	if _, found := m.lookupCtx(ctx, k); !found {
+	if found := m.lookupCtx(ctx, k, nil); !found {
 		t.Fatalf("Lookup(%d) lost the key", k)
 	}
 	n = ctx.fing.node
@@ -67,7 +67,7 @@ func TestFingerHitAfterLookup(t *testing.T) {
 	}
 	// A repeated lookup through the same context must also hit end to end.
 	hits := m.Stats().FingerHits
-	if _, found := m.lookupCtx(ctx, 100); !found {
+	if found := m.lookupCtx(ctx, 100, nil); !found {
 		t.Fatal("repeat lookup lost the key")
 	}
 	if m.Stats().FingerHits <= hits {
@@ -102,8 +102,8 @@ func TestFingerSpanOwnership(t *testing.T) {
 	if !seek(m, ctx, maxK+1, fingerPoint) {
 		t.Fatal("gap key before successor missed")
 	}
-	if v, found := m.lookupCtx(ctx, maxK+1); found {
-		t.Fatalf("gap key reported present: %v", v)
+	if found := m.lookupCtx(ctx, maxK+1, nil); found {
+		t.Fatal("gap key reported present")
 	}
 	// The successor's minimum is out of span for point mode but in span for
 	// scan mode (Ceiling walks right from here).
@@ -169,7 +169,7 @@ func TestFingerInvalidatedByWrite(t *testing.T) {
 		t.Fatal("failed validation did not drop the finger")
 	}
 	// The fallback descent re-records and the finger recovers.
-	if _, found := m.lookupCtx(ctx, 500); !found {
+	if found := m.lookupCtx(ctx, 500, nil); !found {
 		t.Fatal("lookup after invalidation lost the key")
 	}
 	if !seek(m, ctx, 500, fingerPoint) {
@@ -196,7 +196,7 @@ func TestFingerInvalidatedBySplit(t *testing.T) {
 		t.Fatal("probe hit across a split through a stale version")
 	}
 	for d := int64(0); d <= 8; d++ {
-		if _, found := m.lookupCtx(ctx, minK+d); !found {
+		if found := m.lookupCtx(ctx, minK+d, nil); !found {
 			t.Fatalf("key %d lost across the split", minK+d)
 		}
 	}
@@ -229,7 +229,7 @@ func TestFingerInvalidatedByFreeze(t *testing.T) {
 		t.Fatal("recordFinger accepted a frozen version")
 	}
 	n.lock.Thaw()
-	if _, found := m.lookupCtx(ctx, 100); !found {
+	if found := m.lookupCtx(ctx, 100, nil); !found {
 		t.Fatal("lookup after thaw lost the key")
 	}
 	if !seek(m, ctx, 100, fingerPoint) {
@@ -274,7 +274,7 @@ func TestFingerFollowsOrphans(t *testing.T) {
 	}
 	// Orphan nodes are recorded — capacity-split orphans are long-lived and
 	// are exactly the hot node of an ascending ingest.
-	if _, ok := m.lookupCtx(ctx, orphanKey); !ok {
+	if ok := m.lookupCtx(ctx, orphanKey, nil); !ok {
 		t.Fatalf("Lookup(%d) lost an orphan-held key", orphanKey)
 	}
 	f := &ctx.fing
@@ -307,7 +307,7 @@ func TestFingerSurvivesDrainAndMerge(t *testing.T) {
 	if seek(m, ctx, 200, fingerPoint) {
 		t.Fatal("probe hit a retired node")
 	}
-	if _, found := m.lookupCtx(ctx, 200); found {
+	if found := m.lookupCtx(ctx, 200, nil); found {
 		t.Fatal("lookup found a drained key")
 	}
 	mustCheck(t, m)

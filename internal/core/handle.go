@@ -31,21 +31,25 @@ func (h *Handle[V]) Close() {
 }
 
 // Lookup is Map.Lookup through the pinned context.
-func (h *Handle[V]) Lookup(k int64) (*V, bool) {
+func (h *Handle[V]) Lookup(k int64) (v *V, ok bool) {
+	v = new(V)
+	ok = h.LookupInto(k, v)
+	return
+}
+
+// LookupInto is Map.LookupInto through the pinned context.
+func (h *Handle[V]) LookupInto(k int64, out *V) bool {
 	checkKey(k)
-	return h.m.lookupCtx(h.ctx, k)
+	return h.m.lookupCtx(h.ctx, k, out)
 }
 
 // Contains is Map.Contains through the pinned context.
-func (h *Handle[V]) Contains(k int64) bool {
-	_, found := h.Lookup(k)
-	return found
-}
+func (h *Handle[V]) Contains(k int64) bool { return h.LookupInto(k, nil) }
 
 // Insert is Map.Insert through the pinned context.
 func (h *Handle[V]) Insert(k int64, v *V) bool {
 	checkKey(k)
-	return h.m.insertCtx(h.ctx, k, v)
+	return h.m.insertCtx(h.ctx, k, h.m.cellOf(v))
 }
 
 // Remove is Map.Remove through the pinned context.
@@ -57,7 +61,7 @@ func (h *Handle[V]) Remove(k int64) bool {
 // Upsert is Map.Upsert through the pinned context.
 func (h *Handle[V]) Upsert(k int64, v *V) bool {
 	checkKey(k)
-	return h.m.upsertWithHeight(h.ctx, k, v, h.ctx.randomHeight())
+	return h.m.upsertWithHeight(h.ctx, k, h.m.cellOf(v), h.ctx.randomHeight())
 }
 
 // ApplyBatch is Map.ApplyBatch through the pinned context. Batches whose key
@@ -68,23 +72,41 @@ func (h *Handle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
 }
 
 // Floor is Map.Floor through the pinned context.
-func (h *Handle[V]) Floor(k int64) (int64, *V, bool) {
+func (h *Handle[V]) Floor(k int64) (key int64, v *V, ok bool) {
+	v = new(V)
+	key, ok = h.FloorInto(k, v)
+	return
+}
+
+// FloorInto is Map.FloorInto through the pinned context.
+func (h *Handle[V]) FloorInto(k int64, out *V) (int64, bool) {
 	checkKey(k)
-	return h.m.floorCtx(h.ctx, k)
+	return h.m.floorCtx(h.ctx, k, out)
 }
 
 // Ceiling is Map.Ceiling through the pinned context.
-func (h *Handle[V]) Ceiling(k int64) (int64, *V, bool) {
+func (h *Handle[V]) Ceiling(k int64) (key int64, v *V, ok bool) {
+	v = new(V)
+	key, ok = h.CeilingInto(k, v)
+	return
+}
+
+// CeilingInto is Map.CeilingInto through the pinned context.
+func (h *Handle[V]) CeilingInto(k int64, out *V) (int64, bool) {
 	checkKey(k)
-	return h.m.ceilingCtx(h.ctx, k)
+	return h.m.ceilingCtx(h.ctx, k, out)
 }
 
 // First is Map.First through the pinned context.
-func (h *Handle[V]) First() (int64, *V, bool) {
-	return h.m.firstCtx(h.ctx)
+func (h *Handle[V]) First() (k int64, v *V, ok bool) {
+	v = new(V)
+	k, ok = h.CeilingInto(MinKey+1, v)
+	return
 }
 
 // Last is Map.Last through the pinned context.
-func (h *Handle[V]) Last() (int64, *V, bool) {
-	return h.m.lastCtx(h.ctx)
+func (h *Handle[V]) Last() (k int64, v *V, ok bool) {
+	v = new(V)
+	k, ok = h.FloorInto(MaxKey-1, v)
+	return
 }

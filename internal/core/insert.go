@@ -3,6 +3,7 @@ package core
 import (
 	"skipvector/internal/chaos"
 	"skipvector/internal/seqlock"
+	"skipvector/internal/vectormap"
 )
 
 // insertState carries Insert's cross-restart bookkeeping: the nodes frozen
@@ -39,14 +40,15 @@ func (st *insertState[V]) thawAll(height int) {
 // observation of the existing key.
 func (m *Map[V]) Insert(k int64, v *V) bool {
 	checkKey(k)
+	c := m.cellOf(v)
 	ctx := m.ctxs.get()
 	defer m.ctxs.put(ctx)
-	return m.insertCtx(ctx, k, v)
+	return m.insertCtx(ctx, k, c)
 }
 
 // insertCtx is Insert's retry loop against an explicit context (shared with
 // Handle.Insert).
-func (m *Map[V]) insertCtx(ctx *opCtx[V], k int64, v *V) bool {
+func (m *Map[V]) insertCtx(ctx *opCtx[V], k int64, v vectormap.Cell) bool {
 	return m.insertWithHeight(ctx, k, v, ctx.randomHeight())
 }
 
@@ -55,7 +57,7 @@ func (m *Map[V]) insertCtx(ctx *opCtx[V], k int64, v *V) bool {
 // once, before any locks are taken — so the singleton replay of a tall key
 // must not re-draw (re-drawing after deferral would square the tall
 // probability and starve the index layers).
-func (m *Map[V]) insertWithHeight(ctx *opCtx[V], k int64, v *V, height int) bool {
+func (m *Map[V]) insertWithHeight(ctx *opCtx[V], k int64, v vectormap.Cell, height int) bool {
 	st := insertState[V]{lowestFrozen: -1}
 	for {
 		result, done := m.insertAttempt(ctx, &st, k, v, height)
@@ -69,7 +71,7 @@ func (m *Map[V]) insertWithHeight(ctx *opCtx[V], k int64, v *V, height int) bool
 // insertAttempt performs one descent. done=false requests a restart; frozen
 // nodes recorded in st survive the restart and become the resume point.
 func (m *Map[V]) insertAttempt(
-	ctx *opCtx[V], st *insertState[V], k int64, v *V, height int,
+	ctx *opCtx[V], st *insertState[V], k int64, v vectormap.Cell, height int,
 ) (result, done bool) {
 	var (
 		curr   *node[V]
@@ -160,7 +162,7 @@ func (m *Map[V]) insertAttempt(
 // a finger hit). It freezes curr, settles presence, and applies the write
 // phase. done=false requests a restart.
 func (m *Map[V]) finishInsertData(
-	ctx *opCtx[V], st *insertState[V], curr *node[V], ver seqlock.Version, k int64, v *V, height int,
+	ctx *opCtx[V], st *insertState[V], curr *node[V], ver seqlock.Version, k int64, v vectormap.Cell, height int,
 ) (result, done bool) {
 	if _, frozen := curr.lock.TryFreeze(ver); !frozen {
 		return false, false
@@ -194,7 +196,7 @@ func (m *Map[V]) finishInsertData(
 // words, so a best-effort Current() read is fine for nodes this operation no
 // longer holds locked).
 func (m *Map[V]) applyInsert(
-	ctx *opCtx[V], st *insertState[V], k int64, v *V, height int,
+	ctx *opCtx[V], st *insertState[V], k int64, v vectormap.Cell, height int,
 ) (*node[V], seqlock.Version) {
 	// Layer 0. A height-0 insert that finds the block full grows it while
 	// the node is only frozen (Reserve), keeping the allocation out of the
@@ -227,7 +229,7 @@ func (m *Map[V]) applyInsert(
 	// below its height, each stealing the elements greater than k from its
 	// frozen predecessor.
 	nd := m.mem.allocRaw(0)
-	d.data().MoveGreaterTo(k, nd.data())
+	d.chunk.MoveGreaterTo(k, &nd.chunk)
 	nd.data().Insert(k, v)
 	inheritVerEpoch(d, nd)
 	nd.next.Store(d.next.Load())
@@ -293,12 +295,7 @@ func (m *Map[V]) splitFull(ctx *opCtx[V], n *node[V], k int64) *node[V] {
 // lock that covers n is released.
 func (m *Map[V]) splitOrphanHalf(ctx *opCtx[V], n *node[V]) (*node[V], int64) {
 	o := m.mem.allocRaw(int(n.level))
-	var pivot int64
-	if n.isIndex() {
-		pivot = n.index().SplitUpperHalfTo(o.index())
-	} else {
-		pivot = n.data().SplitUpperHalfTo(o.data())
-	}
+	pivot := n.chunk.SplitUpperHalfTo(&o.chunk)
 	// The orphan's content was part of n's at every epoch n's current
 	// verEpoch covers; the caller already ran noteDataWrite on n.
 	inheritVerEpoch(n, o)

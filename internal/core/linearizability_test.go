@@ -13,6 +13,9 @@ import (
 // specification. Tiny chunks and a tiny key space maximize the chance that
 // operations overlap inside one node, which is where the seqlock/freeze
 // machinery must deliver atomicity.
+//
+// Each configuration runs twice: with int64 values, stored inline, and under
+// boxed/ with a value too wide for a word, stored in a box.
 func TestLinearizability(t *testing.T) {
 	cfgs := map[string]Config{
 		"tiny-chunks": testConfigs()["tiny-chunks"],
@@ -21,61 +24,71 @@ func TestLinearizability(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			const (
-				rounds   = 60
-				procs    = 3
-				opsEach  = 4
-				keySpace = 3
-			)
-			for round := 0; round < rounds; round++ {
-				m := newTestMap(t, cfg)
-				rec := lincheck.NewRecorder()
-				var wg sync.WaitGroup
-				for p := 0; p < procs; p++ {
-					wg.Add(1)
-					go func(p int, seed int64) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(seed))
-						for i := 0; i < opsEach; i++ {
-							k := int64(rng.Intn(keySpace))
-							switch rng.Intn(3) {
-							case 0:
-								v := int64(p*1000 + i)
-								inv := rec.Begin()
-								ok := m.Insert(k, &v)
-								rec.End(lincheck.Event{
-									Proc: p, Kind: lincheck.KindInsert,
-									Key: k, Val: v, RetOK: ok,
-								}, inv)
-							case 1:
-								inv := rec.Begin()
-								ok := m.Remove(k)
-								rec.End(lincheck.Event{
-									Proc: p, Kind: lincheck.KindRemove,
-									Key: k, RetOK: ok,
-								}, inv)
-							default:
-								inv := rec.Begin()
-								pv, ok := m.Lookup(k)
-								var rv int64
-								if ok {
-									rv = *pv
-								}
-								rec.End(lincheck.Event{
-									Proc: p, Kind: lincheck.KindLookup,
-									Key: k, RetOK: ok, RetVal: rv,
-								}, inv)
-							}
-						}
-					}(p, int64(round*100+p))
-				}
-				wg.Wait()
-				if ok, msg := lincheck.Check(rec.History()); !ok {
-					t.Fatalf("round %d: %s\n%s", round, msg, m.Dump())
-				}
-				mustCheck(t, m)
-			}
+			pointOpsLinearizable(t, cfg, func(x int64) int64 { return x }, func(v int64) int64 { return v })
 		})
+		t.Run("boxed/"+name, func(t *testing.T) {
+			pointOpsLinearizable(t, cfg, func(x int64) wide { return wide{x, x, ^x} }, func(v wide) int64 { return v[0] })
+		})
+	}
+}
+
+// pointOpsLinearizable checks histories of Insert, Remove and Lookup on maps
+// of V, whose values carry the history's int64 through enc and dec.
+func pointOpsLinearizable[V any](t *testing.T, cfg Config, enc func(int64) V, dec func(V) int64) {
+	const (
+		rounds   = 60
+		procs    = 3
+		opsEach  = 4
+		keySpace = 3
+	)
+	for round := 0; round < rounds; round++ {
+		m := newTestMapOf[V](t, cfg)
+		rec := lincheck.NewRecorder()
+		var wg sync.WaitGroup
+		for p := 0; p < procs; p++ {
+			wg.Add(1)
+			go func(p int, seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < opsEach; i++ {
+					k := int64(rng.Intn(keySpace))
+					switch rng.Intn(3) {
+					case 0:
+						x := int64(p*1000 + i)
+						v := enc(x)
+						inv := rec.Begin()
+						ok := m.Insert(k, &v)
+						rec.End(lincheck.Event{
+							Proc: p, Kind: lincheck.KindInsert,
+							Key: k, Val: x, RetOK: ok,
+						}, inv)
+					case 1:
+						inv := rec.Begin()
+						ok := m.Remove(k)
+						rec.End(lincheck.Event{
+							Proc: p, Kind: lincheck.KindRemove,
+							Key: k, RetOK: ok,
+						}, inv)
+					default:
+						inv := rec.Begin()
+						pv, ok := m.Lookup(k)
+						var rv int64
+						if ok {
+							rv = dec(*pv)
+						}
+						rec.End(lincheck.Event{
+							Proc: p, Kind: lincheck.KindLookup,
+							Key: k, RetOK: ok, RetVal: rv,
+						}, inv)
+					}
+				}
+			}(p, int64(round*100+p))
+		}
+		wg.Wait()
+		if ok, msg := lincheck.Check(rec.History()); !ok {
+			t.Fatalf("round %d: %s\n%s", round, msg, m.Dump())
+		}
+		mustCheck(t, m)
 	}
 }
 

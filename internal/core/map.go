@@ -139,13 +139,15 @@ func mergeThreshold(factor float64, target int) int {
 	return th
 }
 
-// Map is a concurrent ordered map from int64 keys to *V values. Keys must
-// lie strictly between MinKey and MaxKey (the sentinel values). All methods
-// are safe for concurrent use by any number of goroutines.
+// Map is a concurrent ordered map from int64 keys to V values, passed in and
+// out by pointer (value.go has the ownership rules). Keys must lie strictly
+// between MinKey and MaxKey (the sentinel values). All methods are safe for
+// concurrent use by any number of goroutines.
 type Map[V any] struct {
 	cfg        Config
-	mergeData  int // merge threshold for data-layer nodes
-	mergeIndex int // merge threshold for index-layer nodes
+	inline     bool // values live in the data cells' words (value.go)
+	mergeData  int  // merge threshold for data-layer nodes
+	mergeIndex int  // merge threshold for index-layer nodes
 
 	// head is the head node of the topmost layer; heads[l] is the head of
 	// layer l. Head and tail nodes are never retired, never orphans, and
@@ -218,8 +220,9 @@ func NewMap[V any](cfg Config) (*Map[V], error) {
 		cfg:        cfg,
 		mergeData:  mergeThreshold(cfg.MergeFactor, cfg.TargetDataVectorSize),
 		mergeIndex: mergeThreshold(cfg.MergeFactor, cfg.TargetIndexVectorSize),
+		inline:     inlineable[V](),
 	}
-	m.mem = newMemory[V](&cfg)
+	m.mem = newMemory[V](&cfg, m.inline)
 	m.ctxs = newCtxPool[V](m)
 
 	// Build per-layer head/tail sentinels, bottom-up, linking each layer's
@@ -230,8 +233,8 @@ func NewMap[V any](cfg Config) (*Map[V], error) {
 		head := m.mem.allocRaw(l)
 		tail := m.mem.allocRaw(l)
 		if l == 0 {
-			head.data().Insert(MinKey, nil)
-			tail.data().Insert(MaxKey, nil)
+			head.data().Insert(MinKey, vectormap.Cell{})
+			tail.data().Insert(MaxKey, vectormap.Cell{})
 		} else {
 			head.index().Insert(MinKey, below)
 			tail.index().Insert(MaxKey, nil)

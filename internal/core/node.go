@@ -11,8 +11,8 @@ import (
 
 // node is a skip vector node at any layer: one sequence lock, one next
 // pointer and one chunk (the paper's Listing 1). A data-layer node (level 0)
-// reads the chunk as key → *V through data(); an index node reads it as key →
-// child node one layer down through index().
+// reads the chunk as key → value cell through data() (value.go); an index
+// node reads it as key → child node one layer down through index().
 //
 // The sequence lock protects the chunk and the next pointer. Optimistic
 // readers snapshot the lock, read atomic cells, and validate; writers hold
@@ -57,16 +57,18 @@ func (n *node[V]) isIndex() bool { return n.level > 0 }
 // the node is an index node (level > 0).
 func (n *node[V]) index() *vectormap.Chunk[node[V]] { return &n.chunk }
 
-// data returns the chunk as a data node reads it (vectormap.View has the
-// layout argument). The caller must know the node is a data node (level 0).
+// data returns the chunk as a data node reads it: untyped payload cells,
+// words in an inline map and value boxes in a boxed one (value.go). The
+// caller must know the node is a data node (level 0).
 //
 // Which view is right is decided by level alone, and an optimistic reader may
 // still be choosing it for a node that has since been retired and recycled.
 // So a node's class must never change across lifetimes: a recycled data node
 // is only ever handed out as a data node again and an index node as an index
 // node, which is why memory keeps freeData and freeIndex apart. Were the
-// class to flip, such a reader could load a *V and follow it as a *node[V].
-func (n *node[V]) data() *vectormap.Chunk[V] { return vectormap.View[V](&n.chunk) }
+// class to flip, such a reader could load a value cell and follow it as a
+// *node[V].
+func (n *node[V]) data() *vectormap.Cells { return &n.chunk.Cells }
 
 // size returns the node's current element count. Like minKey and maxKey it
 // reads only the chunk's keys and size, which do not depend on the payload
@@ -94,6 +96,7 @@ func (n *node[V]) markOrphanPrivate() {
 // always freshly allocated and unlinked nodes are left to the collector.
 type memory[V any] struct {
 	cfg    *Config
+	inline bool                    // data chunks are word-celled (value.go)
 	domain *hazard.Domain[node[V]] // nil in leak mode
 
 	mu        sync.Mutex
@@ -105,8 +108,8 @@ type memory[V any] struct {
 	retires atomic.Int64
 }
 
-func newMemory[V any](cfg *Config) *memory[V] {
-	m := &memory[V]{cfg: cfg}
+func newMemory[V any](cfg *Config, inline bool) *memory[V] {
+	m := &memory[V]{cfg: cfg, inline: inline}
 	if cfg.Reclaim == ReclaimHazard {
 		m.domain = hazard.NewDomain(m.recycle)
 	}
@@ -159,9 +162,12 @@ func (m *memory[V]) allocRaw(level int) *node[V] {
 		}
 	}
 	n.level = int32(level)
-	if level == 0 {
+	switch {
+	case level == 0 && m.inline:
+		n.chunk.InitWords(m.cfg.TargetDataVectorSize, m.cfg.SortedData)
+	case level == 0:
 		n.chunk.Init(m.cfg.TargetDataVectorSize, m.cfg.SortedData)
-	} else {
+	default:
 		n.chunk.Init(m.cfg.TargetIndexVectorSize, m.cfg.SortedIndex)
 	}
 	return n

@@ -1,6 +1,9 @@
 package core
 
-import "skipvector/internal/seqlock"
+import (
+	"skipvector/internal/seqlock"
+	"skipvector/internal/vectormap"
+)
 
 // Range operations (Section V-B, Figure 8). Because the skip vector is
 // lock-based, serializable range operations fall out of two-phase locking:
@@ -11,27 +14,46 @@ import "skipvector/internal/seqlock"
 
 // RangeQuery calls fn for every mapping with lo ≤ key ≤ hi, in ascending key
 // order. fn returning false stops the iteration early (locks are still
-// released properly). fn must not call back into the map.
+// released properly). fn must not call back into the map. v points at a copy
+// that the next call overwrites.
 func (m *Map[V]) RangeQuery(lo, hi int64, fn func(k int64, v *V) bool) {
 	if lo > hi {
 		return
 	}
-	m.lockedRange(lo, hi, false, func(k int64, v *V) (*V, bool) {
-		return v, fn(k, v)
+	var v V
+	m.lockedRange(lo, hi, false, func(k int64, c vectormap.Cell) (vectormap.Cell, bool) {
+		m.load(c, &v)
+		return c, fn(k, &v)
+	})
+}
+
+// RangeStored is RangeQuery that also reports each value as the map stores
+// it, so a caller can later tell whether the key was rewritten (Stored.Same).
+func (m *Map[V]) RangeStored(lo, hi int64, fn func(k int64, v *V, s Stored) bool) {
+	if lo > hi {
+		return
+	}
+	var v V
+	m.lockedRange(lo, hi, false, func(k int64, c vectormap.Cell) (vectormap.Cell, bool) {
+		m.load(c, &v)
+		return c, fn(k, &v, Stored{c})
 	})
 }
 
 // RangeUpdate calls fn for every mapping with lo ≤ key ≤ hi in ascending key
-// order and replaces each value with fn's return. It returns the number of
-// mappings visited. The whole update is a single serializable operation.
+// order and replaces each value with a copy of fn's return. It returns the
+// number of mappings visited. The whole update is a single serializable
+// operation. v points at a copy that the next call overwrites.
 func (m *Map[V]) RangeUpdate(lo, hi int64, fn func(k int64, v *V) *V) int {
 	if lo > hi {
 		return 0
 	}
 	count := 0
-	m.lockedRange(lo, hi, true, func(k int64, v *V) (*V, bool) {
+	var v V
+	m.lockedRange(lo, hi, true, func(k int64, c vectormap.Cell) (vectormap.Cell, bool) {
 		count++
-		return fn(k, v), true
+		m.load(c, &v)
+		return m.cellOf(fn(k, &v)), true
 	})
 	return count
 }
@@ -46,8 +68,9 @@ func (m *Map[V]) Ascend(fn func(k int64, v *V) bool) {
 // locked window rightward hand-over-hand until the node minima exceed hi.
 // All locks are held until the function has been applied everywhere (strict
 // two-phase locking); read-only ranges release with Abort so that concurrent
-// optimistic readers of untouched nodes stay valid.
-func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (*V, bool)) {
+// optimistic readers of untouched nodes stay valid. A mutating range stores
+// every cell fn returns; a read-only one ignores them.
+func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, c vectormap.Cell) (vectormap.Cell, bool)) {
 	// Clamp the window to the user key space so sentinel entries (⊥ in the
 	// head, ⊤ in the tail) are never exposed to fn.
 	if lo <= MinKey {
@@ -113,6 +136,7 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 	cowDecided := false
 	logging := mutate && m.commitHook != nil
 	rcommits := ctx.batch.commits[:0]
+	rcells := ctx.batch.cells[:0]
 	notePre := func(n *node[V]) {
 		if !cowDecided {
 			cowDecided = true
@@ -128,19 +152,20 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 			break
 		}
 		noted := false
-		n.data().ForEachOrdered(func(k int64, v *V) bool {
+		n.data().ForEachOrdered(func(k int64, c vectormap.Cell) bool {
 			if k < lo || k > hi {
 				return true
 			}
-			nv, cont := fn(k, v)
-			if mutate && nv != v {
+			nc, cont := fn(k, c)
+			if mutate {
 				if !noted {
 					noted = true
 					notePre(n)
 				}
-				n.data().Set(k, nv)
+				n.data().Set(k, nc)
 				if logging {
-					rcommits = append(rcommits, CommitOp[V]{Key: k, Val: nv})
+					rcommits = append(rcommits, CommitOp[V]{Key: k})
+					rcells = append(rcells, nc)
 				}
 			}
 			if !cont {
@@ -156,10 +181,17 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, v *V) (
 	// operation's linearization point, so no conflicting write can order
 	// itself between the hook call and the releases below (commit.go).
 	if len(rcommits) > 0 {
+		vals := ctx.commitVals(len(rcommits))
+		for i, c := range rcells {
+			m.load(c, &vals[i])
+			rcommits[i].Val = &vals[i]
+		}
 		m.commitHook(ctx.walUnit, CommitRange, rcommits)
 		clear(rcommits) // don't pin the values past the call
+		clear(rcells)
+		clear(vals)
 	}
-	ctx.batch.commits = rcommits[:0]
+	ctx.batch.commits, ctx.batch.cells = rcommits[:0], rcells[:0]
 
 	// Shrink phase: release everything. Mutating ranges bump sequence
 	// numbers; read-only ranges restore the pre-lock words. The last window

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"skipvector/internal/chaos"
+	"skipvector/internal/vectormap"
 )
 
 // This file implements MVCC snapshots: Map.Snapshot() pins a point-in-time
@@ -63,12 +64,14 @@ import (
 
 // verRecord is one copy-on-write pre-image: the full (sentinel-free,
 // ascending) content a data node held on the epoch interval
-// [installed, superseded). Records are immutable once inserted.
+// [installed, superseded), values as the node stored them (value.go: a
+// boxed value's box is never written again, so sharing it is a copy).
+// Records are immutable once inserted.
 type verRecord[V any] struct {
 	installed  uint64
 	superseded uint64
 	keys       []int64
-	vals       []*V
+	vals       []vectormap.Cell
 }
 
 func (r *verRecord[V]) minKey() int64 { return r.keys[0] }
@@ -117,7 +120,7 @@ func (vs *versionStore[V]) insert(r *verRecord[V]) int {
 // get resolves key k at epoch s from the store. Scanning left from the
 // insertion point for k, the first record visible at s is the unique
 // visible record whose range can contain k.
-func (vs *versionStore[V]) get(s uint64, k int64) (*V, bool) {
+func (vs *versionStore[V]) get(s uint64, k int64) (vectormap.Cell, bool) {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
 	i := sort.Search(len(vs.recs), func(i int) bool { return vs.recs[i].minKey() > k })
@@ -127,15 +130,15 @@ func (vs *versionStore[V]) get(s uint64, k int64) (*V, bool) {
 			continue
 		}
 		if r.maxKey() < k {
-			return nil, false
+			return vectormap.Cell{}, false
 		}
 		j := sort.Search(len(r.keys), func(j int) bool { return r.keys[j] >= k })
 		if j < len(r.keys) && r.keys[j] == k {
 			return r.vals[j], true
 		}
-		return nil, false
+		return vectormap.Cell{}, false
 	}
-	return nil, false
+	return vectormap.Cell{}, false
 }
 
 // collect appends (into out, reused) the records visible at s whose key
@@ -360,8 +363,8 @@ func (m *Map[V]) publishPreImage(n *node[V], e uint64) {
 		return
 	}
 	keys := make([]int64, 0, sz)
-	vals := make([]*V, 0, sz)
-	n.data().ForEachOrdered(func(k int64, v *V) bool {
+	vals := make([]vectormap.Cell, 0, sz)
+	n.data().ForEachOrdered(func(k int64, v vectormap.Cell) bool {
 		if k != MinKey && k != MaxKey {
 			keys = append(keys, k)
 			vals = append(vals, v)
@@ -399,8 +402,25 @@ func inheritVerEpoch[V any](src, dst *node[V]) {
 	}
 }
 
-// Get returns the value bound to k at the snapshot's epoch.
-func (s *Snapshot[V]) Get(k int64) (*V, bool) {
+// Get returns a copy of the value bound to k at the snapshot's epoch (see
+// Map.Lookup for the result pointer).
+func (s *Snapshot[V]) Get(k int64) (v *V, ok bool) {
+	v = new(V)
+	ok = s.GetInto(k, v)
+	return
+}
+
+// GetInto is Get copying the value into *out, which it leaves alone when k
+// is absent.
+func (s *Snapshot[V]) GetInto(k int64, out *V) bool {
+	c, ok := s.get(k)
+	if ok && out != nil {
+		s.m.load(c, out)
+	}
+	return ok
+}
+
+func (s *Snapshot[V]) get(k int64) (vectormap.Cell, bool) {
 	s.check()
 	checkKey(k)
 	m := s.m
@@ -413,7 +433,7 @@ func (s *Snapshot[V]) Get(k int64) (*V, bool) {
 			continue
 		}
 		ve := curr.verEpoch.Load()
-		v, found := curr.data().Get(k)
+		c, found := curr.data().Get(k)
 		if !curr.lock.Validate(ver) {
 			m.restart(ctx, opSnap)
 			continue
@@ -423,7 +443,7 @@ func (s *Snapshot[V]) Get(k int64) (*V, bool) {
 			// The node is unchanged since before the pin, and in-chunk
 			// membership implies current ownership of k, so this is the
 			// pinned version of k.
-			return v, true
+			return c, true
 		}
 		// Either the node moved past the pin (its pinned content is in the
 		// store) or k is absent from its unchanged owner — in which case k
@@ -435,38 +455,43 @@ func (s *Snapshot[V]) Get(k int64) (*V, bool) {
 }
 
 // Contains reports whether k was present at the snapshot's epoch.
-func (s *Snapshot[V]) Contains(k int64) bool {
-	_, ok := s.Get(k)
-	return ok
-}
+func (s *Snapshot[V]) Contains(k int64) bool { return s.GetInto(k, nil) }
 
 // Range calls fn in ascending key order for every pair with lo ≤ k ≤ hi at
 // the snapshot's epoch. fn returning false stops the iteration. The scan
-// never restarts and never blocks writers.
+// never restarts and never blocks writers. v points at a copy that the next
+// call overwrites.
 func (s *Snapshot[V]) Range(lo, hi int64, fn func(k int64, v *V) bool) {
+	s.RangeStored(lo, hi, func(k int64, v *V, _ Stored) bool { return fn(k, v) })
+}
+
+// RangeStored is Range that also reports each value as the map stored it,
+// so a caller can later tell whether the key was rewritten since the
+// snapshot (Stored.Same against Map.RangeStored).
+func (s *Snapshot[V]) RangeStored(lo, hi int64, fn func(k int64, v *V, st Stored) bool) {
 	s.check()
 	checkKey(lo)
 	checkKey(hi)
 	if lo > hi {
 		return
 	}
-	w := s.newWalker(lo, hi)
-	for w.step() {
-		for i := range w.outK {
-			if !fn(w.outK[i], w.outV[i]) {
-				return
-			}
-		}
-	}
+	s.scan(lo, hi, fn)
 }
 
 // Ascend calls fn for every pair in the snapshot in ascending key order.
 func (s *Snapshot[V]) Ascend(fn func(k int64, v *V) bool) {
 	s.check()
-	w := s.newWalker(MinKey+1, MaxKey-1)
+	s.scan(MinKey+1, MaxKey-1, func(k int64, v *V, _ Stored) bool { return fn(k, v) })
+}
+
+// scan walks [lo, hi] for Range, RangeStored and Ascend.
+func (s *Snapshot[V]) scan(lo, hi int64, fn func(k int64, v *V, st Stored) bool) {
+	var v V
+	w := s.newWalker(lo, hi)
 	for w.step() {
-		for i := range w.outK {
-			if !fn(w.outK[i], w.outV[i]) {
+		for i, c := range w.outV {
+			s.m.load(c, &v)
+			if !fn(w.outK[i], &v, Stored{c}) {
 				return
 			}
 		}
@@ -475,8 +500,12 @@ func (s *Snapshot[V]) Ascend(fn func(k int64, v *V) bool) {
 
 // Len counts the snapshot's pairs with a full scan.
 func (s *Snapshot[V]) Len() int {
+	s.check()
 	n := 0
-	s.Ascend(func(int64, *V) bool { n++; return true })
+	w := s.newWalker(MinKey+1, MaxKey-1)
+	for w.step() {
+		n += len(w.outK)
+	}
 	return n
 }
 
@@ -496,18 +525,28 @@ type SnapCursor[V any] struct {
 	i int
 }
 
-// Next returns the next pair, or ok=false when the scan is exhausted.
-func (c *SnapCursor[V]) Next() (int64, *V, bool) {
+// Next returns the next pair, with a copy of its value, or ok=false when
+// the scan is exhausted (see Map.Lookup for the result pointer).
+func (c *SnapCursor[V]) Next() (k int64, v *V, ok bool) {
+	v = new(V)
+	k, ok = c.NextInto(v)
+	return
+}
+
+// NextInto is Next copying the value into *out, which it leaves alone when
+// the scan is exhausted.
+func (c *SnapCursor[V]) NextInto(out *V) (int64, bool) {
 	c.w.s.check()
 	for c.i >= len(c.w.outK) {
 		if !c.w.step() {
-			return 0, nil, false
+			return 0, false
 		}
 		c.i = 0
 	}
-	k, v := c.w.outK[c.i], c.w.outV[c.i]
+	k := c.w.outK[c.i]
+	c.w.s.m.load(c.w.outV[c.i], out)
 	c.i++
-	return k, v, true
+	return k, true
 }
 
 // snapWalker is the restart-free scan engine shared by Range, Ascend and
@@ -526,14 +565,14 @@ type snapWalker[V any] struct {
 
 	// scratch reused across node visits
 	liveK []int64
-	liveV []*V
+	liveV []vectormap.Cell
 	recs  []*verRecord[V]
 	next  *node[V]
 	qual  bool
 
 	// output of the last successful step
 	outK []int64
-	outV []*V
+	outV []vectormap.Cell
 }
 
 // newWalker seeks the data node owning lo via the ordinary hazard-protected
@@ -580,7 +619,7 @@ func (w *snapWalker[V]) readNode() {
 		}
 		qual := n.verEpoch.Load() <= w.s.epoch
 		if qual {
-			n.data().ForEachOrdered(func(k int64, v *V) bool {
+			n.data().ForEachOrdered(func(k int64, v vectormap.Cell) bool {
 				if k != MinKey && k != MaxKey {
 					w.liveK = append(w.liveK, k)
 					w.liveV = append(w.liveV, v)
@@ -632,7 +671,7 @@ func (w *snapWalker[V]) step() bool {
 // disjoint ranges; the only possible duplicate is a record that is the
 // pre-image of the very content just read live (pushed between our read and
 // this query), and since the copies are identical the live pair wins.
-func (w *snapWalker[V]) emitWindow(u int64, liveK []int64, liveV []*V) {
+func (w *snapWalker[V]) emitWindow(u int64, liveK []int64, liveV []vectormap.Cell) {
 	if u > w.hi {
 		u = w.hi
 	}

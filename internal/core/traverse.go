@@ -169,16 +169,14 @@ func (m *Map[V]) mergeOrphan(
 	if next.isIndex() != curr.isIndex() {
 		panic("core: merging nodes from different layer classes")
 	}
-	if curr.isIndex() {
-		curr.index().AbsorbFrom(next.index())
-	} else {
+	if !curr.isIndex() {
 		// One epoch covers the whole merge: both pre-images (the absorber's
 		// and the emptied source's) are published before either chunk moves,
 		// so a snapshot pinned before this point reads the pair from the
 		// version store and skips both nodes' live content (snapshot.go).
 		m.noteDataWrite2(curr, next)
-		curr.data().AbsorbFrom(next.data())
 	}
+	curr.chunk.AbsorbFrom(&next.chunk)
 	curr.next.Store(next.next.Load())
 	ctx.retire(next)
 	next.lock.Release()

@@ -1,14 +1,17 @@
 package core
 
+import "skipvector/internal/vectormap"
+
 // Upsert adds or overwrites the mapping k→v, returning true when k was newly
 // inserted and false when an existing value was overwritten. A fresh insert
 // linearizes as Insert does; an overwrite linearizes at the release of the
 // owning data node's lock.
 func (m *Map[V]) Upsert(k int64, v *V) bool {
 	checkKey(k)
+	c := m.cellOf(v)
 	ctx := m.ctxs.get()
 	defer m.ctxs.put(ctx)
-	return m.upsertWithHeight(ctx, k, v, ctx.randomHeight())
+	return m.upsertWithHeight(ctx, k, c, ctx.randomHeight())
 }
 
 // upsertWithHeight is the upsert loop at a caller-chosen tower height (shared
@@ -16,7 +19,7 @@ func (m *Map[V]) Upsert(k int64, v *V) bool {
 // insert and overwrite attempts alternate until one of them wins: each
 // settles the key's presence at its own linearization point, and a mismatch
 // (the key appeared or vanished in between) simply takes the other path.
-func (m *Map[V]) upsertWithHeight(ctx *opCtx[V], k int64, v *V, height int) bool {
+func (m *Map[V]) upsertWithHeight(ctx *opCtx[V], k int64, v vectormap.Cell, height int) bool {
 	for {
 		if m.insertWithHeight(ctx, k, v, height) {
 			return true
@@ -35,7 +38,7 @@ func (m *Map[V]) upsertWithHeight(ctx *opCtx[V], k int64, v *V, height int) bool
 // owning data node (finger fast path first), upgrade, and store the new
 // payload. done=false requests a restart; (false, true) is a validated
 // observation that k is absent.
-func (m *Map[V]) setOnce(ctx *opCtx[V], k int64, v *V) (updated, done bool) {
+func (m *Map[V]) setOnce(ctx *opCtx[V], k int64, v vectormap.Cell) (updated, done bool) {
 	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint)
 	if !hit {
 		var ok bool

@@ -99,11 +99,18 @@ func (h *Handle[V]) writeEnter(k int64) (i int, gen uint64, stripe uint32) {
 }
 
 // Lookup is Sharded.Lookup through the pinned sessions.
-func (h *Handle[V]) Lookup(k int64) (*V, bool) {
+func (h *Handle[V]) Lookup(k int64) (v *V, ok bool) {
+	v = new(V)
+	ok = h.LookupInto(k, v)
+	return
+}
+
+// LookupInto is Sharded.LookupInto through the pinned sessions.
+func (h *Handle[V]) LookupInto(k int64, out *V) bool {
 	t := h.rebind()
 	i := t.indexOf(k)
 	t.load[i].inc(k)
-	return h.at(i).Lookup(k)
+	return h.at(i).LookupInto(k, out)
 }
 
 // Contains is Sharded.Contains through the pinned sessions.
@@ -174,27 +181,41 @@ func (h *Handle[V]) ApplyBatch(ops []core.BatchOp[V]) []core.BatchResult {
 }
 
 // Floor is Sharded.Floor through the pinned sessions.
-func (h *Handle[V]) Floor(k int64) (int64, *V, bool) {
+func (h *Handle[V]) Floor(k int64) (key int64, v *V, ok bool) {
+	v = new(V)
+	key, ok = h.FloorInto(k, v)
+	return
+}
+
+// FloorInto is Sharded.FloorInto through the pinned sessions.
+func (h *Handle[V]) FloorInto(k int64, out *V) (int64, bool) {
 	t := h.rebind()
 	t.load[t.indexOf(k)].inc(k)
 	for i := t.indexOf(k); i >= 0; i-- {
-		if fk, v, ok := h.at(i).Floor(k); ok {
-			return fk, v, true
+		if fk, ok := h.at(i).FloorInto(k, out); ok {
+			return fk, true
 		}
 	}
-	return 0, nil, false
+	return 0, false
 }
 
 // Ceiling is Sharded.Ceiling through the pinned sessions.
-func (h *Handle[V]) Ceiling(k int64) (int64, *V, bool) {
+func (h *Handle[V]) Ceiling(k int64) (key int64, v *V, ok bool) {
+	v = new(V)
+	key, ok = h.CeilingInto(k, v)
+	return
+}
+
+// CeilingInto is Sharded.CeilingInto through the pinned sessions.
+func (h *Handle[V]) CeilingInto(k int64, out *V) (int64, bool) {
 	t := h.rebind()
 	t.load[t.indexOf(k)].inc(k)
 	for i := t.indexOf(k); i < len(t.maps); i++ {
-		if ck, v, ok := h.at(i).Ceiling(k); ok {
-			return ck, v, true
+		if ck, ok := h.at(i).CeilingInto(k, out); ok {
+			return ck, true
 		}
 	}
-	return 0, nil, false
+	return 0, false
 }
 
 // First returns the smallest key across all shards.

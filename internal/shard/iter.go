@@ -47,8 +47,9 @@ func (s *Sharded[V]) RangeQuery(lo, hi int64, fn func(k int64, v *V) bool) {
 }
 
 // RangeUpdate applies fn to every k→v with lo ≤ k ≤ hi in ascending key
-// order, storing each returned pointer, and reports how many entries were
-// visited. Updates are atomic per shard segment, not across the whole window.
+// order, storing a copy of each returned value, and reports how many entries
+// were visited. Updates are atomic per shard segment, not across the whole
+// window.
 // Each segment is a gated write: a concurrent migration drains it, and a
 // segment over a sealed shard parks until the successor table lands (the
 // seal covers whole shard intervals, so one covers-check decides for the

@@ -25,8 +25,9 @@ import (
 //  6. reconcile — diff the frozen sources against the copied baseline and
 //                 fix the destinations: upsert keys that changed or
 //                 appeared after the snapshots, delete keys that vanished.
-//                 The copy shares value pointers with the sources, so
-//                 pointer inequality is exactly "changed since snapshot".
+//                 "Changed" compares each key's stored value
+//                 (core.Stored.Same): its bits in an inline map, its box
+//                 in a boxed one, which the baseline keeps alive.
 //  7. publish   — swap in T2 with the new boundaries and destination maps
 //                 spliced over the sources. Closing T1's swap channel
 //                 releases the parked writers, which re-route against T2.
@@ -99,10 +100,11 @@ func (s *Sharded[V]) MergeShards(i int) (Migration, error) {
 	return m, err
 }
 
-// migPair is one copied key→value, retained as the reconcile baseline.
-type migPair[V any] struct {
+// migPair is one copied key with its value as the source stored it,
+// retained as the reconcile baseline.
+type migPair struct {
 	k int64
-	v *V
+	v core.Stored
 }
 
 // migrate replaces shards first..last of t with len(newSplits)+1 fresh maps
@@ -161,8 +163,9 @@ func (s *Sharded[V]) migrate(t *table[V], first, last int, newSplits []int64, ki
 	if chaos.Fail(chaos.ShardRebalance) {
 		return abort()
 	}
-	var baseline []migPair[V]
+	var baseline []migPair
 	buf := make([]core.BatchOp[V], 0, migrateBatchSize)
+	bufVals := make([]V, migrateBatchSize) // buf's values: callback copies are reused
 	bufDest := -1
 	flush := func() {
 		if len(buf) > 0 {
@@ -171,17 +174,18 @@ func (s *Sharded[V]) migrate(t *table[V], first, last int, newSplits []int64, ki
 		}
 	}
 	for _, sn := range snaps {
-		sn.Range(lo, hi-1, func(k int64, v *V) bool {
+		sn.RangeStored(lo, hi-1, func(k int64, v *V, st core.Stored) bool {
 			if s.snapObserver != nil {
 				s.snapObserver(k, v)
 			}
-			baseline = append(baseline, migPair[V]{k, v})
+			baseline = append(baseline, migPair{k, st})
 			d := destOf(k)
 			if d != bufDest || len(buf) == migrateBatchSize {
 				flush()
 				bufDest = d
 			}
-			buf = append(buf, core.BatchOp[V]{Key: k, Val: v})
+			bufVals[len(buf)] = *v
+			buf = append(buf, core.BatchOp[V]{Key: k, Val: &bufVals[len(buf)]})
 			return true
 		})
 	}
@@ -216,9 +220,13 @@ func (s *Sharded[V]) migrate(t *table[V], first, last int, newSplits []int64, ki
 		return abort()
 	}
 	var fixes []core.BatchOp[V]
+	upsert := func(k int64, v *V) {
+		cp := *v // v is the callback's reused copy
+		fixes = append(fixes, core.BatchOp[V]{Key: k, Val: &cp})
+	}
 	bi := 0
 	for i := first; i <= last; i++ {
-		t.maps[i].RangeQuery(lo, hi-1, func(k int64, v *V) bool {
+		t.maps[i].RangeStored(lo, hi-1, func(k int64, v *V, st core.Stored) bool {
 			for bi < len(baseline) && baseline[bi].k < k {
 				// In the baseline, gone from the live source: deleted after
 				// the snapshot. Remove it from its destination.
@@ -226,15 +234,12 @@ func (s *Sharded[V]) migrate(t *table[V], first, last int, newSplits []int64, ki
 				bi++
 			}
 			if bi < len(baseline) && baseline[bi].k == k {
-				if baseline[bi].v != v {
-					// Same key, different pointer: upserted after the
-					// snapshot (copies share pointers with the sources).
-					fixes = append(fixes, core.BatchOp[V]{Key: k, Val: v})
+				if !baseline[bi].v.Same(st) {
+					upsert(k, v) // same key, value rewritten after the snapshot
 				}
 				bi++
 			} else {
-				// Live but never copied: inserted after the snapshot.
-				fixes = append(fixes, core.BatchOp[V]{Key: k, Val: v})
+				upsert(k, v) // live but never copied: inserted after the snapshot
 			}
 			return true
 		})

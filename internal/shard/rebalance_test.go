@@ -135,7 +135,7 @@ func TestMigrationReconcileCarriesDelta(t *testing.T) {
 		// see them) and the seal is not yet published (so they land in the
 		// source). Reconcile must carry all three.
 		nv := int64(9999)
-		s.Upsert(10, &nv) // changed value → pointer differs from baseline
+		s.Upsert(10, &nv) // changed value → stored value differs from baseline
 		iv := int64(7777)
 		s.Upsert(13, &iv) // key the snapshot never had
 		s.Remove(20)      // key the snapshot did have
@@ -161,6 +161,59 @@ func TestMigrationReconcileCarriesDelta(t *testing.T) {
 		t.Fatal("deleted key resurrected")
 	}
 	mustCheck(t, s)
+}
+
+// TestMigrationReconcileComparesStoredValues upserts a copied key to a new
+// value between the snapshot pin and the seal, and re-upserts another to the
+// value it already had, once on a map that stores values inline and once on
+// one that boxes them. The destination must end up with the new value
+// either way. Reconcile compares what the source stores: the inline map's
+// re-upsert leaves the same bits, a no-op, while the boxed map's leaves a
+// new box and is carried over again.
+func TestMigrationReconcileComparesStoredValues(t *testing.T) {
+	t.Run("inline", func(t *testing.T) {
+		reconcileStoredValues(t, func(x int64) int64 { return x }, 1)
+	})
+	t.Run("boxed", func(t *testing.T) {
+		reconcileStoredValues(t, func(x int64) string { return fmt.Sprint("v", x) }, 2)
+	})
+}
+
+func reconcileStoredValues[V comparable](t *testing.T, enc func(int64) V, wantFixes int) {
+	s, err := New[V](tinyCfg(), []int64{100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 100; k += 5 {
+		v := enc(k)
+		s.Upsert(k, &v)
+	}
+	observed := false
+	s.snapObserver = func(int64, *V) {
+		if observed {
+			return
+		}
+		observed = true
+		nv, same := enc(1000), enc(15)
+		s.Upsert(10, &nv)
+		s.Upsert(15, &same)
+	}
+	rep, err := s.SplitShard(0, 50)
+	s.snapObserver = nil
+	if err != nil || rep.Aborted {
+		t.Fatalf("SplitShard: %+v, %v", rep, err)
+	}
+	if rep.Reconciled != wantFixes {
+		t.Fatalf("reconciled %d fixes, want %d", rep.Reconciled, wantFixes)
+	}
+	for k, want := range map[int64]V{10: enc(1000), 15: enc(15), 20: enc(20)} {
+		if v, ok := s.Lookup(k); !ok || *v != want {
+			t.Fatalf("key %d in the destination = %v, %t; want %v", k, *v, ok, want)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSealParksWriters proves the write redirect: a write into the sealed

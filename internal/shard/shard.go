@@ -317,12 +317,20 @@ func (s *Sharded[V]) Upsert(k int64, v *V) bool {
 	return ok
 }
 
-// Lookup returns the value mapped to k.
-func (s *Sharded[V]) Lookup(k int64) (*V, bool) {
+// Lookup returns a copy of the value mapped to k (core.Map.Lookup has the
+// result pointer's rules).
+func (s *Sharded[V]) Lookup(k int64) (v *V, ok bool) {
+	v = new(V)
+	ok = s.LookupInto(k, v)
+	return
+}
+
+// LookupInto is Lookup copying the value into *out.
+func (s *Sharded[V]) LookupInto(k int64, out *V) bool {
 	t := s.tab.Load()
 	i := t.indexOf(k)
 	t.load[i].inc(k)
-	return t.maps[i].Lookup(k)
+	return t.maps[i].LookupInto(k, out)
 }
 
 // Contains reports whether k is present.
@@ -351,35 +359,49 @@ func (s *Sharded[V]) Len() int {
 	return total
 }
 
-// Floor returns the largest key ≤ k and its value, searching the owning
-// shard first and walking left across emptier shards as needed.
-func (s *Sharded[V]) Floor(k int64) (int64, *V, bool) {
+// Floor returns the largest key ≤ k and a copy of its value, searching the
+// owning shard first and walking left across emptier shards as needed.
+func (s *Sharded[V]) Floor(k int64) (key int64, v *V, ok bool) {
+	v = new(V)
+	key, ok = s.FloorInto(k, v)
+	return
+}
+
+// FloorInto is Floor copying the value into *out.
+func (s *Sharded[V]) FloorInto(k int64, out *V) (int64, bool) {
 	t := s.tab.Load()
 	start := t.indexOf(k)
 	t.load[start].inc(k)
 	for i := start; i >= 0; i-- {
-		if fk, v, ok := t.maps[i].Floor(k); ok {
-			return fk, v, true
+		if fk, ok := t.maps[i].FloorInto(k, out); ok {
+			return fk, true
 		}
 	}
-	return 0, nil, false
+	return 0, false
 }
 
-// Ceiling returns the smallest key ≥ k and its value, walking right from the
-// owning shard.
-func (s *Sharded[V]) Ceiling(k int64) (int64, *V, bool) {
+// Ceiling returns the smallest key ≥ k and a copy of its value, walking
+// right from the owning shard.
+func (s *Sharded[V]) Ceiling(k int64) (key int64, v *V, ok bool) {
+	v = new(V)
+	key, ok = s.CeilingInto(k, v)
+	return
+}
+
+// CeilingInto is Ceiling copying the value into *out.
+func (s *Sharded[V]) CeilingInto(k int64, out *V) (int64, bool) {
 	t := s.tab.Load()
 	start := t.indexOf(k)
 	t.load[start].inc(k)
 	for i := start; i < len(t.maps); i++ {
-		if ck, v, ok := t.maps[i].Ceiling(k); ok {
-			return ck, v, true
+		if ck, ok := t.maps[i].CeilingInto(k, out); ok {
+			return ck, true
 		}
 	}
-	return 0, nil, false
+	return 0, false
 }
 
-// First returns the smallest key and its value across all shards.
+// First returns the smallest key and a copy of its value across all shards.
 func (s *Sharded[V]) First() (int64, *V, bool) {
 	for _, m := range s.tab.Load().maps {
 		if k, v, ok := m.First(); ok {
@@ -389,7 +411,7 @@ func (s *Sharded[V]) First() (int64, *V, bool) {
 	return 0, nil, false
 }
 
-// Last returns the largest key and its value across all shards.
+// Last returns the largest key and a copy of its value across all shards.
 func (s *Sharded[V]) Last() (int64, *V, bool) {
 	maps := s.tab.Load().maps
 	for i := len(maps) - 1; i >= 0; i-- {

@@ -61,8 +61,8 @@ func TestBlockGrowsWhenFull(t *testing.T) {
 				}
 				c := filled(target, n+1, sorted)
 				if n == before {
-					if bc := blockCap(c); bc != capFor(room(n), limit) {
-						t.Fatalf("T=%d: grew a full block of %d to %d cells, want %d", target, n, bc, capFor(room(n), limit))
+					if bc := blockCap(c); bc != capFor(room(n), limit, false) {
+						t.Fatalf("T=%d: grew a full block of %d to %d cells, want %d", target, n, bc, capFor(room(n), limit, false))
 					}
 				}
 				if err := c.CheckInvariants(); err != nil {
@@ -94,7 +94,7 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 				got := allocsPerOp(func() *Chunk[int64] { return drained(n) },
 					func(c *Chunk[int64]) { c.Remove(int64(2 * (n - 1))) })
 				left := n - 1
-				shrinks := left > 0 && left < before/2 && capFor(room(left), limit) < before
+				shrinks := left > 0 && left < before/2 && capFor(room(left), limit, false) < before
 				want := 0.0
 				if shrinks {
 					want = 1
@@ -106,8 +106,8 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 				switch bc := blockCap(c); {
 				case left == 0 && c.blk.Load() != &emptyBlock:
 					t.Fatalf("T=%d: empty chunk kept a block of %d cells", target, bc)
-				case shrinks && bc != capFor(room(left), limit):
-					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit))
+				case shrinks && bc != capFor(room(left), limit, false):
+					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit, false))
 				case !shrinks && left > 0 && bc != before:
 					t.Fatalf("T=%d: removal leaving %d of %d cells resized to %d", target, left, before, bc)
 				}
@@ -148,9 +148,9 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 			t.Fatalf("capacity split took %v allocations, want %v", got, want)
 		}
 		for _, d := range dsts {
-			if d.Size() != target || blockCap(d) != capFor(room(target), limit) {
+			if d.Size() != target || blockCap(d) != capFor(room(target), limit, false) {
 				t.Fatalf("split destination holds %d in %d cells, want %d in %d",
-					d.Size(), blockCap(d), target, capFor(room(target), limit))
+					d.Size(), blockCap(d), target, capFor(room(target), limit, false))
 			}
 		}
 		next = dstPool()
@@ -164,7 +164,7 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 		for _, tc := range []struct {
 			k            int64
 			kept, shrunk int
-		}{{60, 31, 0}, {10, 6, capFor(room(6), limit)}} {
+		}{{60, 31, 0}, {10, 6, capFor(room(6), limit, false)}} {
 			c := filled(target, 40, sorted)
 			before := blockCap(c)
 			c.MoveGreaterTo(tc.k, filled(target, 0, sorted))
@@ -423,6 +423,57 @@ func TestChunkConcurrentResize(t *testing.T) {
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestWordCellsFollowTheSizingPolicy runs a word-celled chunk through the
+// same grow, shrink, split and merge steps as the pointer-celled tests
+// above: every resize lands on the word-cell size class, every value —
+// including 0 — survives each block copy, and the chunk invariant holds
+// throughout.
+func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
+	const target, limit = 32, 64
+	bothPolicies(t, func(t *testing.T, sorted bool) {
+		word := func(k int64) Cell { return Cell{Word: uint64(k) * 3} }
+		var c, d Cells
+		c.InitWords(target, sorted)
+		d.InitWords(target, sorted)
+		check := func(ch *Cells, keys ...int64) {
+			t.Helper()
+			if err := ch.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				if v, ok := ch.Get(k); !ok || v != word(k) {
+					t.Fatalf("Get(%d) = %+v, %t", k, v, ok)
+				}
+			}
+		}
+		var keys []int64
+		for n := 0; n < limit; n++ {
+			before := int(c.blk.Load().cap)
+			c.Insert(int64(n), word(int64(n)))
+			keys = append(keys, int64(n))
+			if n == before {
+				if bc := int(c.blk.Load().cap); bc != capFor(room(n), limit, true) {
+					t.Fatalf("grew a full block of %d to %d cells, want %d", n, bc, capFor(room(n), limit, true))
+				}
+			}
+			check(&c, keys...)
+		}
+		pivot := c.SplitUpperHalfTo(&d)
+		check(&c, keys[:pivot]...)
+		check(&d, keys[pivot:]...)
+		c.AbsorbFrom(&d)
+		check(&c, keys...)
+		for len(keys) > 1 {
+			k := keys[len(keys)-1]
+			keys = keys[:len(keys)-1]
+			if v, ok := c.Remove(k); !ok || v != word(k) {
+				t.Fatalf("Remove(%d) = %+v, %t", k, v, ok)
+			}
+			check(&c, keys...)
 		}
 	})
 }

@@ -7,8 +7,10 @@ import (
 )
 
 // FuzzChunkModel drives a chunk with an op byte-stream cross-checked
-// against a map model. Run with `go test -fuzz FuzzChunkModel` for
-// continuous fuzzing; `go test` replays the seed corpus.
+// against a map model, and a word-celled twin (InitWords) with the same ops,
+// whose payload words — 0 included — must match the model too. Run with
+// `go test -fuzz FuzzChunkModel` for continuous fuzzing; `go test` replays
+// the seed corpus.
 func FuzzChunkModel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, true)
 	f.Add([]byte{10, 200, 30, 40, 5, 60, 7, 80}, false)
@@ -16,7 +18,9 @@ func FuzzChunkModel(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ops []byte, sorted bool) {
 		var c Chunk[int64]
+		var w Cells
 		c.Init(4, sorted) // capacity 8
+		w.InitWords(4, sorted)
 		model := map[int64]int64{}
 		for _, b := range ops {
 			k := int64(b % 16)
@@ -27,6 +31,9 @@ func FuzzChunkModel(f *testing.F) {
 				}
 				_, inModel := model[k]
 				got := c.Insert(k, val(k*7))
+				if w.Insert(k, Cell{Word: uint64(k * 7)}) != got {
+					t.Fatalf("word-celled Insert(%d) disagrees", k)
+				}
 				if got == inModel {
 					t.Fatalf("Insert(%d) = %t, model has=%t", k, got, inModel)
 				}
@@ -36,6 +43,9 @@ func FuzzChunkModel(f *testing.F) {
 			case 1:
 				_, inModel := model[k]
 				_, got := c.Remove(k)
+				if wv, wgot := w.Remove(k); wgot != got || got && wv.Word != uint64(k*7) {
+					t.Fatalf("word-celled Remove(%d) = %d, %t", k, wv.Word, wgot)
+				}
 				if got != inModel {
 					t.Fatalf("Remove(%d) = %t, model has=%t", k, got, inModel)
 				}
@@ -46,11 +56,17 @@ func FuzzChunkModel(f *testing.F) {
 				if got != inModel || (got && *v != mv) {
 					t.Fatalf("Get(%d) mismatch", k)
 				}
+				if wv, wgot := w.Get(k); wgot != got || got && wv.Word != uint64(mv) {
+					t.Fatalf("word-celled Get(%d) = %d, %t", k, wv.Word, wgot)
+				}
 			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("invariants: %v", err)
 			}
-			if c.Size() != len(model) {
+			if err := w.CheckInvariants(); err != nil {
+				t.Fatalf("word-celled invariants: %v", err)
+			}
+			if c.Size() != len(model) || w.Size() != len(model) {
 				t.Fatalf("size %d != model %d", c.Size(), len(model))
 			}
 		}

@@ -1,6 +1,7 @@
 package vectormap
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -47,21 +48,23 @@ func TestChunkLayoutIndependentOfPayload(t *testing.T) {
 	}
 }
 
-// TestViewRoundTrip drives a chunk through a converted view the way a data
-// node does: the storage is declared with one payload type and every access
-// goes through a view of another. Under -race this also runs checkptr over
-// the conversion.
+// TestViewRoundTrip drives a chunk through its untyped view the way a data
+// node of a word-valued map does: the storage is declared as a typed chunk
+// of pointers, InitWords makes its cells words, and every access goes
+// through Cells. Zero is a live value like any other, and Init turns the
+// same storage back into a pointer-celled chunk. Under -race this also runs
+// checkptr over the cell arithmetic.
 func TestViewRoundTrip(t *testing.T) {
-	type wide struct{ a, b, c, d uint64 }
 	bothPolicies(t, func(t *testing.T, sorted bool) {
 		var store Chunk[struct{ p *int }]
-		store.Init(4, sorted)
-		c := View[wide](&store)
-		if c.Cap() != 8 || c.Sorted() != sorted {
-			t.Fatalf("view sees cap=%d sorted=%t", c.Cap(), c.Sorted())
+		store.InitWords(4, sorted)
+		c := &store.Cells
+		if c.Cap() != 8 || c.Sorted() != sorted || !c.Words() {
+			t.Fatalf("view sees cap=%d sorted=%t words=%t", c.Cap(), c.Sorted(), c.Words())
 		}
+		word := func(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 } // 0 for k = 0
 		for k := int64(7); k >= 0; k-- {
-			if !c.Insert(k, &wide{a: uint64(k), d: ^uint64(k)}) {
+			if !c.Insert(k, Cell{Word: word(k)}) {
 				t.Fatalf("Insert(%d) failed", k)
 			}
 		}
@@ -70,26 +73,78 @@ func TestViewRoundTrip(t *testing.T) {
 		}
 		for k := int64(0); k < 8; k++ {
 			v, ok := c.Get(k)
-			if !ok || v.a != uint64(k) || v.d != ^uint64(k) {
+			if !ok || v != (Cell{Word: word(k)}) {
 				t.Fatalf("Get(%d) = %+v, %t", k, v, ok)
 			}
 		}
 		for k := int64(0); k < 8; k += 2 {
-			if v, ok := c.Remove(k); !ok || v.a != uint64(k) {
+			if v, ok := c.Remove(k); !ok || v.Word != word(k) {
 				t.Fatalf("Remove(%d) = %+v, %t", k, v, ok)
 			}
+		}
+		if k, v, ok := c.FindLE(2); !ok || k != 1 || v.Word != word(1) {
+			t.Fatalf("FindLE(2) = %d, %+v, %t", k, v, ok)
 		}
 		if err := store.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		store.Init(4, sorted)
-		if c.Size() != 0 {
-			t.Fatalf("view sees size=%d after reset", c.Size())
+		if c.Size() != 0 || c.Words() {
+			t.Fatalf("view sees size=%d words=%t after reset", c.Size(), c.Words())
 		}
+		store.Insert(3, &struct{ p *int }{})
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// hasPointers reports whether a value of type t holds anything the collector
+// scans: the reflect-level equivalent of the runtime's PtrBytes != 0.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Slice, reflect.String, reflect.Interface:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestBlockShapeScansOnlyPointerCells: a word-celled block's type holds no
+// pointers, so the allocator places it noscan and the collector never reads
+// it; a pointer-celled block's type holds exactly its payload cells as
+// pointers. Both kinds keep the cap, keys, vals layout, with 8-byte word
+// cells and pointer-sized pointer cells on every platform, and each fills
+// its own size class.
+func TestBlockShapeScansOnlyPointerCells(t *testing.T) {
+	for _, c := range []int{1, 5, 16, 64} {
+		words, ptrs := shapeOf(c, true), shapeOf(c, false)
+		if hasPointers(words.typ) {
+			t.Fatalf("word block of %d cells has pointers: %v", c, words.typ)
+		}
+		if !hasPointers(ptrs.typ) || hasPointers(ptrs.typ.Field(1).Type) {
+			t.Fatalf("pointer block of %d cells scans the wrong fields: %v", c, ptrs.typ)
+		}
+		if got := words.typ.Size(); got != keysOff+uintptr(c)*(cellSize+8) {
+			t.Fatalf("word block of %d cells is %d bytes", c, got)
+		}
+		if got := ptrs.typ.Size(); got != keysOff+uintptr(c)*(cellSize+ptrSize) {
+			t.Fatalf("pointer block of %d cells is %d bytes", c, got)
+		}
+		for _, s := range []*shape{words, ptrs} {
+			if s.fit < c {
+				t.Fatalf("a block of %d cells reports room for %d", c, s.fit)
+			}
+		}
+	}
 }
 
 // TestInitLeavesOldBlockAlone covers both halves of the recycled-chunk

@@ -129,7 +129,7 @@ const keyLine = 64 / int(cellSize)
 // addresses therefore come from a size not clamped to the block's capacity
 // and may lie past its end, which is harmless for a hint (cpuhint.Prefetch
 // takes addresses, not pointers).
-func (c *chunk) PrefetchKeys() {
+func (c *Cells) PrefetchKeys() {
 	s := uintptr(c.size.Load())
 	if s == 0 || s > uintptr(c.limit) {
 		return

@@ -65,77 +65,90 @@ const (
 	PosInf = math.MaxInt64
 )
 
-// Chunk is a bounded map from int64 keys to *P payloads. In the skip vector,
-// P is the value type for data-layer chunks and the node type for
-// index-layer chunks (the payload is the "down" pointer).
-//
-// Chunk only types the payloads: its methods convert them and call chunk,
-// which stores payloads as untyped pointers and holds every loop over cells.
-// chunk is compiled once, in this package. A generic method body is compiled
-// in each package that instantiates it, where this package's unexported cell
-// accessors are not inlined, so a scan there would pay a call per key read.
-//
-// The zero value is unusable; call Init.
-type Chunk[P any] struct{ chunk }
+// Cell is the content of one payload cell. A pointer-celled chunk stores Ptr
+// and ignores Word; a word-celled chunk (InitWords) stores Word, 8 bytes the
+// collector never scans, and ignores Ptr. The zero Cell is a nil pointer or
+// the word 0, and both are valid payloads, so no cell content means "empty":
+// the chunk's size alone says which cells are live.
+type Cell struct {
+	Ptr  unsafe.Pointer
+	Word uint64
+}
 
-type chunk struct {
+// Cells is a bounded map from int64 keys to payload cells: the chunk itself.
+// Its methods hold every loop over cells and are compiled once, in this
+// package. Chunk[P] types the payloads of a pointer-celled chunk; a skip
+// vector data node whose values fit in a word reads and writes its Cells
+// directly.
+//
+// The zero value is unusable; call Init or InitWords.
+type Cells struct {
 	blk    atomic.Pointer[block]
 	size   atomic.Int32
 	limit  int32 // the logical capacity, 2×targetSize
 	sorted bool
+	words  bool // payload cells are words, not pointers
 }
 
-// View reinterprets c as a chunk of payload type Q over the same memory. A
-// skip vector node holds one chunk and reads it as key → value at the data
-// layer and as key → child node in the index layers.
+// Chunk is a Cells whose payloads are *P pointers. In the skip vector, P is
+// the node type for index-layer chunks (the payload is the "down" pointer)
+// and the value type for the data chunks of a map whose values are boxed.
 //
-// The conversion is sound because Chunk's layout does not depend on P: it is
-// a chunk, whose block stores payloads as untyped pointer words, so size,
-// field offsets and the collector's pointer map are the same for every
-// instantiation (TestChunkLayoutIndependentOfPayload pins this). What
-// the layout cannot guarantee is the payloads themselves: every payload
-// stored through one view must only ever be loaded through a view of the
-// same Q.
-func View[Q, P any](c *Chunk[P]) *Chunk[Q] {
-	return (*Chunk[Q])(unsafe.Pointer(c))
-}
+// A generic method body is compiled in each package that instantiates it,
+// where this package's unexported cell accessors are not inlined, so Chunk's
+// methods only convert payloads and call Cells, which scans at full speed.
+// They are valid only on a pointer-celled chunk (Init, not InitWords).
+//
+// The zero value is unusable; call Init.
+type Chunk[P any] struct{ Cells }
 
-// Init prepares an empty chunk with logical capacity 2×targetSize. It may be
-// called again on a recycled chunk to reset it: the chunk drops its block
-// for the shared empty one, leaving the old block untouched for any reader
-// still working from it.
-func (c *chunk) Init(targetSize int, sorted bool) {
+// Init prepares an empty pointer-celled chunk with logical capacity
+// 2×targetSize. It may be called again on a recycled chunk to reset it: the
+// chunk drops its block for the shared empty one, leaving the old block
+// untouched for any reader still working from it.
+func (c *Cells) Init(targetSize int, sorted bool) { c.init(targetSize, sorted, false) }
+
+// InitWords is Init for a chunk whose payload cells are 8-byte words (Cell.Word)
+// rather than pointers: its blocks hold no pointers, and the collector does
+// not scan them.
+func (c *Cells) InitWords(targetSize int, sorted bool) { c.init(targetSize, sorted, true) }
+
+func (c *Cells) init(targetSize int, sorted, words bool) {
 	if targetSize < 1 {
 		panic(fmt.Sprintf("vectormap: targetSize %d < 1", targetSize))
 	}
 	c.limit = int32(2 * targetSize)
 	c.sorted = sorted
+	c.words = words
 	c.size.Store(0)
 	c.blk.Store(&emptyBlock)
 }
 
 // Sorted reports whether this chunk keeps its keys in ascending order.
-func (c *chunk) Sorted() bool { return c.sorted }
+func (c *Cells) Sorted() bool { return c.sorted }
+
+// Words reports whether this chunk's payload cells are words (InitWords).
+func (c *Cells) Words() bool { return c.words }
 
 // Cap returns the chunk's logical capacity (2×targetSize), which its block
 // never exceeds.
-func (c *chunk) Cap() int { return int(c.limit) }
+func (c *Cells) Cap() int { return int(c.limit) }
 
 // Size returns the current number of elements. Under optimistic readers it
 // is a snapshot that must be validated by the node's sequence lock.
-func (c *chunk) Size() int {
+func (c *Cells) Size() int {
 	_, s := c.load()
 	return s
 }
 
 // Full reports whether the chunk is at its logical capacity. Caller must
 // hold the write lock.
-func (c *chunk) Full() bool { return c.size.Load() >= c.limit }
+func (c *Cells) Full() bool { return c.size.Load() >= c.limit }
 
 // load is every read path's single load of the block, with the size clamped
 // into [0, that block's capacity], so that concurrent readers can never
 // index outside the block they read even if they observe a torn state.
-func (c *chunk) load() (*block, int) {
+func (c *Cells) load() (*block, int) {
 	b := c.blk.Load()
 	s := int(c.size.Load())
 	if s < 0 {
@@ -149,10 +162,42 @@ func (c *chunk) load() (*block, int) {
 
 // owned returns the block and the exact size to a writer, which holds the
 // lock and so may trust size ≤ b.cap.
-func (c *chunk) owned() (*block, int) { return c.blk.Load(), int(c.size.Load()) }
+func (c *Cells) owned() (*block, int) { return c.blk.Load(), int(c.size.Load()) }
+
+// cell loads payload cell i of b.
+func (c *Cells) cell(b *block, i int) Cell {
+	if c.words {
+		return Cell{Word: b.word(i).Load()}
+	}
+	return Cell{Ptr: b.loadVal(i)}
+}
+
+// setCell stores v into payload cell i of b.
+func (c *Cells) setCell(b *block, i int, v Cell) {
+	if c.words {
+		b.word(i).Store(v.Word)
+	} else {
+		b.storeVal(i, v.Ptr)
+	}
+}
+
+// copyCell copies the key and payload of src's cell i into dst's cell j.
+func (c *Cells) copyCell(dst *block, j int, src *block, i int) {
+	dst.key(j).Store(src.key(i).Load())
+	c.setCell(dst, j, c.cell(src, i))
+}
+
+// clearCell drops the pointer in cell i, which is past the live prefix, so
+// it keeps nothing alive. A word cell holds nothing the collector sees and
+// is left as it is.
+func (c *Cells) clearCell(b *block, i int) {
+	if !c.words {
+		b.storeVal(i, nil)
+	}
+}
 
 // MinKey returns the smallest key, or ok=false when empty.
-func (c *chunk) MinKey() (int64, bool) {
+func (c *Cells) MinKey() (int64, bool) {
 	b, s := c.load()
 	if s == 0 {
 		return 0, false
@@ -170,7 +215,7 @@ func (c *chunk) MinKey() (int64, bool) {
 }
 
 // MaxKey returns the largest key, or ok=false when empty.
-func (c *chunk) MaxKey() (int64, bool) {
+func (c *Cells) MaxKey() (int64, bool) {
 	b, s := c.load()
 	if s == 0 {
 		return 0, false
@@ -191,7 +236,7 @@ func (c *chunk) MaxKey() (int64, bool) {
 // when the chunk is empty. It is the cheaper equivalent of calling MinKey and
 // MaxKey back to back, used by hot paths that need both ends of the chunk's
 // key span (the search-finger ownership check).
-func (c *chunk) Bounds() (minK, maxK int64, ok bool) {
+func (c *Cells) Bounds() (minK, maxK int64, ok bool) {
 	b, s := c.load()
 	if s == 0 {
 		return 0, 0, false
@@ -214,7 +259,7 @@ func (c *chunk) Bounds() (minK, maxK int64, ok bool) {
 }
 
 // indexOf returns the position of key k among b's first s cells, or -1.
-func (c *chunk) indexOf(b *block, s int, k int64) int {
+func (c *Cells) indexOf(b *block, s int, k int64) int {
 	if c.sorted {
 		if i := b.lowerBound(k, s); i < s && b.key(i).Load() == k {
 			return i
@@ -230,21 +275,16 @@ func (c *chunk) indexOf(b *block, s int, k int64) int {
 }
 
 // Get returns the payload mapped to k.
-func (c *Chunk[P]) Get(k int64) (*P, bool) {
-	v, ok := c.get(k)
-	return (*P)(v), ok
-}
-
-func (c *chunk) get(k int64) (unsafe.Pointer, bool) {
+func (c *Cells) Get(k int64) (Cell, bool) {
 	b, s := c.load()
 	if i := c.indexOf(b, s, k); i >= 0 {
-		return b.loadVal(i), true
+		return c.cell(b, i), true
 	}
-	return nil, false
+	return Cell{}, false
 }
 
 // Contains reports whether k is present.
-func (c *chunk) Contains(k int64) bool {
+func (c *Cells) Contains(k int64) bool {
 	b, s := c.load()
 	return c.indexOf(b, s, k) >= 0
 }
@@ -254,23 +294,18 @@ func (c *chunk) Contains(k int64) bool {
 // chunk is empty or every key exceeds k — under the traversal invariant
 // (minKey ≤ k) that indicates a concurrent modification and the caller must
 // validate and restart.
-func (c *Chunk[P]) FindLE(k int64) (key int64, val *P, ok bool) {
-	key, v, ok := c.findLE(k)
-	return key, (*P)(v), ok
-}
-
-func (c *chunk) findLE(k int64) (int64, unsafe.Pointer, bool) {
+func (c *Cells) FindLE(k int64) (key int64, val Cell, ok bool) {
 	b, s := c.load()
 	if s == 0 {
-		return 0, nil, false
+		return 0, Cell{}, false
 	}
 	if c.sorted {
 		// Largest index with key ≤ k.
 		i := b.upperBound(k, s)
 		if i == 0 {
-			return 0, nil, false
+			return 0, Cell{}, false
 		}
-		return b.key(i - 1).Load(), b.loadVal(i - 1), true
+		return b.key(i - 1).Load(), c.cell(b, i-1), true
 	}
 	best := -1
 	var bestKey int64
@@ -280,29 +315,24 @@ func (c *chunk) findLE(k int64) (int64, unsafe.Pointer, bool) {
 		}
 	}
 	if best < 0 {
-		return 0, nil, false
+		return 0, Cell{}, false
 	}
-	return bestKey, b.loadVal(best), true
+	return bestKey, c.cell(b, best), true
 }
 
 // FindGE returns the entry with the smallest key ≥ k, for ceiling/successor
 // queries. ok is false when every key is < k (or the chunk is empty).
-func (c *Chunk[P]) FindGE(k int64) (key int64, val *P, ok bool) {
-	key, v, ok := c.findGE(k)
-	return key, (*P)(v), ok
-}
-
-func (c *chunk) findGE(k int64) (int64, unsafe.Pointer, bool) {
+func (c *Cells) FindGE(k int64) (key int64, val Cell, ok bool) {
 	b, s := c.load()
 	if s == 0 {
-		return 0, nil, false
+		return 0, Cell{}, false
 	}
 	if c.sorted {
 		i := b.lowerBound(k, s)
 		if i == s {
-			return 0, nil, false
+			return 0, Cell{}, false
 		}
-		return b.key(i).Load(), b.loadVal(i), true
+		return b.key(i).Load(), c.cell(b, i), true
 	}
 	best := -1
 	var bestKey int64
@@ -312,34 +342,37 @@ func (c *chunk) findGE(k int64) (int64, unsafe.Pointer, bool) {
 		}
 	}
 	if best < 0 {
-		return 0, nil, false
+		return 0, Cell{}, false
 	}
-	return bestKey, b.loadVal(best), true
+	return bestKey, c.cell(b, best), true
 }
 
 // resize moves the first s elements of b into a new block of capacity nc
 // and publishes it. b itself is left as it was. Caller must hold the write
 // lock, or hold the node frozen with nothing about to change (Reserve).
-func (c *chunk) resize(b *block, s, nc int) *block {
-	nb := newBlock(nc)
-	nb.fill(b, s)
+func (c *Cells) resize(b *block, s, nc int) *block {
+	nb := newBlock(nc, c.words)
+	nb.fill(b, s, c.words)
 	c.blk.Store(nb)
 	return nb
 }
 
+// capFor is the capacity of this chunk's block for at least n cells.
+func (c *Cells) capFor(n int) int { return capFor(n, int(c.limit), c.words) }
+
 // grow returns a block with room for need ≤ Cap() elements, resizing b,
 // which holds s, when it is smaller: to room(s) cells, or to need if that
 // is more. Caller must hold the write lock (or see Reserve).
-func (c *chunk) grow(b *block, s, need int) *block {
+func (c *Cells) grow(b *block, s, need int) *block {
 	if need <= int(b.cap) {
 		return b
 	}
-	return c.resize(b, s, capFor(max(need, room(s)), int(c.limit)))
+	return c.resize(b, s, c.capFor(max(need, room(s))))
 }
 
 // settle applies the shrink rule after removals left n elements in b.
 // Caller must hold the write lock.
-func (c *chunk) settle(b *block, n int) {
+func (c *Cells) settle(b *block, n int) {
 	if n >= int(b.cap)/2 {
 		return
 	}
@@ -347,7 +380,7 @@ func (c *chunk) settle(b *block, n int) {
 		c.blk.Store(&emptyBlock)
 		return
 	}
-	if nc := capFor(room(n), int(c.limit)); nc < int(b.cap) {
+	if nc := c.capFor(room(n)); nc < int(b.cap) {
 		c.resize(b, n, nc)
 	}
 }
@@ -359,7 +392,7 @@ func (c *chunk) settle(b *block, n int) {
 // reader sees the same contents through either, and the allocation stays
 // out of the seqlock's write hold. Caller must hold the node frozen or
 // write-locked.
-func (c *chunk) Reserve(n int) {
+func (c *Cells) Reserve(n int) {
 	b, s := c.owned()
 	c.grow(b, s, min(s+n, int(c.limit)))
 }
@@ -368,9 +401,7 @@ func (c *chunk) Reserve(n int) {
 // The caller must hold the owning node's write lock and must have ensured
 // spare capacity (insert into a full chunk panics: the skip vector splits
 // before inserting).
-func (c *Chunk[P]) Insert(k int64, v *P) bool { return c.insert(k, unsafe.Pointer(v)) }
-
-func (c *chunk) insert(k int64, v unsafe.Pointer) bool {
+func (c *Cells) Insert(k int64, v Cell) bool {
 	b, s := c.owned()
 	if c.indexOf(b, s, k) >= 0 {
 		return false
@@ -384,46 +415,44 @@ func (c *chunk) insert(k int64, v unsafe.Pointer) bool {
 
 // put adds k→v to b, which holds s elements and has a free cell. Sorted
 // chunks shift the larger keys right.
-func (c *chunk) put(b *block, s int, k int64, v unsafe.Pointer) {
+func (c *Cells) put(b *block, s int, k int64, v Cell) {
 	pos := s
 	if c.sorted {
 		pos = b.lowerBound(k, s)
 		mInsertShift.Observe(pos, int64(s-pos))
 		for i := s; i > pos; i-- {
-			b.copyCell(i, b, i-1)
+			c.copyCell(b, i, b, i-1)
 		}
 	}
 	b.key(pos).Store(k)
-	b.storeVal(pos, v)
+	c.setCell(b, pos, v)
 	c.size.Store(int32(s + 1))
 }
 
 // Set updates the payload of an existing key, returning false if absent.
 // Caller must hold the write lock.
-func (c *Chunk[P]) Set(k int64, v *P) bool { return c.set(k, unsafe.Pointer(v)) }
-
-func (c *chunk) set(k int64, v unsafe.Pointer) bool {
+func (c *Cells) Set(k int64, v Cell) bool {
 	b, s := c.owned()
 	i := c.indexOf(b, s, k)
 	if i < 0 {
 		return false
 	}
-	b.storeVal(i, v)
+	c.setCell(b, i, v)
 	return true
 }
 
-// SlotOp is one element of a multi-slot batch application (ApplyOps): a put
+// CellOp is one element of a multi-slot batch application (ApplyOps): a put
 // (optionally insert-only) or a delete of Key.
-type SlotOp[P any] struct {
+type CellOp struct {
 	Key int64
-	Val *P   // payload for puts; ignored for deletes
+	Val Cell // payload for puts; ignored for deletes
 	Del bool // delete Key instead of writing it
 	// InsertOnly makes a put succeed only when Key is absent; an existing
 	// key is left untouched and reported as SlotExists.
 	InsertOnly bool
 }
 
-// SlotOutcome reports what one SlotOp did to the chunk.
+// SlotOutcome reports what one CellOp or SlotOp did to the chunk.
 type SlotOutcome uint8
 
 const (
@@ -471,7 +500,7 @@ func (o SlotOutcome) String() string {
 // way per call: the first insert that finds it full sizes it for every put
 // still ahead, and the shrink rule runs once at the end. Caller must hold
 // the owning node's write lock; out must be at least as long as ops.
-func (c *Chunk[P]) ApplyOps(ops []SlotOp[P], out []SlotOutcome) int {
+func (c *Cells) ApplyOps(ops []CellOp, out []SlotOutcome) int {
 	// The batch's slot searches walk the whole occupied prefix; pull its
 	// first lines in while the loop sets up.
 	c.PrefetchKeys()
@@ -489,7 +518,7 @@ func (c *Chunk[P]) ApplyOps(ops []SlotOp[P], out []SlotOutcome) int {
 		case j >= 0 && op.InsertOnly:
 			out[i] = SlotExists
 		case j >= 0:
-			b.storeVal(j, unsafe.Pointer(op.Val))
+			c.setCell(b, j, op.Val)
 			out[i] = SlotUpdated
 		case s >= int(c.limit):
 			return i
@@ -503,7 +532,7 @@ func (c *Chunk[P]) ApplyOps(ops []SlotOp[P], out []SlotOutcome) int {
 				}
 				b = c.grow(b, s, min(s+puts, int(c.limit)))
 			}
-			c.put(b, s, op.Key, unsafe.Pointer(op.Val))
+			c.put(b, s, op.Key, op.Val)
 			s++
 			out[i] = SlotInserted
 		}
@@ -513,44 +542,40 @@ func (c *Chunk[P]) ApplyOps(ops []SlotOp[P], out []SlotOutcome) int {
 }
 
 // Remove deletes k and returns its payload. Caller must hold the write lock.
-func (c *Chunk[P]) Remove(k int64) (*P, bool) {
-	v, ok := c.remove(k)
-	return (*P)(v), ok
-}
-
-func (c *chunk) remove(k int64) (unsafe.Pointer, bool) {
+func (c *Cells) Remove(k int64) (Cell, bool) {
 	b, s := c.owned()
 	i := c.indexOf(b, s, k)
 	if i < 0 {
-		return nil, false
+		return Cell{}, false
 	}
-	v := b.loadVal(i)
+	v := c.cell(b, i)
 	c.removeAt(b, s, i)
 	c.settle(b, s-1)
 	return v, true
 }
 
 // removeAt deletes the element at position i of b, which holds s elements,
-// keeping the cells past the new size nil.
-func (c *chunk) removeAt(b *block, s, i int) {
+// keeping the pointer cells past the new size nil.
+func (c *Cells) removeAt(b *block, s, i int) {
 	if c.sorted {
 		mRemoveShift.Observe(i, int64(s-1-i))
 		for j := i; j < s-1; j++ {
-			b.copyCell(j, b, j+1)
+			c.copyCell(b, j, b, j+1)
 		}
 	} else if i != s-1 {
-		b.copyCell(i, b, s-1)
+		c.copyCell(b, i, b, s-1)
 	}
-	b.clearVal(s - 1) // release payload reference for the collector
+	c.clearCell(b, s-1)
 	c.size.Store(int32(s - 1))
 }
 
 // moveTo moves the elements of c for which move reports true into dst,
-// which must be empty, keeping the rest of c in order. dst gets a fresh block
-// with room for what it receives and the inserts likely to follow, filled
-// before it is published; c keeps its block unless the shrink rule applies.
-// Caller must hold write locks (or exclusive access) on both chunks.
-func (c *chunk) moveTo(dst *chunk, move func(k int64) bool) {
+// which must be empty and of c's cell kind, keeping the rest of c in order.
+// dst gets a fresh block with room for what it receives and the inserts
+// likely to follow, filled before it is published; c keeps its block unless
+// the shrink rule applies. Caller must hold write locks (or exclusive
+// access) on both chunks.
+func (c *Cells) moveTo(dst *Cells, move func(k int64) bool) {
 	if dst.Size() != 0 {
 		panic("vectormap: move into non-empty chunk")
 	}
@@ -564,24 +589,22 @@ func (c *chunk) moveTo(dst *chunk, move func(k int64) bool) {
 	if n == 0 {
 		return
 	}
-	db := newBlock(capFor(room(n), int(dst.limit)))
+	db := newBlock(dst.capFor(room(n)), dst.words)
 	d, w := 0, 0
 	for i := 0; i < s; i++ {
 		k := b.key(i).Load()
 		if move(k) {
-			// Plain stores: db is not published yet.
-			*(*int64)(unsafe.Pointer(db.key(d))) = k
-			*db.val(d) = atomic.LoadPointer(b.val(i))
+			c.copyCell(db, d, b, i)
 			d++
 		} else {
 			if w != i {
-				b.copyCell(w, b, i)
+				c.copyCell(b, w, b, i)
 			}
 			w++
 		}
 	}
 	for i := w; i < s; i++ {
-		b.clearVal(i)
+		c.clearCell(b, i)
 	}
 	dst.blk.Store(db)
 	dst.size.Store(int32(d))
@@ -590,21 +613,19 @@ func (c *chunk) moveTo(dst *chunk, move func(k int64) bool) {
 }
 
 // MoveGreaterTo moves every element with key strictly greater than k from c
-// into dst, which must be empty and have the same logical capacity. It is
-// the splitting primitive used when an Insert at height h cuts a node at key
-// k (Listing 3 line 36). Caller must hold write locks (or exclusive access)
-// on both chunks.
-func (c *Chunk[P]) MoveGreaterTo(k int64, dst *Chunk[P]) {
-	c.moveTo(&dst.chunk, func(kk int64) bool { return kk > k })
+// into dst, which must be empty and have the same logical capacity and cell
+// kind. It is the splitting primitive used when an Insert at height h cuts a
+// node at key k (Listing 3 line 36). Caller must hold write locks (or
+// exclusive access) on both chunks.
+func (c *Cells) MoveGreaterTo(k int64, dst *Cells) {
+	c.moveTo(dst, func(kk int64) bool { return kk > k })
 }
 
 // SplitUpperHalfTo moves the largest ⌈size/2⌉ elements into dst (which must
 // be empty) and returns the minimum key of dst. It is the capacity split
 // applied when an Insert finds a full chunk. Caller must hold write locks on
 // both chunks.
-func (c *Chunk[P]) SplitUpperHalfTo(dst *Chunk[P]) int64 { return c.splitUpperHalfTo(&dst.chunk) }
-
-func (c *chunk) splitUpperHalfTo(dst *chunk) int64 {
+func (c *Cells) SplitUpperHalfTo(dst *Cells) int64 {
 	b, s := c.owned()
 	if s < 2 {
 		panic("vectormap: SplitUpperHalfTo of chunk with fewer than 2 elements")
@@ -624,11 +645,10 @@ func (c *chunk) splitUpperHalfTo(dst *chunk) int64 {
 
 // AbsorbFrom moves every element of src into c (the merge primitive for
 // orphan cleanup, Listing 2 line 33). All of src's keys must exceed all of
-// c's keys (src is c's right neighbour). Caller must hold write locks on
-// both chunks. Panics if the combined size exceeds capacity.
-func (c *Chunk[P]) AbsorbFrom(src *Chunk[P]) { c.absorbFrom(&src.chunk) }
-
-func (c *chunk) absorbFrom(src *chunk) {
+// c's keys (src is c's right neighbour), and src must be of c's cell kind.
+// Caller must hold write locks on both chunks. Panics if the combined size
+// exceeds capacity.
+func (c *Cells) AbsorbFrom(src *Cells) {
 	b, cs := c.owned()
 	sb, ss := src.owned()
 	if cs+ss > int(c.limit) {
@@ -643,11 +663,11 @@ func (c *chunk) absorbFrom(src *chunk) {
 		}
 		sort.Slice(idx, func(x, y int) bool { return sb.key(idx[x]).Load() < sb.key(idx[y]).Load() })
 		for n, i := range idx {
-			b.copyCell(cs+n, sb, i)
+			c.copyCell(b, cs+n, sb, i)
 		}
 	} else {
 		for i := 0; i < ss; i++ {
-			b.copyCell(cs+i, sb, i)
+			c.copyCell(b, cs+i, sb, i)
 		}
 	}
 	c.size.Store(int32(cs + ss))
@@ -658,14 +678,10 @@ func (c *chunk) absorbFrom(src *chunk) {
 // ForEach calls fn for each element. For sorted chunks the iteration is in
 // ascending key order; for unsorted chunks it is arbitrary. Returning false
 // from fn stops the iteration.
-func (c *Chunk[P]) ForEach(fn func(k int64, v *P) bool) {
-	c.forEach(func(k int64, v unsafe.Pointer) bool { return fn(k, (*P)(v)) })
-}
-
-func (c *chunk) forEach(fn func(k int64, v unsafe.Pointer) bool) {
+func (c *Cells) ForEach(fn func(k int64, v Cell) bool) {
 	b, s := c.load()
 	for i := 0; i < s; i++ {
-		if !fn(b.key(i).Load(), b.loadVal(i)) {
+		if !fn(b.key(i).Load(), c.cell(b, i)) {
 			return
 		}
 	}
@@ -674,13 +690,9 @@ func (c *chunk) forEach(fn func(k int64, v unsafe.Pointer) bool) {
 // ForEachOrdered calls fn in ascending key order regardless of chunk policy.
 // Unsorted chunks pay an O(T log T) index sort; it is used by range
 // operations, which hold the node lock.
-func (c *Chunk[P]) ForEachOrdered(fn func(k int64, v *P) bool) {
-	c.forEachOrdered(func(k int64, v unsafe.Pointer) bool { return fn(k, (*P)(v)) })
-}
-
-func (c *chunk) forEachOrdered(fn func(k int64, v unsafe.Pointer) bool) {
+func (c *Cells) ForEachOrdered(fn func(k int64, v Cell) bool) {
 	if c.sorted {
-		c.forEach(fn)
+		c.ForEach(fn)
 		return
 	}
 	b, s := c.load()
@@ -690,14 +702,14 @@ func (c *chunk) forEachOrdered(fn func(k int64, v unsafe.Pointer) bool) {
 	}
 	sort.Slice(idx, func(x, y int) bool { return b.key(idx[x]).Load() < b.key(idx[y]).Load() })
 	for _, i := range idx {
-		if !fn(b.key(i).Load(), b.loadVal(i)) {
+		if !fn(b.key(i).Load(), c.cell(b, i)) {
 			return
 		}
 	}
 }
 
 // Keys returns a copy of the current keys (ascending for sorted chunks).
-func (c *chunk) Keys() []int64 {
+func (c *Cells) Keys() []int64 {
 	b, s := c.load()
 	out := make([]int64, s)
 	for i := range out {
@@ -708,10 +720,11 @@ func (c *chunk) Keys() []int64 {
 
 // CheckInvariants validates internal consistency (used by tests): the block
 // within the chunk's capacity and of a capacity the sizing policy in
-// block.go produces, size within the block, no duplicate keys, ascending
-// order for sorted chunks, and no payload left in a cell past the live
-// prefix (a stale pointer there would keep its target alive).
-func (c *chunk) CheckInvariants() error {
+// block.go produces for the chunk's cell kind, size within the block, no
+// duplicate keys, ascending order for sorted chunks, and, in a
+// pointer-celled chunk, no pointer left in a cell past the live prefix (it
+// would keep its target alive).
+func (c *Cells) CheckInvariants() error {
 	b := c.blk.Load()
 	if b == nil {
 		return fmt.Errorf("chunk has no block")
@@ -722,8 +735,8 @@ func (c *chunk) CheckInvariants() error {
 		return fmt.Errorf("block of %d cells exceeds capacity %d", bc, c.Cap())
 	case s < 0 || s > bc:
 		return fmt.Errorf("size %d out of bounds [0,%d]", s, bc)
-	case bc > 0 && bc != capFor(bc, c.Cap()):
-		return fmt.Errorf("block of %d cells does not fill its size class (%d would)", bc, capFor(bc, c.Cap()))
+	case bc > 0 && bc != c.capFor(bc):
+		return fmt.Errorf("block of %d cells does not fill its size class (%d would)", bc, c.capFor(bc))
 	}
 	seen := make(map[int64]struct{}, s)
 	var prev int64
@@ -738,10 +751,95 @@ func (c *chunk) CheckInvariants() error {
 		}
 		prev = k
 	}
-	for i := s; i < bc; i++ {
-		if atomic.LoadPointer(b.val(i)) != nil {
+	for i := s; i < bc && !c.words; i++ {
+		if b.loadVal(i) != nil {
 			return fmt.Errorf("slot %d past size %d holds a payload", i, s)
 		}
 	}
 	return nil
+}
+
+// The typed view. Each method converts payloads between *P and Cell.Ptr and
+// calls the Cells method of the same name.
+
+func ptrCell[P any](v *P) Cell { return Cell{Ptr: unsafe.Pointer(v)} }
+
+// Get returns the payload mapped to k.
+func (c *Chunk[P]) Get(k int64) (*P, bool) {
+	v, ok := c.Cells.Get(k)
+	return (*P)(v.Ptr), ok
+}
+
+// FindLE is Cells.FindLE with a typed payload.
+func (c *Chunk[P]) FindLE(k int64) (key int64, val *P, ok bool) {
+	key, v, ok := c.Cells.FindLE(k)
+	return key, (*P)(v.Ptr), ok
+}
+
+// FindGE is Cells.FindGE with a typed payload.
+func (c *Chunk[P]) FindGE(k int64) (key int64, val *P, ok bool) {
+	key, v, ok := c.Cells.FindGE(k)
+	return key, (*P)(v.Ptr), ok
+}
+
+// Insert is Cells.Insert with a typed payload.
+func (c *Chunk[P]) Insert(k int64, v *P) bool { return c.Cells.Insert(k, ptrCell(v)) }
+
+// Set is Cells.Set with a typed payload.
+func (c *Chunk[P]) Set(k int64, v *P) bool { return c.Cells.Set(k, ptrCell(v)) }
+
+// Remove is Cells.Remove with a typed payload.
+func (c *Chunk[P]) Remove(k int64) (*P, bool) {
+	v, ok := c.Cells.Remove(k)
+	return (*P)(v.Ptr), ok
+}
+
+// SlotOp is CellOp with a typed payload.
+type SlotOp[P any] struct {
+	Key        int64
+	Val        *P
+	Del        bool
+	InsertOnly bool
+}
+
+// applyWindow is how many typed ops ApplyOps converts per Cells.ApplyOps
+// call: a full default-size chunk's worth, so that a run into one chunk
+// still resizes its block once.
+const applyWindow = 64
+
+// ApplyOps is Cells.ApplyOps with typed payloads.
+func (c *Chunk[P]) ApplyOps(ops []SlotOp[P], out []SlotOutcome) int {
+	var buf [applyWindow]CellOp
+	done := 0
+	for done < len(ops) {
+		n := min(len(ops)-done, len(buf))
+		for i, op := range ops[done : done+n] {
+			buf[i] = CellOp{Key: op.Key, Val: ptrCell(op.Val), Del: op.Del, InsertOnly: op.InsertOnly}
+		}
+		got := c.Cells.ApplyOps(buf[:n], out[done:done+n])
+		done += got
+		if got < n {
+			break
+		}
+	}
+	return done
+}
+
+// MoveGreaterTo is Cells.MoveGreaterTo between typed chunks.
+func (c *Chunk[P]) MoveGreaterTo(k int64, dst *Chunk[P]) { c.Cells.MoveGreaterTo(k, &dst.Cells) }
+
+// SplitUpperHalfTo is Cells.SplitUpperHalfTo between typed chunks.
+func (c *Chunk[P]) SplitUpperHalfTo(dst *Chunk[P]) int64 { return c.Cells.SplitUpperHalfTo(&dst.Cells) }
+
+// AbsorbFrom is Cells.AbsorbFrom between typed chunks.
+func (c *Chunk[P]) AbsorbFrom(src *Chunk[P]) { c.Cells.AbsorbFrom(&src.Cells) }
+
+// ForEach is Cells.ForEach with typed payloads.
+func (c *Chunk[P]) ForEach(fn func(k int64, v *P) bool) {
+	c.Cells.ForEach(func(k int64, v Cell) bool { return fn(k, (*P)(v.Ptr)) })
+}
+
+// ForEachOrdered is Cells.ForEachOrdered with typed payloads.
+func (c *Chunk[P]) ForEachOrdered(fn func(k int64, v *P) bool) {
+	c.Cells.ForEachOrdered(func(k int64, v Cell) bool { return fn(k, (*P)(v.Ptr)) })
 }

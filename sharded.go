@@ -91,11 +91,9 @@ func (m *ShardedMap[V]) Upsert(k int64, v V) bool { return m.s.Upsert(k, &v) }
 
 // Lookup returns the value mapped to k.
 func (m *ShardedMap[V]) Lookup(k int64) (V, bool) {
-	if p, ok := m.s.Lookup(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
+	var v V
+	ok := m.s.LookupInto(k, &v)
+	return v, ok
 }
 
 // Contains reports whether k is in the map.
@@ -129,8 +127,9 @@ func (m *ShardedMap[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
 // return value and reports how many mappings were visited. Atomic per shard
 // segment, not across the whole window.
 func (m *ShardedMap[V]) RangeUpdate(lo, hi int64, fn func(k int64, v V) V) int {
+	var nv V
 	return m.s.RangeUpdate(lo, hi, func(k int64, v *V) *V {
-		nv := fn(k, *v)
+		nv = fn(k, *v)
 		return &nv
 	})
 }
@@ -142,10 +141,18 @@ func (m *ShardedMap[V]) Ascend(fn func(k int64, v V) bool) {
 }
 
 // Floor returns the largest key ≤ k and its value (ok=false when none).
-func (m *ShardedMap[V]) Floor(k int64) (int64, V, bool) { return unwrap[V](m.s.Floor(k)) }
+func (m *ShardedMap[V]) Floor(k int64) (int64, V, bool) {
+	var v V
+	fk, ok := m.s.FloorInto(k, &v)
+	return fk, v, ok
+}
 
 // Ceiling returns the smallest key ≥ k and its value (ok=false when none).
-func (m *ShardedMap[V]) Ceiling(k int64) (int64, V, bool) { return unwrap[V](m.s.Ceiling(k)) }
+func (m *ShardedMap[V]) Ceiling(k int64) (int64, V, bool) {
+	var v V
+	ck, ok := m.s.CeilingInto(k, &v)
+	return ck, v, ok
+}
 
 // Min returns the smallest key and its value (ok=false when empty).
 func (m *ShardedMap[V]) Min() (int64, V, bool) { return unwrap[V](m.s.First()) }
@@ -185,11 +192,11 @@ func (c *ShardedCursor[V]) Next() (int64, V, bool) {
 	if c.h == nil {
 		c.h = c.m.s.NewHandle()
 	}
-	k, v, ok := unwrap[V](c.h.Ceiling(c.next))
+	var v V
+	k, ok := c.h.CeilingInto(c.next, &v)
 	if !ok {
 		c.Close()
-		var zero V
-		return 0, zero, false
+		return 0, v, false
 	}
 	if k == MaxKey-1 {
 		c.Close()
@@ -239,11 +246,9 @@ func (h *ShardedHandle[V]) Upsert(k int64, v V) bool { return h.h.Upsert(k, &v) 
 
 // Lookup is ShardedMap.Lookup through the pinned session.
 func (h *ShardedHandle[V]) Lookup(k int64) (V, bool) {
-	if p, ok := h.h.Lookup(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
+	var v V
+	ok := h.h.LookupInto(k, &v)
+	return v, ok
 }
 
 // Contains is ShardedMap.Contains through the pinned session.
@@ -260,10 +265,18 @@ func (h *ShardedHandle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
 }
 
 // Floor is ShardedMap.Floor through the pinned session.
-func (h *ShardedHandle[V]) Floor(k int64) (int64, V, bool) { return unwrap[V](h.h.Floor(k)) }
+func (h *ShardedHandle[V]) Floor(k int64) (int64, V, bool) {
+	var v V
+	fk, ok := h.h.FloorInto(k, &v)
+	return fk, v, ok
+}
 
 // Ceiling is ShardedMap.Ceiling through the pinned session.
-func (h *ShardedHandle[V]) Ceiling(k int64) (int64, V, bool) { return unwrap[V](h.h.Ceiling(k)) }
+func (h *ShardedHandle[V]) Ceiling(k int64) (int64, V, bool) {
+	var v V
+	ck, ok := h.h.CeilingInto(k, &v)
+	return ck, v, ok
+}
 
 // ShardStats reports each shard's internal event counters, indexed by shard.
 func (m *ShardedMap[V]) ShardStats() []core.StatsSnapshot { return m.s.ShardStats() }

@@ -197,14 +197,15 @@ func (m *Map[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
 	return m.m.ApplyBatch(toCoreOps(ops))
 }
 
+// toCoreOps points each core op at its request's value, which the map copies
+// during the call.
 func toCoreOps[V any](ops []BatchOp[V]) []core.BatchOp[V] {
 	cops := make([]core.BatchOp[V], len(ops))
 	for i := range ops {
 		op := &ops[i]
 		cops[i] = core.BatchOp[V]{Key: op.Key, Del: op.Delete, InsertOnly: op.InsertOnly}
 		if !op.Delete {
-			v := op.Val
-			cops[i].Val = &v
+			cops[i].Val = &op.Val
 		}
 	}
 	return cops
@@ -212,11 +213,9 @@ func toCoreOps[V any](ops []BatchOp[V]) []core.BatchOp[V] {
 
 // Lookup returns the value mapped to k.
 func (m *Map[V]) Lookup(k int64) (V, bool) {
-	if p, ok := m.m.Lookup(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
+	var v V
+	ok := m.m.LookupInto(k, &v)
+	return v, ok
 }
 
 // Contains reports whether k is in the map.
@@ -245,8 +244,9 @@ func (m *Map[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
 // fn's return value, as one serializable operation, and returns the number
 // of mappings updated. fn must not call back into the map.
 func (m *Map[V]) RangeUpdate(lo, hi int64, fn func(k int64, v V) V) int {
+	var nv V
 	return m.m.RangeUpdate(lo, hi, func(k int64, v *V) *V {
-		nv := fn(k, *v)
+		nv = fn(k, *v)
 		return &nv
 	})
 }
@@ -259,26 +259,34 @@ func (m *Map[V]) Ascend(fn func(k int64, v V) bool) {
 
 // Floor returns the largest key ≤ k and its value (ok=false when none).
 func (m *Map[V]) Floor(k int64) (int64, V, bool) {
-	return unwrap[V](m.m.Floor(k))
+	var v V
+	fk, ok := m.m.FloorInto(k, &v)
+	return fk, v, ok
 }
 
 // Ceiling returns the smallest key ≥ k and its value (ok=false when none).
 func (m *Map[V]) Ceiling(k int64) (int64, V, bool) {
-	return unwrap[V](m.m.Ceiling(k))
+	var v V
+	ck, ok := m.m.CeilingInto(k, &v)
+	return ck, v, ok
 }
 
 // Min returns the smallest key and its value (ok=false when empty).
 func (m *Map[V]) Min() (int64, V, bool) {
-	return unwrap[V](m.m.First())
+	var v V
+	k, ok := m.m.CeilingInto(MinKey+1, &v)
+	return k, v, ok
 }
 
 // Max returns the largest key and its value (ok=false when empty).
 func (m *Map[V]) Max() (int64, V, bool) {
-	return unwrap[V](m.m.Last())
+	var v V
+	k, ok := m.m.FloorInto(MaxKey-1, &v)
+	return k, v, ok
 }
 
 func unwrap[V any](k int64, p *V, ok bool) (int64, V, bool) {
-	if !ok || p == nil {
+	if !ok {
 		var zero V
 		return 0, zero, false
 	}
@@ -324,11 +332,11 @@ func (c *Cursor[V]) Next() (int64, V, bool) {
 	if c.h == nil {
 		c.h = c.m.m.NewHandle()
 	}
-	k, v, ok := unwrap[V](c.h.Ceiling(c.next))
+	var v V
+	k, ok := c.h.CeilingInto(c.next, &v)
 	if !ok {
 		c.Close()
-		var zero V
-		return 0, zero, false
+		return 0, v, false
 	}
 	if k == MaxKey-1 {
 		c.Close() // cannot advance past the largest legal key
@@ -402,11 +410,9 @@ func (s *Snapshot[V]) Closed() bool { return s.s.Closed() }
 
 // Get returns the value bound to k at the snapshot's point in time.
 func (s *Snapshot[V]) Get(k int64) (V, bool) {
-	if p, ok := s.s.Get(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
+	var v V
+	ok := s.s.GetInto(k, &v)
+	return v, ok
 }
 
 // Contains reports whether k was present at the snapshot's point in time.
@@ -443,7 +449,9 @@ type SnapshotCursor[V any] struct {
 
 // Next returns the next mapping, or ok=false when the scan is exhausted.
 func (c *SnapshotCursor[V]) Next() (int64, V, bool) {
-	return unwrap[V](c.c.Next())
+	var v V
+	k, ok := c.c.NextInto(&v)
+	return k, v, ok
 }
 
 // NewHandle pins a per-goroutine session on the map. Map methods already
@@ -484,11 +492,9 @@ func (h *Handle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
 
 // Lookup is Map.Lookup through the pinned session.
 func (h *Handle[V]) Lookup(k int64) (V, bool) {
-	if p, ok := h.h.Lookup(k); ok {
-		return *p, true
-	}
-	var zero V
-	return zero, false
+	var v V
+	ok := h.h.LookupInto(k, &v)
+	return v, ok
 }
 
 // Contains is Map.Contains through the pinned session.
@@ -498,10 +504,18 @@ func (h *Handle[V]) Contains(k int64) bool { return h.h.Contains(k) }
 func (h *Handle[V]) Remove(k int64) bool { return h.h.Remove(k) }
 
 // Floor is Map.Floor through the pinned session.
-func (h *Handle[V]) Floor(k int64) (int64, V, bool) { return unwrap[V](h.h.Floor(k)) }
+func (h *Handle[V]) Floor(k int64) (int64, V, bool) {
+	var v V
+	fk, ok := h.h.FloorInto(k, &v)
+	return fk, v, ok
+}
 
 // Ceiling is Map.Ceiling through the pinned session.
-func (h *Handle[V]) Ceiling(k int64) (int64, V, bool) { return unwrap[V](h.h.Ceiling(k)) }
+func (h *Handle[V]) Ceiling(k int64) (int64, V, bool) {
+	var v V
+	ck, ok := h.h.CeilingInto(k, &v)
+	return ck, v, ok
+}
 
 // Stats reports internal event counters (restarts overall and per op kind,
 // splits, merges, orphans, node allocation and reuse, hazard-domain
