@@ -23,10 +23,11 @@ import (
 // extent is bounded by the locked chunk's own exact max key — free — rather
 // than by an always-paid validated walk to the successor's minimum
 // (succMinBound, now reserved for groups that straddle the gap past the
-// max), and consecutive groups share their position: each group records the
-// rightmost node it touched, and the next group resumes from it with a
-// bounded rightward walk (batchSeek) instead of a fresh descent, with an
-// adaptive cutoff so batches without locality stop paying for the attempt.
+// max), and consecutive groups share their position through the search
+// finger: each group records the rightmost node it touched, and the next
+// group resumes from it with the finger's bounded rightward walk instead of
+// a fresh descent; the finger's reach check and probe backoff make batches
+// without locality stop paying for the attempt.
 //
 // Linearization. Every mutation a group makes — the owning chunk's slots and
 // any split orphans — is reachable only through the group's locked node, so
@@ -93,20 +94,6 @@ type batchScratch[V any] struct {
 	segMins []int64
 	commits []CommitOp[V] // commit-hook argument buffer (commit.go)
 
-	// Group-to-group descent sharing (batchSeek): the previous group's
-	// rightmost segment with the clean version it was published at. Valid
-	// only *within* one batch — group keys ascend, so the hint node's span
-	// is always at or left of the next group's first key, which is exactly
-	// the precondition of the rightward walk. A later batch through the same
-	// pooled context may start anywhere, so release() clears the hint.
-	hintNode *node[V]
-	hintVer  seqlock.Version
-	// hintFails counts consecutive failed hint walks; at batchHintFailLimit
-	// the walks stop for the rest of the batch. The reach prediction in
-	// batchSeek already skips walks the hint's key span says cannot succeed
-	// (uniform batches put adjacent groups thousands of chunks apart), so
-	// this counter only absorbs the residue the prediction gets wrong.
-	hintFails uint8
 }
 
 func (sc *batchScratch[V]) release() {
@@ -114,7 +101,6 @@ func (sc *batchScratch[V]) release() {
 	clear(sc.slots[:cap(sc.slots)])
 	clear(sc.segs[:cap(sc.segs)])
 	clear(sc.commits[:cap(sc.commits)])
-	sc.hintNode, sc.hintVer, sc.hintFails = nil, 0, 0
 }
 
 // batchSorter stably sorts the order permutation by op key without the
@@ -286,80 +272,13 @@ func (m *Map[V]) applyBatchGroup(
 	}
 }
 
-const (
-	// batchHopBudget bounds batchSeek's rightward walk from the previous
-	// group's node. Adjacent groups of a locality-bearing batch sit zero or
-	// one chunk apart (an empty orphan or a fresh split in between at worst);
-	// past a few hops a full descent is cheaper than the validated crawl.
-	batchHopBudget = 4
-	// batchHintFailLimit is how many consecutive walks may fail before
-	// batchSeek stops trying for the remainder of the batch.
-	batchHintFailLimit = 2
-)
-
-// batchSeek positions a group commit on the data node owning k. It tries, in
-// order: a bounded rightward walk from the previous group's last segment, the
-// search finger, and the full descent. The hint is revalidated exactly like
-// the finger: hazard pointer first, then Validate of the recorded version — a
-// node that was merged away, split, or recycled since its group committed
-// fails the validation (lock words are monotonic across lifetimes) and the
-// walk is skipped. On success the postcondition is descendToData's: a hazard
-// pointer and a validated snapshot of the owner.
+// batchSeek positions a group commit on the data node owning k: through the
+// search finger, which the previous group left on the rightmost node it
+// touched, or else by the full descent. On success the postcondition is
+// descendToData's: a hazard pointer and a validated snapshot of the owner.
 func (m *Map[V]) batchSeek(ctx *opCtx[V], k int64) (*node[V], seqlock.Version, bool) {
-	sc := &ctx.batch
-	if h := sc.hintNode; h != nil && sc.hintFails < batchHintFailLimit {
-		// Cheap triage before any hazard traffic, on speculative reads of the
-		// hint's key extremes (node memory is type-stable, so a recycled hint
-		// yields garbage values, not a fault — and garbage only mispredicts;
-		// every value this branch acts on is re-proven below).
-		//
-		// The walk's entry precondition is min(h) ≤ k: a rightward walk can
-		// never correct a start that is already right of the owner, and its
-		// stop test (k ≤ max) would happily return such a node. The hint does
-		// not guarantee this by construction — the last split segment keeps
-		// the chunk's pre-existing upper keys, and when a tall-key run cuts
-		// the batch's grouped span, the next group can resume below them.
-		//
-		// Reach prediction: the walk only pays off when the owner of k is
-		// within the hop budget, and the hint's own key span is a free density
-		// estimate for the chunks around it. When k lies past the hint's max
-		// by more than budget× that span, the owner is almost certainly out of
-		// reach — a uniform batch over a large key space puts consecutive
-		// groups thousands of chunks apart — so skip the walk entirely. Both
-		// subtractions are non-negative under the guards (hm ≤ k, hm ≤ hx, the
-		// latter also keeping the span divisor nonzero on garbage reads), so
-		// the uint64 arithmetic is exact, and dividing by the span sidesteps
-		// overflow.
-		hm, hasMin := h.minKey()
-		hx, hasMax := h.maxKey()
-		inReach := hasMin && hasMax && hm <= k && hm <= hx &&
-			(k <= hx || (uint64(k)-uint64(hx))/(uint64(hx)-uint64(hm)+1) <= batchHopBudget)
-		if inReach {
-			prefetchNode(h)
-			ctx.take(h)
-			// The hazard pointer is published; a Validate now pins the
-			// speculative reads above (the word still carries the version this
-			// batch released, so nothing was modified or recycled since — the
-			// precondition held for real) and licenses the walk.
-			if h.lock.Validate(sc.hintVer) {
-				if n, v, ok := m.traverseRightN(ctx, h, sc.hintVer, k, modeWrite, batchHopBudget); ok {
-					sc.hintFails = 0
-					m.batchDescSaved.add(ctx.stripe, 1)
-					return n, v, true
-				}
-			}
-			// Budget exhausted despite the prediction, or a validation lost a
-			// race. The batch positions this group from scratch; no restart is
-			// charged (nothing was locked, nothing observed inconsistently).
-			ctx.dropAll()
-		}
-		// Any non-success — failed walk, stale hint, or an out-of-reach skip —
-		// counts toward the cutoff, so a batch whose groups show no locality
-		// stops even the triage loads after batchHintFailLimit strikes.
-		sc.hintFails++
-	}
-	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint)
-	if hit {
+	if curr, ver, hit := m.fingerSeek(ctx, k, modeWrite, fingerPoint); hit {
+		m.batchDescSaved.add(ctx.stripe, 1)
 		return curr, ver, true
 	}
 	return m.descendToData(ctx, k, modeWrite)
@@ -381,7 +300,6 @@ func (m *Map[V]) batchSeek(ctx *opCtx[V], k int64) (*node[V], seqlock.Version, b
 // group or — on the extension path — simply keep the lock-exact prefix.
 func (m *Map[V]) succMinBound(curr *node[V]) (int64, bool) {
 	for next := curr.next.Load(); next != nil; {
-		prefetchNode(next)
 		nv, ok := next.lock.ReadVersion()
 		if !ok {
 			return 0, false
@@ -548,16 +466,13 @@ func (m *Map[V]) batchGroupAttempt(
 
 	sc.segs, sc.segMins = segs, segMins
 
-	// The hint version for a split-orphan last segment must be read *before*
-	// the release below makes the orphan reachable: afterwards a concurrent
-	// writer could lock, mutate, and cleanly release it — or merge it away
-	// and recycle it into an arbitrary position — leaving a clean word that
-	// a later Validate would accept. The batch hint, unlike the finger, is
-	// trusted for *position* (batchSeek walks rightward from it without
-	// re-deriving ownership), so its version must prove the node unchanged
-	// since this group published it. While the orphan is private its word is
+	// The finger version for a split-orphan last segment must be read
+	// *before* the release below makes the orphan reachable: afterwards a
+	// concurrent writer could merge it away and recycle it into an arbitrary
+	// position, even an index layer, leaving a clean word that the next
+	// seek's Validate would accept. While the orphan is private its word is
 	// stable and clean, making this read exact, and any post-release touch
-	// then fails the hint's validation — a conservative miss.
+	// then fails the finger's validation — a conservative miss.
 	last := segs[len(segs)-1]
 	lver := seqlock.Version(0)
 	if last != curr {
@@ -587,15 +502,10 @@ func (m *Map[V]) batchGroupAttempt(
 	if delta != 0 {
 		m.length.add(ctx.stripe, delta)
 	}
-	// Remember the right end of the chain twice over: in the finger (for
-	// whatever operation runs next on this context) and in the batch hint
-	// (for the next group's batchSeek, which can walk right from here instead
-	// of descending). The next group's keys are higher, so the last segment's
-	// span starts left of them — the walk's precondition.
+	// Remember the right end of the chain: the next group's keys are
+	// higher, so its batchSeek can usually walk right from here instead of
+	// descending.
 	m.recordFinger(ctx, last, lver)
-	if !lver.Locked() && !lver.Frozen() {
-		sc.hintNode, sc.hintVer = last, lver
-	}
 	ctx.dropAll()
 	return g, true
 }

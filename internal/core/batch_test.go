@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -356,4 +357,118 @@ func TestHandleApplyBatch(t *testing.T) {
 		t.Fatalf("no finger hits across 32 ascending handle batches: %+v", s)
 	}
 	mustCheck(t, m)
+}
+
+// TestBatchResumeTinyTargets drives the resume precondition of batch descent
+// sharing (each group resumes through the search finger, walking right from
+// the node the previous group finished on) at data targets of 1 to 4 keys,
+// where every batch spans many chunks. The steps cover sorted and unsorted
+// batches, a tall key inside a batch's span, and a Handle whose finger sits
+// right of the next batch's first key, the case the walk's k ≥ min entry
+// check exists for. The map is checked against the model after every step.
+func TestBatchResumeTinyTargets(t *testing.T) {
+	const keySpace = 320
+	for td := 1; td <= 4; td++ {
+		t.Run(fmt.Sprintf("TD%d", td), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.TargetDataVectorSize = td
+			cfg.TargetIndexVectorSize = 2
+			cfg.LayerCount = 6
+			var keys []int64
+			model := map[int64]int64{}
+			for k := int64(1); k < keySpace; k += 3 {
+				keys = append(keys, k)
+				model[k] = -k
+			}
+			vals := make([]*int64, len(keys))
+			for i, k := range keys {
+				vals[i] = v64(-k)
+			}
+			m, err := BulkLoad(cfg, keys, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(td)))
+			span := int64(36 * td) // ≥ 3 chunks of T_D keys spaced 3 apart
+			// window returns a mixed batch over [lo, lo+span): every other
+			// key, each put, insert-only or deleted.
+			window := func(lo int64) []BatchOp[int64] {
+				var ops []BatchOp[int64]
+				for k := lo; k < lo+span; k += 2 {
+					op := BatchOp[int64]{Key: k, Val: v64(rng.Int63n(1000))}
+					switch rng.Intn(4) {
+					case 0:
+						op.Del = true
+					case 1:
+						op.InsertOnly = true
+					}
+					ops = append(ops, op)
+				}
+				return ops
+			}
+			h := m.NewHandle()
+			defer h.Close()
+			apply := func(name string, ops []BatchOp[int64], through func([]BatchOp[int64]) []BatchResult) {
+				t.Helper()
+				want := applyBatchModel(model, ops)
+				got := through(ops)
+				for i := range got {
+					if got[i].Outcome != want[i] {
+						t.Fatalf("%s: op %d (%+v): outcome %v, model wants %v", name, i, ops[i], got[i].Outcome, want[i])
+					}
+				}
+				mustCheck(t, m)
+				checkMapMatchesModel(t, m, model, keySpace)
+			}
+
+			saved := m.Stats().BatchDescentsSaved
+			apply("sorted", window(40), m.ApplyBatch)
+			if m.Stats().BatchDescentsSaved == saved {
+				t.Fatal("a sorted batch over several chunks shared no descent")
+			}
+
+			unsorted := window(100)
+			unsorted = append(unsorted, unsorted[:len(unsorted)/2]...) // same-key runs
+			rng.Shuffle(len(unsorted), func(i, j int) { unsorted[i], unsorted[j] = unsorted[j], unsorted[i] })
+			apply("unsorted", unsorted, m.ApplyBatch)
+
+			// Plant a tower key mid-span, then delete it and write around it
+			// in one sorted batch: the group before it must stop short of the
+			// key, and the group after it resumes right of a node the top-down
+			// remove just changed.
+			const tall = 203 // absent: bulk-loaded keys are 1 mod 3
+			ctx := m.ctxs.get()
+			if !m.insertWithHeight(ctx, tall, m.cellOf(v64(tall)), 2) {
+				t.Fatal("planting the tower key failed")
+			}
+			m.ctxs.put(ctx)
+			model[tall] = tall
+			mustCheck(t, m)
+			ops := window(tall - span/2)
+			for i := range ops {
+				if ops[i].Key == tall-1 {
+					ops[i] = BatchOp[int64]{Key: tall, Del: true}
+				}
+			}
+			apply("tall key inside the span", ops, m.ApplyBatch)
+
+			// The handle's finger ends right of each next batch's first key:
+			// far right, then just one key right of it.
+			if _, ok := h.Lookup(keys[len(keys)-1]); !ok {
+				t.Fatal("lookup of a bulk-loaded key failed")
+			}
+			apply("handle finger far right", window(20), h.ApplyBatch)
+			// Ceiling leaves the finger on the node its answer came from.
+			if _, _, ok := h.Ceiling(200); !ok {
+				t.Fatal("Ceiling(200) found nothing")
+			}
+			lo, _, ok := h.ctx.fing.node.chunk.Bounds()
+			if !ok {
+				t.Fatal("the handle's finger sits on an empty node")
+			}
+			// The first key sits in the gap below the finger node: it belongs
+			// to the node before, which a walk from the finger never reaches.
+			apply("handle finger one key right", window(lo-1), h.ApplyBatch)
+		})
+	}
 }

@@ -134,11 +134,11 @@ func TestSingleLayerDegenerate(t *testing.T) {
 	if m.Len() != 100 {
 		t.Fatalf("Len = %d", m.Len())
 	}
-	if k, _, ok := m.First(); !ok || k != 2 {
-		t.Fatalf("First = %d,%t", k, ok)
+	if k, _, ok := m.Ceiling(MinKey + 1); !ok || k != 2 {
+		t.Fatalf("Ceiling(MinKey+1) = %d,%t", k, ok)
 	}
-	if k, _, ok := m.Last(); !ok || k != 200 {
-		t.Fatalf("Last = %d,%t", k, ok)
+	if k, _, ok := m.Floor(MaxKey - 1); !ok || k != 200 {
+		t.Fatalf("Floor(MaxKey-1) = %d,%t", k, ok)
 	}
 	mustCheck(t, m)
 }

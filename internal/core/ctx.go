@@ -129,7 +129,7 @@ const (
 	opLookup opKind = iota
 	opInsert
 	opRemove
-	opNav   // Floor/Ceiling (and First/Last through them)
+	opNav   // Floor/Ceiling (and the facades' Min/Max through them)
 	opRange // RangeQuery/RangeUpdate window establishment
 	opBatch // ApplyBatch group commits (singleton-routed batch ops charge their native kinds)
 	opSnap  // snapshot point-read descents (snapshot scans have no restart path)

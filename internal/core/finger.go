@@ -29,27 +29,31 @@ import (
 // key) simply falls back to the full descent, so the finger can delay but
 // never change any operation's outcome.
 //
-// Ownership is derived fresh at seek time from the validated chunk instead of
-// being cached: the data layer partitions the key space, so an unchanged node
-// n owns exactly [n.min, succ(n).min), and succ(n).min cannot decrease while
-// n's word is unchanged (linking or merging a successor requires locking n).
-// Keys in (n.max, succ(n).min) — the common case for ascending ingest — are
-// resolved with one extra validated read of the successor's minimum.
+// Ownership is derived fresh at seek time instead of being cached: once the
+// remembered node n is validated and its minimum is ≤ k, n is a legal start
+// for the ordinary rightward walk (traverseRightN), which lands on the true
+// owner — the rightmost node with minimum ≤ k — exactly as the last step of
+// a descent does. The walk is bounded (fingerHops): keys in the gap past
+// n.max (ascending ingest), on the successor (a cursor crossing a chunk
+// boundary) or a few chunks further right (the next group of a sorted
+// batch) resume without a descent; anything further is cheaper to descend
+// to. This (node, version) pair is the only resume state an operation
+// context keeps.
 
 // finger remembers where the previous operation through a context finished.
 //
 // Two refinements keep the finger near-free when locality is absent:
 //
-//   - Bound caching: a successful probe caches the node's exact [lo, hi] key
+//   - Bound caching: a validated probe caches the node's exact [lo, hi] key
 //     bounds. They are trusted again only while the node's lock word still
 //     equals ver (any modification bumps the word), which lets a run of
-//     read-only operations on the same chunk skip the O(T_D) bounds scan —
-//     a probe is then one load, one compare against the word, and two key
-//     compares.
-//   - Probe backoff: every wasted full probe (failed validation or
-//     out-of-span key) doubles a skip window, during which seeks decline to
-//     probe at all (two branches). Any hit resets the window. Under uniform
-//     or scrambled-Zipfian traffic — where consecutive operations almost
+//     read-only operations on the same chunk skip the bounds read, and lets
+//     a key out of reach (inReach) be rejected before any shared-memory
+//     write.
+//   - Probe backoff: every wasted probe (failed validation, a key beyond
+//     reach, or a walk past the hop budget; see fingerMiss) doubles a skip
+//     window, during which seeks decline to probe at all (two branches).
+//     Any hit resets the window. Under uniform or scrambled-Zipfian traffic — where consecutive operations almost
 //     never share a chunk — the finger quickly throttles itself to one probe
 //     per 2^maxFingerPenalty operations, bounding its overhead to well under
 //     a percent; when the workload turns local again the first successful
@@ -79,28 +83,42 @@ func (f *finger[V]) punish() {
 	f.backoff = (1 << f.penalty) - 1
 }
 
+// fingerHops bounds the finger's rightward walk. Consecutive operations of
+// a locality-bearing workload sit zero or one chunk apart (an empty orphan
+// or a fresh split in between at worst); past a few hops a full descent is
+// cheaper than the validated crawl.
+const fingerHops = 4
+
 // fingerMode selects the ownership test fingerSeek applies.
 type fingerMode int
 
 const (
-	// fingerPoint requires the key to lie strictly inside the remembered
-	// node's span: [min, succMin).
+	// fingerPoint accepts any key the walk can resolve.
 	fingerPoint fingerMode = iota
-	// fingerScan additionally accepts key == succMin: Ceiling walks right
-	// hand-over-hand anyway, so starting one node early is still O(1) and
-	// lets sequential scans cross chunk boundaries without a descent.
-	fingerScan
-	// fingerRemove excludes key == min: removing a node's minimum must take
-	// the full descent, because the key may own an index tower that only the
-	// top-down pass can find and unlink.
+	// fingerRemove excludes the minimum of the node the walk lands on:
+	// removing a node's minimum must take the full descent, because the key
+	// may own an index tower that only the top-down pass can find and
+	// unlink.
 	fingerRemove
 )
 
-// fingerSeek tries to resume at the remembered data node. On a hit the
-// caller holds a hazard pointer on the returned node and a validated
-// snapshot of its lock — exactly the postcondition of descendToData. On a
-// miss nothing is held and the caller performs the full descent.
-func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode) (*node[V], seqlock.Version, bool) {
+// inReach reports whether k may be resolved from a node whose exact bounds
+// are [lo, hi] within the hop budget. The node's own key span is a free
+// density estimate for the chunks around it: when k lies past hi by more
+// than fingerHops such spans, its owner is almost certainly out of reach (a
+// uniform workload puts consecutive keys thousands of chunks apart). Both
+// subtractions are non-negative under the guards, so the uint64 arithmetic
+// is exact, and dividing by the span sidesteps overflow.
+func inReach(lo, hi, k int64) bool {
+	return lo <= k && (k <= hi || (uint64(k)-uint64(hi))/(uint64(hi)-uint64(lo)+1) <= fingerHops)
+}
+
+// fingerSeek tries to resume at the remembered data node and walk to the
+// owner of k in the caller's traverse mode. On a hit the caller holds a
+// hazard pointer on the returned node and a validated snapshot of its lock
+// — exactly the postcondition of descendToData. On a miss nothing is held
+// and the caller performs the full descent.
+func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode traverseMode, fm fingerMode) (*node[V], seqlock.Version, bool) {
 	f := &ctx.fing
 	n := f.node
 	if n == nil {
@@ -114,79 +132,70 @@ func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode fingerMode) (*node[V], 
 		m.fingerMisses.add(ctx.stripe, 1)
 		return nil, 0, false
 	}
-	// Quick reject on the cached lower bound, before any shared-memory
-	// write: a node's minimum can only change under its lock, so if the
-	// bounds are stale the reject is merely conservative (a miss is always
-	// safe). Keys above hi are NOT rejected here — they may sit in the gap
-	// before the successor (the ascending-ingest case) and need the probe.
-	if f.hasBounds && k < f.lo {
-		m.fingerMisses.add(ctx.stripe, 1)
-		return nil, 0, false
+	// Reach reject on the cached bounds, before any shared-memory write: a
+	// node's keys can only change under its lock, so if the bounds are
+	// stale the reject is merely conservative (a miss is always safe).
+	// inReach also checks k ≥ min, the walk's entry precondition: a
+	// rightward walk can never correct a start that is already right of
+	// the owner, and its stop test, k ≤ max, would happily return such a
+	// node. The validation below proves cached bounds exact.
+	if f.hasBounds && !inReach(f.lo, f.hi, k) {
+		return m.fingerMiss(ctx, k > f.hi)
 	}
 	// Publish the hazard pointer first, then revalidate: a successful
 	// validation proves the node was still live (not retired) when the
 	// pointer became visible, so it is protected from here on.
 	ctx.take(n)
 	if chaos.Fail(chaos.CoreFinger) || !n.lock.Validate(f.ver) {
-		ctx.drop(n)
 		f.node = nil // stale: the node changed (or was merged away) behind us
-		f.punish()
-		m.fingerMisses.add(ctx.stripe, 1)
-		return nil, 0, false
+		return m.fingerMiss(ctx, true)
 	}
 	// n is unchanged since the finger was recorded, so its chunk reads below
 	// are consistent — and cached bounds, taken under the same word, are
-	// still exact and save the scan.
-	var minK, maxK int64
-	if f.hasBounds {
-		minK, maxK = f.lo, f.hi
-	} else {
-		var ok bool
-		minK, maxK, ok = n.chunk.Bounds()
+	// still exact and save the read.
+	if !f.hasBounds {
+		lo, hi, ok := n.chunk.Bounds()
 		if !ok {
-			ctx.drop(n)
-			f.punish()
-			m.fingerMisses.add(ctx.stripe, 1)
-			return nil, 0, false
+			return m.fingerMiss(ctx, true)
 		}
-		f.lo, f.hi, f.hasBounds = minK, maxK, true
-	}
-	if k < minK || (mode == fingerRemove && k == minK) {
-		ctx.drop(n)
-		f.punish()
-		m.fingerMisses.add(ctx.stripe, 1)
-		return nil, 0, false
-	}
-	if k > maxK {
-		// k may still belong to n if it falls in the gap before the
-		// successor's minimum. One validated read of succ.min decides; the
-		// final revalidation of n proves succ was n's successor throughout.
-		// The successor follows the usual exposure rule: publish its hazard
-		// pointer, revalidate n (unlinking the successor would have locked
-		// n), and only then dereference it.
-		next := n.next.Load()
-		hit := false
-		if next != nil {
-			ctx.take(next)
-			if n.lock.Validate(f.ver) {
-				if nv, ok := next.lock.ReadVersion(); ok {
-					if nm, has := next.minKey(); has && next.lock.Validate(nv) && n.lock.Validate(f.ver) {
-						hit = k < nm || (mode == fingerScan && k == nm)
-					}
-				}
-			}
-			ctx.drop(next)
+		f.lo, f.hi, f.hasBounds = lo, hi, true
+		if !inReach(lo, hi, k) {
+			return m.fingerMiss(ctx, k > hi)
 		}
-		if !hit {
-			ctx.drop(n)
-			f.punish()
-			m.fingerMisses.add(ctx.stripe, 1)
-			return nil, 0, false
+	}
+	curr, ver, ok := m.traverseRightN(ctx, n, f.ver, k, mode, fingerHops)
+	if !ok {
+		// Budget exhausted or a validation lost a race: nothing was locked
+		// and nothing observed inconsistently, so no restart is charged.
+		return m.fingerMiss(ctx, true)
+	}
+	if fm == fingerRemove {
+		lo := f.lo
+		if curr != n {
+			lo, _ = curr.minKey()
+		}
+		if lo == k || !curr.lock.Validate(ver) {
+			return m.fingerMiss(ctx, true)
 		}
 	}
 	f.penalty = 0
 	m.fingerHits.add(ctx.stripe, 1)
-	return n, f.ver, true
+	return curr, ver, true
+}
+
+// fingerMiss declines a probe: it drops every hazard pointer the probe
+// published, counts the miss and, when punish is set, widens the skip
+// window. Every miss punishes except a key below the finger's node: that is
+// a session moving back (a cursor restarting, a batch after a lookup further
+// right), which the descent it falls back to re-anchors, not a sign that
+// locality is absent.
+func (m *Map[V]) fingerMiss(ctx *opCtx[V], punish bool) (*node[V], seqlock.Version, bool) {
+	ctx.dropAll()
+	if punish {
+		ctx.fing.punish()
+	}
+	m.fingerMisses.add(ctx.stripe, 1)
+	return nil, 0, false
 }
 
 // recordFinger remembers the data node an operation finished on, for the

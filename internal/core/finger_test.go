@@ -43,11 +43,16 @@ func fingerOn(t *testing.T, m *Map[int64], ctx *opCtx[int64], k int64) (n *node[
 	return n, minK, maxK
 }
 
-// seek probes the finger with a fresh backoff window and releases any hazard
-// pointer a hit leaves published, so tests can chain probes deterministically.
-func seek(m *Map[int64], ctx *opCtx[int64], k int64, mode fingerMode) bool {
+// seek probes the finger with a fresh backoff window, in the traverse mode
+// its callers use, and releases any hazard pointer a hit leaves published,
+// so tests can chain probes deterministically.
+func seek(m *Map[int64], ctx *opCtx[int64], k int64, fm fingerMode) bool {
 	ctx.fing.backoff = 0
-	_, _, hit := m.fingerSeek(ctx, k, mode)
+	mode := modeRead
+	if fm == fingerRemove {
+		mode = modeWrite
+	}
+	_, _, hit := m.fingerSeek(ctx, k, mode, fm)
 	ctx.dropAll()
 	return hit
 }
@@ -105,21 +110,88 @@ func TestFingerSpanOwnership(t *testing.T) {
 	if found := m.lookupCtx(ctx, maxK+1, nil); found {
 		t.Fatal("gap key reported present")
 	}
-	// The successor's minimum is out of span for point mode but in span for
-	// scan mode (Ceiling walks right from here).
-	if seek(m, ctx, succMin, fingerPoint) {
-		t.Fatal("successor's minimum hit in point mode")
+	// The successor's minimum, and the key past it, belong to the successor:
+	// the walk reaches them in one hop.
+	if !seek(m, ctx, succMin, fingerPoint) || !seek(m, ctx, succMin+1, fingerPoint) {
+		t.Fatal("key on the successor missed")
 	}
-	if !seek(m, ctx, succMin, fingerScan) {
-		t.Fatal("successor's minimum missed in scan mode")
-	}
-	// Keys beyond the successor's minimum miss in every mode.
-	if seek(m, ctx, succMin+1, fingerScan) || seek(m, ctx, succMin+1, fingerPoint) {
-		t.Fatal("key beyond successor hit")
+	// Removing the successor's minimum must take the full descent.
+	if seek(m, ctx, succMin, fingerRemove) {
+		t.Fatal("remove-mode probe hit on the successor's minimum")
 	}
 	// Keys below the node's minimum miss (quick reject once bounds cached).
 	if seek(m, ctx, minK-1, fingerPoint) {
 		t.Fatal("key below node minimum hit")
+	}
+}
+
+// TestFingerWalkReach pins the walk's hop budget on a bulk-loaded map, whose
+// chunks all hold exactly T_D keys, so the reach estimate from the finger
+// node's own span is exact for its neighbours.
+func TestFingerWalkReach(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TargetDataVectorSize = 4
+	cfg.TargetIndexVectorSize = 2
+	cfg.LayerCount = 5
+	var keys []int64
+	for k := int64(0); k < 800; k += 2 {
+		keys = append(keys, k)
+	}
+	m, err := BulkLoad[int64](cfg, keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := m.ctxs.get()
+	defer m.ctxs.put(ctx)
+
+	n, _, _ := fingerOn(t, m, ctx, 400)
+	// seekTo is seek returning the node a hit lands on.
+	seekTo := func(k int64, fm fingerMode) *node[int64] {
+		ctx.fing.backoff = 0
+		curr, _, hit := m.fingerSeek(ctx, k, modeWrite, fm)
+		ctx.dropAll()
+		if !hit {
+			return nil
+		}
+		return curr
+	}
+	prev := n
+	for hop := 1; hop <= fingerHops+1; hop++ {
+		right := prev.next.Load()
+		lo, hi, ok := right.chunk.Bounds()
+		if !ok {
+			t.Fatalf("node %d hops right is empty", hop)
+		}
+		if hop > fingerHops {
+			if seekTo(lo, fingerPoint) != nil {
+				t.Fatalf("key %d hops right hit past the budget", hop)
+			}
+			if ctx.fing.backoff == 0 {
+				t.Fatal("a probe past the budget did not widen the skip window")
+			}
+			break
+		}
+		// The gap key below lo belongs to the node before.
+		for _, c := range []struct {
+			k    int64
+			want *node[int64]
+		}{{lo - 1, prev}, {lo, right}, {hi, right}} {
+			if got := seekTo(c.k, fingerPoint); got != c.want {
+				t.Fatalf("key %d, %d hops right: landed on %p, want %p", c.k, hop, got, c.want)
+			}
+		}
+		// The walk lands on the owner, so remove mode declines exactly that
+		// node's minimum.
+		if seekTo(lo, fingerRemove) != nil {
+			t.Fatalf("remove-mode probe hit on the minimum %d hops right", hop)
+		}
+		if seekTo(hi, fingerRemove) != right {
+			t.Fatalf("remove-mode probe missed a non-minimum key %d hops right", hop)
+		}
+		prev = right
+	}
+	if ctx.fing.node != n {
+		t.Fatal("a probe moved the finger")
 	}
 }
 
@@ -328,7 +400,7 @@ func TestFingerProbeBackoff(t *testing.T) {
 	// Each wasted full probe doubles the skip window.
 	wantPenalty := uint8(0)
 	for round := 0; round < 3; round++ {
-		if _, _, hit := m.fingerSeek(ctx, far, fingerPoint); hit {
+		if _, _, hit := m.fingerSeek(ctx, far, modeRead, fingerPoint); hit {
 			t.Fatalf("round %d: far key hit", round)
 		}
 		wantPenalty++
@@ -339,7 +411,7 @@ func TestFingerProbeBackoff(t *testing.T) {
 		// The window is spent declining without touching the node.
 		for f.backoff > 0 {
 			prev := f.backoff
-			if _, _, hit := m.fingerSeek(ctx, 100, fingerPoint); hit {
+			if _, _, hit := m.fingerSeek(ctx, 100, modeRead, fingerPoint); hit {
 				t.Fatal("probe during backoff window")
 			}
 			if f.backoff != prev-1 {
@@ -350,7 +422,7 @@ func TestFingerProbeBackoff(t *testing.T) {
 	// The cap bounds the window.
 	for round := 0; round < 10; round++ {
 		ctx.fing.backoff = 0
-		m.fingerSeek(ctx, far, fingerPoint)
+		m.fingerSeek(ctx, far, modeRead, fingerPoint)
 	}
 	if f.penalty != maxFingerPenalty {
 		t.Fatalf("penalty=%d, want cap %d", f.penalty, maxFingerPenalty)

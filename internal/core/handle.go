@@ -96,17 +96,3 @@ func (h *Handle[V]) CeilingInto(k int64, out *V) (int64, bool) {
 	checkKey(k)
 	return h.m.ceilingCtx(h.ctx, k, out)
 }
-
-// First is Map.First through the pinned context.
-func (h *Handle[V]) First() (k int64, v *V, ok bool) {
-	v = new(V)
-	k, ok = h.CeilingInto(MinKey+1, v)
-	return
-}
-
-// Last is Map.Last through the pinned context.
-func (h *Handle[V]) Last() (k int64, v *V, ok bool) {
-	v = new(V)
-	k, ok = h.FloorInto(MaxKey-1, v)
-	return
-}

@@ -85,7 +85,7 @@ func (m *Map[V]) insertAttempt(
 	// data-layer Contains below subsumes (an indexed key is always present
 	// in the data layer) — can be skipped.
 	if height == 0 && !resume {
-		if fcurr, fver, hit := m.fingerSeek(ctx, k, fingerPoint); hit {
+		if fcurr, fver, hit := m.fingerSeek(ctx, k, modeWrite, fingerPoint); hit {
 			return m.finishInsertData(ctx, st, fcurr, fver, k, v, height)
 		}
 	}

@@ -168,9 +168,9 @@ type Map[V any] struct {
 	fingerHits   lengthCounter
 	fingerMisses lengthCounter
 
-	// batchDescSaved counts ApplyBatch groups positioned by walking from the
-	// previous group's node instead of a fresh descent (striped for the same
-	// reason as the finger counters: one touch per group commit).
+	// batchDescSaved counts ApplyBatch groups positioned by the search finger
+	// instead of a fresh descent (striped for the same reason as the finger
+	// counters: one touch per group commit).
 	batchDescSaved lengthCounter
 
 	// restartsByOp breaks stats.Restarts down by the operation kind that

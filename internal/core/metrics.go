@@ -49,7 +49,7 @@ func (m *Map[V]) initMetrics() {
 	r.CounterFunc("sv_finger_hits_total", "Operations that resumed from the search finger.", m.fingerHits.load)
 	r.CounterFunc("sv_finger_misses_total", "Finger attempts that fell back to the full descent.", m.fingerMisses.load)
 	r.CounterFunc("sv_batch_descents_saved_total",
-		"ApplyBatch groups positioned from the previous group's node by a bounded rightward walk, skipping the descent.",
+		"ApplyBatch groups positioned by the search finger, skipping the descent.",
 		m.batchDescSaved.load)
 	r.GaugeFunc("sv_len", "Current key count.", func() float64 { return float64(m.length.load()) })
 

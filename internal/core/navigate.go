@@ -41,7 +41,7 @@ func (m *Map[V]) floorCtx(ctx *opCtx[V], k int64, out *V) (int64, bool) {
 }
 
 func (m *Map[V]) floorOnce(ctx *opCtx[V], k int64, out *V) (key int64, found, ok bool) {
-	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint)
+	curr, ver, hit := m.fingerSeek(ctx, k, modeRead, fingerPoint)
 	if !hit {
 		curr, ver, ok = m.descendToData(ctx, k, modeRead)
 		if !ok {
@@ -93,10 +93,7 @@ func (m *Map[V]) ceilingCtx(ctx *opCtx[V], k int64, out *V) (int64, bool) {
 }
 
 func (m *Map[V]) ceilingOnce(ctx *opCtx[V], k int64, out *V) (key int64, found, ok bool) {
-	// fingerScan also accepts k == succ.min — the walk below crosses to the
-	// successor in one validated step, which is how a cursor iterating in
-	// ascending order hops chunk boundaries without a descent.
-	curr, ver, hit := m.fingerSeek(ctx, k, fingerScan)
+	curr, ver, hit := m.fingerSeek(ctx, k, modeRead, fingerPoint)
 	if !hit {
 		curr, ver, ok = m.descendToData(ctx, k, modeRead)
 		if !ok {
@@ -138,18 +135,4 @@ func (m *Map[V]) ceilingOnce(ctx *opCtx[V], k int64, out *V) (key int64, found, 
 		ctx.drop(curr)
 		curr, ver = next, nextVer
 	}
-}
-
-// First returns the smallest key in the map and a copy of its value.
-func (m *Map[V]) First() (k int64, v *V, ok bool) {
-	v = new(V)
-	k, ok = m.CeilingInto(MinKey+1, v)
-	return
-}
-
-// Last returns the largest key in the map and a copy of its value.
-func (m *Map[V]) Last() (k int64, v *V, ok bool) {
-	v = new(V)
-	k, ok = m.FloorInto(MaxKey-1, v)
-	return
 }

@@ -39,23 +39,25 @@ func TestFloorCeilingBasic(t *testing.T) {
 	})
 }
 
+// TestFirstLast reads the smallest and largest keys the way the facades'
+// Min and Max do: Ceiling and Floor at the sentinels.
 func TestFirstLast(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, cfg Config) {
 		m := newTestMap(t, cfg)
-		if _, _, ok := m.First(); ok {
-			t.Fatal("First on empty map")
+		if _, _, ok := m.Ceiling(MinKey + 1); ok {
+			t.Fatal("Ceiling(MinKey+1) on empty map")
 		}
-		if _, _, ok := m.Last(); ok {
-			t.Fatal("Last on empty map")
+		if _, _, ok := m.Floor(MaxKey - 1); ok {
+			t.Fatal("Floor(MaxKey-1) on empty map")
 		}
 		for _, k := range []int64{50, -3, 17, 99, 0} {
 			m.Insert(k, v64(k))
 		}
-		if k, _, ok := m.First(); !ok || k != -3 {
-			t.Fatalf("First = %d,%t", k, ok)
+		if k, _, ok := m.Ceiling(MinKey + 1); !ok || k != -3 {
+			t.Fatalf("Ceiling(MinKey+1) = %d,%t", k, ok)
 		}
-		if k, _, ok := m.Last(); !ok || k != 99 {
-			t.Fatalf("Last = %d,%t", k, ok)
+		if k, _, ok := m.Floor(MaxKey - 1); !ok || k != 99 {
+			t.Fatalf("Floor(MaxKey-1) = %d,%t", k, ok)
 		}
 	})
 }

@@ -220,7 +220,7 @@ type StatsSnapshot struct {
 	RestartsLookup int64
 	RestartsInsert int64
 	RestartsRemove int64
-	RestartsNav    int64 // Floor/Ceiling (and First/Last through them)
+	RestartsNav    int64 // Floor/Ceiling (and the facades' Min/Max through them)
 	RestartsRange  int64 // range-window establishment
 	RestartsBatch  int64 // ApplyBatch group commits
 	RestartsSnap   int64 // snapshot point-read descents (snapshot scans cannot restart)
@@ -239,7 +239,7 @@ type StatsSnapshot struct {
 	FingerHits     int64 // operations that resumed from the search finger
 	FingerMisses   int64 // finger attempts that fell back to the full descent
 
-	BatchDescentsSaved int64 // batch groups positioned from the previous group's node, no descent
+	BatchDescentsSaved int64 // batch groups positioned by the search finger, no descent
 
 	SnapshotsPinned   int64 // snapshots acquired (monotonic)
 	SnapshotsReleased int64 // snapshots released via Close (monotonic; ≤ SnapshotsPinned)

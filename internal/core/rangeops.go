@@ -84,7 +84,7 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, c vecto
 
 	var locked []*node[V]
 	for {
-		curr, ver, hit := m.fingerSeek(ctx, lo, fingerPoint)
+		curr, ver, hit := m.fingerSeek(ctx, lo, modeRead, fingerPoint)
 		if !hit {
 			var ok bool
 			curr, ver, ok = m.descendToData(ctx, lo, modeRead)

@@ -31,10 +31,10 @@ func (m *Map[V]) removeCtx(ctx *opCtx[V], k int64) bool {
 // restart.
 func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 	// An indexed key is always the minimum of its data node, and fingerRemove
-	// accepts only keys strictly above the remembered node's minimum, so a
-	// finger hit proves k has no index tower: the whole descent — including
+	// accepts only keys strictly above the minimum of the node the finger's
+	// walk lands on, so a finger hit proves k has no index tower: the whole descent — including
 	// the per-layer search for an index entry equal to k — can be skipped.
-	if fcurr, fver, hit := m.fingerSeek(ctx, k, fingerRemove); hit {
+	if fcurr, fver, hit := m.fingerSeek(ctx, k, modeWrite, fingerRemove); hit {
 		return m.removeFromDataLayer(ctx, fcurr, fver, k)
 	}
 

@@ -1,30 +1,9 @@
 package core
 
 import (
-	"unsafe"
-
 	"skipvector/internal/chaos"
-	"skipvector/internal/cpuhint"
 	"skipvector/internal/seqlock"
 )
-
-// prefetchNode hints the one cache line that holds n's whole 64-byte struct
-// (the seqlock word, next pointer, level and the chunk's block pointer and
-// size) so the header reads that follow (ReadVersion, size, the chunk's
-// block address) hit cache.
-// It only does address arithmetic on the pointer value, never a dereference,
-// so it is safe on a speculative, not-yet-validated pointer: a prefetch of a
-// recycled node's memory is a wasted hint, not a fault or a data race (the
-// race detector does not observe the asm stub).
-func prefetchNode[V any](n *node[V]) {
-	cpuhint.Prefetch(uintptr(unsafe.Pointer(n)))
-}
-
-// prefetchKeys hints the key cache lines of n's chunk block. Unlike
-// prefetchNode this reads n's header (the block pointer and size), so callers
-// issue it once they hold a validated hazard pointer for n: before that the
-// hint may be for a node the descent is not about to search.
-func prefetchKeys[V any](n *node[V]) { n.chunk.PrefetchKeys() }
 
 // traverseMode distinguishes read-only traversals from mutating ones:
 // Lookup only unlinks empty orphans, while Insert and Remove additionally
@@ -53,12 +32,13 @@ func (m *Map[V]) traverseRight(
 
 // traverseRightN is traverseRight with a hop budget: when budget ≥ 0, the
 // walk gives up (ok=false) instead of advancing past budget nodes. A bounded
-// walk is how ApplyBatch resumes the next group from the previous group's
-// node — adjacent groups usually sit zero or one chunk apart, and when they
-// don't, a full descent beats an O(n) rightward crawl. budget < 0 is the
-// ordinary unbounded traversal. Orphan merges do not count against the
-// budget: each merge removes a node, so they are globally bounded, and
-// charging them would make a maintenance backlog look like missing locality.
+// walk is how the search finger resumes from the node the previous
+// operation finished on (fingerSeek) — consecutive operations with locality
+// usually sit zero or one chunk apart, and when they don't, a full descent
+// beats an O(n) rightward crawl. budget < 0 is the ordinary unbounded
+// traversal. Orphan merges do not count against the budget: each merge
+// removes a node, so they are globally bounded, and charging them would make
+// a maintenance backlog look like missing locality.
 func (m *Map[V]) traverseRightN(
 	ctx *opCtx[V], curr *node[V], ver seqlock.Version, k int64, mode traverseMode, budget int,
 ) (*node[V], seqlock.Version, bool) {
@@ -76,10 +56,6 @@ func (m *Map[V]) traverseRightN(
 			// have changed.
 			return nil, 0, false
 		}
-		// Overlap next's header miss with the hazard publish and the two
-		// validations below — by the time ReadVersion demands the line it is
-		// (ideally) already in flight. Safe pre-validation; see prefetchNode.
-		prefetchNode(next)
 		ctx.take(next)
 		// Validating curr proves next was still curr's successor when the
 		// hazard pointer above became visible, so next is protected.
@@ -237,16 +213,10 @@ func (m *Map[V]) descendToData(
 			// validation of curr.
 			return nil, 0, false
 		}
-		// Hint the child's header across exchangeDown's publish-and-validate
-		// dance, then — once the child is validated — the key lines its
-		// search will probe, so the three lines stream in parallel instead
-		// of serializing as demand misses.
-		prefetchNode(child)
 		curr, ver, ok = m.exchangeDown(ctx, curr, ver, child)
 		if !ok {
 			return nil, 0, false
 		}
-		prefetchKeys(curr)
 		depth++
 	}
 	n, v, ok := m.traverseRight(ctx, curr, ver, k, mode)

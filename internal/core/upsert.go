@@ -39,7 +39,7 @@ func (m *Map[V]) upsertWithHeight(ctx *opCtx[V], k int64, v vectormap.Cell, heig
 // payload. done=false requests a restart; (false, true) is a validated
 // observation that k is absent.
 func (m *Map[V]) setOnce(ctx *opCtx[V], k int64, v vectormap.Cell) (updated, done bool) {
-	curr, ver, hit := m.fingerSeek(ctx, k, fingerPoint)
+	curr, ver, hit := m.fingerSeek(ctx, k, modeWrite, fingerPoint)
 	if !hit {
 		var ok bool
 		curr, ver, ok = m.descendToData(ctx, k, modeWrite)

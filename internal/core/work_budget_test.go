@@ -98,6 +98,54 @@ func TestWorkBudgets(t *testing.T) {
 	}
 	fresh, freshKey := skipvector.New[uint64](), int64(0)
 
+	// Resume path. Every finger miss takes the full descent and every hit
+	// resumes from the finger's node, so descents are the misses: one for
+	// the first seek of a fresh session, none after it while the walk's hop
+	// budget covers each next key.
+	sorted := make([]int64, budgetKeys)
+	for i := range sorted {
+		sorted[i] = int64(i) * 2
+	}
+	loaded, err := core.BulkLoad[uint64](core.DefaultConfig(), sorted, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchDescents := func() float64 {
+		bh := loaded.NewHandle()
+		defer bh.Close()
+		ops := make([]core.BatchOp[uint64], 64)
+		for i := range ops {
+			k := budgetKeys + 2*int64(i) + 1 // absent keys mid-map, across several chunks
+			v := uint64(k)
+			ops[i] = core.BatchOp[uint64]{Key: k, Val: &v}
+		}
+		before := loaded.Stats().FingerMisses
+		bh.ApplyBatch(ops)
+		return float64(loaded.Stats().FingerMisses - before)
+	}
+	// Consecutive keys, so that each step off a chunk's maximum lands on the
+	// successor's minimum and needs one hop.
+	dense := skipvector.New[uint64]()
+	for k := range int64(4096) {
+		dense.Insert(k, uint64(k))
+	}
+	cursorDescents := func() float64 {
+		c := dense.Cursor(0)
+		defer c.Close()
+		before := dense.Stats().FingerMisses
+		for range 1000 {
+			if _, _, ok := c.Next(); !ok {
+				t.Fatal("cursor ran out of keys")
+			}
+		}
+		return float64(dense.Stats().FingerMisses - before)
+	}
+	cursorNextAllocs := func() float64 {
+		c := facade.Cursor(0)
+		defer c.Close()
+		return testing.AllocsPerRun(1000, func() { c.Next() })
+	}
+
 	type budget struct {
 		name   string
 		got    float64
@@ -119,6 +167,9 @@ func TestWorkBudgets(t *testing.T) {
 				fresh.Insert(freshKey, uint64(freshKey))
 			}
 		}) / insertsPerRun, freshInsertAllocsBudget},
+		{"allocs per facade Cursor.Next", cursorNextAllocs(), 0},
+		{"descents per sorted 64-key Handle.ApplyBatch", batchDescents(), 1},
+		{"descents per 1,000-step facade Cursor walk", cursorDescents(), 1},
 		{"restarts", float64(m.Stats().Restarts), 0},
 		{"heap bytes per key", heapPerKey, heapBytesPerKeyBudget},
 	}

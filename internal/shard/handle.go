@@ -217,25 +217,3 @@ func (h *Handle[V]) CeilingInto(k int64, out *V) (int64, bool) {
 	}
 	return 0, false
 }
-
-// First returns the smallest key across all shards.
-func (h *Handle[V]) First() (int64, *V, bool) {
-	t := h.rebind()
-	for i := range t.maps {
-		if k, v, ok := h.at(i).First(); ok {
-			return k, v, true
-		}
-	}
-	return 0, nil, false
-}
-
-// Last returns the largest key across all shards.
-func (h *Handle[V]) Last() (int64, *V, bool) {
-	t := h.rebind()
-	for i := len(t.maps) - 1; i >= 0; i-- {
-		if k, v, ok := h.at(i).Last(); ok {
-			return k, v, true
-		}
-	}
-	return 0, nil, false
-}

@@ -401,27 +401,6 @@ func (s *Sharded[V]) CeilingInto(k int64, out *V) (int64, bool) {
 	return 0, false
 }
 
-// First returns the smallest key and a copy of its value across all shards.
-func (s *Sharded[V]) First() (int64, *V, bool) {
-	for _, m := range s.tab.Load().maps {
-		if k, v, ok := m.First(); ok {
-			return k, v, true
-		}
-	}
-	return 0, nil, false
-}
-
-// Last returns the largest key and a copy of its value across all shards.
-func (s *Sharded[V]) Last() (int64, *V, bool) {
-	maps := s.tab.Load().maps
-	for i := len(maps) - 1; i >= 0; i-- {
-		if k, v, ok := maps[i].Last(); ok {
-			return k, v, true
-		}
-	}
-	return 0, nil, false
-}
-
 // Keys concatenates the shard key sets in key order. Quiescent use only.
 func (s *Sharded[V]) Keys() []int64 {
 	var out []int64

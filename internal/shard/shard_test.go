@@ -184,20 +184,31 @@ func TestFloorCeilingAcrossBoundaries(t *testing.T) {
 	if _, _, ok := s.Ceiling(41); ok {
 		t.Fatal("Ceiling(41) found a key above the maximum")
 	}
-	if k, _, ok := s.First(); !ok || k != 5 {
-		t.Fatalf("First = %d,%v", k, ok)
+	if k, _, ok := s.Ceiling(MinKey + 1); !ok || k != 5 {
+		t.Fatalf("Ceiling(MinKey+1) = %d,%v", k, ok)
 	}
-	if k, _, ok := s.Last(); !ok || k != 40 {
-		t.Fatalf("Last = %d,%v", k, ok)
+	if k, _, ok := s.Floor(MaxKey - 1); !ok || k != 40 {
+		t.Fatalf("Floor(MaxKey-1) = %d,%v", k, ok)
 	}
 
 	// Fully empty map: every navigation comes back empty.
 	e := newTest(t, tinyCfg(), []int64{10})
-	if _, _, ok := e.First(); ok {
-		t.Fatal("First on empty")
+	if _, _, ok := e.Ceiling(MinKey + 1); ok {
+		t.Fatal("Ceiling(MinKey+1) on empty")
 	}
-	if _, _, ok := e.Last(); ok {
-		t.Fatal("Last on empty")
+	if _, _, ok := e.Floor(MaxKey - 1); ok {
+		t.Fatal("Floor(MaxKey-1) on empty")
+	}
+
+	// Empty leading shards: the smallest key sits two shards right of the
+	// one that owns MinKey+1.
+	l := newTest(t, tinyCfg(), []int64{10, 20})
+	put(t, l, 25)
+	if k, _, ok := l.Ceiling(MinKey + 1); !ok || k != 25 {
+		t.Fatalf("Ceiling(MinKey+1) over empty leading shards = %d,%v", k, ok)
+	}
+	if k, _, ok := l.Floor(MaxKey - 1); !ok || k != 25 {
+		t.Fatalf("Floor(MaxKey-1) over empty leading shards = %d,%v", k, ok)
 	}
 }
 
@@ -393,11 +404,11 @@ func TestHandleAcrossShards(t *testing.T) {
 	if k, _, ok := h.Ceiling(16); !ok || k != 25 {
 		t.Fatalf("handle Ceiling(16) = %d,%v", k, ok)
 	}
-	if k, _, ok := h.First(); !ok || k != 5 {
-		t.Fatalf("handle First = %d,%v", k, ok)
+	if k, _, ok := h.Ceiling(MinKey + 1); !ok || k != 5 {
+		t.Fatalf("handle Ceiling(MinKey+1) = %d,%v", k, ok)
 	}
-	if k, _, ok := h.Last(); !ok || k != 25 {
-		t.Fatalf("handle Last = %d,%v", k, ok)
+	if k, _, ok := h.Floor(MaxKey - 1); !ok || k != 25 {
+		t.Fatalf("handle Floor(MaxKey-1) = %d,%v", k, ok)
 	}
 
 	// Single-shard batch goes through the pinned session...

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"unsafe"
-
-	"skipvector/internal/cpuhint"
 )
 
 // These microbenchmarks quantify the per-chunk cost model behind Figure 7b:
@@ -91,42 +88,6 @@ func BenchmarkChunkIndexOf(b *testing.B) {
 				c.getRef(probes[i&4095])
 			}
 		})
-	}
-}
-
-// BenchmarkDescend models the descent's memory behaviour in isolation: a
-// pointer-chase through a chain of chunks far larger than L2, searching each
-// one while the next hop's key lines are prefetched (as core.descendToData
-// does). A `-tags purego` run of the same benchmark is the no-prefetch row.
-func BenchmarkDescend(b *testing.B) {
-	const chainLen = 1 << 14 // 16Ki chunks × 64 keys ≈ 16 MiB of key cells
-	chunks := make([]*Chunk[int64], chainLen)
-	rng := rand.New(rand.NewSource(7))
-	order := rng.Perm(chainLen)
-	for i := range chunks {
-		chunks[i] = benchChunk(64, true)
-	}
-	// Random probe targets, like ChunkIndexOf's: a periodic pattern would let
-	// a branch predictor memorize the search's decisions, which no uniform
-	// workload allows it.
-	probes := make([]int64, 4096)
-	for i := range probes {
-		probes[i] = int64(rng.Intn(128))
-	}
-	b.ResetTimer()
-	pos := 0
-	for i := 0; i < b.N; i++ {
-		c := chunks[order[pos]]
-		pos++
-		if pos == chainLen {
-			pos = 0
-		}
-		// Hint the *next* chunk before searching the current one,
-		// mirroring the overlap structure of the real descent.
-		next := chunks[order[pos]]
-		cpuhint.Prefetch(uintptr(unsafe.Pointer(next)))
-		next.PrefetchKeys()
-		c.Get(probes[i&4095])
 	}
 }
 

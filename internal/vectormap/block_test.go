@@ -326,7 +326,7 @@ func TestChunkConcurrentResize(t *testing.T) {
 						continue
 					}
 					q := int64(rng.Intn(keySpace+2) - 1)
-					op := rng.Intn(6)
+					op := rng.Intn(5)
 					var (
 						gotK    int64
 						gotV    *int64
@@ -350,8 +350,6 @@ func TestChunkConcurrentResize(t *testing.T) {
 							visited = append(visited, k)
 							return len(visited) <= 2*target
 						})
-					default:
-						c.PrefetchKeys()
 					}
 					keys := *model.Load()
 					if !lock.Validate(v) {

@@ -4,8 +4,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"unsafe"
-
-	"skipvector/internal/cpuhint"
 )
 
 // Branchless intra-chunk search. The sorted-chunk paths of indexOf, FindLE
@@ -113,33 +111,4 @@ func (b *block) upperBound(k int64, s int) int {
 	}
 	off += probeLE(base, off, 1, kb)
 	return int(off)
-}
-
-// keyLine is how many keys share one 64-byte cache line.
-const keyLine = 64 / int(cellSize)
-
-// PrefetchKeys hints the cache lines a search of this chunk will touch
-// first: the first line (the block's capacity word, every linear scan,
-// minKey, and the final probes of a binary search), the middle line (a
-// binary search's first probe), and the last occupied line (maxKey, the
-// traversal's stop test). Callers issue it for the *next* node of a descent
-// while the current node's protocol work is still in flight, so it reads
-// only the chunk header, never the block: waiting here for the block's first
-// line would turn the hint into the very miss it is meant to hide. The
-// addresses therefore come from a size not clamped to the block's capacity
-// and may lie past its end, which is harmless for a hint (cpuhint.Prefetch
-// takes addresses, not pointers).
-func (c *Cells) PrefetchKeys() {
-	s := uintptr(c.size.Load())
-	if s == 0 || s > uintptr(c.limit) {
-		return
-	}
-	keys := uintptr(unsafe.Pointer(c.blk.Load())) + keysOff
-	cpuhint.Prefetch(keys)
-	if s > uintptr(keyLine) {
-		cpuhint.Prefetch(keys + s>>1*cellSize)
-	}
-	if s > 2*uintptr(keyLine) {
-		cpuhint.Prefetch(keys + (s-1)*cellSize)
-	}
 }

@@ -501,9 +501,6 @@ func (o SlotOutcome) String() string {
 // still ahead, and the shrink rule runs once at the end. Caller must hold
 // the owning node's write lock; out must be at least as long as ops.
 func (c *Cells) ApplyOps(ops []CellOp, out []SlotOutcome) int {
-	// The batch's slot searches walk the whole occupied prefix; pull its
-	// first lines in while the loop sets up.
-	c.PrefetchKeys()
 	b, s := c.owned()
 	for i := range ops {
 		op := &ops[i]

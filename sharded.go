@@ -155,10 +155,18 @@ func (m *ShardedMap[V]) Ceiling(k int64) (int64, V, bool) {
 }
 
 // Min returns the smallest key and its value (ok=false when empty).
-func (m *ShardedMap[V]) Min() (int64, V, bool) { return unwrap[V](m.s.First()) }
+func (m *ShardedMap[V]) Min() (int64, V, bool) {
+	var v V
+	k, ok := m.s.CeilingInto(MinKey+1, &v)
+	return k, v, ok
+}
 
 // Max returns the largest key and its value (ok=false when empty).
-func (m *ShardedMap[V]) Max() (int64, V, bool) { return unwrap[V](m.s.Last()) }
+func (m *ShardedMap[V]) Max() (int64, V, bool) {
+	var v V
+	k, ok := m.s.FloorInto(MaxKey-1, &v)
+	return k, v, ok
+}
 
 // Keys returns every key in ascending order. Quiescent use only.
 func (m *ShardedMap[V]) Keys() []int64 { return m.s.Keys() }

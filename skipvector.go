@@ -285,14 +285,6 @@ func (m *Map[V]) Max() (int64, V, bool) {
 	return k, v, ok
 }
 
-func unwrap[V any](k int64, p *V, ok bool) (int64, V, bool) {
-	if !ok {
-		var zero V
-		return 0, zero, false
-	}
-	return k, *p, true
-}
-
 // Keys returns every key in ascending order. Intended for quiescent use
 // (tests, debugging); concurrent callers should prefer RangeQuery.
 func (m *Map[V]) Keys() []int64 { return m.m.Keys() }
