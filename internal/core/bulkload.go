@@ -56,7 +56,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 			end = len(keys)
 		}
 		n := m.mem.allocRaw(0)
-		n.chunk.Reserve(end - off)
+		n.chunk.ReserveKeys(end-off, keys[off], keys[end-1])
 		for i := off; i < end; i++ {
 			var v *V
 			if vals != nil {
@@ -95,7 +95,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 				end = len(refs)
 			}
 			n := m.mem.allocRaw(level)
-			n.chunk.Reserve(end - off)
+			n.chunk.ReserveKeys(end-off, refs[off].min, refs[end-1].min)
 			for i := off; i < end; i++ {
 				n.index().Insert(refs[i].min, refs[i].node)
 			}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"skipvector/internal/vectormap"
 )
 
 // TestChunkPropertiesTinyTargets sweeps the chunk sizes where every burst of
@@ -15,32 +17,40 @@ import (
 // every chunk's own invariant too — and the contents are compared with a
 // model. BulkLoad's T_I = 1 defect sat in this corner. The sweep runs for
 // int64 values, stored inline in word cells, and again under boxed/ for a
-// value too wide for a word, stored in a box behind a pointer cell.
+// value too wide for a word, stored in a box behind a pointer cell. Each
+// runs over four key spaces of 160 keys: above 0; straddling 2^32, so chunk
+// blocks switch between 4-byte and 8-byte key cells as keys cross it; and
+// next to each sentinel.
 func TestChunkPropertiesTinyTargets(t *testing.T) {
-	for _, boxed := range []bool{false, true} {
-		for td := 1; td <= 8; td++ {
-			for ti := 1; ti <= 4; ti++ {
-				for _, sortedData := range []bool{false, true} {
-					cfg := DefaultConfig()
-					cfg.TargetDataVectorSize = td
-					cfg.TargetIndexVectorSize = ti
-					cfg.SortedData = sortedData
-					cfg.LayerCount = 8
-					name := fmt.Sprintf("TD%d/TI%d/sorted=%t", td, ti, sortedData)
-					seed := int64(td*100 + ti*10)
-					if sortedData {
-						seed++
-					}
-					if boxed {
-						t.Run("boxed/"+name, func(t *testing.T) {
-							chunkPropertyRun(t, cfg, seed, func(x int64) wide { return wide{x, ^x, x} },
-								func(v wide) int64 { return v[0] })
+	for _, base := range []int64{0, 1<<32 - 80, vectormap.NegInf, vectormap.PosInf - 161} {
+		for _, boxed := range []bool{false, true} {
+			for td := 1; td <= 8; td++ {
+				for ti := 1; ti <= 4; ti++ {
+					for _, sortedData := range []bool{false, true} {
+						cfg := DefaultConfig()
+						cfg.TargetDataVectorSize = td
+						cfg.TargetIndexVectorSize = ti
+						cfg.SortedData = sortedData
+						cfg.LayerCount = 8
+						name := fmt.Sprintf("TD%d/TI%d/sorted=%t", td, ti, sortedData)
+						if base != 0 {
+							name = fmt.Sprintf("keys%+d/%s", base, name)
+						}
+						seed := int64(td*100 + ti*10)
+						if sortedData {
+							seed++
+						}
+						if boxed {
+							t.Run("boxed/"+name, func(t *testing.T) {
+								chunkPropertyRun(t, cfg, seed, base, func(x int64) wide { return wide{x, ^x, x} },
+									func(v wide) int64 { return v[0] })
+							})
+							continue
+						}
+						t.Run(name, func(t *testing.T) {
+							chunkPropertyRun(t, cfg, seed, base, func(x int64) int64 { return x }, func(v int64) int64 { return v })
 						})
-						continue
 					}
-					t.Run(name, func(t *testing.T) {
-						chunkPropertyRun(t, cfg, seed, func(x int64) int64 { return x }, func(v int64) int64 { return v })
-					})
 				}
 			}
 		}
@@ -48,8 +58,8 @@ func TestChunkPropertiesTinyTargets(t *testing.T) {
 }
 
 // chunkPropertyRun drives one map of V, whose values carry the model's int64
-// through enc and dec.
-func chunkPropertyRun[V any](t *testing.T, cfg Config, seed int64, enc func(int64) V, dec func(V) int64) {
+// through enc and dec, over the keys base+1 … base+160.
+func chunkPropertyRun[V any](t *testing.T, cfg Config, seed, base int64, enc func(int64) V, dec func(V) int64) {
 	const (
 		keySpace = 160
 		bursts   = 24
@@ -65,7 +75,8 @@ func chunkPropertyRun[V any](t *testing.T, cfg Config, seed int64, enc func(int6
 	var keys []int64
 	var vals []*V
 	model := map[int64]int64{}
-	for k := int64(1); k <= keySpace; k += 3 {
+	for r := int64(1); r <= keySpace; r += 3 {
+		k := base + r
 		keys = append(keys, k)
 		vals = append(vals, val(-k))
 		model[k] = -k
@@ -111,7 +122,7 @@ func chunkPropertyRun[V any](t *testing.T, cfg Config, seed int64, enc func(int6
 			removes, batchDels = 6, 3
 		}
 		for i := 0; i < burstOps; i++ {
-			k := int64(rng.Intn(keySpace) + 1)
+			k := base + int64(rng.Intn(keySpace)+1)
 			x := int64(b*1000 + i)
 			switch r := rng.Intn(10); {
 			case r < removes:
@@ -137,7 +148,7 @@ func chunkPropertyRun[V any](t *testing.T, cfg Config, seed int64, enc func(int6
 				ops := make([]BatchOp[V], 1+rng.Intn(3*cfg.TargetDataVectorSize+4))
 				lo := int64(rng.Intn(keySpace) + 1)
 				for j := range ops {
-					ops[j].Key = min(lo+int64(rng.Intn(2*len(ops)+1)), keySpace)
+					ops[j].Key = base + min(lo+int64(rng.Intn(2*len(ops)+1)), keySpace)
 					if rng.Intn(4) < batchDels {
 						ops[j].Del = true
 						continue

@@ -199,11 +199,11 @@ func (m *Map[V]) applyInsert(
 	ctx *opCtx[V], st *insertState[V], k int64, v vectormap.Cell, height int,
 ) (*node[V], seqlock.Version) {
 	// Layer 0. A height-0 insert that finds the block full grows it while
-	// the node is only frozen (Reserve), keeping the allocation out of the
+	// the node is only frozen (ReserveKeys), keeping the allocation out of the
 	// write hold that readers abort on.
 	d := st.prevs[0]
 	if height == 0 {
-		d.chunk.Reserve(1)
+		d.chunk.ReserveKeys(1, k, k)
 	}
 	d.lock.UpgradeFrozen()
 	m.noteDataWrite(d) // CoW pre-image before the first mutation (snapshot.go)
@@ -260,7 +260,7 @@ func (m *Map[V]) applyInsert(
 	// is at capacity).
 	chaos.Step(chaos.CoreSplit)
 	p := st.prevs[height]
-	p.chunk.Reserve(1) // frozen, as at layer 0
+	p.chunk.ReserveKeys(1, k, k) // frozen, as at layer 0
 	p.lock.UpgradeFrozen()
 	target := p
 	if p.chunk.Full() {

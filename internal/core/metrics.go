@@ -123,6 +123,9 @@ type OccupancySnapshot struct {
 	IndexChunks int
 	IndexElems  int
 	IndexMean   float64
+	// WideChunks counts the chunks, of either kind, whose block stores
+	// whole 8-byte keys because its keys do not share one upper half.
+	WideChunks int
 }
 
 // Occupancy walks every layer and reports chunk-fill aggregates. Sizes are
@@ -132,6 +135,9 @@ func (m *Map[V]) Occupancy() OccupancySnapshot {
 	var s OccupancySnapshot
 	for l := 0; l < m.cfg.LayerCount; l++ {
 		m.walkLayer(l, func(n *node[V]) {
+			if n.chunk.Wide() {
+				s.WideChunks++
+			}
 			if n.isIndex() {
 				s.IndexChunks++
 				s.IndexElems += n.size()

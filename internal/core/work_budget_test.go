@@ -18,11 +18,18 @@ import (
 
 const budgetKeys = 1 << 16
 
-// heapBytesPerKeyBudget is 1 B/key above the 25.88 B/key measured here on
+// heapBytesPerKeyBudget is 1 B/key above the 20.18 B/key measured here on
 // amd64 with values stored inline in occupancy-sized chunk blocks (64 B
-// node). A separate 8 B box per value, the previous representation,
-// measured 34.87 and fails it.
-const heapBytesPerKeyBudget = 26.88
+// node) whose keys, sharing their upper 32 bits, take 4-byte cells. Wide
+// key cells everywhere, the previous representation, measured 25.88 and
+// fail it.
+const heapBytesPerKeyBudget = 21.18
+
+// wideHeapBytesPerKeyBudget bounds the same build with every key in its own
+// upper half, so that every block with two keys or more is wide: 1 B/key
+// above the 25.88 B/key all-wide blocks measured before narrow cells, which
+// the wide path must not exceed.
+const wideHeapBytesPerKeyBudget = 26.88
 
 // freshInsertAllocsBudget is the amortised share of the chunk blocks and
 // nodes that ascending inserts allocate: 0.20 measured. A value box per
@@ -57,24 +64,29 @@ func TestWorkBudgets(t *testing.T) {
 
 	// The block types are built once per process, on first use (vectormap
 	// block.go); a throwaway build makes them before the measured one, so
-	// the heap row counts what each key costs.
-	build := func() *core.Map[uint64] {
+	// the heap row counts what each key costs. The wide build spaces the
+	// same keys 2^32 apart.
+	build := func(shift uint) *core.Map[uint64] {
 		m, err := core.NewMap[uint64](core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range keys {
 			v := uint64(k)
-			if !m.Insert(k, &v) {
-				t.Fatalf("Insert(%d) of a fresh key failed", k)
+			if !m.Insert(k<<shift, &v) {
+				t.Fatalf("Insert(%d) of a fresh key failed", k<<shift)
 			}
 		}
 		return m
 	}
-	build()
-	before := heapAlloc()
-	m := build()
-	heapPerKey := float64(heapAlloc()-before) / budgetKeys
+	heapPerKey := func(shift uint) (*core.Map[uint64], float64) {
+		build(shift)
+		before := heapAlloc()
+		m := build(shift)
+		return m, float64(heapAlloc()-before) / budgetKeys
+	}
+	_, wideHeapPerKey := heapPerKey(31)
+	m, narrowHeapPerKey := heapPerKey(0)
 
 	h := m.NewHandle()
 	defer h.Close()
@@ -171,7 +183,11 @@ func TestWorkBudgets(t *testing.T) {
 		{"descents per sorted 64-key Handle.ApplyBatch", batchDescents(), 1},
 		{"descents per 1,000-step facade Cursor walk", cursorDescents(), 1},
 		{"restarts", float64(m.Stats().Restarts), 0},
-		{"heap bytes per key", heapPerKey, heapBytesPerKeyBudget},
+		{"heap bytes per key", narrowHeapPerKey, heapBytesPerKeyBudget},
+		{"heap bytes per key, keys 2^32 apart", wideHeapPerKey, wideHeapBytesPerKeyBudget},
+		// The LayerCount head blocks hold NegInf and are wide; Occupancy
+		// counts only the nodes between the sentinels.
+		{"wide chunks between the sentinels", float64(m.Occupancy().WideChunks), 0},
 	}
 	for _, b := range budgets {
 		if b.got > b.budget {

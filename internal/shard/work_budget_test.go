@@ -1,0 +1,67 @@
+package shard
+
+import (
+	"testing"
+
+	"skipvector/internal/core"
+)
+
+// TestWorkBudgets is the router's share of the work budgets (core's
+// work_budget_test.go): single-threaded counts that do not depend on the
+// clock. A routed read allocates nothing, and a sorted batch commits one
+// part per shard it touches, no more.
+func TestWorkBudgets(t *testing.T) {
+	const n = 1 << 12 // keys 0, 2, …, 2(n-1) over four even shards
+	s, err := New[uint64](core.DefaultConfig(), EvenBounds(0, 2*n, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 2*n; k += 2 {
+		v := uint64(k)
+		s.Insert(k, &v)
+	}
+	h := s.NewHandle()
+	defer h.Close()
+	i := int64(0)
+	nextKey := func() int64 { // present and absent keys in every shard
+		i++
+		return i * 7919 % (2 * n)
+	}
+	var out uint64
+	for _, row := range []struct {
+		name string
+		op   func(k int64)
+	}{
+		{"Sharded.LookupInto", func(k int64) { s.LookupInto(k, &out) }},
+		{"Sharded.Contains", func(k int64) { s.Contains(k) }},
+		{"Handle.LookupInto", func(k int64) { h.LookupInto(k, &out) }},
+		{"Handle.Contains", func(k int64) { h.Contains(k) }},
+	} {
+		if got := testing.AllocsPerRun(1000, func() { row.op(nextKey()) }); got != 0 {
+			t.Errorf("allocs per routed %s = %.2f, budget 0", row.name, got)
+		}
+	}
+
+	for touched := 1; touched <= s.ShardCount(); touched++ {
+		// 64 sorted keys spread over the first touched shards.
+		ops := make([]core.BatchOp[uint64], 64)
+		shards := map[int]bool{}
+		for j := range ops {
+			k := int64(j) * int64(touched) * 2 * n / int64(len(ops)) / int64(s.ShardCount())
+			v := uint64(k)
+			ops[j] = core.BatchOp[uint64]{Key: k | 1, Val: &v}
+			shards[s.ShardFor(k|1)] = true
+		}
+		if len(shards) != touched {
+			t.Fatalf("a batch meant for %d shards routes to %d", touched, len(shards))
+		}
+		parts := s.fanoutParts.Load() + s.singleBatch.Load()
+		s.ApplyBatch(ops)
+		if got := s.fanoutParts.Load() + s.singleBatch.Load() - parts; got != int64(touched) {
+			t.Errorf("a sorted batch over %d shards committed %d parts", touched, got)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -12,7 +12,7 @@ import (
 )
 
 // blockCap is the capacity of c's current block.
-func blockCap(c *Chunk[int64]) int { return int(c.blk.Load().cap) }
+func blockCap(c *Chunk[int64]) int { return c.blk.Load().cap() }
 
 // filled returns a chunk of the given target size holding the keys 0, 2, …,
 // 2(n-1), inserted one at a time so its block is whatever the policy makes.
@@ -61,8 +61,8 @@ func TestBlockGrowsWhenFull(t *testing.T) {
 				}
 				c := filled(target, n+1, sorted)
 				if n == before {
-					if bc := blockCap(c); bc != capFor(room(n), limit, false) {
-						t.Fatalf("T=%d: grew a full block of %d to %d cells, want %d", target, n, bc, capFor(room(n), limit, false))
+					if bc := blockCap(c); bc != capFor(room(n), limit, false, true) {
+						t.Fatalf("T=%d: grew a full block of %d to %d cells, want %d", target, n, bc, capFor(room(n), limit, false, true))
 					}
 				}
 				if err := c.CheckInvariants(); err != nil {
@@ -94,7 +94,7 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 				got := allocsPerOp(func() *Chunk[int64] { return drained(n) },
 					func(c *Chunk[int64]) { c.Remove(int64(2 * (n - 1))) })
 				left := n - 1
-				shrinks := left > 0 && left < before/2 && capFor(room(left), limit, false) < before
+				shrinks := left > 0 && left < before/2 && capFor(room(left), limit, false, true) < before
 				want := 0.0
 				if shrinks {
 					want = 1
@@ -106,8 +106,8 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 				switch bc := blockCap(c); {
 				case left == 0 && c.blk.Load() != &emptyBlock:
 					t.Fatalf("T=%d: empty chunk kept a block of %d cells", target, bc)
-				case shrinks && bc != capFor(room(left), limit, false):
-					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit, false))
+				case shrinks && bc != capFor(room(left), limit, false, true):
+					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit, false, true))
 				case !shrinks && left > 0 && bc != before:
 					t.Fatalf("T=%d: removal leaving %d of %d cells resized to %d", target, left, before, bc)
 				}
@@ -148,9 +148,9 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 			t.Fatalf("capacity split took %v allocations, want %v", got, want)
 		}
 		for _, d := range dsts {
-			if d.Size() != target || blockCap(d) != capFor(room(target), limit, false) {
+			if d.Size() != target || blockCap(d) != capFor(room(target), limit, false, true) {
 				t.Fatalf("split destination holds %d in %d cells, want %d in %d",
-					d.Size(), blockCap(d), target, capFor(room(target), limit, false))
+					d.Size(), blockCap(d), target, capFor(room(target), limit, false, true))
 			}
 		}
 		next = dstPool()
@@ -164,7 +164,7 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 		for _, tc := range []struct {
 			k            int64
 			kept, shrunk int
-		}{{60, 31, 0}, {10, 6, capFor(room(6), limit, false)}} {
+		}{{60, 31, 0}, {10, 6, capFor(room(6), limit, false, true)}} {
 			c := filled(target, 40, sorted)
 			before := blockCap(c)
 			c.MoveGreaterTo(tc.k, filled(target, 0, sorted))
@@ -264,13 +264,17 @@ func TestBlockReserve(t *testing.T) {
 // keeps replacing the chunk's block: it fills the chunk, drains it, and
 // splits and re-absorbs it, every step under a seqlock write hold as a skip
 // vector node does, and grows the block for an insert while the lock is only
-// frozen, as Insert does. Readers never lock. A read may see anything while
-// a write is in flight, but it must not panic, and every read the seqlock
+// frozen, as Insert does. The keys straddle 2^32, so blocks go from narrow to
+// wide and back: an insert across the boundary widens the block, while
+// frozen or under the write hold, and a shrink, split or merge that leaves
+// one side narrows it. Readers never lock. A read may see anything while a
+// write is in flight, but it must not panic, and every read the seqlock
 // validates must match the contents the writer published for that version.
 func TestChunkConcurrentResize(t *testing.T) {
 	const (
 		target       = 8
 		keySpace     = 48
+		base         = 1<<32 - keySpace/2 // keys base … base+keySpace-1
 		cycles       = 150
 		minValidated = 5000
 	)
@@ -284,11 +288,15 @@ func TestChunkConcurrentResize(t *testing.T) {
 		d.Init(target, sorted)
 		payload := make([]*int64, keySpace)
 		for k := range payload {
-			payload[k] = val(int64(k) * 3)
+			payload[k] = val((base + int64(k)) * 3)
 		}
+		var widths [2]int // blocks published, by width (1: narrow)
 		// commit runs f under the held write lock and publishes the model.
 		commit := func(f func()) {
 			f()
+			if c.Size() > 0 {
+				widths[b2i(c.blk.Load().narrow())]++
+			}
 			keys := c.Keys()
 			slices.Sort(keys)
 			model.Store(&keys)
@@ -300,13 +308,19 @@ func TestChunkConcurrentResize(t *testing.T) {
 		}
 		// insert grows the block the way a skip vector Insert does: while
 		// the lock is only frozen, so reads keep validating across the swap.
+		// Every other insert reserves without its key, so a key across the
+		// boundary widens the block under the write hold instead.
 		insert := func(k int) {
 			if _, ok := lock.TryFreeze(lock.Current()); !ok {
 				panic("single writer failed to freeze")
 			}
-			c.Reserve(1)
+			if k%2 == 0 {
+				c.ReserveKeys(1, base+int64(k), base+int64(k))
+			} else {
+				c.Reserve(1)
+			}
 			lock.UpgradeFrozen()
-			commit(func() { c.Insert(int64(k), payload[k]) })
+			commit(func() { c.Insert(base+int64(k), payload[k]) })
 		}
 		write(func() {})
 
@@ -325,7 +339,7 @@ func TestChunkConcurrentResize(t *testing.T) {
 					if !ok {
 						continue
 					}
-					q := int64(rng.Intn(keySpace+2) - 1)
+					q := base + int64(rng.Intn(keySpace+2)-1)
 					op := rng.Intn(5)
 					var (
 						gotK    int64
@@ -419,6 +433,9 @@ func TestChunkConcurrentResize(t *testing.T) {
 		if validated.Load() == 0 {
 			t.Fatal("no read validated; the test exercised nothing")
 		}
+		if widths[0] == 0 || widths[1] == 0 {
+			t.Fatalf("published %d wide and %d narrow blocks, want both", widths[0], widths[1])
+		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -450,12 +467,12 @@ func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
 		}
 		var keys []int64
 		for n := 0; n < limit; n++ {
-			before := int(c.blk.Load().cap)
+			before := c.blk.Load().cap()
 			c.Insert(int64(n), word(int64(n)))
 			keys = append(keys, int64(n))
 			if n == before {
-				if bc := int(c.blk.Load().cap); bc != capFor(room(n), limit, true) {
-					t.Fatalf("grew a full block of %d to %d cells, want %d", n, bc, capFor(room(n), limit, true))
+				if bc := c.blk.Load().cap(); bc != capFor(room(n), limit, true, true) {
+					t.Fatalf("grew a full block of %d to %d cells, want %d", n, bc, capFor(room(n), limit, true, true))
 				}
 			}
 			check(&c, keys...)
@@ -472,6 +489,146 @@ func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
 				t.Fatalf("Remove(%d) = %+v, %t", k, v, ok)
 			}
 			check(&c, keys...)
+		}
+	})
+}
+
+// TestBlockWidensAndNarrows walks a chunk across the 2^32 boundary: a block
+// whose keys share their upper half is narrow; a put from another upper
+// half widens it at once, by one resize, whether or not it is full; the
+// wide block stays wide until its next resize, which narrows it again once
+// the foreign key is gone. Splits, merges and batches choose the width from
+// the keys they move. The chunk invariant holds after every step, and every
+// key keeps its payload.
+func TestBlockWidensAndNarrows(t *testing.T) {
+	const hi = 1 << 32
+	bothPolicies(t, func(t *testing.T, sorted bool) {
+		c := newChunk(t, 32, sorted)
+		model := map[int64]int64{}
+		step := func(what string, ch *Chunk[int64], narrow bool) {
+			t.Helper()
+			if err := ch.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if b := ch.blk.Load(); b.narrow() != narrow || ch.Wide() != !narrow {
+				t.Fatalf("%s: narrow %t (Wide %t), want narrow %t", what, b.narrow(), ch.Wide(), narrow)
+			}
+		}
+		check := func(what string) {
+			t.Helper()
+			for k, v := range model {
+				if got, ok := c.Get(k); !ok || *got != v {
+					t.Fatalf("%s: Get(%d) lost its payload", what, k)
+				}
+			}
+			if c.Size() != len(model) {
+				t.Fatalf("%s: size %d, model %d", what, c.Size(), len(model))
+			}
+		}
+		insert := func(k int64) {
+			t.Helper()
+			if !c.Insert(k, val(k*3)) {
+				t.Fatalf("Insert(%d) failed", k)
+			}
+			model[k] = k * 3
+		}
+		for k := int64(hi - 10); k < hi; k++ {
+			insert(k)
+		}
+		step("ten keys below 2^32", c, true)
+		if c.blk.Load().hi != 0 {
+			t.Fatalf("narrow block keeps upper half %#x, want 0", c.blk.Load().hi)
+		}
+		fresh := val(0)
+		if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 10, sorted) },
+			func(c *Chunk[int64]) { c.Insert(hi, fresh) }); got != 1 {
+			t.Fatalf("an out-of-span put into 10/%d cells took %v allocations, want 1", blockCap(filled(32, 10, sorted)), got)
+		}
+		insert(hi)
+		step("a key at 2^32", c, false)
+		check("widened")
+		c.Remove(hi)
+		delete(model, hi)
+		step("the foreign key removed", c, false)
+		for k := int64(hi - 11); !c.Full() && c.Size() < blockCap(c); k-- {
+			insert(k)
+		}
+		insert(hi - 100) // the first insert into the full wide block resizes it
+		step("the next grow", c, true)
+		check("narrowed by a grow")
+
+		// A split hands each side the width of its own keys; a merge of the
+		// two upper halves widens.
+		var d Chunk[int64]
+		d.Init(32, sorted)
+		for k := int64(hi); k < hi+4; k++ {
+			insert(k)
+		}
+		step("keys on both sides", c, false)
+		c.MoveGreaterTo(hi-1, &d)
+		step("split destination above 2^32", &d, true)
+		if d.blk.Load().hi != 1 || d.Size() != 4 {
+			t.Fatalf("split destination holds %d keys in upper half %#x", d.Size(), d.blk.Load().hi)
+		}
+		c.AbsorbFrom(&d)
+		step("merge across 2^32", c, false)
+		check("merged")
+
+		// A batch widens once for every put still ahead and narrows at its
+		// shrink.
+		var ops []SlotOp[int64]
+		for k := range model {
+			ops = append(ops, SlotOp[int64]{Key: k, Del: true})
+		}
+		out := make([]SlotOutcome, len(ops))
+		c.ApplyOps(ops, out)
+		clear(model)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if c.blk.Load() != &emptyBlock || c.Wide() {
+			t.Fatalf("emptied chunk kept a block of %d cells", blockCap(c))
+		}
+		ops = ops[:0]
+		for k := int64(0); k < 12; k++ {
+			ops = append(ops, SlotOp[int64]{Key: k - 8, Val: val(k)})
+			model[k-8] = k
+		}
+		out = make([]SlotOutcome, len(ops))
+		if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 0, sorted) },
+			func(c *Chunk[int64]) { c.ApplyOps(ops, out) }); got != 1 {
+			t.Fatalf("a batch across 0 took %v allocations, want 1", got)
+		}
+		c.ApplyOps(ops, out)
+		step("batch across 0", c, false)
+		check("batch")
+		ops = ops[:0]
+		for k := int64(-8); k < 0; k++ {
+			ops = append(ops, SlotOp[int64]{Key: k, Del: true})
+			delete(model, k)
+		}
+		c.ApplyOps(ops, out[:len(ops)])
+		step("batch shrink to the keys ≥ 0", c, true)
+		check("batch shrink")
+
+		// A foreign key into a narrow block with room to spare widens it
+		// once, for the puts behind it too.
+		widen := []SlotOp[int64]{{Key: hi + 1, Val: fresh}, {Key: 1, Val: fresh}, {Key: 3, Val: fresh}}
+		out = make([]SlotOutcome, len(widen))
+		if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 3, sorted) },
+			func(c *Chunk[int64]) { c.ApplyOps(widen, out) }); got != 1 {
+			t.Fatalf("a batch led by a foreign key took %v allocations, want 1", got)
+		}
+		w := filled(32, 3, sorted)
+		if w.Full() || !w.blk.Load().narrow() || w.Size() == blockCap(w) {
+			t.Fatalf("setup: 3 keys in %d cells, narrow %t", blockCap(w), w.blk.Load().narrow())
+		}
+		w.ApplyOps(widen, out)
+		step("a batch led by a foreign key", w, false)
+		for _, k := range []int64{0, 1, 2, 3, 4, hi + 1} {
+			if !w.Contains(k) {
+				t.Fatalf("the widened batch lost key %d", k)
+			}
 		}
 	})
 }

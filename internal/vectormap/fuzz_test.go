@@ -8,22 +8,31 @@ import (
 
 // FuzzChunkModel drives a chunk with an op byte-stream cross-checked
 // against a map model, and a word-celled twin (InitWords) with the same ops,
-// whose payload words — 0 included — must match the model too. Run with
-// `go test -fuzz FuzzChunkModel` for continuous fuzzing; `go test` replays
-// the seed corpus.
+// whose payload words — 0 included — must match the model too. The 16 keys
+// start at base, so a base just below a multiple of 2^32 (or wrapping past
+// PosInf) puts them in two upper halves and drives the blocks between the
+// narrow and the wide width. Run with `go test -fuzz FuzzChunkModel` for
+// continuous fuzzing; `go test` replays the seed corpus.
 func FuzzChunkModel(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5}, true)
-	f.Add([]byte{10, 200, 30, 40, 5, 60, 7, 80}, false)
-	f.Add([]byte{255, 255, 0, 0, 128, 128}, true)
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, true, int64(0))
+	f.Add([]byte{10, 200, 30, 40, 5, 60, 7, 80}, false, int64(0))
+	f.Add([]byte{255, 255, 0, 0, 128, 128}, true, int64(0))
+	// Across an upper-half boundary: 2^32, 0 and the PosInf/NegInf wrap.
+	across := []byte{0, 15, 1, 14, 2, 13, 3, 12, 4, 11, 5, 10, 6, 9, 7, 8, 23, 24, 40, 47, 8, 7}
+	f.Add(across, true, int64(1<<32-8))
+	f.Add(across, false, int64(1<<32-8))
+	f.Add(across, true, int64(-8))
+	f.Add(across, false, int64(PosInf-7))
+	f.Add(across, true, int64(NegInf))
 
-	f.Fuzz(func(t *testing.T, ops []byte, sorted bool) {
+	f.Fuzz(func(t *testing.T, ops []byte, sorted bool, base int64) {
 		var c Chunk[int64]
 		var w Cells
 		c.Init(4, sorted) // capacity 8
 		w.InitWords(4, sorted)
 		model := map[int64]int64{}
 		for _, b := range ops {
-			k := int64(b % 16)
+			k := base + int64(b%16) // wraps past PosInf to NegInf
 			switch (b >> 4) % 3 {
 			case 0:
 				if len(model) == c.Cap() {
@@ -74,13 +83,16 @@ func FuzzChunkModel(f *testing.F) {
 }
 
 // FuzzLowerBound is the differential proof obligation for the branchless
-// search core (search.go): on every *non-decreasing* key array — duplicates
-// included — lowerBound/upperBound must agree exactly with the reference
-// binary searches, and on *arbitrary* array contents (the torn sizes and
-// mid-shift states an optimistic reader can observe before seqlock
-// validation rejects them) both must still terminate with a result in
-// [0, s]. Keys are raw little-endian int64s so the fuzzer can reach the
-// sentinel extremes (NegInf/PosInf) where the sign-flip bias matters.
+// search core (search.go), over both key widths: on every *non-decreasing*
+// key array — duplicates included — lowerBound/upperBound must agree
+// exactly with the reference binary searches, and on *arbitrary* array
+// contents (the torn sizes and mid-shift states an optimistic reader can
+// observe before seqlock validation rejects them) both must still terminate
+// with a result in [0, s]. Keys are raw little-endian int64s so the fuzzer
+// can reach the sentinel extremes (NegInf/PosInf) where the sign-flip bias
+// matters. The same keys also fill a narrow block in the first key's upper
+// half, keeping their lower halves, so the 32-bit kernel meets probes from
+// its own upper half and from every other.
 func FuzzLowerBound(f *testing.F) {
 	k8 := func(ks ...int64) []byte {
 		b := make([]byte, 8*len(ks))
@@ -95,55 +107,70 @@ func FuzzLowerBound(f *testing.F) {
 	f.Add(k8(9, 2, -7, 2), int64(2), uint8(200))          // unsorted + torn size
 	f.Add(k8(), int64(0), uint8(0))                       // empty
 	f.Add(k8(PosInf, NegInf), int64(PosInf-1), uint8(2))  // reversed at extremes
+	// Across upper-half boundaries: the narrow block keeps the lower halves
+	// in the first key's upper half, and the probe lands on either side.
+	f.Add(k8(1<<32-1, 1<<32, 1<<32+1), int64(1<<32), uint8(3))
+	f.Add(k8(1<<32+5, 1<<32-1, 7), int64(1<<32-1), uint8(3))
+	f.Add(k8(-1, 0, 1), int64(0), uint8(3))
+	f.Add(k8(-2, -1, 0xffffffff), int64(-1), uint8(3))
+	f.Add(k8(1<<32, 1<<32+2, 1<<32+4), int64(2<<32), uint8(40))
+	f.Add(k8(NegInf, NegInf+1, PosInf), int64(PosInf), uint8(3))
 
+	const capacity = 32
 	f.Fuzz(func(t *testing.T, raw []byte, k int64, rawSize uint8) {
-		var c Chunk[int64]
-		c.Init(16, true) // capacity 32
-		c.Reserve(c.Cap())
-		b := c.blk.Load()
-		n := len(raw) / 8
-		if n > c.Cap() {
-			n = c.Cap()
+		n := min(len(raw)/8, capacity)
+		raws := make([]int64, n)
+		for i := range raws {
+			raws[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		keys := make([]int64, n)
-		for i := range keys {
-			keys[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
-			b.key(i).Store(keys[i])
+		hi := k // the narrow block's upper half: the first key's, else the probe's
+		if n > 0 {
+			hi = raws[0]
 		}
-		// A torn size may exceed the populated prefix or the capacity; the
-		// clamp in chunk.load is part of what this fuzz exercises.
-		c.size.Store(int32(rawSize))
-		_, s := c.load()
-		if s != min(int(rawSize), c.Cap()) {
-			t.Fatalf("load clamped size %d to %d, want it capped at %d", rawSize, s, c.Cap())
-		}
-
-		// Arbitrary contents: in-bounds and terminating, nothing more.
-		for _, got := range []int{
-			b.lowerBound(k, s), b.upperBound(k, s),
-			b.lowerBoundRef(k, s), b.upperBoundRef(k, s),
-		} {
-			if got < 0 || got > s {
-				t.Fatalf("result %d outside [0, %d] on arbitrary keys", got, s)
+		for _, sp := range []span{noKeys, spanOf(hi)} {
+			var c Chunk[int64]
+			c.Init(capacity/2, true)
+			b := newBlock(capacity, false, sp)
+			c.blk.Store(b)
+			keys := make([]int64, n)
+			for i, rk := range raws {
+				if keys[i] = rk; b.narrow() {
+					keys[i] = b.base() | int64(uint32(rk))
+				}
+				b.storeKey(i, keys[i])
 			}
-		}
+			// A torn size may exceed the populated prefix or the capacity;
+			// the clamp in chunk.load is part of what this fuzz exercises.
+			c.size.Store(int32(rawSize))
+			_, s := c.load()
+			if s != min(int(rawSize), capacity) {
+				t.Fatalf("load clamped size %d to %d, want it capped at %d", rawSize, s, capacity)
+			}
 
-		// Non-decreasing contents: exact equivalence with the oracle. Sort
-		// the populated prefix and zero-fill the torn tail so the whole
-		// probed window [0, s) is ordered (zeros may break global order when
-		// keys are negative, so cap s at the populated prefix here).
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for i, kk := range keys {
-			b.key(i).Store(kk)
-		}
-		if s > n {
-			s = n
-		}
-		if got, want := b.lowerBound(k, s), b.lowerBoundRef(k, s); got != want {
-			t.Fatalf("lowerBound(%d, %d) = %d, reference = %d (keys %v)", k, s, got, want, keys[:s])
-		}
-		if got, want := b.upperBound(k, s), b.upperBoundRef(k, s); got != want {
-			t.Fatalf("upperBound(%d, %d) = %d, reference = %d (keys %v)", k, s, got, want, keys[:s])
+			// Arbitrary contents: in-bounds and terminating, nothing more.
+			for _, got := range []int{
+				b.lowerBound(k, s), b.upperBound(k, s),
+				b.lowerBoundRef(k, s), b.upperBoundRef(k, s),
+			} {
+				if got < 0 || got > s {
+					t.Fatalf("result %d outside [0, %d] on arbitrary keys (narrow %t)", got, s, b.narrow())
+				}
+			}
+
+			// Non-decreasing contents: exact equivalence with the oracle.
+			// Sort the populated prefix and cap s there, since the zero
+			// cells of the torn tail need not sort after it.
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			for i, kk := range keys {
+				b.storeKey(i, kk)
+			}
+			s = min(s, n)
+			if got, want := b.lowerBound(k, s), b.lowerBoundRef(k, s); got != want {
+				t.Fatalf("lowerBound(%d, %d) = %d, reference = %d (keys %v, narrow %t)", k, s, got, want, keys[:s], b.narrow())
+			}
+			if got, want := b.upperBound(k, s), b.upperBoundRef(k, s); got != want {
+				t.Fatalf("upperBound(%d, %d) = %d, reference = %d (keys %v, narrow %t)", k, s, got, want, keys[:s], b.narrow())
+			}
 		}
 	})
 }

@@ -121,28 +121,48 @@ func hasPointers(t reflect.Type) bool {
 // TestBlockShapeScansOnlyPointerCells: a word-celled block's type holds no
 // pointers, so the allocator places it noscan and the collector never reads
 // it; a pointer-celled block's type holds exactly its payload cells as
-// pointers. Both kinds keep the cap, keys, vals layout, with 8-byte word
-// cells and pointer-sized pointer cells on every platform, and each fills
-// its own size class.
+// pointers. Every kind and width keeps the header, keys, vals layout, with
+// 8-byte wide keys or an even count of 4-byte narrow ones, 8-byte word cells
+// and pointer-sized pointer cells on every platform, and each fills its own
+// size class.
 func TestBlockShapeScansOnlyPointerCells(t *testing.T) {
 	for _, c := range []int{1, 5, 16, 64} {
-		words, ptrs := shapeOf(c, true), shapeOf(c, false)
-		if hasPointers(words.typ) {
-			t.Fatalf("word block of %d cells has pointers: %v", c, words.typ)
-		}
-		if !hasPointers(ptrs.typ) || hasPointers(ptrs.typ.Field(1).Type) {
-			t.Fatalf("pointer block of %d cells scans the wrong fields: %v", c, ptrs.typ)
-		}
-		if got := words.typ.Size(); got != keysOff+uintptr(c)*(cellSize+8) {
-			t.Fatalf("word block of %d cells is %d bytes", c, got)
-		}
-		if got := ptrs.typ.Size(); got != keysOff+uintptr(c)*(cellSize+ptrSize) {
-			t.Fatalf("pointer block of %d cells is %d bytes", c, got)
-		}
-		for _, s := range []*shape{words, ptrs} {
-			if s.fit < c {
-				t.Fatalf("a block of %d cells reports room for %d", c, s.fit)
+		for _, narrow := range []bool{false, true} {
+			words, ptrs := shapeOf(c, true, narrow), shapeOf(c, false, narrow)
+			if hasPointers(words.typ) {
+				t.Fatalf("word block of %d cells has pointers: %v", c, words.typ)
 			}
+			if !hasPointers(ptrs.typ) || hasPointers(ptrs.typ.Field(2).Type) {
+				t.Fatalf("pointer block of %d cells scans the wrong fields: %v", c, ptrs.typ)
+			}
+			keys := uintptr(c) * 8
+			if narrow {
+				keys = uintptr((c+1)/2) * 8
+			}
+			if got := words.typ.Size(); got != keysOff+keys+uintptr(c)*8 {
+				t.Fatalf("word block of %d cells (narrow %t) is %d bytes", c, narrow, got)
+			}
+			if got := ptrs.typ.Size(); got != keysOff+keys+uintptr(c)*ptrSize {
+				t.Fatalf("pointer block of %d cells (narrow %t) is %d bytes", c, narrow, got)
+			}
+			if off := words.typ.Field(3).Offset; off%8 != 0 {
+				t.Fatalf("word cells of a %d-cell block (narrow %t) start at byte %d", c, narrow, off)
+			}
+			for _, s := range []*shape{words, ptrs} {
+				if s.fit < c || s.typ.Size() > s.class {
+					t.Fatalf("a block of %d cells reports room for %d in %d bytes", c, s.fit, s.class)
+				}
+			}
+		}
+	}
+}
+
+// TestNarrowBlockSlots pins the narrow slot: 12 bytes for a word cell, so a
+// full 1,024-byte class holds 84 cells where a wide block holds 63.
+func TestNarrowBlockSlots(t *testing.T) {
+	for narrow, want := range map[bool]int{false: 63, true: 84} {
+		if s := shapeOf(want, true, narrow); s.class != 1024 || s.fit != want {
+			t.Errorf("word block of %d cells (narrow %t): class %d, fit %d", want, narrow, s.class, s.fit)
 		}
 	}
 }
@@ -170,13 +190,13 @@ func TestInitLeavesOldBlockAlone(t *testing.T) {
 	c.Init(4, false)
 	if c.blk.Load() != &emptyBlock || c.Size() != 0 || c.Sorted() || c.Cap() != 8 {
 		t.Fatalf("reinit left block cap %d, size %d, sorted %t, Cap %d",
-			c.blk.Load().cap, c.Size(), c.Sorted(), c.Cap())
+			c.blk.Load().cap(), c.Size(), c.Sorted(), c.Cap())
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if k, v := old.key(i).Load(), (*int64)(old.loadVal(i)); k != int64(i) || v == nil || *v != [6]int64{0, 1, 2, 3, 4, 99}[i] {
+		if k, v := old.loadKey(i), (*int64)(old.loadVal(i)); k != int64(i) || v == nil || *v != [6]int64{0, 1, 2, 3, 4, 99}[i] {
 			t.Fatalf("Init wrote to the old block: cell %d holds %d → %v", i, k, v)
 		}
 	}

@@ -7,7 +7,7 @@ func (b *block) lowerBoundRef(k int64, s int) int {
 	lo, hi := 0, s
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b.key(mid).Load() < k {
+		if b.loadKey(mid) < k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -21,7 +21,7 @@ func (b *block) upperBoundRef(k int64, s int) int {
 	lo, hi := 0, s
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if b.key(mid).Load() <= k {
+		if b.loadKey(mid) <= k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -34,7 +34,7 @@ func (b *block) upperBoundRef(k int64, s int) int {
 // BenchmarkChunkIndexOf differ in the search and nothing else.
 func (c *Chunk[P]) getRef(k int64) (*P, bool) {
 	b, s := c.load()
-	if i := b.lowerBoundRef(k, s); i < s && b.key(i).Load() == k {
+	if i := b.lowerBoundRef(k, s); i < s && b.loadKey(i) == k {
 		return (*P)(b.loadVal(i)), true
 	}
 	return nil, false

@@ -7,6 +7,9 @@
 // touches a handful of contiguous cache lines instead of chasing per-element
 // pointers. The block is sized to what the chunk holds, not to 2×targetSize,
 // and is replaced by a bigger or smaller one as the chunk fills and drains.
+// Its keys are 4 bytes each when they all share their upper 32 bits, which
+// the block's header then keeps, and 8 bytes otherwise; every replacement
+// chooses the width again from the keys the new block is to hold.
 //
 // Chunks come in two flavours (Section V-B):
 //
@@ -154,22 +157,24 @@ func (c *Cells) load() (*block, int) {
 	if s < 0 {
 		return b, 0
 	}
-	if s > int(b.cap) {
-		return b, int(b.cap)
+	if c := b.cap(); s > c {
+		return b, c
 	}
 	return b, s
 }
 
 // owned returns the block and the exact size to a writer, which holds the
-// lock and so may trust size ≤ b.cap.
+// lock and so may trust size ≤ b.cap().
 func (c *Cells) owned() (*block, int) { return c.blk.Load(), int(c.size.Load()) }
 
-// cell loads payload cell i of b.
+// cell loads payload cell i of b. It finds the payload array once, so that
+// it inlines.
 func (c *Cells) cell(b *block, i int) Cell {
+	v := b.vals()
 	if c.words {
-		return Cell{Word: b.word(i).Load()}
+		return Cell{Word: (*atomic.Uint64)(unsafe.Add(v, uintptr(i)*wordSize)).Load()}
 	}
-	return Cell{Ptr: b.loadVal(i)}
+	return Cell{Ptr: atomic.LoadPointer((*unsafe.Pointer)(unsafe.Add(v, uintptr(i)*ptrSize)))}
 }
 
 // setCell stores v into payload cell i of b.
@@ -181,10 +186,40 @@ func (c *Cells) setCell(b *block, i int, v Cell) {
 	}
 }
 
-// copyCell copies the key and payload of src's cell i into dst's cell j.
+// copyCell copies the key and payload of src's cell i into dst's cell j,
+// which must hold the key.
 func (c *Cells) copyCell(dst *block, j int, src *block, i int) {
-	dst.key(j).Store(src.key(i).Load())
+	dst.storeKey(j, src.loadKey(i))
 	c.setCell(dst, j, c.cell(src, i))
+}
+
+// shift moves the n cells of b from src to dst = src±1, the keys and then
+// the payloads, each cell read before it is overwritten, with one atomic
+// load and store per cell and one branch per call on the width and the cell
+// kind.
+func (c *Cells) shift(b *block, dst, src, n int) {
+	first, step := 0, 1
+	if dst > src {
+		first, step = n-1, -1
+	}
+	if b.narrow() {
+		for i, j := 0, first; i < n; i, j = i+1, j+step {
+			b.lo(dst + j).Store(b.lo(src + j).Load())
+		}
+	} else {
+		for i, j := 0, first; i < n; i, j = i+1, j+step {
+			b.key(dst + j).Store(b.key(src + j).Load())
+		}
+	}
+	if c.words {
+		for i, j := 0, first; i < n; i, j = i+1, j+step {
+			b.word(dst + j).Store(b.word(src + j).Load())
+		}
+	} else {
+		for i, j := 0, first; i < n; i, j = i+1, j+step {
+			b.storeVal(dst+j, b.loadVal(src+j))
+		}
+	}
 }
 
 // clearCell drops the pointer in cell i, which is past the live prefix, so
@@ -203,15 +238,9 @@ func (c *Cells) MinKey() (int64, bool) {
 		return 0, false
 	}
 	if c.sorted {
-		return b.key(0).Load(), true
+		return b.loadKey(0), true
 	}
-	minK := b.key(0).Load()
-	for i := 1; i < s; i++ {
-		if k := b.key(i).Load(); k < minK {
-			minK = k
-		}
-	}
-	return minK, true
+	return b.minKey(s), true
 }
 
 // MaxKey returns the largest key, or ok=false when empty.
@@ -221,15 +250,9 @@ func (c *Cells) MaxKey() (int64, bool) {
 		return 0, false
 	}
 	if c.sorted {
-		return b.key(s - 1).Load(), true
+		return b.loadKey(s - 1), true
 	}
-	maxK := b.key(0).Load()
-	for i := 1; i < s; i++ {
-		if k := b.key(i).Load(); k > maxK {
-			maxK = k
-		}
-	}
-	return maxK, true
+	return b.maxKey(s), true
 }
 
 // Bounds returns the smallest and largest keys in a single pass, or ok=false
@@ -242,27 +265,29 @@ func (c *Cells) Bounds() (minK, maxK int64, ok bool) {
 		return 0, 0, false
 	}
 	if c.sorted {
-		return b.key(0).Load(), b.key(s - 1).Load(), true
+		return b.loadKey(0), b.loadKey(s - 1), true
 	}
-	minK = b.key(0).Load()
-	maxK = minK
-	for i := 1; i < s; i++ {
-		k := b.key(i).Load()
-		if k < minK {
-			minK = k
-		}
-		if k > maxK {
-			maxK = k
-		}
-	}
+	minK, maxK = b.bounds(s)
 	return minK, maxK, true
 }
 
 // indexOf returns the position of key k among b's first s cells, or -1.
 func (c *Cells) indexOf(b *block, s int, k int64) int {
 	if c.sorted {
-		if i := b.lowerBound(k, s); i < s && b.key(i).Load() == k {
+		if i := b.lowerBound(k, s); i < s && b.loadKey(i) == k {
 			return i
+		}
+		return -1
+	}
+	if b.narrow() {
+		if hiOf(k) != b.hi {
+			return -1
+		}
+		kl := uint32(k)
+		for i := 0; i < s; i++ {
+			if b.lo(i).Load() == kl {
+				return i
+			}
 		}
 		return -1
 	}
@@ -299,25 +324,16 @@ func (c *Cells) FindLE(k int64) (key int64, val Cell, ok bool) {
 	if s == 0 {
 		return 0, Cell{}, false
 	}
+	i := -1
 	if c.sorted {
-		// Largest index with key ≤ k.
-		i := b.upperBound(k, s)
-		if i == 0 {
-			return 0, Cell{}, false
-		}
-		return b.key(i - 1).Load(), c.cell(b, i-1), true
+		i = b.upperBound(k, s) - 1 // the largest position with key ≤ k
+	} else {
+		i = b.floor(k, s)
 	}
-	best := -1
-	var bestKey int64
-	for i := 0; i < s; i++ {
-		if kk := b.key(i).Load(); kk <= k && (best < 0 || kk > bestKey) {
-			best, bestKey = i, kk
-		}
-	}
-	if best < 0 {
+	if i < 0 {
 		return 0, Cell{}, false
 	}
-	return bestKey, c.cell(b, best), true
+	return b.loadKey(i), c.cell(b, i), true
 }
 
 // FindGE returns the entry with the smallest key ≥ k, for ceiling/successor
@@ -327,74 +343,94 @@ func (c *Cells) FindGE(k int64) (key int64, val Cell, ok bool) {
 	if s == 0 {
 		return 0, Cell{}, false
 	}
+	i := -1
 	if c.sorted {
-		i := b.lowerBound(k, s)
-		if i == s {
-			return 0, Cell{}, false
+		if i = b.lowerBound(k, s); i == s {
+			i = -1
 		}
-		return b.key(i).Load(), c.cell(b, i), true
+	} else {
+		i = b.ceil(k, s)
 	}
-	best := -1
-	var bestKey int64
-	for i := 0; i < s; i++ {
-		if kk := b.key(i).Load(); kk >= k && (best < 0 || kk < bestKey) {
-			best, bestKey = i, kk
-		}
-	}
-	if best < 0 {
+	if i < 0 {
 		return 0, Cell{}, false
 	}
-	return bestKey, c.cell(b, best), true
+	return b.loadKey(i), c.cell(b, i), true
 }
 
-// resize moves the first s elements of b into a new block of capacity nc
-// and publishes it. b itself is left as it was. Caller must hold the write
-// lock, or hold the node frozen with nothing about to change (Reserve).
-func (c *Cells) resize(b *block, s, nc int) *block {
-	nb := newBlock(nc, c.words)
+// resize moves the first s elements of b into a new block with room for at
+// least n ≥ s cells and for the keys of more, and publishes it. The new
+// block is narrow iff every key it is sized for shares one upper half. b
+// itself is left as it was. Caller must hold the write lock, or hold the
+// node frozen with nothing about to change (ReserveKeys).
+func (c *Cells) resize(b *block, s, n int, more span) *block {
+	sp := b.span(s).with(more)
+	nb := newBlock(c.capFor(n, sp.narrow()), c.words, sp)
 	nb.fill(b, s, c.words)
 	c.blk.Store(nb)
 	return nb
 }
 
-// capFor is the capacity of this chunk's block for at least n cells.
-func (c *Cells) capFor(n int) int { return capFor(n, int(c.limit), c.words) }
+// capFor is the capacity of this chunk's block of the given width for at
+// least n cells.
+func (c *Cells) capFor(n int, narrow bool) int { return capFor(n, int(c.limit), c.words, narrow) }
 
-// grow returns a block with room for need ≤ Cap() elements, resizing b,
-// which holds s, when it is smaller: to room(s) cells, or to need if that
-// is more. Caller must hold the write lock (or see Reserve).
-func (c *Cells) grow(b *block, s, need int) *block {
-	if need <= int(b.cap) {
+// grow returns a block with room for need ≤ Cap() elements and for the keys
+// of more, resizing b, which holds s, when it has too few cells or too
+// narrow ones: to room(s) cells, or to need if that is more. Caller must
+// hold the write lock (or see ReserveKeys).
+func (c *Cells) grow(b *block, s, need int, more span) *block {
+	if need <= b.cap() && b.holds(more) {
 		return b
 	}
-	return c.resize(b, s, c.capFor(max(need, room(s))))
+	return c.resize(b, s, max(need, room(s)), more)
 }
 
 // settle applies the shrink rule after removals left n elements in b.
 // Caller must hold the write lock.
 func (c *Cells) settle(b *block, n int) {
-	if n >= int(b.cap)/2 {
+	if n >= b.cap()/2 {
 		return
 	}
 	if n == 0 {
 		c.blk.Store(&emptyBlock)
 		return
 	}
-	if nc := c.capFor(room(n)); nc < int(b.cap) {
-		c.resize(b, n, nc)
+	narrow := b.span(n).narrow()
+	if c.class(c.capFor(room(n), narrow), narrow) < c.class(b.cap(), b.narrow()) {
+		c.resize(b, n, room(n), noKeys)
 	}
 }
 
-// Reserve makes room for n more elements (up to Cap()) now, so that the
-// inserts that follow do not resize the block. A writer that has frozen the
-// node calls it before upgrading to the write lock: nothing can change a
-// frozen chunk, so the new block holds exactly what the old one does, a
-// reader sees the same contents through either, and the allocation stays
-// out of the seqlock's write hold. Caller must hold the node frozen or
-// write-locked.
+// class is the size class of this chunk's block of the given capacity and
+// width, in bytes.
+func (c *Cells) class(capacity int, narrow bool) uintptr {
+	return shapeOf(capacity, c.words, narrow).class
+}
+
+// ReserveKeys makes room for n more elements (up to Cap()) with keys in
+// [lo, hi] now, so that the inserts that follow do not resize the block. A
+// writer that has frozen the node calls it before upgrading to the write
+// lock: nothing can change a frozen chunk, so the new block holds exactly
+// what the old one does, a reader sees the same contents through either,
+// and the allocation stays out of the seqlock's write hold. Caller must hold
+// the node frozen or write-locked.
+func (c *Cells) ReserveKeys(n int, lo, hi int64) {
+	b, s := c.owned()
+	c.grow(b, s, min(s+n, int(c.limit)), span{lo, hi})
+}
+
+// Reserve is ReserveKeys for keys the chunk's current block can already
+// hold; an empty chunk gets wide cells.
 func (c *Cells) Reserve(n int) {
 	b, s := c.owned()
-	c.grow(b, s, min(s+n, int(c.limit)))
+	c.grow(b, s, min(s+n, int(c.limit)), noKeys)
+}
+
+// Wide reports whether the chunk's block stores whole 8-byte keys: false for
+// a narrow block and for the shared empty one.
+func (c *Cells) Wide() bool {
+	b := c.blk.Load()
+	return b.cap() > 0 && !b.narrow()
 }
 
 // Insert adds the mapping k→v. It returns false if k is already present.
@@ -409,22 +445,20 @@ func (c *Cells) Insert(k int64, v Cell) bool {
 	if s >= int(c.limit) {
 		panic("vectormap: Insert into full chunk")
 	}
-	c.put(c.grow(b, s, s+1), s, k, v)
+	c.put(c.grow(b, s, s+1, spanOf(k)), s, k, v)
 	return true
 }
 
-// put adds k→v to b, which holds s elements and has a free cell. Sorted
-// chunks shift the larger keys right.
+// put adds k→v to b, which holds s elements, has a free cell and holds k.
+// Sorted chunks shift the larger keys right.
 func (c *Cells) put(b *block, s int, k int64, v Cell) {
 	pos := s
 	if c.sorted {
 		pos = b.lowerBound(k, s)
 		mInsertShift.Observe(pos, int64(s-pos))
-		for i := s; i > pos; i-- {
-			c.copyCell(b, i, b, i-1)
-		}
+		c.shift(b, pos+1, pos, s-pos)
 	}
-	b.key(pos).Store(k)
+	b.storeKey(pos, k)
 	c.setCell(b, pos, v)
 	c.size.Store(int32(s + 1))
 }
@@ -497,9 +531,10 @@ func (o SlotOutcome) String() string {
 // the caller splits the chunk and retries ops[i:] on the half that owns the
 // key. Deletes, overwrites, and insert-only hits on existing keys never need
 // capacity and never stop the run. The block is resized at most once each
-// way per call: the first insert that finds it full sizes it for every put
-// still ahead, and the shrink rule runs once at the end. Caller must hold
-// the owning node's write lock; out must be at least as long as ops.
+// way per call: the first insert that finds it full, or too narrow for its
+// key, sizes it for the count and the keys of every put still ahead, and
+// the shrink rule runs once at the end. Caller must hold the owning node's
+// write lock; out must be at least as long as ops.
 func (c *Cells) ApplyOps(ops []CellOp, out []SlotOutcome) int {
 	b, s := c.owned()
 	for i := range ops {
@@ -520,14 +555,15 @@ func (c *Cells) ApplyOps(ops []CellOp, out []SlotOutcome) int {
 		case s >= int(c.limit):
 			return i
 		default:
-			if s == int(b.cap) {
-				puts := 0
+			if s == b.cap() || !b.holds(spanOf(op.Key)) {
+				puts, keys := 0, noKeys
 				for _, rest := range ops[i:] {
 					if !rest.Del {
 						puts++
+						keys = keys.with(spanOf(rest.Key))
 					}
 				}
-				b = c.grow(b, s, min(s+puts, int(c.limit)))
+				b = c.grow(b, s, min(s+puts, int(c.limit)), keys)
 			}
 			c.put(b, s, op.Key, op.Val)
 			s++
@@ -556,9 +592,7 @@ func (c *Cells) Remove(k int64) (Cell, bool) {
 func (c *Cells) removeAt(b *block, s, i int) {
 	if c.sorted {
 		mRemoveShift.Observe(i, int64(s-1-i))
-		for j := i; j < s-1; j++ {
-			c.copyCell(b, j, b, j+1)
-		}
+		c.shift(b, i, i+1, s-1-i)
 	} else if i != s-1 {
 		c.copyCell(b, i, b, s-1)
 	}
@@ -577,20 +611,20 @@ func (c *Cells) moveTo(dst *Cells, move func(k int64) bool) {
 		panic("vectormap: move into non-empty chunk")
 	}
 	b, s := c.owned()
-	n := 0
+	n, keys := 0, noKeys
 	for i := 0; i < s; i++ {
-		if move(b.key(i).Load()) {
+		if k := b.loadKey(i); move(k) {
 			n++
+			keys = keys.with(spanOf(k))
 		}
 	}
 	if n == 0 {
 		return
 	}
-	db := newBlock(dst.capFor(room(n)), dst.words)
+	db := newBlock(dst.capFor(room(n), keys.narrow()), dst.words, keys)
 	d, w := 0, 0
 	for i := 0; i < s; i++ {
-		k := b.key(i).Load()
-		if move(k) {
+		if move(b.loadKey(i)) {
 			c.copyCell(db, d, b, i)
 			d++
 		} else {
@@ -627,7 +661,7 @@ func (c *Cells) SplitUpperHalfTo(dst *Cells) int64 {
 	if s < 2 {
 		panic("vectormap: SplitUpperHalfTo of chunk with fewer than 2 elements")
 	}
-	pivot := b.key(s / 2).Load()
+	pivot := b.loadKey(s / 2)
 	if !c.sorted {
 		// Select the median via an explicit copy + sort of keys. Splits are
 		// rare (amortized across T inserts), so O(T log T) here is
@@ -651,14 +685,14 @@ func (c *Cells) AbsorbFrom(src *Cells) {
 	if cs+ss > int(c.limit) {
 		panic("vectormap: AbsorbFrom overflows capacity")
 	}
-	b = c.grow(b, cs, cs+ss)
+	b = c.grow(b, cs, cs+ss, sb.span(ss))
 	if c.sorted && !src.sorted {
 		// Normalize: absorb in ascending key order.
 		idx := make([]int, ss)
 		for i := range idx {
 			idx[i] = i
 		}
-		sort.Slice(idx, func(x, y int) bool { return sb.key(idx[x]).Load() < sb.key(idx[y]).Load() })
+		sort.Slice(idx, func(x, y int) bool { return sb.loadKey(idx[x]) < sb.loadKey(idx[y]) })
 		for n, i := range idx {
 			c.copyCell(b, cs+n, sb, i)
 		}
@@ -678,7 +712,7 @@ func (c *Cells) AbsorbFrom(src *Cells) {
 func (c *Cells) ForEach(fn func(k int64, v Cell) bool) {
 	b, s := c.load()
 	for i := 0; i < s; i++ {
-		if !fn(b.key(i).Load(), c.cell(b, i)) {
+		if !fn(b.loadKey(i), c.cell(b, i)) {
 			return
 		}
 	}
@@ -697,9 +731,9 @@ func (c *Cells) ForEachOrdered(fn func(k int64, v Cell) bool) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(x, y int) bool { return b.key(idx[x]).Load() < b.key(idx[y]).Load() })
+	sort.Slice(idx, func(x, y int) bool { return b.loadKey(idx[x]) < b.loadKey(idx[y]) })
 	for _, i := range idx {
-		if !fn(b.key(i).Load(), c.cell(b, i)) {
+		if !fn(b.loadKey(i), c.cell(b, i)) {
 			return
 		}
 	}
@@ -710,15 +744,17 @@ func (c *Cells) Keys() []int64 {
 	b, s := c.load()
 	out := make([]int64, s)
 	for i := range out {
-		out[i] = b.key(i).Load()
+		out[i] = b.loadKey(i)
 	}
 	return out
 }
 
 // CheckInvariants validates internal consistency (used by tests): the block
 // within the chunk's capacity and of a capacity the sizing policy in
-// block.go produces for the chunk's cell kind, size within the block, no
-// duplicate keys, ascending order for sorted chunks, and, in a
+// block.go produces for the chunk's cell kind and the block's width, size
+// within the block, no duplicate keys, ascending order for sorted chunks,
+// every key found at its own position by the chunk's search (which resolves
+// a key outside a narrow block's upper half without probing), and, in a
 // pointer-celled chunk, no pointer left in a cell past the live prefix (it
 // would keep its target alive).
 func (c *Cells) CheckInvariants() error {
@@ -726,19 +762,20 @@ func (c *Cells) CheckInvariants() error {
 	if b == nil {
 		return fmt.Errorf("chunk has no block")
 	}
-	s, bc := int(c.size.Load()), int(b.cap)
+	s, bc, narrow := int(c.size.Load()), b.cap(), b.narrow()
 	switch {
 	case bc > c.Cap():
 		return fmt.Errorf("block of %d cells exceeds capacity %d", bc, c.Cap())
 	case s < 0 || s > bc:
 		return fmt.Errorf("size %d out of bounds [0,%d]", s, bc)
-	case bc > 0 && bc != c.capFor(bc):
-		return fmt.Errorf("block of %d cells does not fill its size class (%d would)", bc, c.capFor(bc))
+	case bc > 0 && bc != c.capFor(bc, narrow):
+		return fmt.Errorf("block of %d cells (narrow %t) does not fill its size class (%d would)",
+			bc, narrow, c.capFor(bc, narrow))
 	}
 	seen := make(map[int64]struct{}, s)
 	var prev int64
 	for i := 0; i < s; i++ {
-		k := b.key(i).Load()
+		k := b.loadKey(i)
 		if _, dup := seen[k]; dup {
 			return fmt.Errorf("duplicate key %d", k)
 		}
@@ -747,6 +784,11 @@ func (c *Cells) CheckInvariants() error {
 			return fmt.Errorf("sorted chunk out of order at %d: %d <= %d", i, k, prev)
 		}
 		prev = k
+	}
+	for i := 0; i < s; i++ {
+		if k := b.loadKey(i); c.indexOf(b, s, k) != i {
+			return fmt.Errorf("key %d at %d: the search finds it at %d (narrow %t)", k, i, c.indexOf(b, s, k), narrow)
+		}
 	}
 	for i := s; i < bc && !c.words; i++ {
 		if b.loadVal(i) != nil {

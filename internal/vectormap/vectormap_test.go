@@ -343,7 +343,7 @@ func TestInitDropsBlock(t *testing.T) {
 		t.Fatalf("reinit failed: size=%d sorted=%t cap=%d", c.Size(), c.Sorted(), c.Cap())
 	}
 	if b := c.blk.Load(); b != &emptyBlock {
-		t.Fatalf("reinit kept a block of %d cells", b.cap)
+		t.Fatalf("reinit kept a block of %d cells", b.cap())
 	}
 	c.Insert(3, val(3))
 	if v, ok := c.Get(3); !ok || *v != 3 {
