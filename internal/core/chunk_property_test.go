@@ -10,23 +10,26 @@ import (
 )
 
 // TestChunkPropertiesTinyTargets sweeps the chunk sizes where every burst of
-// writes crosses capacity, split and merge boundaries: T_D 1…8 × T_I 1…4,
-// sorted and unsorted data chunks. Each burst mixes singleton inserts,
-// upserts and removes with ApplyBatch runs (and, once per map, a bulk-loaded
-// start), then the whole structure is checked — core.CheckInvariants runs
-// every chunk's own invariant too — and the contents are compared with a
-// model. BulkLoad's T_I = 1 defect sat in this corner. The sweep runs for
-// int64 values, stored inline in word cells, and again under boxed/ for a
-// value too wide for a word, stored in a box behind a pointer cell. Each
-// runs over four key spaces of 160 keys: above 0; straddling 2^32, so chunk
-// blocks switch between 4-byte and 8-byte key cells as keys cross it; and
-// next to each sentinel.
+// writes crosses capacity, split and merge boundaries, sorted and unsorted
+// data chunks. Each burst mixes singleton inserts, upserts and removes with
+// ApplyBatch runs (and, once per map, a bulk-loaded start), then the whole
+// structure is checked — core.CheckInvariants runs every chunk's own
+// invariant too — and the contents are compared with a model. BulkLoad's
+// T_I = 1 defect sat in this corner. The sweep runs for int64 values, stored
+// inline in word cells, and again under boxed/ for a value too wide for a
+// word, stored in a box behind a pointer cell. Each runs over five key
+// spaces of 160 keys: above 0; straddling 2^16, so chunk blocks switch
+// between 2-byte and 4-byte key cells as keys cross it; straddling 2^32,
+// where they switch between 2-byte and 8-byte cells; and next to each
+// sentinel. Every key space runs the whole T_D 1…8 × T_I 1…4 grid.
 func TestChunkPropertiesTinyTargets(t *testing.T) {
-	for _, base := range []int64{0, 1<<32 - 80, vectormap.NegInf, vectormap.PosInf - 161} {
+	cases := 0
+	for _, base := range []int64{0, 1<<16 - 80, 1<<32 - 80, vectormap.NegInf, vectormap.PosInf - 161} {
 		for _, boxed := range []bool{false, true} {
 			for td := 1; td <= 8; td++ {
 				for ti := 1; ti <= 4; ti++ {
 					for _, sortedData := range []bool{false, true} {
+						cases++
 						cfg := DefaultConfig()
 						cfg.TargetDataVectorSize = td
 						cfg.TargetIndexVectorSize = ti
@@ -55,6 +58,7 @@ func TestChunkPropertiesTinyTargets(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d cases", cases)
 }
 
 // chunkPropertyRun drives one map of V, whose values carry the model's int64

@@ -123,9 +123,11 @@ type OccupancySnapshot struct {
 	IndexChunks int
 	IndexElems  int
 	IndexMean   float64
-	// WideChunks counts the chunks, of either kind, whose block stores
-	// whole 8-byte keys because its keys do not share one upper half.
-	WideChunks int
+	// ChunksByKeyBytes counts the chunks, of either kind, by the width of
+	// their key cells: [2], [4] and [8] count blocks of 2-, 4- and 8-byte
+	// cells, which hold keys sharing their upper 48 bits, their upper 32,
+	// or neither; [0] counts empty chunks.
+	ChunksByKeyBytes [9]int
 }
 
 // Occupancy walks every layer and reports chunk-fill aggregates. Sizes are
@@ -135,9 +137,7 @@ func (m *Map[V]) Occupancy() OccupancySnapshot {
 	var s OccupancySnapshot
 	for l := 0; l < m.cfg.LayerCount; l++ {
 		m.walkLayer(l, func(n *node[V]) {
-			if n.chunk.Wide() {
-				s.WideChunks++
-			}
+			s.ChunksByKeyBytes[n.chunk.KeyBytes()]++
 			if n.isIndex() {
 				s.IndexChunks++
 				s.IndexElems += n.size()

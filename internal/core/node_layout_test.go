@@ -24,7 +24,7 @@ func TestNodeLayout(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		n.chunk.Init(32, false)
-		n.chunk.Reserve(40)
+		n.chunk.ReserveKeys(40, 0, 0)
 	})
 	if allocs != 1 {
 		t.Errorf("a chunk with room for 40 keys took %v allocations, want 1", allocs)

@@ -18,18 +18,24 @@ import (
 
 const budgetKeys = 1 << 16
 
-// heapBytesPerKeyBudget is 1 B/key above the 20.18 B/key measured here on
+// heapBytesPerKeyBudget is 1 B/key above the 17.09 B/key measured here on
 // amd64 with values stored inline in occupancy-sized chunk blocks (64 B
-// node) whose keys, sharing their upper 32 bits, take 4-byte cells. Wide
-// key cells everywhere, the previous representation, measured 25.88 and
-// fail it.
-const heapBytesPerKeyBudget = 21.18
+// node) whose keys, sharing their upper 48 bits, take 2-byte cells. The
+// previous representation, 4-byte cells for keys sharing their upper 32
+// bits, measured 20.18 and fails it.
+const heapBytesPerKeyBudget = 18.09
 
-// wideHeapBytesPerKeyBudget bounds the same build with every key in its own
-// upper half, so that every block with two keys or more is wide: 1 B/key
-// above the 25.88 B/key all-wide blocks measured before narrow cells, which
-// the wide path must not exceed.
+// wideHeapBytesPerKeyBudget bounds the same build with keys 2^32 apart, so
+// that every block with two keys or more takes 8-byte cells: 1 B/key above
+// the 25.88 B/key measured before narrower cells, which the 8-byte path
+// must not exceed.
 const wideHeapBytesPerKeyBudget = 26.88
+
+// heapBytesPerKeyBudget4 bounds the same build with keys 2^16 apart, so
+// that every block with two keys or more takes 4-byte cells: 1 B/key above
+// the 20.18 B/key the default build measured with 4-byte cells, before
+// 2-byte ones, which the 4-byte path must not exceed.
+const heapBytesPerKeyBudget4 = 21.18
 
 // freshInsertAllocsBudget is the amortised share of the chunk blocks and
 // nodes that ascending inserts allocate: 0.20 measured. A value box per
@@ -64,8 +70,8 @@ func TestWorkBudgets(t *testing.T) {
 
 	// The block types are built once per process, on first use (vectormap
 	// block.go); a throwaway build makes them before the measured one, so
-	// the heap row counts what each key costs. The wide build spaces the
-	// same keys 2^32 apart.
+	// the heap row counts what each key costs. The other builds space the
+	// same keys 2^16 and 2^32 apart.
 	build := func(shift uint) *core.Map[uint64] {
 		m, err := core.NewMap[uint64](core.DefaultConfig())
 		if err != nil {
@@ -86,7 +92,9 @@ func TestWorkBudgets(t *testing.T) {
 		return m, float64(heapAlloc()-before) / budgetKeys
 	}
 	_, wideHeapPerKey := heapPerKey(31)
-	m, narrowHeapPerKey := heapPerKey(0)
+	_, heapPerKey4 := heapPerKey(15)
+	m, heapPerKey2 := heapPerKey(0)
+	occ := m.Occupancy()
 
 	h := m.NewHandle()
 	defer h.Close()
@@ -183,11 +191,12 @@ func TestWorkBudgets(t *testing.T) {
 		{"descents per sorted 64-key Handle.ApplyBatch", batchDescents(), 1},
 		{"descents per 1,000-step facade Cursor walk", cursorDescents(), 1},
 		{"restarts", float64(m.Stats().Restarts), 0},
-		{"heap bytes per key", narrowHeapPerKey, heapBytesPerKeyBudget},
+		{"heap bytes per key", heapPerKey2, heapBytesPerKeyBudget},
+		{"heap bytes per key, keys 2^16 apart", heapPerKey4, heapBytesPerKeyBudget4},
 		{"heap bytes per key, keys 2^32 apart", wideHeapPerKey, wideHeapBytesPerKeyBudget},
-		// The LayerCount head blocks hold NegInf and are wide; Occupancy
-		// counts only the nodes between the sentinels.
-		{"wide chunks between the sentinels", float64(m.Occupancy().WideChunks), 0},
+		// The LayerCount head blocks hold NegInf and take 8-byte cells;
+		// Occupancy counts only the nodes between the sentinels.
+		{"chunks of 8-byte key cells between the sentinels", float64(occ.ChunksByKeyBytes[8]), 0},
 	}
 	for _, b := range budgets {
 		if b.got > b.budget {

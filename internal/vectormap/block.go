@@ -10,107 +10,167 @@ import (
 
 // block is a chunk's storage: one allocation laid out as
 //
-//	capw uint32        the block's capacity c, fixed for its lifetime, with
-//	                   narrowBit set in a narrow block
-//	hi   uint32        the upper 32 bits every key of a narrow block shares
-//	keys [c]int64      atomic key cells (wide), or
-//	     [c]uint32     atomic low key halves (narrow), padded to 8 bytes
+//	hdr  uint64        prefix<<8w | capacity<<2 | width code
+//	keys [c]cell       atomic key cells of w = 2, 4 or 8 bytes, padded to a
+//	                   multiple of 8 bytes
 //	vals [c]cell       atomic payload cells
 //
-// A block is narrow iff every key it was allocated to hold shares one upper
-// half: its key cells then keep only the lower halves, 12-byte slots where a
-// wide block has 16-byte ones. Within one upper half, unsigned order of the
-// lower halves is key order. The width is chosen at allocation and, like the
-// capacity, never changes; a key that does not fit a narrow block goes into
-// a new, wide block on the resize path (Cells.grow).
+// Every key is stored as its biased form u = uint64(k) ^ 1<<63, whose
+// unsigned order is key order. A block of w-byte cells keeps the low 8w bits
+// of each u in its cells and the upper bits, which all its keys share, once
+// in its header as the prefix (none when w = 8). Unsigned order of the cells
+// is then key order at every width, and a key with another prefix lies
+// wholly before or after the block. The width code sits in the header's two
+// low bits, where a reader finds it before it knows the width; the capacity
+// takes the rest below the prefix: 14 bits at w = 2, 30 at w = 4, 62 at
+// w = 8. A block's width is the narrowest whose prefix every key it was
+// allocated for shares and whose capacity bits hold its capacity. Like the
+// capacity it never changes; a key that does not fit goes into a new, wider
+// block on the resize path (Cells.grow).
+//
+// sync/atomic has no 16-bit type, so a 2-byte cell is read and written
+// through the aligned 4-byte word that holds it and its neighbour: cell i is
+// the half at bit 16·(i&1) of word i/2. Only the node's single writer
+// stores, and it rewrites its half in a load and a store of the word.
 //
 // A payload cell is an unsafe.Pointer in a pointer-celled chunk and a uint64
 // in a word-celled one (Cells.InitWords), so word cells are 8 bytes even
-// where pointers are 4. The narrow key array is padded to a multiple of 8
-// bytes, so every payload array starts 8-aligned on every platform. The Go
-// type below names only the header. Each allocation's real type is built per
-// capacity, cell kind and width with reflect.StructOf (shapeOf), so the
-// collector scans exactly the payload cells of a pointer-celled block and
-// nothing of a word-celled one, which is allocated noscan. A block is
-// immutable in its header and is published by one atomic store of the
-// chunk's block pointer, so a reader that loaded it may trust the header
-// with plain loads and index any cell below its capacity.
-type block struct {
-	capw uint32
-	hi   uint32
-}
+// where pointers are 4. The key array is padded to a multiple of 8 bytes (4
+// cells of 2 bytes, 2 of 4), so every payload array starts 8-aligned on
+// every platform. The Go type below names only the header. Each allocation's
+// real type is built per capacity, cell kind and width with
+// reflect.StructOf (shapeOf), so the collector scans exactly the payload
+// cells of a pointer-celled block and nothing of a word-celled one, which is
+// allocated noscan. A block is immutable in its header and is published by
+// one atomic store of the chunk's block pointer, so a reader that loaded it
+// may trust the header with plain loads and index any cell below its
+// capacity.
+type block struct{ hdr uint64 }
+
+// width is a block's key-cell width code: its cells are 8>>w bytes.
+type width uint8
 
 const (
-	// narrowBit marks a narrow block in capw.
-	narrowBit = 1 << 31
+	w8 width = iota
+	w4
+	w2
+)
+
+func (w width) bytes() uintptr { return 8 >> w }
+func (w width) bits() uint     { return 64 >> w }
+
+// maxCap is the largest capacity a header of width w holds.
+func (w width) maxCap() uint64 { return 1<<(w.bits()-2) - 1 }
+
+const (
 	// keysOff is where the key cells start: right after the 8-byte header,
-	// so the 64-bit key cells (and the word cells after either key array)
-	// are 8-byte aligned even where pointers are 4 bytes.
+	// so the key cells (and the word cells after them) are 8-byte aligned
+	// even where pointers are 4 bytes.
 	keysOff  = unsafe.Sizeof(block{})
 	ptrSize  = unsafe.Sizeof(unsafe.Pointer(nil))
 	wordSize = unsafe.Sizeof(uint64(0))
-	loSize   = unsafe.Sizeof(uint32(0))
+	// signBit biases an int64 key into a uint64 of the same order.
+	signBit = 1 << 63
 )
 
 // emptyBlock is the zero-capacity block every chunk starts from and returns
 // to when it empties: an empty chunk costs no allocation. Nothing is ever
-// written to it.
+// written to it. Its header is 0: 8-byte cells, which hold any key.
 var emptyBlock block
 
+// width is the width of b's key cells.
+func (b *block) width() width { return width(b.hdr & 3) }
+
+// capMask is, by width code, the capacity field of a header shifted right
+// by 2.
+var capMask = [4]uint64{1<<62 - 1, 1<<30 - 1, 1<<14 - 1}
+
 // cap is the block's capacity.
-func (b *block) cap() int { return int(b.capw &^ narrowBit) }
+func (b *block) cap() int { return int(b.hdr >> 2 & capMask[b.hdr&3]) }
 
-// narrow reports whether b's key cells are 32-bit lower halves.
-func (b *block) narrow() bool { return b.capw&narrowBit != 0 }
+// keys is the address of the first key cell.
+func (b *block) keys() unsafe.Pointer { return unsafe.Add(unsafe.Pointer(b), keysOff) }
 
-// base is the smallest key a narrow block can hold: hi with a zero lower
-// half.
-func (b *block) base() int64 { return int64(uint64(b.hi) << 32) }
-
-// key returns the key cell i of a wide block. i must be below b.cap().
-func (b *block) key(i int) *atomic.Int64 {
-	return (*atomic.Int64)(unsafe.Add(unsafe.Pointer(b), keysOff+uintptr(i)*cellSize))
+// load loads key cell i of a block of size-byte cells, as the low bits of a
+// uint64. The size is a constant wherever a width's kernel inlines it.
+func load(keys unsafe.Pointer, i, size uintptr) uint64 {
+	off := i * size
+	if size == 8 {
+		return atomic.LoadUint64((*uint64)(unsafe.Add(keys, off)))
+	}
+	w := atomic.LoadUint32((*uint32)(unsafe.Add(keys, off&^3))) >> (off & 3 * 8)
+	return uint64(w) & (1<<(8*size) - 1)
 }
 
-// lo returns the key cell i of a narrow block. i must be below b.cap().
-func (b *block) lo(i int) *atomic.Uint32 {
-	return (*atomic.Uint32)(unsafe.Add(unsafe.Pointer(b), keysOff+uintptr(i)*loSize))
+// store stores the cell c into key cell i of a block of size-byte cells. A
+// cell narrower than 8 bytes is rewritten in its 4-byte word, which only the
+// caller, the node's writer, stores to.
+func store(keys unsafe.Pointer, i, size uintptr, c uint64) {
+	off := i * size
+	if size == 8 {
+		atomic.StoreUint64((*uint64)(unsafe.Add(keys, off)), c)
+		return
+	}
+	w, sh, mask := (*atomic.Uint32)(unsafe.Add(keys, off&^3)), off&3*8, uint32(1)<<(8*size)-1
+	w.Store(w.Load()&^(mask<<sh) | uint32(c)<<sh)
 }
 
-// loadKey loads key i of a block of either width.
+// cellOf splits k for a block of size-byte cells: its cell, the low bits of
+// its biased form, and where its prefix lies against the block's: -1 below,
+// 0 the same, 1 above. Every key shares an 8-byte block's empty prefix.
+func (b *block) cellOf(k int64, size uintptr) (c uint64, side int) {
+	u := uint64(k) ^ signBit
+	if size == 8 {
+		return u, 0
+	}
+	bits := 8 * size
+	switch p, bp := u>>bits, b.hdr>>bits; {
+	case p < bp:
+		side = -1
+	case p > bp:
+		side = 1
+	}
+	return u & (1<<bits - 1), side
+}
+
+// keyOf is the key whose cell is c in b, of size-byte cells.
+func (b *block) keyOf(c uint64, size uintptr) int64 {
+	bits := 8 * size
+	return int64((b.hdr>>bits<<bits | c) ^ signBit)
+}
+
+// loadKey loads key i of a block of any width: load and keyOf for a width
+// known only at run time, spelled out to stay within the inlining budget.
 func (b *block) loadKey(i int) int64 {
-	if b.narrow() {
-		return b.base() | int64(b.lo(i).Load())
+	w := b.hdr & 3
+	if w == 0 {
+		return int64(atomic.LoadUint64((*uint64)(unsafe.Add(unsafe.Pointer(b), keysOff+uintptr(i)*8))) ^ signBit)
 	}
-	return b.key(i).Load()
+	off, bits := uintptr(i)<<(3-w), 64>>w
+	x := atomic.LoadUint32((*uint32)(unsafe.Add(unsafe.Pointer(b), keysOff+off&^3))) >> (off & 3 * 8)
+	return int64((b.hdr>>bits<<bits | uint64(x)&(1<<bits-1)) ^ signBit)
 }
 
-// storeKey stores k into key cell i. A narrow block must hold k: a 32-bit
-// cell cannot keep another upper half, so a key that would lose it panics
-// here instead of turning into a different key.
+// storeKey stores k into key cell i. The block must hold k: a cell cannot
+// keep another prefix, so a key that would lose it panics here instead of
+// turning into a different key.
 func (b *block) storeKey(i int, k int64) {
-	if b.narrow() {
-		if hiOf(k) != b.hi {
-			panic(fmt.Sprintf("vectormap: key %d stored in a narrow block of upper half %#x", k, b.hi))
-		}
-		b.lo(i).Store(uint32(k))
-	} else {
-		b.key(i).Store(k)
+	size := b.width().bytes()
+	c, side := b.cellOf(k, size)
+	if side != 0 {
+		panic(fmt.Sprintf("vectormap: key %d stored in a block of %d-byte cells and prefix %#x",
+			k, size, b.hdr>>(8*size)))
 	}
+	store(b.keys(), uintptr(i), size, c)
 }
 
-// keyBytes is the size of the key array of a block of capacity c: c wide
-// cells, or c narrow ones rounded up to an even count.
-func keyBytes(c int, narrow bool) uintptr {
-	if narrow {
-		return uintptr(c+c&1) * loSize
-	}
-	return uintptr(c) * cellSize
-}
+// keyBytes is the size of the key array of a block of capacity c and width
+// w: c cells rounded up to a multiple of 8 bytes.
+func keyBytes(c int, w width) uintptr { return (uintptr(c)*w.bytes() + 7) &^ 7 }
 
 // vals is the address of the first payload cell.
 func (b *block) vals() unsafe.Pointer {
-	return unsafe.Add(unsafe.Pointer(b), keysOff+keyBytes(b.cap(), b.narrow()))
+	return unsafe.Add(unsafe.Pointer(b), keysOff+keyBytes(b.cap(), b.width()))
 }
 
 // val returns pointer cell i. i must be below b.cap().
@@ -137,59 +197,52 @@ func spanOf(k int64) span { return span{k, k} }
 
 func (s span) with(t span) span { return span{min(s.lo, t.lo), max(s.hi, t.hi)} }
 
-// hiOf is the upper half of k, which a narrow block keeps in its header.
-func hiOf(k int64) uint32 { return uint32(uint64(k) >> 32) }
+// width is the narrowest width whose prefix every key of s shares: the ends
+// share it, so every key between them does. The empty span gets 8 bytes.
+func (s span) width() width {
+	switch d := uint64(s.lo) ^ uint64(s.hi); {
+	case s.lo > s.hi || d>>32 != 0:
+		return w8
+	case d>>16 != 0:
+		return w4
+	}
+	return w2
+}
 
-// narrow reports whether a block for the keys of s can be narrow: s is not
-// empty and its ends share an upper half, so every key between them does.
-func (s span) narrow() bool { return s.lo <= s.hi && hiOf(s.lo) == hiOf(s.hi) }
-
-// span is the span of b's first s keys as far as a width needs it: in a
-// narrow block, which holds one upper half, any key of that half stands for
-// them all.
+// span is the span of b's first s keys.
 func (b *block) span(s int) span {
-	if b.narrow() && s > 0 {
-		return spanOf(b.base())
+	if s == 0 {
+		return noKeys
 	}
-	sp := noKeys
-	for i := 0; i < s; i++ {
-		sp = sp.with(spanOf(b.loadKey(i)))
-	}
-	return sp
+	lo, hi := b.bounds(s)
+	return span{lo, hi}
 }
 
 // holds reports whether b's key cells can store every key of sp.
 func (b *block) holds(sp span) bool {
-	return !b.narrow() || sp.lo > sp.hi || hiOf(sp.lo) == b.hi && hiOf(sp.hi) == b.hi
+	size := b.width().bytes()
+	_, below := b.cellOf(sp.lo, size)
+	_, above := b.cellOf(sp.hi, size)
+	return sp.lo > sp.hi || below == 0 && above == 0
 }
 
-// fill copies src's first n cells into the same cells of b with plain
-// (bulk) copies rather than one atomic store per cell, converting the keys
-// where the two widths differ. b must be a fresh block no reader can see
-// yet, of src's cell kind, that holds src's keys, and src must have no other
-// writer; concurrent atomic loads of src by optimistic readers do not race
-// with these reads.
+// fill copies src's first n cells into the same cells of b. Keys of the
+// same width and the payloads are plain (bulk) copies rather than one atomic
+// store per cell; keys that change width go one by one. b must be a fresh
+// block no reader can see yet, of src's cell kind, that holds src's keys,
+// and src must have no other writer; concurrent atomic loads of src by
+// optimistic readers do not race with these reads.
 func (b *block) fill(src *block, n int, words bool) {
+	if w := b.width(); w == src.width() {
+		nb := keyBytes(n, w)
+		copy(unsafe.Slice((*byte)(b.keys()), nb), unsafe.Slice((*byte)(src.keys()), nb))
+	} else {
+		for i := 0; i < n; i++ {
+			b.storeKey(i, src.loadKey(i))
+		}
+	}
 	if n == 0 {
 		return
-	}
-	switch nb, ns := b.narrow(), src.narrow(); {
-	case nb && ns:
-		copy(unsafe.Slice((*uint32)(unsafe.Pointer(b.lo(0))), n),
-			unsafe.Slice((*uint32)(unsafe.Pointer(src.lo(0))), n))
-	case nb:
-		dst := unsafe.Slice((*uint32)(unsafe.Pointer(b.lo(0))), n)
-		for i, k := range unsafe.Slice((*int64)(unsafe.Pointer(src.key(0))), n) {
-			dst[i] = uint32(k)
-		}
-	case ns:
-		dst, base := unsafe.Slice((*int64)(unsafe.Pointer(b.key(0))), n), src.base()
-		for i, lo := range unsafe.Slice((*uint32)(unsafe.Pointer(src.lo(0))), n) {
-			dst[i] = base | int64(lo)
-		}
-	default:
-		copy(unsafe.Slice((*int64)(unsafe.Pointer(b.key(0))), n),
-			unsafe.Slice((*int64)(unsafe.Pointer(src.key(0))), n))
 	}
 	if words {
 		copy(unsafe.Slice((*uint64)(b.vals()), n), unsafe.Slice((*uint64)(src.vals()), n))
@@ -211,8 +264,8 @@ func (b *block) fill(src *block, n int, words bool) {
 //
 // Every capacity is then rounded up to the last cell its allocator size class
 // pays for and capped at the chunk's logical capacity, 2×targetSize. Each
-// new block is narrow iff every key it is allocated for shares one upper
-// half, so a resize also narrows a wide block whose out-of-span keys left.
+// new block takes the narrowest width its keys allow, so a resize also
+// narrows a block whose out-of-prefix keys left.
 const (
 	growNum, growDen = 3, 2 // a resized block has half again the cells it must hold
 	minHeadroom      = 4    // ... and at least this many spare ones
@@ -223,43 +276,50 @@ func room(n int) int { return max(n+minHeadroom, n*growNum/growDen) }
 
 // capFor is the capacity of the block allocated for at least n ≤ limit cells
 // of the given kind and width.
-func capFor(n, limit int, words, narrow bool) int {
-	return min(shapeOf(n, words, narrow).fit, limit)
+func capFor(n, limit int, words bool, w width) int {
+	return min(shapeOf(n, words, w).fit, limit)
 }
 
-// newBlock allocates a zeroed block of capacity c ≥ 1 for the keys of sp:
-// one allocation, narrow iff sp allows it.
-func newBlock(c int, words bool, sp span) *block {
-	narrow := sp.narrow()
-	b := (*block)(reflect.New(shapeOf(c, words, narrow).typ).UnsafePointer())
-	b.capw = uint32(c)
-	if narrow {
-		b.capw |= narrowBit
-		b.hi = hiOf(sp.lo)
+// sized is the capacity and width of the block allocated for at least
+// n ≤ limit cells of the given kind holding the keys of sp: the narrowest
+// width sp allows whose header holds the capacity.
+func sized(n, limit int, words bool, sp span) (int, width) {
+	w := sp.width()
+	for uint64(capFor(n, limit, words, w)) > w.maxCap() {
+		w--
 	}
+	return capFor(n, limit, words, w), w
+}
+
+// newBlock allocates a zeroed block of capacity c ≥ 1 and width w for the
+// keys of sp, which must share one prefix of that width.
+func newBlock(c int, words bool, w width, sp span) *block {
+	b := (*block)(reflect.New(shapeOf(c, words, w).typ).UnsafePointer())
+	bits := w.bits()
+	b.hdr = (uint64(sp.lo)^signBit)>>bits<<bits | uint64(c)<<2 | uint64(w)
 	return b
 }
 
 // shape is what allocating a block of one capacity, cell kind and width
 // needs.
 type shape struct {
-	typ   reflect.Type // struct{ Cap, Hi uint32; Keys [c]int64 or [c+c&1]uint32; Vals [c]unsafe.Pointer or [c]uint64 }
+	typ   reflect.Type // struct{ Hdr uint64; Keys [keyBytes/w]uintN; Vals [c]unsafe.Pointer or [c]uint64 }
 	fit   int          // the most cells a block in the same size class holds
 	class uintptr      // the bytes that size class pays for
 }
 
 // shapes caches one shape per capacity, cell kind (first index 1: word
-// cells) and width (second index 1: narrow): building the type costs about
-// a microsecond, a block resize otherwise well under one. Each table is
+// cells) and width (second index): building the type costs about a
+// microsecond, a block resize otherwise well under one. Each table is
 // indexed by capacity and replaced copy-on-write under its mu, so a hit is
 // one atomic load and one index.
-var shapes [2][2]struct {
+var shapes [2][3]struct {
 	mu  sync.Mutex
 	tab atomic.Pointer[[]*shape]
 }
 
-func shapeOf(c int, words, narrow bool) *shape {
-	cache := &shapes[b2i(words)][b2i(narrow)]
+func shapeOf(c int, words bool, w width) *shape {
+	cache := &shapes[b2i(words)][w]
 	if tab := cache.tab.Load(); tab != nil && c < len(*tab) && (*tab)[c] != nil {
 		return (*tab)[c]
 	}
@@ -274,7 +334,7 @@ func shapeOf(c int, words, narrow bool) *shape {
 	}
 	tab := make([]*shape, max(len(old), c+1))
 	copy(tab, old)
-	tab[c] = newShape(c, words, narrow)
+	tab[c] = newShape(c, words, w)
 	cache.tab.Store(&tab)
 	return tab[c]
 }
@@ -286,25 +346,20 @@ func b2i(b bool) int {
 	return 0
 }
 
-func newShape(c int, words, narrow bool) *shape {
-	u32 := reflect.TypeFor[uint32]()
-	keys := reflect.ArrayOf(c, reflect.TypeFor[int64]())
-	if narrow {
-		// An even count of 4-byte cells: explicit padding, because
-		// StructOf aligns a uint64 to only 4 bytes on 32-bit platforms.
-		keys = reflect.ArrayOf(c+c&1, u32)
-	}
+func newShape(c int, words bool, w width) *shape {
+	// The key array's padding is explicit, in whole cells, because StructOf
+	// aligns a uint64 to only 4 bytes on 32-bit platforms.
+	key := [...]reflect.Type{reflect.TypeFor[uint64](), reflect.TypeFor[uint32](), reflect.TypeFor[uint16]()}[w]
 	cell, cellBytes := reflect.TypeFor[unsafe.Pointer](), ptrSize
 	if words {
 		cell, cellBytes = reflect.TypeFor[uint64](), wordSize
 	}
 	typ := reflect.StructOf([]reflect.StructField{
-		{Name: "Cap", Type: u32},
-		{Name: "Hi", Type: u32},
-		{Name: "Keys", Type: keys},
+		{Name: "Hdr", Type: reflect.TypeFor[uint64]()},
+		{Name: "Keys", Type: reflect.ArrayOf(int(keyBytes(c, w)/w.bytes()), key)},
 		{Name: "Vals", Type: reflect.ArrayOf(c, cell)},
 	})
-	if typ.Field(2).Offset != keysOff || typ.Field(3).Offset != keysOff+keyBytes(c, narrow) {
+	if typ.Field(1).Offset != keysOff || typ.Field(2).Offset != keysOff+keyBytes(c, w) {
 		panic(fmt.Sprintf("vectormap: block layout for capacity %d is not header, keys, vals", c))
 	}
 	// The allocator rounds every object up to its size class, and append's
@@ -319,13 +374,9 @@ func newShape(c int, words, narrow bool) *shape {
 		n := int((typ.Size() + ptrSize - 1) / ptrSize)
 		class = uintptr(cap(append([]unsafe.Pointer(nil), make([]unsafe.Pointer, n)...))) * ptrSize
 	}
-	slot := cellSize + cellBytes
-	if narrow {
-		slot = loSize + cellBytes
-	}
-	fit := int((class - keysOff) / slot)
-	for keysOff+keyBytes(fit, narrow)+uintptr(fit)*cellBytes > class {
-		fit-- // the narrow key array's padding cell
+	fit := int((class - keysOff) / (w.bytes() + cellBytes))
+	for keysOff+keyBytes(fit, w)+uintptr(fit)*cellBytes > class {
+		fit-- // the key array's padding cells
 	}
 	return &shape{typ: typ, fit: fit, class: class}
 }

@@ -1,6 +1,7 @@
 package vectormap
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -61,8 +62,8 @@ func TestBlockGrowsWhenFull(t *testing.T) {
 				}
 				c := filled(target, n+1, sorted)
 				if n == before {
-					if bc := blockCap(c); bc != capFor(room(n), limit, false, true) {
-						t.Fatalf("T=%d: grew a full block of %d to %d cells, want %d", target, n, bc, capFor(room(n), limit, false, true))
+					if bc := blockCap(c); bc != capFor(room(n), limit, false, w2) {
+						t.Fatalf("T=%d: grew a full block of %d to %d cells, want %d", target, n, bc, capFor(room(n), limit, false, w2))
 					}
 				}
 				if err := c.CheckInvariants(); err != nil {
@@ -94,7 +95,7 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 				got := allocsPerOp(func() *Chunk[int64] { return drained(n) },
 					func(c *Chunk[int64]) { c.Remove(int64(2 * (n - 1))) })
 				left := n - 1
-				shrinks := left > 0 && left < before/2 && capFor(room(left), limit, false, true) < before
+				shrinks := left > 0 && left < before/2 && capFor(room(left), limit, false, w2) < before
 				want := 0.0
 				if shrinks {
 					want = 1
@@ -106,8 +107,8 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 				switch bc := blockCap(c); {
 				case left == 0 && c.blk.Load() != &emptyBlock:
 					t.Fatalf("T=%d: empty chunk kept a block of %d cells", target, bc)
-				case shrinks && bc != capFor(room(left), limit, false, true):
-					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit, false, true))
+				case shrinks && bc != capFor(room(left), limit, false, w2):
+					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit, false, w2))
 				case !shrinks && left > 0 && bc != before:
 					t.Fatalf("T=%d: removal leaving %d of %d cells resized to %d", target, left, before, bc)
 				}
@@ -148,9 +149,9 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 			t.Fatalf("capacity split took %v allocations, want %v", got, want)
 		}
 		for _, d := range dsts {
-			if d.Size() != target || blockCap(d) != capFor(room(target), limit, false, true) {
+			if d.Size() != target || blockCap(d) != capFor(room(target), limit, false, w2) {
 				t.Fatalf("split destination holds %d in %d cells, want %d in %d",
-					d.Size(), blockCap(d), target, capFor(room(target), limit, false, true))
+					d.Size(), blockCap(d), target, capFor(room(target), limit, false, w2))
 			}
 		}
 		next = dstPool()
@@ -164,7 +165,7 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 		for _, tc := range []struct {
 			k            int64
 			kept, shrunk int
-		}{{60, 31, 0}, {10, 6, capFor(room(6), limit, false, true)}} {
+		}{{60, 31, 0}, {10, 6, capFor(room(6), limit, false, w2)}} {
 			c := filled(target, 40, sorted)
 			before := blockCap(c)
 			c.MoveGreaterTo(tc.k, filled(target, 0, sorted))
@@ -213,7 +214,6 @@ func TestBlockApplyOpsGrowsOncePerRun(t *testing.T) {
 	bothPolicies(t, func(t *testing.T, sorted bool) {
 		full := func() *Chunk[int64] {
 			c := filled(target, 3, sorted)
-			c.Reserve(0)
 			for blockCap(c) != c.Size() {
 				c.Insert(int64(2*c.Size()), val(0))
 			}
@@ -239,24 +239,24 @@ func TestBlockApplyOpsGrowsOncePerRun(t *testing.T) {
 	})
 }
 
-// TestBlockReserve: Reserve allocates once when the block is too small and
-// never past the logical capacity; Init allocates nothing.
-func TestBlockReserve(t *testing.T) {
+// TestBlockReserveKeys: ReserveKeys allocates once when the block is too
+// small and never past the logical capacity; Init allocates nothing.
+func TestBlockReserveKeys(t *testing.T) {
 	empty := func() *Chunk[int64] { return filled(32, 0, false) }
 	if got := allocsPerOp(empty, func(c *Chunk[int64]) { c.Init(32, true) }); got != 0 {
 		t.Fatalf("Init took %v allocations", got)
 	}
-	if got := allocsPerOp(empty, func(c *Chunk[int64]) { c.Reserve(40) }); got != 1 {
-		t.Fatalf("Reserve(40) took %v allocations, want 1", got)
+	if got := allocsPerOp(empty, func(c *Chunk[int64]) { c.ReserveKeys(40, 0, 78) }); got != 1 {
+		t.Fatalf("ReserveKeys(40) took %v allocations, want 1", got)
 	}
 	c := empty()
-	c.Reserve(1000)
+	c.ReserveKeys(1000, 0, 1998)
 	if blockCap(c) != c.Cap() {
-		t.Fatalf("Reserve past capacity made %d cells, want %d", blockCap(c), c.Cap())
+		t.Fatalf("ReserveKeys past capacity made %d cells, want %d", blockCap(c), c.Cap())
 	}
 	if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 10, false) },
-		func(c *Chunk[int64]) { c.Reserve(1) }); got != 0 {
-		t.Fatalf("Reserve with room to spare took %v allocations", got)
+		func(c *Chunk[int64]) { c.ReserveKeys(1, 20, 20) }); got != 0 {
+		t.Fatalf("ReserveKeys with room to spare took %v allocations", got)
 	}
 }
 
@@ -264,17 +264,20 @@ func TestBlockReserve(t *testing.T) {
 // keeps replacing the chunk's block: it fills the chunk, drains it, and
 // splits and re-absorbs it, every step under a seqlock write hold as a skip
 // vector node does, and grows the block for an insert while the lock is only
-// frozen, as Insert does. The keys straddle 2^32, so blocks go from narrow to
-// wide and back: an insert across the boundary widens the block, while
-// frozen or under the write hold, and a shrink, split or merge that leaves
-// one side narrows it. Readers never lock. A read may see anything while a
-// write is in flight, but it must not panic, and every read the seqlock
-// validates must match the contents the writer published for that version.
+// frozen, as Insert does. The keys are 2^12 apart and straddle 2^32, so 16
+// of them share each 2^16 window: blocks go between 2-, 4- and 8-byte key
+// cells. An insert from another window or across 2^32 widens the block,
+// while frozen or under the write hold, and a shrink, split or merge that
+// leaves fewer windows narrows it. Readers never lock. A read may see
+// anything while a write is in flight, but it must not panic, and every
+// read the seqlock validates must match the contents the writer published
+// for that version.
 func TestChunkConcurrentResize(t *testing.T) {
 	const (
 		target       = 8
 		keySpace     = 48
-		base         = 1<<32 - keySpace/2 // keys base … base+keySpace-1
+		stride       = 1 << 12
+		base         = 1<<32 - keySpace/2*stride // keys base, base+stride, …
 		cycles       = 150
 		minValidated = 5000
 	)
@@ -286,16 +289,19 @@ func TestChunkConcurrentResize(t *testing.T) {
 		)
 		c.Init(target, sorted)
 		d.Init(target, sorted)
+		key := func(k int) int64 { return base + int64(k)*stride }
 		payload := make([]*int64, keySpace)
 		for k := range payload {
-			payload[k] = val((base + int64(k)) * 3)
+			payload[k] = val(key(k) * 3)
 		}
-		var widths [2]int // blocks published, by width (1: narrow)
+		var moves [9][9]int // commits by the key bytes of the chunk's last and new block
+		last := 0
 		// commit runs f under the held write lock and publishes the model.
 		commit := func(f func()) {
 			f()
-			if c.Size() > 0 {
-				widths[b2i(c.blk.Load().narrow())]++
+			if kb := c.KeyBytes(); kb > 0 {
+				moves[last][kb]++
+				last = kb
 			}
 			keys := c.Keys()
 			slices.Sort(keys)
@@ -308,19 +314,20 @@ func TestChunkConcurrentResize(t *testing.T) {
 		}
 		// insert grows the block the way a skip vector Insert does: while
 		// the lock is only frozen, so reads keep validating across the swap.
-		// Every other insert reserves without its key, so a key across the
-		// boundary widens the block under the write hold instead.
+		// Every other insert reserves for no key (an empty key range), so a
+		// key from another window widens the block under the write hold
+		// instead.
 		insert := func(k int) {
 			if _, ok := lock.TryFreeze(lock.Current()); !ok {
 				panic("single writer failed to freeze")
 			}
 			if k%2 == 0 {
-				c.ReserveKeys(1, base+int64(k), base+int64(k))
+				c.ReserveKeys(1, key(k), key(k))
 			} else {
-				c.Reserve(1)
+				c.ReserveKeys(1, PosInf, NegInf)
 			}
 			lock.UpgradeFrozen()
-			commit(func() { c.Insert(base+int64(k), payload[k]) })
+			commit(func() { c.Insert(key(k), payload[k]) })
 		}
 		write(func() {})
 
@@ -339,7 +346,7 @@ func TestChunkConcurrentResize(t *testing.T) {
 					if !ok {
 						continue
 					}
-					q := base + int64(rng.Intn(keySpace+2)-1)
+					q := key(rng.Intn(keySpace+2)-1) + int64(rng.Intn(3)-1)
 					op := rng.Intn(5)
 					var (
 						gotK    int64
@@ -433,8 +440,10 @@ func TestChunkConcurrentResize(t *testing.T) {
 		if validated.Load() == 0 {
 			t.Fatal("no read validated; the test exercised nothing")
 		}
-		if widths[0] == 0 || widths[1] == 0 {
-			t.Fatalf("published %d wide and %d narrow blocks, want both", widths[0], widths[1])
+		for _, w := range [][2]int{{2, 4}, {4, 8}, {2, 8}, {8, 2}} {
+			if moves[w[0]][w[1]] == 0 {
+				t.Fatalf("no block of %d-byte keys replaced one of %d-byte keys (%v)", w[1], w[0], moves)
+			}
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -471,8 +480,8 @@ func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
 			c.Insert(int64(n), word(int64(n)))
 			keys = append(keys, int64(n))
 			if n == before {
-				if bc := c.blk.Load().cap(); bc != capFor(room(n), limit, true, true) {
-					t.Fatalf("grew a full block of %d to %d cells, want %d", n, bc, capFor(room(n), limit, true, true))
+				if bc := c.blk.Load().cap(); bc != capFor(room(n), limit, true, w2) {
+					t.Fatalf("grew a full block of %d to %d cells, want %d", n, bc, capFor(room(n), limit, true, w2))
 				}
 			}
 			check(&c, keys...)
@@ -493,25 +502,29 @@ func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
 	})
 }
 
-// TestBlockWidensAndNarrows walks a chunk across the 2^32 boundary: a block
-// whose keys share their upper half is narrow; a put from another upper
-// half widens it at once, by one resize, whether or not it is full; the
-// wide block stays wide until its next resize, which narrows it again once
-// the foreign key is gone. Splits, merges and batches choose the width from
-// the keys they move. The chunk invariant holds after every step, and every
-// key keeps its payload.
+// TestBlockWidensAndNarrows walks one chunk through the three key widths and
+// back: keys in one 2^16 window take 2-byte cells; a put from another window
+// below the same 2^32 widens the block to 4-byte cells, and one across 2^32
+// to 8-byte cells, each at once, by one resize, whether or not the block is
+// full. A block keeps its width until its next resize, which narrows it
+// again once the foreign keys are gone. Splits, merges and batches choose
+// the width from the keys they move. The chunk invariant holds after every
+// step, and every key keeps its payload.
 func TestBlockWidensAndNarrows(t *testing.T) {
-	const hi = 1 << 32
+	const (
+		hi  = 1 << 32
+		win = hi + 1<<16 // a 2^16 window boundary above 2^32
+	)
 	bothPolicies(t, func(t *testing.T, sorted bool) {
 		c := newChunk(t, 32, sorted)
 		model := map[int64]int64{}
-		step := func(what string, ch *Chunk[int64], narrow bool) {
+		step := func(what string, ch *Chunk[int64], keyBytes int) {
 			t.Helper()
 			if err := ch.CheckInvariants(); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if b := ch.blk.Load(); b.narrow() != narrow || ch.Wide() != !narrow {
-				t.Fatalf("%s: narrow %t (Wide %t), want narrow %t", what, b.narrow(), ch.Wide(), narrow)
+			if got := ch.KeyBytes(); got != keyBytes {
+				t.Fatalf("%s: %d-byte key cells, want %d", what, got, keyBytes)
 			}
 		}
 		check := func(what string) {
@@ -532,46 +545,65 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 			}
 			model[k] = k * 3
 		}
-		for k := int64(hi - 10); k < hi; k++ {
+		remove := func(k int64) {
+			t.Helper()
+			if _, ok := c.Remove(k); !ok {
+				t.Fatalf("Remove(%d) failed", k)
+			}
+			delete(model, k)
+		}
+		// fillUp inserts keys downward from k until the block is full.
+		fillUp := func(k int64) {
+			for ; !c.Full() && c.Size() < blockCap(c); k-- {
+				insert(k)
+			}
+		}
+		for k := int64(win - 10); k < win; k++ {
 			insert(k)
 		}
-		step("ten keys below 2^32", c, true)
-		if c.blk.Load().hi != 0 {
-			t.Fatalf("narrow block keeps upper half %#x, want 0", c.blk.Load().hi)
+		step("ten keys below a window boundary", c, 2)
+		if got, want := c.blk.Load().hdr>>16, (uint64(win-1)^signBit)>>16; got != want {
+			t.Fatalf("2-byte block keeps prefix %#x, want %#x", got, want)
 		}
 		fresh := val(0)
-		if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 10, sorted) },
-			func(c *Chunk[int64]) { c.Insert(hi, fresh) }); got != 1 {
-			t.Fatalf("an out-of-span put into 10/%d cells took %v allocations, want 1", blockCap(filled(32, 10, sorted)), got)
+		for _, k := range []int64{1 << 16, hi} {
+			if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 10, sorted) },
+				func(c *Chunk[int64]) { c.Insert(k, fresh) }); got != 1 {
+				t.Fatalf("a put of %d into 10/%d cells took %v allocations, want 1", k, blockCap(filled(32, 10, sorted)), got)
+			}
 		}
-		insert(hi)
-		step("a key at 2^32", c, false)
+		insert(win)
+		step("a key past the window", c, 4)
+		insert(hi - 1)
+		step("a key below 2^32", c, 8)
 		check("widened")
-		c.Remove(hi)
-		delete(model, hi)
-		step("the foreign key removed", c, false)
-		for k := int64(hi - 11); !c.Full() && c.Size() < blockCap(c); k-- {
-			insert(k)
-		}
-		insert(hi - 100) // the first insert into the full wide block resizes it
-		step("the next grow", c, true)
-		check("narrowed by a grow")
+		remove(hi - 1)
+		step("the key below 2^32 removed", c, 8)
+		fillUp(win - 11)
+		insert(win - 100) // the first insert into the full block resizes it
+		step("the next grow", c, 4)
+		check("narrowed to 4 bytes by a grow")
+		remove(win)
+		fillUp(win - 200)
+		insert(win - 300)
+		step("the grow after the last foreign key left", c, 2)
+		check("narrowed to 2 bytes by a grow")
 
 		// A split hands each side the width of its own keys; a merge of the
-		// two upper halves widens.
+		// two sides widens.
 		var d Chunk[int64]
 		d.Init(32, sorted)
-		for k := int64(hi); k < hi+4; k++ {
+		for k := int64(win); k < win+4; k++ {
 			insert(k)
 		}
-		step("keys on both sides", c, false)
-		c.MoveGreaterTo(hi-1, &d)
-		step("split destination above 2^32", &d, true)
-		if d.blk.Load().hi != 1 || d.Size() != 4 {
-			t.Fatalf("split destination holds %d keys in upper half %#x", d.Size(), d.blk.Load().hi)
+		step("keys on both sides of the window", c, 4)
+		c.MoveGreaterTo(win-1, &d)
+		step("split destination past the window", &d, 2)
+		if d.blk.Load().hdr>>16 != (uint64(win)^signBit)>>16 || d.Size() != 4 {
+			t.Fatalf("split destination holds %d keys under header %#x", d.Size(), d.blk.Load().hdr)
 		}
 		c.AbsorbFrom(&d)
-		step("merge across 2^32", c, false)
+		step("merge across the window", c, 4)
 		check("merged")
 
 		// A batch widens once for every put still ahead and narrows at its
@@ -586,7 +618,7 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		if c.blk.Load() != &emptyBlock || c.Wide() {
+		if c.blk.Load() != &emptyBlock || c.KeyBytes() != 0 {
 			t.Fatalf("emptied chunk kept a block of %d cells", blockCap(c))
 		}
 		ops = ops[:0]
@@ -600,7 +632,7 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 			t.Fatalf("a batch across 0 took %v allocations, want 1", got)
 		}
 		c.ApplyOps(ops, out)
-		step("batch across 0", c, false)
+		step("batch across 0", c, 8)
 		check("batch")
 		ops = ops[:0]
 		for k := int64(-8); k < 0; k++ {
@@ -608,27 +640,51 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 			delete(model, k)
 		}
 		c.ApplyOps(ops, out[:len(ops)])
-		step("batch shrink to the keys ≥ 0", c, true)
+		step("batch shrink to the keys ≥ 0", c, 2)
 		check("batch shrink")
 
-		// A foreign key into a narrow block with room to spare widens it
-		// once, for the puts behind it too.
-		widen := []SlotOp[int64]{{Key: hi + 1, Val: fresh}, {Key: 1, Val: fresh}, {Key: 3, Val: fresh}}
-		out = make([]SlotOutcome, len(widen))
-		if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 3, sorted) },
-			func(c *Chunk[int64]) { c.ApplyOps(widen, out) }); got != 1 {
-			t.Fatalf("a batch led by a foreign key took %v allocations, want 1", got)
-		}
-		w := filled(32, 3, sorted)
-		if w.Full() || !w.blk.Load().narrow() || w.Size() == blockCap(w) {
-			t.Fatalf("setup: 3 keys in %d cells, narrow %t", blockCap(w), w.blk.Load().narrow())
-		}
-		w.ApplyOps(widen, out)
-		step("a batch led by a foreign key", w, false)
-		for _, k := range []int64{0, 1, 2, 3, 4, hi + 1} {
-			if !w.Contains(k) {
-				t.Fatalf("the widened batch lost key %d", k)
+		// A foreign key into a block with room to spare widens it once, for
+		// the puts behind it too.
+		for _, tc := range []struct {
+			k        int64
+			keyBytes int
+		}{{1 << 16, 4}, {hi + 1, 8}} {
+			widen := []SlotOp[int64]{{Key: tc.k, Val: fresh}, {Key: 1, Val: fresh}, {Key: 3, Val: fresh}}
+			out = make([]SlotOutcome, len(widen))
+			if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 3, sorted) },
+				func(c *Chunk[int64]) { c.ApplyOps(widen, out) }); got != 1 {
+				t.Fatalf("a batch led by key %d took %v allocations, want 1", tc.k, got)
+			}
+			w := filled(32, 3, sorted)
+			if w.Full() || w.KeyBytes() != 2 || w.Size() == blockCap(w) {
+				t.Fatalf("setup: 3 keys in %d cells of %d bytes", blockCap(w), w.KeyBytes())
+			}
+			w.ApplyOps(widen, out)
+			step(fmt.Sprintf("a batch led by key %d", tc.k), w, tc.keyBytes)
+			for _, k := range []int64{0, 1, 2, 3, 4, tc.k} {
+				if !w.Contains(k) {
+					t.Fatalf("the widened batch lost key %d", k)
+				}
 			}
 		}
 	})
+}
+
+// TestTwoByteStoreKeepsItsNeighbour: a 2-byte cell shares its 4-byte word
+// with the next, and storing one rewrites only its own half.
+func TestTwoByteStoreKeepsItsNeighbour(t *testing.T) {
+	b := newBlock(8, true, w2, spanOf(0))
+	for i := range 8 {
+		b.storeKey(i, int64(0x1111*(i+1)))
+	}
+	b.storeKey(2, 0xffff)
+	b.storeKey(5, 0)
+	for i, want := range []int64{0x1111, 0x2222, 0xffff, 0x4444, 0x5555, 0, 0x7777, 0x8888} {
+		if got := b.loadKey(i); got != want {
+			t.Fatalf("cell %d holds %#x, want %#x", i, got, want)
+		}
+	}
+	if got := atomic.LoadUint32((*uint32)(b.keys())); got != 0x2222_1111 {
+		t.Fatalf("word 0 is %#x, want cell 0 in its low half and cell 1 in its high half", got)
+	}
 }

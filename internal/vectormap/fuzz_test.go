@@ -9,16 +9,20 @@ import (
 // FuzzChunkModel drives a chunk with an op byte-stream cross-checked
 // against a map model, and a word-celled twin (InitWords) with the same ops,
 // whose payload words — 0 included — must match the model too. The 16 keys
-// start at base, so a base just below a multiple of 2^32 (or wrapping past
-// PosInf) puts them in two upper halves and drives the blocks between the
-// narrow and the wide width. Run with `go test -fuzz FuzzChunkModel` for
+// start at base, so a base just below a multiple of 2^16 puts them in two
+// 2^16 windows and drives the blocks between 2- and 4-byte key cells, and
+// one just below a multiple of 2^32 (or wrapping past PosInf) between 2- and
+// 8-byte cells. Run with `go test -fuzz FuzzChunkModel` for
 // continuous fuzzing; `go test` replays the seed corpus.
 func FuzzChunkModel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, true, int64(0))
 	f.Add([]byte{10, 200, 30, 40, 5, 60, 7, 80}, false, int64(0))
 	f.Add([]byte{255, 255, 0, 0, 128, 128}, true, int64(0))
-	// Across an upper-half boundary: 2^32, 0 and the PosInf/NegInf wrap.
+	// Across a prefix boundary: 2^16, 2^32, 0 and the PosInf/NegInf wrap.
 	across := []byte{0, 15, 1, 14, 2, 13, 3, 12, 4, 11, 5, 10, 6, 9, 7, 8, 23, 24, 40, 47, 8, 7}
+	f.Add(across, true, int64(1<<16-8))
+	f.Add(across, false, int64(5<<16-8))
+	f.Add(across, false, int64(-1<<16-8))
 	f.Add(across, true, int64(1<<32-8))
 	f.Add(across, false, int64(1<<32-8))
 	f.Add(across, true, int64(-8))
@@ -83,16 +87,16 @@ func FuzzChunkModel(f *testing.F) {
 }
 
 // FuzzLowerBound is the differential proof obligation for the branchless
-// search core (search.go), over both key widths: on every *non-decreasing*
+// search (search.go), over all three key widths: on every *non-decreasing*
 // key array — duplicates included — lowerBound/upperBound must agree
 // exactly with the reference binary searches, and on *arbitrary* array
 // contents (the torn sizes and mid-shift states an optimistic reader can
 // observe before seqlock validation rejects them) both must still terminate
 // with a result in [0, s]. Keys are raw little-endian int64s so the fuzzer
-// can reach the sentinel extremes (NegInf/PosInf) where the sign-flip bias
-// matters. The same keys also fill a narrow block in the first key's upper
-// half, keeping their lower halves, so the 32-bit kernel meets probes from
-// its own upper half and from every other.
+// can reach the sentinel extremes (NegInf/PosInf) where the sign bias
+// matters. The same keys also fill a block of 4-byte and one of 2-byte cells
+// under the first key's prefix, keeping their low 32 or 16 biased bits, so
+// each narrow kernel meets probes from its own prefix and from every other.
 func FuzzLowerBound(f *testing.F) {
 	k8 := func(ks ...int64) []byte {
 		b := make([]byte, 8*len(ks))
@@ -107,14 +111,20 @@ func FuzzLowerBound(f *testing.F) {
 	f.Add(k8(9, 2, -7, 2), int64(2), uint8(200))          // unsorted + torn size
 	f.Add(k8(), int64(0), uint8(0))                       // empty
 	f.Add(k8(PosInf, NegInf), int64(PosInf-1), uint8(2))  // reversed at extremes
-	// Across upper-half boundaries: the narrow block keeps the lower halves
-	// in the first key's upper half, and the probe lands on either side.
+	// Across prefix boundaries: the narrow blocks keep the low bits under
+	// the first key's prefix, and the probe lands on either side.
 	f.Add(k8(1<<32-1, 1<<32, 1<<32+1), int64(1<<32), uint8(3))
 	f.Add(k8(1<<32+5, 1<<32-1, 7), int64(1<<32-1), uint8(3))
+	f.Add(k8(1<<16-1, 1<<16, 1<<16+1), int64(1<<16), uint8(3))
+	f.Add(k8(3<<16+5, 3<<16-1, 7), int64(3<<16-1), uint8(3))
+	f.Add(k8(1<<16-2, 1<<16-1, 1<<16), int64(1<<16-1), uint8(90))
 	f.Add(k8(-1, 0, 1), int64(0), uint8(3))
 	f.Add(k8(-2, -1, 0xffffffff), int64(-1), uint8(3))
+	f.Add(k8(-2, -1, 0xffff), int64(0xffff), uint8(3))
 	f.Add(k8(1<<32, 1<<32+2, 1<<32+4), int64(2<<32), uint8(40))
+	f.Add(k8(1<<16, 1<<16+2, 1<<16+4), int64(2<<16), uint8(40))
 	f.Add(k8(NegInf, NegInf+1, PosInf), int64(PosInf), uint8(3))
+	f.Add(k8(PosInf-1, PosInf), int64(PosInf), uint8(2))
 
 	const capacity = 32
 	f.Fuzz(func(t *testing.T, raw []byte, k int64, rawSize uint8) {
@@ -123,24 +133,24 @@ func FuzzLowerBound(f *testing.F) {
 		for i := range raws {
 			raws[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		hi := k // the narrow block's upper half: the first key's, else the probe's
+		first := k // the narrow blocks' prefix: the first key's, else the probe's
 		if n > 0 {
-			hi = raws[0]
+			first = raws[0]
 		}
-		for _, sp := range []span{noKeys, spanOf(hi)} {
+		for _, w := range []width{w8, w4, w2} {
 			var c Chunk[int64]
 			c.Init(capacity/2, true)
-			b := newBlock(capacity, false, sp)
+			b := newBlock(capacity, false, w, spanOf(first))
 			c.blk.Store(b)
 			keys := make([]int64, n)
 			for i, rk := range raws {
-				if keys[i] = rk; b.narrow() {
-					keys[i] = b.base() | int64(uint32(rk))
-				}
+				// rk's low bits under first's prefix.
+				mask := uint64(1)<<w.bits() - 1
+				keys[i] = int64(uint64(first)&^mask | uint64(rk)&mask)
 				b.storeKey(i, keys[i])
 			}
 			// A torn size may exceed the populated prefix or the capacity;
-			// the clamp in chunk.load is part of what this fuzz exercises.
+			// the clamp in Cells.load is part of what this fuzz exercises.
 			c.size.Store(int32(rawSize))
 			_, s := c.load()
 			if s != min(int(rawSize), capacity) {
@@ -153,7 +163,7 @@ func FuzzLowerBound(f *testing.F) {
 				b.lowerBoundRef(k, s), b.upperBoundRef(k, s),
 			} {
 				if got < 0 || got > s {
-					t.Fatalf("result %d outside [0, %d] on arbitrary keys (narrow %t)", got, s, b.narrow())
+					t.Fatalf("result %d outside [0, %d] on arbitrary keys (%d-byte keys)", got, s, w.bytes())
 				}
 			}
 
@@ -166,10 +176,10 @@ func FuzzLowerBound(f *testing.F) {
 			}
 			s = min(s, n)
 			if got, want := b.lowerBound(k, s), b.lowerBoundRef(k, s); got != want {
-				t.Fatalf("lowerBound(%d, %d) = %d, reference = %d (keys %v, narrow %t)", k, s, got, want, keys[:s], b.narrow())
+				t.Fatalf("lowerBound(%d, %d) = %d, reference = %d (keys %v, %d-byte keys)", k, s, got, want, keys[:s], w.bytes())
 			}
 			if got, want := b.upperBound(k, s), b.upperBoundRef(k, s); got != want {
-				t.Fatalf("upperBound(%d, %d) = %d, reference = %d (keys %v, narrow %t)", k, s, got, want, keys[:s], b.narrow())
+				t.Fatalf("upperBound(%d, %d) = %d, reference = %d (keys %v, %d-byte keys)", k, s, got, want, keys[:s], w.bytes())
 			}
 		}
 	})

@@ -122,31 +122,30 @@ func hasPointers(t reflect.Type) bool {
 // pointers, so the allocator places it noscan and the collector never reads
 // it; a pointer-celled block's type holds exactly its payload cells as
 // pointers. Every kind and width keeps the header, keys, vals layout, with
-// 8-byte wide keys or an even count of 4-byte narrow ones, 8-byte word cells
-// and pointer-sized pointer cells on every platform, and each fills its own
+// the key array padded to a multiple of 8 bytes, 8-byte word cells and
+// pointer-sized pointer cells on every platform, and each fills its own
 // size class.
 func TestBlockShapeScansOnlyPointerCells(t *testing.T) {
 	for _, c := range []int{1, 5, 16, 64} {
-		for _, narrow := range []bool{false, true} {
-			words, ptrs := shapeOf(c, true, narrow), shapeOf(c, false, narrow)
+		for _, w := range []width{w8, w4, w2} {
+			words, ptrs := shapeOf(c, true, w), shapeOf(c, false, w)
 			if hasPointers(words.typ) {
 				t.Fatalf("word block of %d cells has pointers: %v", c, words.typ)
 			}
-			if !hasPointers(ptrs.typ) || hasPointers(ptrs.typ.Field(2).Type) {
+			if !hasPointers(ptrs.typ) || hasPointers(ptrs.typ.Field(1).Type) {
 				t.Fatalf("pointer block of %d cells scans the wrong fields: %v", c, ptrs.typ)
 			}
-			keys := uintptr(c) * 8
-			if narrow {
-				keys = uintptr((c+1)/2) * 8
-			}
+			cells := uintptr(c)
+			cells = (cells + 8/w.bytes() - 1) / (8 / w.bytes()) * (8 / w.bytes()) // whole 8-byte words
+			keys := cells * w.bytes()
 			if got := words.typ.Size(); got != keysOff+keys+uintptr(c)*8 {
-				t.Fatalf("word block of %d cells (narrow %t) is %d bytes", c, narrow, got)
+				t.Fatalf("word block of %d cells (%d-byte keys) is %d bytes", c, w.bytes(), got)
 			}
 			if got := ptrs.typ.Size(); got != keysOff+keys+uintptr(c)*ptrSize {
-				t.Fatalf("pointer block of %d cells (narrow %t) is %d bytes", c, narrow, got)
+				t.Fatalf("pointer block of %d cells (%d-byte keys) is %d bytes", c, w.bytes(), got)
 			}
-			if off := words.typ.Field(3).Offset; off%8 != 0 {
-				t.Fatalf("word cells of a %d-cell block (narrow %t) start at byte %d", c, narrow, off)
+			if off := words.typ.Field(2).Offset; off%8 != 0 {
+				t.Fatalf("word cells of a %d-cell block (%d-byte keys) start at byte %d", c, w.bytes(), off)
 			}
 			for _, s := range []*shape{words, ptrs} {
 				if s.fit < c || s.typ.Size() > s.class {
@@ -157,12 +156,12 @@ func TestBlockShapeScansOnlyPointerCells(t *testing.T) {
 	}
 }
 
-// TestNarrowBlockSlots pins the narrow slot: 12 bytes for a word cell, so a
-// full 1,024-byte class holds 84 cells where a wide block holds 63.
-func TestNarrowBlockSlots(t *testing.T) {
-	for narrow, want := range map[bool]int{false: 63, true: 84} {
-		if s := shapeOf(want, true, narrow); s.class != 1024 || s.fit != want {
-			t.Errorf("word block of %d cells (narrow %t): class %d, fit %d", want, narrow, s.class, s.fit)
+// TestBlockSlots pins the slot of each key width beside a word cell: 16, 12
+// and 10 bytes, so a full 1,024-byte class holds 63, 84 or 101 cells.
+func TestBlockSlots(t *testing.T) {
+	for w, want := range map[width]int{w8: 63, w4: 84, w2: 101} {
+		if s := shapeOf(want, true, w); s.class != 1024 || s.fit != want {
+			t.Errorf("word block of %d cells (%d-byte keys): class %d, fit %d", want, w.bytes(), s.class, s.fit)
 		}
 	}
 }

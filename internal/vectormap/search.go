@@ -6,288 +6,264 @@ import (
 	"unsafe"
 )
 
-// Branchless intra-chunk search. The sorted-chunk paths of indexOf, FindLE
-// and FindGE were three near-identical binary searches, each taking a hard-
-// to-predict branch per probe: on a uniformly distributed key every probe is
-// a coin flip, so a 64-slot chunk costs ~6 probes × ~50% mispredicts on the
-// hottest loop in the structure. This file replaces them with one shared
-// lower/upper-bound core in the conditional-move shape ("Bridging Cache-
-// Friendliness and Concurrency", and Khuong & Morin's branchless binary
-// search). Go's if-conversion pass declines to CMOV-ify conditional updates
-// of loop-carried values, so the select is spelled out arithmetically: each
-// probe's signed comparison becomes a bits.Sub64 borrow (an intrinsic — one
-// SUB/SBB pair) whose 0/1 result is negated into an all-ones/zero mask that
-// gates the base advance. The loop thus has no data-dependent branches at
-// all, only the trip count, which depends solely on the size.
+// The chunk kernels. Each is written once, generic over its block's key-cell
+// type T, and each call branches once on the block's width to pick the
+// instantiation (the block methods at the end of this file). The three cell
+// types are distinct GC shapes, so each gets its own stenciled code, in
+// which unsafe.Sizeof(T(0)) is a constant: the kernels pass it to the
+// non-generic, inlined helpers (load, store, pivot, pair, cellOf, probe),
+// whose width branches fold away. They call no method on T and no generic
+// function, so nothing goes through the dictionary; -gcflags=-m reports
+// each helper inlined once per instantiation. A kernel compares cells, never
+// keys: cellOf resolves a key with another prefix against the whole block
+// before any cell is read, and within one prefix unsigned cell order is key
+// order (block.go). Unsorted scans read two 2-byte cells per 4-byte load.
 //
-// Bounds checks are hoisted out by construction rather than left to the
-// compiler: probes use raw offset arithmetic on the block's key-array base.
-// The safety argument is exactly chunk.load's: every probe index stays in
-// [0, s) and s is clamped to the capacity of the block being probed, which
-// the caller loaded once, so even a torn size, a replaced block or
+// The sorted search is branchless, in the conditional-move shape ("Bridging
+// Cache-Friendliness and Concurrency", and Khuong & Morin's branchless
+// binary search): a binary search's branch per probe is a coin flip on a
+// uniformly distributed key. Go's if-conversion pass declines to CMOV-ify
+// conditional updates of loop-carried values, so each probe's comparison is
+// a bits.Sub64 borrow (an intrinsic, one SUB/SBB pair) negated into an
+// all-ones/zero mask that gates the base advance. The loop's only branch is
+// its trip count, which depends solely on the size.
+//
+// Probes use raw offset arithmetic on the block's key-array base, with no
+// bounds checks. The safety argument is exactly Cells.load's: every probe
+// index stays in [0, s) and s is clamped to the capacity of the block being
+// probed, which the caller loaded once, so a torn size, a replaced block or
 // concurrently shifting keys can only yield garbage *values* (discarded when
 // the seqlock validation fails), never an out-of-bounds access. The fuzz
-// suite (FuzzLowerBound) proves the core equivalent to the textbook binary
-// search on every non-decreasing array — duplicates included — and in-bounds
-// and terminating on arbitrary (torn, unsorted) array states.
-//
-// That textbook search is test-only code (search_ref_test.go); nothing
-// selects between the two at run time.
+// suite (FuzzLowerBound) proves the search equal to the textbook binary
+// search (search_ref_test.go, test-only) on every non-decreasing array of
+// every width, duplicates included, and in-bounds and terminating on
+// arbitrary (torn, unsorted) array states.
 
-// cellSize is the stride of a wide block's key cells. atomic.Int64 is
-// exactly its payload (the align64/noCopy markers are zero-sized), which the
-// compile-time assertion below pins.
-const cellSize = unsafe.Sizeof(atomic.Int64{})
+// cell is a key-cell type: a block of 2-, 4- or 8-byte cells.
+type cell interface{ uint16 | uint32 | uint64 }
 
-var _ [1]struct{} = [cellSize / 8]struct{}{} // cellSize == 8
+// pivot loads the cell a search probes at i: cell i, or for 2-byte cells
+// the high cell of word i.
+func pivot(keys unsafe.Pointer, i, size uintptr) uint64 {
+	if size == 2 {
+		return uint64(atomic.LoadUint32((*uint32)(unsafe.Add(keys, i*4)))) >> 16
+	}
+	return load(keys, i, size)
+}
 
-// signFlip maps int64 order onto uint64 order: a < b (signed) iff
-// uint64(a)^signFlip < uint64(b)^signFlip (unsigned), which lets a probe's
-// comparison be computed as the borrow of an unsigned subtract.
-const signFlip = 1 << 63
-
-// probeLT loads the wide key at cell index i and returns half when it is < k
-// (with k pre-biased by signFlip), else 0 — the branch-free advance amount.
-func probeLT(base unsafe.Pointer, i, half uintptr, kb uint64) uintptr {
-	probe := uint64((*atomic.Int64)(unsafe.Add(base, i*cellSize)).Load()) ^ signFlip
-	_, borrow := bits.Sub64(probe, kb, 0) // 1 iff probe < k
+// probe returns half when the cell x is < c, else 0: the branch-free
+// advance amount.
+func probe(x uint64, half uintptr, c uint64) uintptr {
+	_, borrow := bits.Sub64(x, c, 0) // 1 iff x < c
 	return half & -uintptr(borrow)
 }
 
-// probeLE is probeLT's ≤ sibling: half when the key at i is ≤ k, else 0.
-func probeLE(base unsafe.Pointer, i, half uintptr, kb uint64) uintptr {
-	probe := uint64((*atomic.Int64)(unsafe.Add(base, i*cellSize)).Load()) ^ signFlip
-	_, borrow := bits.Sub64(kb, probe, 0) // 1 iff k < probe
-	return half & (uintptr(borrow) - 1)
+// stride is how many cells a scan takes per load (pair).
+func stride(size uintptr) int { return 1 + int(size&2)/2 }
+
+// pair loads the cells i and, for 2-byte cells, i+1 as x and y, in one load;
+// y repeats x for wider cells and when i+1 = s, which leaves every scan's
+// result as it is.
+func pair(keys unsafe.Pointer, i, s int, size uintptr) (x, y uint64) {
+	if size == 8 {
+		x = atomic.LoadUint64((*uint64)(unsafe.Add(keys, uintptr(i)*8)))
+		return x, x
+	}
+	w := uint64(atomic.LoadUint32((*uint32)(unsafe.Add(keys, uintptr(i)*size))))
+	if x = w & (1<<(8*size) - 1); size == 4 || i+1 == s {
+		return x, x
+	}
+	return x, w >> 16
 }
 
-// lowerBound returns the first position in [0, s) whose key is ≥ k, or s
-// when no key qualifies, probing branchlessly (see the file comment). It
-// branches once on the block's width: a narrow block's lower halves take the
-// 32-bit probe. s must already be clamped to b's capacity (chunk.load); s ≤ 0
-// returns 0.
-func (b *block) lowerBound(k int64, s int) int {
-	if s <= 0 {
-		return 0
-	}
-	off, n := uintptr(0), uintptr(s)
-	// Two probes per iteration: the trip count is ⌈log2 s⌉ total, so the 2×
-	// unroll halves loop overhead for the 64-slot default without bloating
-	// the small-chunk case.
-	if b.narrow() {
-		if i := b.outside(k, s); i >= 0 {
-			return i
-		}
-		base, kl := unsafe.Pointer(b.lo(0)), uint32(k)
-		for n > 1 {
-			half := n >> 1
-			off += probeLT32(base, off+half-1, half, kl)
-			n -= half
-			if n > 1 {
-				half = n >> 1
-				off += probeLT32(base, off+half-1, half, kl)
-				n -= half
+// What find looks for among a block's first s keys.
+const (
+	lower = iota // the first position whose key is ≥ k, or s
+	upper        // the first position whose key is > k, or s
+	exact        // k's position in a sorted block, or -1
+	scan         // k's position in an unsorted block, or -1
+)
+
+// find is the search of a block in every mode. s must already be clamped to
+// b's capacity (Cells.load). The upper bound of a cell c is the lower bound
+// of c+1, unless c is the largest cell, which every key is ≤.
+func find[T cell](b *block, k int64, s int, mode int) int {
+	size := unsafe.Sizeof(T(0))
+	c, side := b.cellOf(k, size)
+	keys, i := b.keys(), 0
+	switch {
+	case mode == scan: // two 2-byte cells per load
+		for ; i < s && side == 0; i += stride(size) {
+			switch x, y := pair(keys, i, s, size); c {
+			case x:
+				return i
+			case y:
+				return i + 1
 			}
 		}
-		return int(off + probeLT32(base, off, 1, kl))
-	}
-	base, kb := unsafe.Pointer(b.key(0)), uint64(k)^signFlip
-	for n > 1 {
-		half := n >> 1
-		off += probeLT(base, off+half-1, half, kb)
-		n -= half
-		if n > 1 {
-			half = n >> 1
-			off += probeLT(base, off+half-1, half, kb)
-			n -= half
-		}
-	}
-	return int(off + probeLT(base, off, 1, kb))
-}
-
-// upperBound returns the first position in [0, s) whose key is > k, or s
-// when no key qualifies. Same shape and safety argument as lowerBound; using
-// a distinct ≤ comparison instead of lowerBound(k+1) sidesteps the k ==
-// PosInf overflow.
-func (b *block) upperBound(k int64, s int) int {
-	if s <= 0 {
-		return 0
-	}
-	off, n := uintptr(0), uintptr(s)
-	if b.narrow() {
-		if i := b.outside(k, s); i >= 0 {
-			return i
-		}
-		base, kl := unsafe.Pointer(b.lo(0)), uint32(k)
-		for n > 1 {
-			half := n >> 1
-			off += probeLE32(base, off+half-1, half, kl)
-			n -= half
-			if n > 1 {
-				half = n >> 1
-				off += probeLE32(base, off+half-1, half, kl)
-				n -= half
-			}
-		}
-		return int(off + probeLE32(base, off, 1, kl))
-	}
-	base, kb := unsafe.Pointer(b.key(0)), uint64(k)^signFlip
-	for n > 1 {
-		half := n >> 1
-		off += probeLE(base, off+half-1, half, kb)
-		n -= half
-		if n > 1 {
-			half = n >> 1
-			off += probeLE(base, off+half-1, half, kb)
-			n -= half
-		}
-	}
-	return int(off + probeLE(base, off, 1, kb))
-}
-
-// The narrow kernels. Within a narrow block's upper half the lower halves
-// sort as unsigned integers, so the probe compares them with no bias; a key
-// with another upper half lies wholly before or after the block and
-// resolves without a probe.
-
-// probeLT32 is probeLT over the lower halves of a narrow block. Both halves
-// widen to int64, where their difference is negative iff probe < k, so its
-// arithmetic shift is the all-ones/zero mask (bits.Sub32 is no intrinsic).
-func probeLT32(base unsafe.Pointer, i, half uintptr, kl uint32) uintptr {
-	probe := (*atomic.Uint32)(unsafe.Add(base, i*loSize)).Load()
-	return half & uintptr((int64(probe)-int64(kl))>>63)
-}
-
-// probeLE32 is probeLE over the lower halves of a narrow block.
-func probeLE32(base unsafe.Pointer, i, half uintptr, kl uint32) uintptr {
-	probe := (*atomic.Uint32)(unsafe.Add(base, i*loSize)).Load()
-	return half &^ uintptr((int64(kl)-int64(probe))>>63) // kept iff k ≥ probe
-}
-
-// outside resolves k against a narrow block without a probe: it returns 0
-// when k lies below the block's upper half, s when above, and -1 when k
-// shares the block's upper half and must be searched for.
-func (b *block) outside(k int64, s int) int {
-	switch kh := hiOf(k); {
-	case kh == b.hi:
 		return -1
-	case int32(kh) < int32(b.hi):
-		return 0
-	default:
-		return s
-	}
-}
-
-// The unsorted scans: each branches once on the block's width and then
-// compares whole cells, lower halves only in a narrow block. Cells.indexOf
-// holds the exact-match scan, so that Get pays no further call.
-
-// floor returns the position of the largest of b's first s keys that is
-// ≤ k, or -1.
-func (b *block) floor(k int64, s int) int {
-	best := -1
-	if b.narrow() {
-		kl := uint32(k)
-		switch b.outside(k, s) {
-		case 0:
-			return -1
-		case s:
-			kl = ^uint32(0) // every key of the block is ≤ k
+	case side > 0 || mode == upper && side == 0 && c == 1<<(8*size)-1:
+		i = s
+	case side == 0 && s > 0:
+		if mode == upper {
+			c++
 		}
-		var bestLo uint32
-		for i := 0; i < s; i++ {
-			if l := b.lo(i).Load(); l <= kl && (best < 0 || l > bestLo) {
-				best, bestLo = i, l
+		// Two probes per iteration: the trip count is ⌈log2 s⌉ total, so
+		// the 2× unroll halves loop overhead for the 64-slot default without
+		// bloating the small-chunk case. 2-byte cells are searched by whole
+		// words, on each word's high cell, and the word found is then
+		// settled on its low cell: every probe is an aligned load and a
+		// constant shift.
+		off, n := uintptr(0), uintptr(s)
+		if size == 2 {
+			n /= 2
+		}
+		for n > 1 {
+			half := n >> 1
+			off += probe(pivot(keys, off+half-1, size), half, c)
+			n -= half
+			if n > 1 {
+				half = n >> 1
+				off += probe(pivot(keys, off+half-1, size), half, c)
+				n -= half
 			}
 		}
-		return best
+		if n == 1 {
+			off += probe(pivot(keys, off, size), 1, c)
+		}
+		if size == 2 {
+			if off *= 2; int(off) < s {
+				off += probe(load(keys, off, 2), 1, c)
+			}
+		}
+		i = int(off)
 	}
-	var bestKey int64
-	for i := 0; i < s; i++ {
-		if kk := b.key(i).Load(); kk <= k && (best < 0 || kk > bestKey) {
-			best, bestKey = i, kk
+	if mode == exact && (side != 0 || i >= s || load(keys, uintptr(i), size) != c) {
+		return -1
+	}
+	return i
+}
+
+// nearest returns the position of the largest of b's first s keys that is
+// ≤ k, or with up the smallest that is ≥ k, or -1, by an unsorted scan. The
+// second is the first over complemented cells, whose order is reversed.
+func nearest[T cell](b *block, k int64, s int, up bool) int {
+	size := unsafe.Sizeof(T(0))
+	mask, flip := uint64(1)<<(8*size)-1, uint64(0)
+	c, side := b.cellOf(k, size)
+	if up {
+		flip, c, side = mask, c^mask, -side
+	}
+	switch {
+	case side < 0:
+		return -1
+	case side > 0:
+		c = mask // every key of the block is on k's side
+	}
+	keys, best, bestC := b.keys(), -1, uint64(0)
+	for i := 0; i < s; i += stride(size) {
+		x, y := pair(keys, i, s, size)
+		if x ^= flip; x <= c && (best < 0 || x > bestC) {
+			best, bestC = i, x
+		}
+		if y ^= flip; y <= c && (best < 0 || y > bestC) {
+			best, bestC = i+1, y
 		}
 	}
 	return best
 }
 
-// ceil returns the position of the smallest of b's first s keys that is
-// ≥ k, or -1.
-func (b *block) ceil(k int64, s int) int {
-	best := -1
-	if b.narrow() {
-		kl := uint32(k)
-		switch b.outside(k, s) {
-		case s:
-			return -1
-		case 0:
-			kl = 0 // every key of the block is ≥ k
-		}
-		var bestLo uint32
-		for i := 0; i < s; i++ {
-			if l := b.lo(i).Load(); l >= kl && (best < 0 || l < bestLo) {
-				best, bestLo = i, l
-			}
-		}
-		return best
+// top returns the largest of b's first s ≥ 1 keys, or with low the
+// smallest, which is the largest over complemented cells.
+func top[T cell](b *block, s int, low bool) int64 {
+	size, keys, flip, c := unsafe.Sizeof(T(0)), b.keys(), uint64(0), uint64(0)
+	if low {
+		flip = 1<<(8*size) - 1
 	}
-	var bestKey int64
-	for i := 0; i < s; i++ {
-		if kk := b.key(i).Load(); kk >= k && (best < 0 || kk < bestKey) {
-			best, bestKey = i, kk
-		}
+	for i := 0; i < s; i += stride(size) {
+		x, y := pair(keys, i, s, size)
+		c = max(c, x^flip, y^flip)
 	}
-	return best
-}
-
-// minKey returns the smallest of b's first s ≥ 1 keys.
-func (b *block) minKey(s int) int64 {
-	if b.narrow() {
-		lo := b.lo(0).Load()
-		for i := 1; i < s; i++ {
-			lo = min(lo, b.lo(i).Load())
-		}
-		return b.base() | int64(lo)
-	}
-	k := b.key(0).Load()
-	for i := 1; i < s; i++ {
-		k = min(k, b.key(i).Load())
-	}
-	return k
-}
-
-// maxKey returns the largest of b's first s ≥ 1 keys.
-func (b *block) maxKey(s int) int64 {
-	if b.narrow() {
-		lo := b.lo(0).Load()
-		for i := 1; i < s; i++ {
-			lo = max(lo, b.lo(i).Load())
-		}
-		return b.base() | int64(lo)
-	}
-	k := b.key(0).Load()
-	for i := 1; i < s; i++ {
-		k = max(k, b.key(i).Load())
-	}
-	return k
+	return b.keyOf(c^flip, size)
 }
 
 // bounds returns the smallest and the largest of b's first s ≥ 1 keys.
-func (b *block) bounds(s int) (minK, maxK int64) {
-	if b.narrow() {
-		lo := b.lo(0).Load()
-		hi := lo
-		for i := 1; i < s; i++ {
-			l := b.lo(i).Load()
-			lo, hi = min(lo, l), max(hi, l)
-		}
-		return b.base() | int64(lo), b.base() | int64(hi)
+func bounds[T cell](b *block, s int) (int64, int64) {
+	size, keys := unsafe.Sizeof(T(0)), b.keys()
+	lo, hi := ^uint64(0), uint64(0)
+	for i := 0; i < s; i += stride(size) {
+		x, y := pair(keys, i, s, size)
+		lo, hi = min(lo, x, y), max(hi, x, y)
 	}
-	minK = b.key(0).Load()
-	maxK = minK
-	for i := 1; i < s; i++ {
-		k := b.key(i).Load()
-		minK, maxK = min(minK, k), max(maxK, k)
+	return b.keyOf(lo, size), b.keyOf(hi, size)
+}
+
+// shift moves the n key cells of b from src to dst = src±1, each read
+// before it is overwritten, with one atomic load and store per cell.
+func shift[T cell](b *block, dst, src, n int) {
+	size, keys := unsafe.Sizeof(T(0)), b.keys()
+	first, step := 0, 1
+	if dst > src {
+		first, step = n-1, -1
 	}
-	return minK, maxK
+	for i, j := 0, first; i < n; i, j = i+1, j+step {
+		store(keys, uintptr(dst+j), size, load(keys, uintptr(src+j), size))
+	}
+}
+
+// The width dispatch: one branch per call.
+
+func (b *block) lowerBound(k int64, s int) int { return b.find(k, s, lower) }
+
+func (b *block) upperBound(k int64, s int) int { return b.find(k, s, upper) }
+
+func (b *block) find(k int64, s, mode int) int {
+	switch b.width() {
+	case w2:
+		return find[uint16](b, k, s, mode)
+	case w4:
+		return find[uint32](b, k, s, mode)
+	}
+	return find[uint64](b, k, s, mode)
+}
+
+func (b *block) nearest(k int64, s int, up bool) int {
+	switch b.width() {
+	case w2:
+		return nearest[uint16](b, k, s, up)
+	case w4:
+		return nearest[uint32](b, k, s, up)
+	}
+	return nearest[uint64](b, k, s, up)
+}
+
+func (b *block) top(s int, low bool) int64 {
+	switch b.width() {
+	case w2:
+		return top[uint16](b, s, low)
+	case w4:
+		return top[uint32](b, s, low)
+	}
+	return top[uint64](b, s, low)
+}
+
+func (b *block) bounds(s int) (int64, int64) {
+	switch b.width() {
+	case w2:
+		return bounds[uint16](b, s)
+	case w4:
+		return bounds[uint32](b, s)
+	}
+	return bounds[uint64](b, s)
+}
+
+func (b *block) shift(dst, src, n int) {
+	switch b.width() {
+	case w2:
+		shift[uint16](b, dst, src, n)
+	case w4:
+		shift[uint32](b, dst, src, n)
+	default:
+		shift[uint64](b, dst, src, n)
+	}
 }

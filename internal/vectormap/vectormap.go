@@ -7,9 +7,10 @@
 // touches a handful of contiguous cache lines instead of chasing per-element
 // pointers. The block is sized to what the chunk holds, not to 2×targetSize,
 // and is replaced by a bigger or smaller one as the chunk fills and drains.
-// Its keys are 4 bytes each when they all share their upper 32 bits, which
-// the block's header then keeps, and 8 bytes otherwise; every replacement
-// chooses the width again from the keys the new block is to hold.
+// Its key cells are 2 bytes each when its keys all share their upper 48
+// bits, which the block's header then keeps, 4 bytes when they share their
+// upper 32 and 8 bytes otherwise; every replacement chooses the width again
+// from the keys the new block is to hold.
 //
 // Chunks come in two flavours (Section V-B):
 //
@@ -198,18 +199,10 @@ func (c *Cells) copyCell(dst *block, j int, src *block, i int) {
 // load and store per cell and one branch per call on the width and the cell
 // kind.
 func (c *Cells) shift(b *block, dst, src, n int) {
+	b.shift(dst, src, n)
 	first, step := 0, 1
 	if dst > src {
 		first, step = n-1, -1
-	}
-	if b.narrow() {
-		for i, j := 0, first; i < n; i, j = i+1, j+step {
-			b.lo(dst + j).Store(b.lo(src + j).Load())
-		}
-	} else {
-		for i, j := 0, first; i < n; i, j = i+1, j+step {
-			b.key(dst + j).Store(b.key(src + j).Load())
-		}
 	}
 	if c.words {
 		for i, j := 0, first; i < n; i, j = i+1, j+step {
@@ -240,7 +233,7 @@ func (c *Cells) MinKey() (int64, bool) {
 	if c.sorted {
 		return b.loadKey(0), true
 	}
-	return b.minKey(s), true
+	return b.top(s, true), true
 }
 
 // MaxKey returns the largest key, or ok=false when empty.
@@ -252,7 +245,7 @@ func (c *Cells) MaxKey() (int64, bool) {
 	if c.sorted {
 		return b.loadKey(s - 1), true
 	}
-	return b.maxKey(s), true
+	return b.top(s, false), true
 }
 
 // Bounds returns the smallest and largest keys in a single pass, or ok=false
@@ -273,30 +266,11 @@ func (c *Cells) Bounds() (minK, maxK int64, ok bool) {
 
 // indexOf returns the position of key k among b's first s cells, or -1.
 func (c *Cells) indexOf(b *block, s int, k int64) int {
+	mode := scan
 	if c.sorted {
-		if i := b.lowerBound(k, s); i < s && b.loadKey(i) == k {
-			return i
-		}
-		return -1
+		mode = exact
 	}
-	if b.narrow() {
-		if hiOf(k) != b.hi {
-			return -1
-		}
-		kl := uint32(k)
-		for i := 0; i < s; i++ {
-			if b.lo(i).Load() == kl {
-				return i
-			}
-		}
-		return -1
-	}
-	for i := 0; i < s; i++ {
-		if b.key(i).Load() == k {
-			return i
-		}
-	}
-	return -1
+	return b.find(k, s, mode)
 }
 
 // Get returns the payload mapped to k.
@@ -328,7 +302,7 @@ func (c *Cells) FindLE(k int64) (key int64, val Cell, ok bool) {
 	if c.sorted {
 		i = b.upperBound(k, s) - 1 // the largest position with key ≤ k
 	} else {
-		i = b.floor(k, s)
+		i = b.nearest(k, s, false)
 	}
 	if i < 0 {
 		return 0, Cell{}, false
@@ -349,7 +323,7 @@ func (c *Cells) FindGE(k int64) (key int64, val Cell, ok bool) {
 			i = -1
 		}
 	} else {
-		i = b.ceil(k, s)
+		i = b.nearest(k, s, true)
 	}
 	if i < 0 {
 		return 0, Cell{}, false
@@ -359,20 +333,22 @@ func (c *Cells) FindGE(k int64) (key int64, val Cell, ok bool) {
 
 // resize moves the first s elements of b into a new block with room for at
 // least n ≥ s cells and for the keys of more, and publishes it. The new
-// block is narrow iff every key it is sized for shares one upper half. b
-// itself is left as it was. Caller must hold the write lock, or hold the
-// node frozen with nothing about to change (ReserveKeys).
+// block takes the narrowest width every key it is sized for allows. b itself
+// is left as it was. Caller must hold the write lock, or hold the node
+// frozen with nothing about to change (ReserveKeys).
 func (c *Cells) resize(b *block, s, n int, more span) *block {
-	sp := b.span(s).with(more)
-	nb := newBlock(c.capFor(n, sp.narrow()), c.words, sp)
+	nb := c.newBlock(n, b.span(s).with(more))
 	nb.fill(b, s, c.words)
 	c.blk.Store(nb)
 	return nb
 }
 
-// capFor is the capacity of this chunk's block of the given width for at
-// least n cells.
-func (c *Cells) capFor(n int, narrow bool) int { return capFor(n, int(c.limit), c.words, narrow) }
+// newBlock allocates this chunk's block for at least n cells and the keys
+// of sp.
+func (c *Cells) newBlock(n int, sp span) *block {
+	capacity, w := sized(n, int(c.limit), c.words, sp)
+	return newBlock(capacity, c.words, w, sp)
+}
 
 // grow returns a block with room for need ≤ Cap() elements and for the keys
 // of more, resizing b, which holds s, when it has too few cells or too
@@ -395,16 +371,10 @@ func (c *Cells) settle(b *block, n int) {
 		c.blk.Store(&emptyBlock)
 		return
 	}
-	narrow := b.span(n).narrow()
-	if c.class(c.capFor(room(n), narrow), narrow) < c.class(b.cap(), b.narrow()) {
+	capacity, w := sized(room(n), int(c.limit), c.words, b.span(n))
+	if shapeOf(capacity, c.words, w).class < shapeOf(b.cap(), c.words, b.width()).class {
 		c.resize(b, n, room(n), noKeys)
 	}
-}
-
-// class is the size class of this chunk's block of the given capacity and
-// width, in bytes.
-func (c *Cells) class(capacity int, narrow bool) uintptr {
-	return shapeOf(capacity, c.words, narrow).class
 }
 
 // ReserveKeys makes room for n more elements (up to Cap()) with keys in
@@ -419,18 +389,13 @@ func (c *Cells) ReserveKeys(n int, lo, hi int64) {
 	c.grow(b, s, min(s+n, int(c.limit)), span{lo, hi})
 }
 
-// Reserve is ReserveKeys for keys the chunk's current block can already
-// hold; an empty chunk gets wide cells.
-func (c *Cells) Reserve(n int) {
-	b, s := c.owned()
-	c.grow(b, s, min(s+n, int(c.limit)), noKeys)
-}
-
-// Wide reports whether the chunk's block stores whole 8-byte keys: false for
-// a narrow block and for the shared empty one.
-func (c *Cells) Wide() bool {
-	b := c.blk.Load()
-	return b.cap() > 0 && !b.narrow()
+// KeyBytes is the width of the key cells of the chunk's block, 2, 4 or 8
+// bytes, or 0 for the shared empty block.
+func (c *Cells) KeyBytes() int {
+	if b := c.blk.Load(); b.cap() > 0 {
+		return int(b.width().bytes())
+	}
+	return 0
 }
 
 // Insert adds the mapping k→v. It returns false if k is already present.
@@ -621,7 +586,7 @@ func (c *Cells) moveTo(dst *Cells, move func(k int64) bool) {
 	if n == 0 {
 		return
 	}
-	db := newBlock(dst.capFor(room(n), keys.narrow()), dst.words, keys)
+	db := dst.newBlock(room(n), keys)
 	d, w := 0, 0
 	for i := 0; i < s; i++ {
 		if move(b.loadKey(i)) {
@@ -752,30 +717,35 @@ func (c *Cells) Keys() []int64 {
 // CheckInvariants validates internal consistency (used by tests): the block
 // within the chunk's capacity and of a capacity the sizing policy in
 // block.go produces for the chunk's cell kind and the block's width, size
-// within the block, no duplicate keys, ascending order for sorted chunks,
-// every key found at its own position by the chunk's search (which resolves
-// a key outside a narrow block's upper half without probing), and, in a
-// pointer-celled chunk, no pointer left in a cell past the live prefix (it
-// would keep its target alive).
+// within the block, every key carrying the block's prefix, no duplicate
+// keys, ascending order for sorted chunks, every key found at its own
+// position by the chunk's search (which resolves a key with another prefix
+// without probing), and, in a pointer-celled chunk, no pointer left in a
+// cell past the live prefix (it would keep its target alive).
 func (c *Cells) CheckInvariants() error {
 	b := c.blk.Load()
 	if b == nil {
 		return fmt.Errorf("chunk has no block")
 	}
-	s, bc, narrow := int(c.size.Load()), b.cap(), b.narrow()
+	s, bc, w := int(c.size.Load()), b.cap(), b.width()
 	switch {
+	case w > w2:
+		return fmt.Errorf("block header %#x has no key width", b.hdr)
 	case bc > c.Cap():
 		return fmt.Errorf("block of %d cells exceeds capacity %d", bc, c.Cap())
 	case s < 0 || s > bc:
 		return fmt.Errorf("size %d out of bounds [0,%d]", s, bc)
-	case bc > 0 && bc != c.capFor(bc, narrow):
-		return fmt.Errorf("block of %d cells (narrow %t) does not fill its size class (%d would)",
-			bc, narrow, c.capFor(bc, narrow))
+	case bc > 0 && bc != capFor(bc, int(c.limit), c.words, w):
+		return fmt.Errorf("block of %d cells (%d-byte keys) does not fill its size class (%d would)",
+			bc, w.bytes(), capFor(bc, int(c.limit), c.words, w))
 	}
 	seen := make(map[int64]struct{}, s)
 	var prev int64
 	for i := 0; i < s; i++ {
 		k := b.loadKey(i)
+		if kc, side := b.cellOf(k, w.bytes()); side != 0 || kc != load(b.keys(), uintptr(i), w.bytes()) {
+			return fmt.Errorf("key %d at %d does not carry its block's prefix (header %#x)", k, i, b.hdr)
+		}
 		if _, dup := seen[k]; dup {
 			return fmt.Errorf("duplicate key %d", k)
 		}
@@ -787,7 +757,7 @@ func (c *Cells) CheckInvariants() error {
 	}
 	for i := 0; i < s; i++ {
 		if k := b.loadKey(i); c.indexOf(b, s, k) != i {
-			return fmt.Errorf("key %d at %d: the search finds it at %d (narrow %t)", k, i, c.indexOf(b, s, k), narrow)
+			return fmt.Errorf("key %d at %d: the search finds it at %d (%d-byte keys)", k, i, c.indexOf(b, s, k), w.bytes())
 		}
 	}
 	for i := s; i < bc && !c.words; i++ {
