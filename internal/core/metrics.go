@@ -123,6 +123,11 @@ type OccupancySnapshot struct {
 	IndexChunks int
 	IndexElems  int
 	IndexMean   float64
+	// DataCells and IndexCells sum the capacities of the chunks' blocks,
+	// the cells allocated, so that DataElems/DataCells is the data
+	// blocks' fill.
+	DataCells  int
+	IndexCells int
 	// ChunksByKeyBytes counts the chunks, of either kind, by the width of
 	// their key cells: [2], [4] and [8] count blocks of 2-, 4- and 8-byte
 	// cells, which hold keys sharing their upper 48 bits, their upper 32,
@@ -141,9 +146,11 @@ func (m *Map[V]) Occupancy() OccupancySnapshot {
 			if n.isIndex() {
 				s.IndexChunks++
 				s.IndexElems += n.size()
+				s.IndexCells += n.chunk.BlockCap()
 			} else {
 				s.DataChunks++
 				s.DataElems += n.size()
+				s.DataCells += n.chunk.BlockCap()
 			}
 		})
 	}

@@ -176,9 +176,21 @@ func verifyMetricInvariants(m *Map[int64], exp invariantExpect) error {
 			depth.Sum, depth.Count, maxDepth)
 	}
 
+	// Chunk fill: no chunk holds more elements than its block has cells,
+	// and no block has more cells than the chunk's logical capacity.
+	occ := m.Occupancy()
+	if occ.DataElems > occ.DataCells || occ.DataCells > occ.DataChunks*2*m.cfg.TargetDataVectorSize {
+		return fmt.Errorf("%d data elements in %d cells of %d chunks (T_D %d)",
+			occ.DataElems, occ.DataCells, occ.DataChunks, m.cfg.TargetDataVectorSize)
+	}
+	if occ.IndexElems > occ.IndexCells || occ.IndexCells > occ.IndexChunks*2*m.cfg.TargetIndexVectorSize {
+		return fmt.Errorf("%d index elements in %d cells of %d chunks (T_I %d)",
+			occ.IndexElems, occ.IndexCells, occ.IndexChunks, m.cfg.TargetIndexVectorSize)
+	}
+
 	// Chunk balance: interior data chunks must average inside the configured
 	// envelope once the structure is big enough for means to be meaningful.
-	if occ := m.Occupancy(); exp.occHi > 0 && occ.DataChunks >= exp.minDataChunks {
+	if exp.occHi > 0 && occ.DataChunks >= exp.minDataChunks {
 		if occ.DataMean < exp.occLo || occ.DataMean > exp.occHi {
 			return fmt.Errorf("mean data occupancy %.2f outside envelope [%.2f, %.2f] (%d chunks, %d elems)",
 				occ.DataMean, exp.occLo, exp.occHi, occ.DataChunks, occ.DataElems)

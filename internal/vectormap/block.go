@@ -198,10 +198,12 @@ func spanOf(k int64) span { return span{k, k} }
 func (s span) with(t span) span { return span{min(s.lo, t.lo), max(s.hi, t.hi)} }
 
 // width is the narrowest width whose prefix every key of s shares: the ends
-// share it, so every key between them does. The empty span gets 8 bytes.
+// share it, so every key between them does. The empty span gets 8 bytes, and
+// so does a span that holds a sentinel: a head or tail node's chunk, whose
+// other keys all lie in other windows, even when the sentinel is alone.
 func (s span) width() width {
 	switch d := uint64(s.lo) ^ uint64(s.hi); {
-	case s.lo > s.hi || d>>32 != 0:
+	case s.lo > s.hi || d>>32 != 0 || s.lo == NegInf || s.hi == PosInf:
 		return w8
 	case d>>16 != 0:
 		return w4
@@ -214,8 +216,16 @@ func (b *block) span(s int) span {
 	if s == 0 {
 		return noKeys
 	}
-	lo, hi := b.bounds(s)
-	return span{lo, hi}
+	var sp span
+	switch b.width() {
+	case w2:
+		sp.lo, sp.hi = bounds[uint16](b, s)
+	case w4:
+		sp.lo, sp.hi = bounds[uint32](b, s)
+	default:
+		sp.lo, sp.hi = bounds[uint64](b, s)
+	}
+	return sp
 }
 
 // holds reports whether b's key cells can store every key of sp.
@@ -251,28 +261,53 @@ func (b *block) fill(src *block, n int, words bool) {
 	}
 }
 
-// Sizing policy:
+// Sizing policy. A resize asks for one of two rooms around the n elements a
+// block must hold: the geometric appendRoom(n) = max(n+4, 3n/2) cells, or
+// room(n) = max(n+4, 5n/4).
 //
-//   - an insert into a full block moves the elements into one with room(size)
-//     cells;
-//   - a removal that leaves size < cap/2 moves them into one with room(size)
-//     cells if that one is smaller in bytes, or drops an empty chunk to the
-//     shared emptyBlock;
-//   - a chunk that receives n elements at once (a split destination, a merge,
-//     a batch run) is sized for them in one step, with room(n) cells when
-//     more inserts are likely to follow.
+//   - a put into a full block, or one whose key the block's cells cannot
+//     hold, moves the s elements into a block of appendRoom(s) cells when the
+//     key extends the block's span, above its largest key or below its
+//     smallest, and of room(s) cells when it lands inside. Geometric growth
+//     is there to amortise sequential appends, and only an append keeps
+//     landing on the same side; the span is a property of the keys, not of a
+//     workload, and the resize computes it anyway;
+//   - a split destination, sized for the n elements it receives, gets
+//     room(n) cells; a merge, a batch run or a bulk-loaded node that needs
+//     more cells than the step gets exactly what it needs, so a map built
+//     from sorted keys or recovered from a checkpoint carries no spare;
+//   - a removal that leaves n elements moves them into a block of room(n)
+//     cells when appendRoom(n) cells would fit a smaller size class than the
+//     block's own, at its width: below about ⅔ full. An empty chunk drops to
+//     the shared emptyBlock.
 //
 // Every capacity is then rounded up to the last cell its allocator size class
 // pays for and capped at the chunk's logical capacity, 2×targetSize. Each
 // new block takes the narrowest width its keys allow, so a resize also
 // narrows a block whose out-of-prefix keys left.
+//
+// No insert and removal of one key resize a block back and forth. A put into
+// a block of s elements grows it to at most the class of appendRoom(s) cells
+// (one put needs s+1, and either step gives at least s+4). Removing the key
+// leaves s elements again, and the block shrinks only if appendRoom(s) fits a
+// smaller class than its own, which it does not. A shrink to room(n) leaves
+// at least 4 spare cells, so the next put does not grow the block, and
+// room(n) ≤ appendRoom(n), so the removal after it does not shrink it again.
+// (A shrink below ¾ full fails this: an append grows a full block of s to
+// 3s/2 cells, and removing that key leaves it ⅔ full, so it shrinks again.)
 const (
-	growNum, growDen = 3, 2 // a resized block has half again the cells it must hold
-	minHeadroom      = 4    // ... and at least this many spare ones
+	growNum, growDen = 3, 2 // an append grows a block by half again
+	roomNum, roomDen = 5, 4 // any other resize leaves a quarter spare
+	minHeadroom      = 4    // ... and at least this many spare cells
 )
 
-// room is the cell count a block resized around n elements is asked for.
-func room(n int) int { return max(n+minHeadroom, n*growNum/growDen) }
+// appendRoom is the cell count a block of n elements grows to for a put that
+// extends its span: the geometric step.
+func appendRoom(n int) int { return max(n+minHeadroom, n*growNum/growDen) }
+
+// room is the cell count every other resize around n elements asks for: a
+// put inside the span, a split destination, and a shrink.
+func room(n int) int { return max(n+minHeadroom, n*roomNum/roomDen) }
 
 // capFor is the capacity of the block allocated for at least n ≤ limit cells
 // of the given kind and width.

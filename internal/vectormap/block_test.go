@@ -17,11 +17,15 @@ func blockCap(c *Chunk[int64]) int { return c.blk.Load().cap() }
 
 // filled returns a chunk of the given target size holding the keys 0, 2, …,
 // 2(n-1), inserted one at a time so its block is whatever the policy makes.
-func filled(target, n int, sorted bool) *Chunk[int64] {
+func filled(target, n int, sorted bool) *Chunk[int64] { return filledFrom(0, target, n, sorted) }
+
+// filledFrom is filled with the keys base, base+2, …, base+2(n-1).
+func filledFrom(base int64, target, n int, sorted bool) *Chunk[int64] {
 	var c Chunk[int64]
 	c.Init(target, sorted)
 	for i := 0; i < n; i++ {
-		c.Insert(int64(2*i), val(int64(2*i)))
+		k := base + int64(2*i)
+		c.Insert(k, val(k))
 	}
 	return &c
 }
@@ -41,43 +45,119 @@ func allocsPerOp(build func() *Chunk[int64], op func(c *Chunk[int64])) float64 {
 	})
 }
 
-// TestBlockGrowsWhenFull walks every size from empty to full: an insert
-// allocates exactly one block when, and only when, the block is full, and
-// the new block has room(size) cells rounded to its size class.
+// policyBase is where the keys of the policy tests start: far enough above 0
+// that a key below the smallest shares the block's 2-byte prefix.
+const policyBase = 1000
+
+// put is a key a policy test puts, and whether it extends the chunk's span.
+type put struct {
+	k       int64
+	extends bool
+}
+
+// puts are the policy tests' puts into a chunk built by filledFrom(policyBase,
+// _, n, _): one above its span, one below, and one inside it when it has two
+// keys.
+func puts(n int) []put {
+	p := []put{{policyBase + 2*int64(n), true}, {policyBase - 2, true}}
+	if n >= 2 {
+		p = append(p, put{policyBase + 2*int64(n) - 3, false})
+	}
+	return p
+}
+
+// TestBlockGrowsWhenFull walks every size from empty to full and puts a key
+// above, below and inside the span: a put allocates exactly one block when,
+// and only when, the block is full. A put that extends the span grows the
+// block geometrically, to appendRoom(size) cells, and one inside it to
+// room(size), each rounded to its size class.
 func TestBlockGrowsWhenFull(t *testing.T) {
 	for _, target := range []int{1, 2, 4, 32} {
 		bothPolicies(t, func(t *testing.T, sorted bool) {
 			limit := 2 * target
 			for n := 0; n < limit; n++ {
-				before := blockCap(filled(target, n, sorted))
+				build := func() *Chunk[int64] { return filledFrom(policyBase, target, n, sorted) }
+				before := blockCap(build())
 				fresh := val(-1)
-				got := allocsPerOp(func() *Chunk[int64] { return filled(target, n, sorted) },
-					func(c *Chunk[int64]) { c.Insert(2*int64(n)+1, fresh) })
-				want := 0.0
-				if n == before {
-					want = 1
-				}
-				if got != want {
-					t.Fatalf("T=%d: insert into %d/%d cells took %v allocations, want %v", target, n, before, got, want)
-				}
-				c := filled(target, n+1, sorted)
-				if n == before {
-					if bc := blockCap(c); bc != capFor(room(n), limit, false, w2) {
-						t.Fatalf("T=%d: grew a full block of %d to %d cells, want %d", target, n, bc, capFor(room(n), limit, false, w2))
+				for _, p := range puts(n) {
+					got := allocsPerOp(build, func(c *Chunk[int64]) { c.Insert(p.k, fresh) })
+					want := 0.0
+					if n == before {
+						want = 1
 					}
-				}
-				if err := c.CheckInvariants(); err != nil {
-					t.Fatalf("T=%d size %d: %v", target, n+1, err)
+					if got != want {
+						t.Fatalf("T=%d: put of %d into %d/%d cells took %v allocations, want %v", target, p.k, n, before, got, want)
+					}
+					c := build()
+					c.Insert(p.k, fresh)
+					step := room(n)
+					if p.extends {
+						step = appendRoom(n)
+					}
+					if bc, want := blockCap(c), capFor(step, limit, false, w2); n == before && bc != want {
+						t.Fatalf("T=%d: put of %d (extends the span: %t) grew a full block of %d to %d cells, want %d",
+							target, p.k, p.extends, n, bc, want)
+					}
+					if err := c.CheckInvariants(); err != nil {
+						t.Fatalf("T=%d size %d: %v", target, n+1, err)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestBlockShrinksUnderHalf drains a full chunk one key at a time: a removal
-// allocates exactly one smaller block when it leaves fewer than half the
-// cells used, and the last removal drops to the shared empty block for free.
-func TestBlockShrinksUnderHalf(t *testing.T) {
+// TestBlockDescendingAppendsGrowGeometrically: keys inserted in descending
+// order extend the span below, as ascending ones do above, so each growth is
+// the geometric step and the run allocates exactly as many blocks as the
+// ascending one. So do descending keys above a NegInf sentinel, which a head
+// node's chunk holds: it bounds the span but is no key of the input, and its
+// block takes 8-byte cells from the start, so the first key after it does
+// not widen the block.
+func TestBlockDescendingAppendsGrowGeometrically(t *testing.T) {
+	for _, target := range []int{1, 2, 4, 32} {
+		bothPolicies(t, func(t *testing.T, sorted bool) {
+			limit := 2 * target
+			var grows [3]int
+			for run, step := range []int64{2, -2, -2} {
+				var c Chunk[int64]
+				c.Init(target, sorted)
+				w, n0 := w2, 0
+				if run == 2 {
+					c.Insert(NegInf, val(0))
+					if c.KeyBytes() != 8 {
+						t.Fatalf("a block holding only NegInf has %d-byte cells, want 8", c.KeyBytes())
+					}
+					w, n0 = w8, 1
+				}
+				for n, k := n0, int64(policyBase); n < limit; n, k = n+1, k+step {
+					before := blockCap(&c)
+					c.Insert(k, val(k))
+					if n < before {
+						continue
+					}
+					grows[run]++
+					if bc, want := blockCap(&c), capFor(appendRoom(n), limit, false, w); bc != want {
+						t.Fatalf("T=%d: append of %d (step %d) grew a full block of %d to %d cells, want %d", target, k, step, n, bc, want)
+					}
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if grows[0] != grows[1] {
+				t.Fatalf("T=%d: ascending appends grew the block %d times, descending ones %d", target, grows[0], grows[1])
+			}
+		})
+	}
+}
+
+// TestBlockShrinksBelowTwoThirds drains a full chunk one key at a time: a
+// removal allocates exactly one smaller block, of room(left) cells, when the
+// geometric step around what it leaves, appendRoom(left) cells, fits a
+// smaller size class than the block's own (below about ⅔ full), and the last
+// removal drops to the shared empty block for free.
+func TestBlockShrinksBelowTwoThirds(t *testing.T) {
 	for _, target := range []int{1, 2, 4, 32} {
 		bothPolicies(t, func(t *testing.T, sorted bool) {
 			limit := 2 * target
@@ -90,15 +170,17 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 				}
 				return c
 			}
+			shrank := 0
 			for n := limit; n > 0; n-- {
 				before := blockCap(drained(n))
 				got := allocsPerOp(func() *Chunk[int64] { return drained(n) },
 					func(c *Chunk[int64]) { c.Remove(int64(2 * (n - 1))) })
 				left := n - 1
-				shrinks := left > 0 && left < before/2 && capFor(room(left), limit, false, w2) < before
+				shrinks := left > 0 && capFor(appendRoom(left), limit, false, w2) < before
 				want := 0.0
 				if shrinks {
 					want = 1
+					shrank++
 				}
 				if got != want {
 					t.Fatalf("T=%d: removal leaving %d in %d cells took %v allocations, want %v", target, left, before, got, want)
@@ -109,11 +191,57 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 					t.Fatalf("T=%d: empty chunk kept a block of %d cells", target, bc)
 				case shrinks && bc != capFor(room(left), limit, false, w2):
 					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit, false, w2))
+				case shrinks && 3*left >= 2*before:
+					t.Fatalf("T=%d: shrank a block of %d cells holding %d, at least ⅔ full", target, before, left)
 				case !shrinks && left > 0 && bc != before:
 					t.Fatalf("T=%d: removal leaving %d of %d cells resized to %d", target, left, before, bc)
 				}
 				if err := c.CheckInvariants(); err != nil {
 					t.Fatalf("T=%d size %d: %v", target, left, err)
+				}
+			}
+			if target == 32 && shrank == 0 {
+				t.Fatal("T=32: draining a full chunk never shrank its block")
+			}
+		})
+	}
+}
+
+// TestBlockNoPingPong: inserting a key and removing it again, ten times over,
+// allocates at most one block in total, at every size, with the key above,
+// below or inside the span. It counts the blocks the chunk publishes over all
+// ten pairs: testing.AllocsPerRun would hide the first pair in its unmeasured
+// warm-up run, and runtime.MemStats counts every allocation in the process,
+// which under -race, with other test binaries running beside this one, also
+// saw allocations no chunk made.
+func TestBlockNoPingPong(t *testing.T) {
+	for _, target := range []int{1, 2, 4, 32} {
+		bothPolicies(t, func(t *testing.T, sorted bool) {
+			fresh := val(-1)
+			for n := 1; n < 2*target; n++ {
+				for _, p := range puts(n) {
+					c := filledFrom(policyBase, target, n, sorted)
+					allocs := 0
+					counted := func(op func() bool) {
+						b := c.blk.Load()
+						if !op() {
+							t.Fatalf("T=%d: an insert or removal of %d at size %d did nothing", target, p.k, n)
+						}
+						if nb := c.blk.Load(); nb != b && nb != &emptyBlock {
+							allocs++
+						}
+					}
+					for range 10 {
+						counted(func() bool { return c.Insert(p.k, fresh) })
+						counted(func() bool { _, ok := c.Remove(p.k); return ok })
+					}
+					if allocs > 1 {
+						t.Fatalf("T=%d: 10 insert/remove pairs of %d at size %d allocated %d blocks, want at most 1",
+							target, p.k, n, allocs)
+					}
+					if err := c.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		})
@@ -122,8 +250,9 @@ func TestBlockShrinksUnderHalf(t *testing.T) {
 
 // TestBlockMovesSizeDestinationOnce: a split destination gets one block, with
 // room for what it received and the inserts after it; the source keeps its
-// own unless the split left it under half used; a merge allocates only when
-// the absorber's block is too small.
+// own unless the shrink rule applies to what the split left, which after a
+// capacity split of a full chunk it does; a merge allocates only when the
+// absorber's block is too small.
 func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 	const target, limit = 32, 64
 	bothPolicies(t, func(t *testing.T, sorted bool) {
@@ -140,42 +269,52 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 			i := 0
 			return func() *Chunk[int64] { i++; return dsts[i-1] }
 		}
+		// shrinks reports whether a block of c cells left holding n shrinks.
+		shrinks := func(n, c int) bool { return capFor(appendRoom(n), limit, false, w2) < c }
 		next := dstPool()
-		want := 1.0
+		want := 2.0 // the destination and the source's smaller block
 		if !sorted {
 			want++ // the copy of the keys that picks the median
 		}
 		if got := allocsPerOp(sized(limit), func(c *Chunk[int64]) { c.SplitUpperHalfTo(next()) }); got != want {
 			t.Fatalf("capacity split took %v allocations, want %v", got, want)
 		}
+		half := capFor(room(target), limit, false, w2)
 		for _, d := range dsts {
-			if d.Size() != target || blockCap(d) != capFor(room(target), limit, false, w2) {
-				t.Fatalf("split destination holds %d in %d cells, want %d in %d",
-					d.Size(), blockCap(d), target, capFor(room(target), limit, false, w2))
+			if d.Size() != target || blockCap(d) != half {
+				t.Fatalf("split destination holds %d in %d cells, want %d in %d", d.Size(), blockCap(d), target, half)
 			}
 		}
-		next = dstPool()
-		if got := allocsPerOp(sized(40), func(c *Chunk[int64]) { c.MoveGreaterTo(50, next()) }); got != 1 {
-			t.Fatalf("keyed split took %v allocations, want 1", got)
+		split := filled(target, limit, sorted)
+		split.SplitUpperHalfTo(filled(target, 0, sorted))
+		if split.Size() != target || blockCap(split) != half {
+			t.Fatalf("split source holds %d in %d cells, want %d in %d", split.Size(), blockCap(split), target, half)
 		}
-		next = dstPool()
-		if got := allocsPerOp(sized(40), func(c *Chunk[int64]) { c.MoveGreaterTo(1000, next()) }); got != 0 {
-			t.Fatalf("keyed split moving nothing took %v allocations, want 0", got)
-		}
+
+		// A keyed split allocates the destination, and a smaller source
+		// when what it keeps shrinks.
 		for _, tc := range []struct {
-			k            int64
-			kept, shrunk int
-		}{{60, 31, 0}, {10, 6, capFor(room(6), limit, false, w2)}} {
+			k    int64
+			kept int
+		}{{50, 26}, {60, 31}, {10, 6}, {1000, 40}} {
 			c := filled(target, 40, sorted)
 			before := blockCap(c)
-			c.MoveGreaterTo(tc.k, filled(target, 0, sorted))
-			want := before
-			if tc.shrunk > 0 {
-				want = tc.shrunk
+			moved := c.Size() - tc.kept
+			want, cells := 0.0, before
+			if moved > 0 {
+				want++
 			}
-			if c.Size() != tc.kept || blockCap(c) != want {
+			if shrinks(tc.kept, before) {
+				want, cells = want+1, capFor(room(tc.kept), limit, false, w2)
+			}
+			next = dstPool()
+			if got := allocsPerOp(sized(40), func(c *Chunk[int64]) { c.MoveGreaterTo(tc.k, next()) }); got != want {
+				t.Fatalf("keyed split at %d took %v allocations, want %v", tc.k, got, want)
+			}
+			c.MoveGreaterTo(tc.k, filled(target, 0, sorted))
+			if c.Size() != tc.kept || blockCap(c) != cells {
 				t.Fatalf("keyed split at %d left %d in %d cells (had %d), want %d in %d",
-					tc.k, c.Size(), blockCap(c), before, tc.kept, want)
+					tc.k, c.Size(), blockCap(c), before, tc.kept, cells)
 			}
 		}
 
@@ -474,17 +613,36 @@ func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
 				}
 			}
 		}
+		// Appends grow the block by the geometric step.
 		var keys []int64
 		for n := 0; n < limit; n++ {
 			before := c.blk.Load().cap()
 			c.Insert(int64(n), word(int64(n)))
 			keys = append(keys, int64(n))
 			if n == before {
-				if bc := c.blk.Load().cap(); bc != capFor(room(n), limit, true, w2) {
-					t.Fatalf("grew a full block of %d to %d cells, want %d", n, bc, capFor(room(n), limit, true, w2))
+				if bc := c.blk.Load().cap(); bc != capFor(appendRoom(n), limit, true, w2) {
+					t.Fatalf("an append grew a full block of %d to %d cells, want %d", n, bc, capFor(appendRoom(n), limit, true, w2))
 				}
 			}
 			check(&c, keys...)
+		}
+		// Puts between two ends grow it by room.
+		var e Cells
+		e.InitWords(target, sorted)
+		e.Insert(0, word(0))
+		e.Insert(1000, word(1000))
+		inside := []int64{0, 1000}
+		for n := 2; n < limit; n++ {
+			before := e.blk.Load().cap()
+			k := int64(n * 7)
+			e.Insert(k, word(k))
+			inside = append(inside, k)
+			if n == before {
+				if bc := e.blk.Load().cap(); bc != capFor(room(n), limit, true, w2) {
+					t.Fatalf("a put inside the span grew a full block of %d to %d cells, want %d", n, bc, capFor(room(n), limit, true, w2))
+				}
+			}
+			check(&e, inside...)
 		}
 		pivot := c.SplitUpperHalfTo(&d)
 		check(&c, keys[:pivot]...)

@@ -159,7 +159,7 @@ func FuzzLowerBound(f *testing.F) {
 
 			// Arbitrary contents: in-bounds and terminating, nothing more.
 			for _, got := range []int{
-				b.lowerBound(k, s), b.upperBound(k, s),
+				c.indexOf(b, s, k, lower), c.indexOf(b, s, k, upper),
 				b.lowerBoundRef(k, s), b.upperBoundRef(k, s),
 			} {
 				if got < 0 || got > s {
@@ -175,10 +175,10 @@ func FuzzLowerBound(f *testing.F) {
 				b.storeKey(i, kk)
 			}
 			s = min(s, n)
-			if got, want := b.lowerBound(k, s), b.lowerBoundRef(k, s); got != want {
+			if got, want := c.indexOf(b, s, k, lower), b.lowerBoundRef(k, s); got != want {
 				t.Fatalf("lowerBound(%d, %d) = %d, reference = %d (keys %v, %d-byte keys)", k, s, got, want, keys[:s], w.bytes())
 			}
-			if got, want := b.upperBound(k, s), b.upperBoundRef(k, s); got != want {
+			if got, want := c.indexOf(b, s, k, upper), b.upperBoundRef(k, s); got != want {
 				t.Fatalf("upperBound(%d, %d) = %d, reference = %d (keys %v, %d-byte keys)", k, s, got, want, keys[:s], w.bytes())
 			}
 		}

@@ -8,7 +8,7 @@ import (
 
 // The chunk kernels. Each is written once, generic over its block's key-cell
 // type T, and each call branches once on the block's width to pick the
-// instantiation (the block methods at the end of this file). The three cell
+// instantiation, in the Cells method that calls it. The three cell
 // types are distinct GC shapes, so each gets its own stenciled code, in
 // which unsafe.Sizeof(T(0)) is a constant: the kernels pass it to the
 // non-generic, inlined helpers (load, store, pivot, pair, cellOf, probe),
@@ -82,11 +82,15 @@ const (
 	upper        // the first position whose key is > k, or s
 	exact        // k's position in a sorted block, or -1
 	scan         // k's position in an unsorted block, or -1
+	below        // the position of the largest key ≤ k in an unsorted block, or -1
+	above        // the position of the smallest key ≥ k in an unsorted block, or -1
 )
 
 // find is the search of a block in every mode. s must already be clamped to
 // b's capacity (Cells.load). The upper bound of a cell c is the lower bound
-// of c+1, unless c is the largest cell, which every key is ≤.
+// of c+1, unless c is the largest cell, which every key is ≤. The nearest
+// key above k is the nearest below over complemented cells, whose order is
+// reversed.
 func find[T cell](b *block, k int64, s int, mode int) int {
 	size := unsafe.Sizeof(T(0))
 	c, side := b.cellOf(k, size)
@@ -102,6 +106,28 @@ func find[T cell](b *block, k int64, s int, mode int) int {
 			}
 		}
 		return -1
+	case mode >= below:
+		mask, flip := uint64(1)<<(8*size)-1, uint64(0)
+		if mode == above {
+			flip, c, side = mask, c^mask, -side
+		}
+		switch {
+		case side < 0:
+			return -1
+		case side > 0:
+			c = mask // every key of the block is on k's side
+		}
+		best, bestC := -1, uint64(0)
+		for ; i < s; i += stride(size) {
+			x, y := pair(keys, i, s, size)
+			if x ^= flip; x <= c && (best < 0 || x > bestC) {
+				best, bestC = i, x
+			}
+			if y ^= flip; y <= c && (best < 0 || y > bestC) {
+				best, bestC = i+1, y
+			}
+		}
+		return best
 	case side > 0 || mode == upper && side == 0 && c == 1<<(8*size)-1:
 		i = s
 	case side == 0 && s > 0:
@@ -144,35 +170,6 @@ func find[T cell](b *block, k int64, s int, mode int) int {
 	return i
 }
 
-// nearest returns the position of the largest of b's first s keys that is
-// ≤ k, or with up the smallest that is ≥ k, or -1, by an unsorted scan. The
-// second is the first over complemented cells, whose order is reversed.
-func nearest[T cell](b *block, k int64, s int, up bool) int {
-	size := unsafe.Sizeof(T(0))
-	mask, flip := uint64(1)<<(8*size)-1, uint64(0)
-	c, side := b.cellOf(k, size)
-	if up {
-		flip, c, side = mask, c^mask, -side
-	}
-	switch {
-	case side < 0:
-		return -1
-	case side > 0:
-		c = mask // every key of the block is on k's side
-	}
-	keys, best, bestC := b.keys(), -1, uint64(0)
-	for i := 0; i < s; i += stride(size) {
-		x, y := pair(keys, i, s, size)
-		if x ^= flip; x <= c && (best < 0 || x > bestC) {
-			best, bestC = i, x
-		}
-		if y ^= flip; y <= c && (best < 0 || y > bestC) {
-			best, bestC = i+1, y
-		}
-	}
-	return best
-}
-
 // top returns the largest of b's first s ≥ 1 keys, or with low the
 // smallest, which is the largest over complemented cells.
 func top[T cell](b *block, s int, low bool) int64 {
@@ -211,52 +208,9 @@ func shift[T cell](b *block, dst, src, n int) {
 	}
 }
 
-// The width dispatch: one branch per call.
-
-func (b *block) lowerBound(k int64, s int) int { return b.find(k, s, lower) }
-
-func (b *block) upperBound(k int64, s int) int { return b.find(k, s, upper) }
-
-func (b *block) find(k int64, s, mode int) int {
-	switch b.width() {
-	case w2:
-		return find[uint16](b, k, s, mode)
-	case w4:
-		return find[uint32](b, k, s, mode)
-	}
-	return find[uint64](b, k, s, mode)
-}
-
-func (b *block) nearest(k int64, s int, up bool) int {
-	switch b.width() {
-	case w2:
-		return nearest[uint16](b, k, s, up)
-	case w4:
-		return nearest[uint32](b, k, s, up)
-	}
-	return nearest[uint64](b, k, s, up)
-}
-
-func (b *block) top(s int, low bool) int64 {
-	switch b.width() {
-	case w2:
-		return top[uint16](b, s, low)
-	case w4:
-		return top[uint32](b, s, low)
-	}
-	return top[uint64](b, s, low)
-}
-
-func (b *block) bounds(s int) (int64, int64) {
-	switch b.width() {
-	case w2:
-		return bounds[uint16](b, s)
-	case w4:
-		return bounds[uint32](b, s)
-	}
-	return bounds[uint64](b, s)
-}
-
+// shift is the writers' width dispatch for the shift kernel. Every other
+// kernel is dispatched where it is called, in the Cells methods, so that a
+// read reaches its kernel in one call.
 func (b *block) shift(dst, src, n int) {
 	switch b.width() {
 	case w2:

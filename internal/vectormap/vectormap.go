@@ -224,28 +224,44 @@ func (c *Cells) clearCell(b *block, i int) {
 	}
 }
 
+// The read methods below each branch once on the block's key width and call
+// that width's kernel (search.go) directly: the kernels do not inline, and a
+// shared dispatch function would put a second call on every read.
+
 // MinKey returns the smallest key, or ok=false when empty.
 func (c *Cells) MinKey() (int64, bool) {
 	b, s := c.load()
-	if s == 0 {
+	switch {
+	case s == 0:
 		return 0, false
-	}
-	if c.sorted {
+	case c.sorted:
 		return b.loadKey(0), true
 	}
-	return b.top(s, true), true
+	switch b.width() {
+	case w2:
+		return top[uint16](b, s, true), true
+	case w4:
+		return top[uint32](b, s, true), true
+	}
+	return top[uint64](b, s, true), true
 }
 
 // MaxKey returns the largest key, or ok=false when empty.
 func (c *Cells) MaxKey() (int64, bool) {
 	b, s := c.load()
-	if s == 0 {
+	switch {
+	case s == 0:
 		return 0, false
-	}
-	if c.sorted {
+	case c.sorted:
 		return b.loadKey(s - 1), true
 	}
-	return b.top(s, false), true
+	switch b.width() {
+	case w2:
+		return top[uint16](b, s, false), true
+	case w4:
+		return top[uint32](b, s, false), true
+	}
+	return top[uint64](b, s, false), true
 }
 
 // Bounds returns the smallest and largest keys in a single pass, or ok=false
@@ -254,38 +270,72 @@ func (c *Cells) MaxKey() (int64, bool) {
 // key span (the search-finger ownership check).
 func (c *Cells) Bounds() (minK, maxK int64, ok bool) {
 	b, s := c.load()
-	if s == 0 {
+	switch {
+	case s == 0:
 		return 0, 0, false
-	}
-	if c.sorted {
+	case c.sorted:
 		return b.loadKey(0), b.loadKey(s - 1), true
 	}
-	minK, maxK = b.bounds(s)
+	switch b.width() {
+	case w2:
+		minK, maxK = bounds[uint16](b, s)
+	case w4:
+		minK, maxK = bounds[uint32](b, s)
+	default:
+		minK, maxK = bounds[uint64](b, s)
+	}
 	return minK, maxK, true
 }
 
-// indexOf returns the position of key k among b's first s cells, or -1.
-func (c *Cells) indexOf(b *block, s int, k int64) int {
-	mode := scan
+// lookup is the search mode that finds a key's position, or -1.
+func (c *Cells) lookup() int {
 	if c.sorted {
-		mode = exact
+		return exact
 	}
-	return b.find(k, s, mode)
+	return scan
+}
+
+// indexOf is the search of b's first s keys for k in the given mode: the
+// writers' search, one call below them.
+func (c *Cells) indexOf(b *block, s int, k int64, mode int) int {
+	switch b.width() {
+	case w2:
+		return find[uint16](b, k, s, mode)
+	case w4:
+		return find[uint32](b, k, s, mode)
+	}
+	return find[uint64](b, k, s, mode)
 }
 
 // Get returns the payload mapped to k.
 func (c *Cells) Get(k int64) (Cell, bool) {
 	b, s := c.load()
-	if i := c.indexOf(b, s, k); i >= 0 {
-		return c.cell(b, i), true
+	var i int
+	switch mode := c.lookup(); b.width() {
+	case w2:
+		i = find[uint16](b, k, s, mode)
+	case w4:
+		i = find[uint32](b, k, s, mode)
+	default:
+		i = find[uint64](b, k, s, mode)
 	}
-	return Cell{}, false
+	if i < 0 {
+		return Cell{}, false
+	}
+	return c.cell(b, i), true
 }
 
 // Contains reports whether k is present.
 func (c *Cells) Contains(k int64) bool {
 	b, s := c.load()
-	return c.indexOf(b, s, k) >= 0
+	switch mode := c.lookup(); b.width() {
+	case w2:
+		return find[uint16](b, k, s, mode) >= 0
+	case w4:
+		return find[uint32](b, k, s, mode) >= 0
+	default:
+		return find[uint64](b, k, s, mode) >= 0
+	}
 }
 
 // FindLE returns the entry with the largest key ≤ k, which is the pivot for
@@ -295,16 +345,20 @@ func (c *Cells) Contains(k int64) bool {
 // validate and restart.
 func (c *Cells) FindLE(k int64) (key int64, val Cell, ok bool) {
 	b, s := c.load()
-	if s == 0 {
-		return 0, Cell{}, false
-	}
-	i := -1
+	mode, back := below, 0
 	if c.sorted {
-		i = b.upperBound(k, s) - 1 // the largest position with key ≤ k
-	} else {
-		i = b.nearest(k, s, false)
+		mode, back = upper, 1 // the position before the first key > k
 	}
-	if i < 0 {
+	var i int
+	switch b.width() {
+	case w2:
+		i = find[uint16](b, k, s, mode)
+	case w4:
+		i = find[uint32](b, k, s, mode)
+	default:
+		i = find[uint64](b, k, s, mode)
+	}
+	if i -= back; i < 0 {
 		return 0, Cell{}, false
 	}
 	return b.loadKey(i), c.cell(b, i), true
@@ -314,30 +368,32 @@ func (c *Cells) FindLE(k int64) (key int64, val Cell, ok bool) {
 // queries. ok is false when every key is < k (or the chunk is empty).
 func (c *Cells) FindGE(k int64) (key int64, val Cell, ok bool) {
 	b, s := c.load()
-	if s == 0 {
-		return 0, Cell{}, false
-	}
-	i := -1
+	mode := above
 	if c.sorted {
-		if i = b.lowerBound(k, s); i == s {
-			i = -1
-		}
-	} else {
-		i = b.nearest(k, s, true)
+		mode = lower
 	}
-	if i < 0 {
+	var i int
+	switch b.width() {
+	case w2:
+		i = find[uint16](b, k, s, mode)
+	case w4:
+		i = find[uint32](b, k, s, mode)
+	default:
+		i = find[uint64](b, k, s, mode)
+	}
+	if i < 0 || i >= s {
 		return 0, Cell{}, false
 	}
 	return b.loadKey(i), c.cell(b, i), true
 }
 
 // resize moves the first s elements of b into a new block with room for at
-// least n ≥ s cells and for the keys of more, and publishes it. The new
-// block takes the narrowest width every key it is sized for allows. b itself
-// is left as it was. Caller must hold the write lock, or hold the node
+// least n ≥ s cells and for the keys of sp, which must cover those s keys,
+// and publishes it. The new block takes the narrowest width sp allows. b
+// itself is left as it was. Caller must hold the write lock, or hold the node
 // frozen with nothing about to change (ReserveKeys).
-func (c *Cells) resize(b *block, s, n int, more span) *block {
-	nb := c.newBlock(n, b.span(s).with(more))
+func (c *Cells) resize(b *block, s, n int, sp span) *block {
+	nb := c.newBlock(n, sp)
 	nb.fill(b, s, c.words)
 	c.blk.Store(nb)
 	return nb
@@ -352,28 +408,43 @@ func (c *Cells) newBlock(n int, sp span) *block {
 
 // grow returns a block with room for need ≤ Cap() elements and for the keys
 // of more, resizing b, which holds s, when it has too few cells or too
-// narrow ones: to room(s) cells, or to need if that is more. Caller must
-// hold the write lock (or see ReserveKeys).
+// narrow ones: to appendRoom(s) cells if more extends the span of b's keys,
+// to room(s) if it lies inside, or to need if that is more. Caller must hold
+// the write lock (or see ReserveKeys).
 func (c *Cells) grow(b *block, s, need int, more span) *block {
 	if need <= b.cap() && b.holds(more) {
 		return b
 	}
-	return c.resize(b, s, max(need, room(s)), more)
+	sp := b.span(s)
+	lo := sp.lo
+	if lo == NegInf {
+		// A head node's chunk holds the NegInf sentinel, which bounds every
+		// key but is none of the input's: a put below all the others
+		// extends the span. (No put reaches a tail node's PosInf.)
+		lo = PosInf
+		if k, _, ok := c.FindGE(NegInf + 1); ok {
+			lo = k
+		}
+	}
+	n := room(s)
+	if more.lo < lo || more.hi > sp.hi {
+		n = appendRoom(s)
+	}
+	return c.resize(b, s, max(n, need), sp.with(more))
 }
 
 // settle applies the shrink rule after removals left n elements in b.
 // Caller must hold the write lock.
 func (c *Cells) settle(b *block, n int) {
-	if n >= b.cap()/2 {
-		return
-	}
 	if n == 0 {
-		c.blk.Store(&emptyBlock)
+		if b.cap() > 0 {
+			c.blk.Store(&emptyBlock)
+		}
 		return
 	}
-	capacity, w := sized(room(n), int(c.limit), c.words, b.span(n))
-	if shapeOf(capacity, c.words, w).class < shapeOf(b.cap(), c.words, b.width()).class {
-		c.resize(b, n, room(n), noKeys)
+	// g ≥ cap rules a smaller class out without looking it up.
+	if g := appendRoom(n); g < b.cap() && capFor(g, int(c.limit), c.words, b.width()) < b.cap() {
+		c.resize(b, n, room(n), b.span(n))
 	}
 }
 
@@ -388,6 +459,10 @@ func (c *Cells) ReserveKeys(n int, lo, hi int64) {
 	b, s := c.owned()
 	c.grow(b, s, min(s+n, int(c.limit)), span{lo, hi})
 }
+
+// BlockCap is the number of cells in the chunk's block: its allocated
+// capacity, which Size never exceeds, against Cap's logical one.
+func (c *Cells) BlockCap() int { return c.blk.Load().cap() }
 
 // KeyBytes is the width of the key cells of the chunk's block, 2, 4 or 8
 // bytes, or 0 for the shared empty block.
@@ -404,7 +479,7 @@ func (c *Cells) KeyBytes() int {
 // before inserting).
 func (c *Cells) Insert(k int64, v Cell) bool {
 	b, s := c.owned()
-	if c.indexOf(b, s, k) >= 0 {
+	if c.indexOf(b, s, k, c.lookup()) >= 0 {
 		return false
 	}
 	if s >= int(c.limit) {
@@ -419,7 +494,7 @@ func (c *Cells) Insert(k int64, v Cell) bool {
 func (c *Cells) put(b *block, s int, k int64, v Cell) {
 	pos := s
 	if c.sorted {
-		pos = b.lowerBound(k, s)
+		pos = c.indexOf(b, s, k, lower)
 		mInsertShift.Observe(pos, int64(s-pos))
 		c.shift(b, pos+1, pos, s-pos)
 	}
@@ -432,7 +507,7 @@ func (c *Cells) put(b *block, s int, k int64, v Cell) {
 // Caller must hold the write lock.
 func (c *Cells) Set(k int64, v Cell) bool {
 	b, s := c.owned()
-	i := c.indexOf(b, s, k)
+	i := c.indexOf(b, s, k, c.lookup())
 	if i < 0 {
 		return false
 	}
@@ -504,7 +579,7 @@ func (c *Cells) ApplyOps(ops []CellOp, out []SlotOutcome) int {
 	b, s := c.owned()
 	for i := range ops {
 		op := &ops[i]
-		j := c.indexOf(b, s, op.Key)
+		j := c.indexOf(b, s, op.Key, c.lookup())
 		switch {
 		case op.Del && j < 0:
 			out[i] = SlotAbsent
@@ -542,7 +617,7 @@ func (c *Cells) ApplyOps(ops []CellOp, out []SlotOutcome) int {
 // Remove deletes k and returns its payload. Caller must hold the write lock.
 func (c *Cells) Remove(k int64) (Cell, bool) {
 	b, s := c.owned()
-	i := c.indexOf(b, s, k)
+	i := c.indexOf(b, s, k, c.lookup())
 	if i < 0 {
 		return Cell{}, false
 	}
@@ -756,8 +831,8 @@ func (c *Cells) CheckInvariants() error {
 		prev = k
 	}
 	for i := 0; i < s; i++ {
-		if k := b.loadKey(i); c.indexOf(b, s, k) != i {
-			return fmt.Errorf("key %d at %d: the search finds it at %d (%d-byte keys)", k, i, c.indexOf(b, s, k), w.bytes())
+		if k := b.loadKey(i); c.indexOf(b, s, k, c.lookup()) != i {
+			return fmt.Errorf("key %d at %d: the search finds it at %d (%d-byte keys)", k, i, c.indexOf(b, s, k, c.lookup()), w.bytes())
 		}
 	}
 	for i := s; i < bc && !c.words; i++ {
