@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"skipvector/internal/vectormap"
 )
 
 // testConfigs enumerates the configuration corners the tests sweep:
@@ -89,6 +91,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.LayerCount = MaxLayers + 1 },
 		func(c *Config) { c.TargetDataVectorSize = 0 },
 		func(c *Config) { c.TargetIndexVectorSize = 0 },
+		func(c *Config) { c.TargetDataVectorSize = vectormap.MaxTarget + 1 },
+		func(c *Config) { c.TargetIndexVectorSize = vectormap.MaxTarget + 1 },
 		func(c *Config) { c.MergeFactor = 0 },
 		func(c *Config) { c.MergeFactor = 2.5 },
 		func(c *Config) { c.Reclaim = 0 },

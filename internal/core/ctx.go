@@ -152,19 +152,22 @@ func (m *Map[V]) restart(ctx *opCtx[V], op opKind) {
 }
 
 // retire marks an unlinked node for reclamation ("HP.mark"). While snapshots
-// are pinned, data nodes are stamped with a conservative upper bound on the
-// unlinking write's epoch first: the hazard domain's recycle filter keeps
-// the node until no pinned snapshot's epoch precedes that bound, so snapshot
-// scans may keep traversing its next pointer (epoch-aware reclamation). With
-// no snapshot pinned the stamp is skipped — a node retired before a pin is
-// unreachable from any post-pin scan, so immediate recycling is safe.
+// are pinned, a data node's retire record is stamped with a conservative
+// upper bound on the unlinking write's epoch: the hazard domain's recycle
+// filter keeps the node until no pinned snapshot's epoch precedes that
+// bound, so snapshot scans may keep traversing its next pointer
+// (epoch-aware reclamation). With no snapshot pinned the stamp is 0 — a node
+// retired before a pin is unreachable from any post-pin scan, so immediate
+// recycling is safe. In leak mode there is no domain and nothing to stamp:
+// the collector keeps the node while any scan can reach it.
 func (c *opCtx[V]) retire(n *node[V]) {
+	var retireEpoch uint64
 	if n.level == 0 && c.m.snaps.count.Load() > 0 {
-		n.retireEpoch.Store(c.m.epoch.Load() + 1)
+		retireEpoch = c.m.epoch.Load() + 1
 	}
 	c.m.mem.retires.Add(1)
 	if c.h != nil {
-		c.h.Retire(n)
+		c.h.Retire(n, retireEpoch)
 	}
 }
 

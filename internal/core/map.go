@@ -64,9 +64,10 @@ type Config struct {
 	// LayerCount is the total number of layers including the data layer.
 	LayerCount int
 	// TargetDataVectorSize (T_D) is the expected data-chunk occupancy;
-	// chunk capacity is twice this.
+	// chunk capacity is twice this. At most vectormap.MaxTarget.
 	TargetDataVectorSize int
 	// TargetIndexVectorSize (T_I) is the expected index-chunk occupancy.
+	// At most vectormap.MaxTarget.
 	TargetIndexVectorSize int
 	// MergeFactor scales the merge threshold: two adjacent nodes whose
 	// combined size is below MergeFactor×targetSize are merged when the
@@ -112,10 +113,10 @@ func (c *Config) Validate() error {
 	switch {
 	case c.LayerCount < 1 || c.LayerCount > MaxLayers:
 		return fmt.Errorf("core: LayerCount %d outside [1,%d]", c.LayerCount, MaxLayers)
-	case c.TargetDataVectorSize < 1:
-		return fmt.Errorf("core: TargetDataVectorSize %d < 1", c.TargetDataVectorSize)
-	case c.TargetIndexVectorSize < 1:
-		return fmt.Errorf("core: TargetIndexVectorSize %d < 1", c.TargetIndexVectorSize)
+	case c.TargetDataVectorSize < 1 || c.TargetDataVectorSize > vectormap.MaxTarget:
+		return fmt.Errorf("core: TargetDataVectorSize %d outside [1,%d]", c.TargetDataVectorSize, vectormap.MaxTarget)
+	case c.TargetIndexVectorSize < 1 || c.TargetIndexVectorSize > vectormap.MaxTarget:
+		return fmt.Errorf("core: TargetIndexVectorSize %d outside [1,%d]", c.TargetIndexVectorSize, vectormap.MaxTarget)
 	case c.MergeFactor <= 0 || c.MergeFactor > 2:
 		return fmt.Errorf("core: MergeFactor %v outside (0,2]", c.MergeFactor)
 	case c.Reclaim != ReclaimHazard && c.Reclaim != ReclaimLeak:

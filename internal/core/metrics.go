@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"unsafe"
 
 	"skipvector/internal/telemetry"
 )
@@ -133,6 +134,14 @@ type OccupancySnapshot struct {
 	// cells, which hold keys sharing their upper 48 bits, their upper 32,
 	// or neither; [0] counts empty chunks.
 	ChunksByKeyBytes [9]int
+	// NodeBytes, DataBytes and IndexBytes are the walked bytes: the nodes
+	// counted at their struct size, and each layer class's blocks at the
+	// allocator size class they were allocated in. They are exact, unlike a
+	// heap delta, and cover what the layers hold, not a boxed map's value
+	// boxes or the snapshot version store.
+	NodeBytes  int
+	DataBytes  int
+	IndexBytes int
 }
 
 // Occupancy walks every layer and reports chunk-fill aggregates. Sizes are
@@ -147,13 +156,16 @@ func (m *Map[V]) Occupancy() OccupancySnapshot {
 				s.IndexChunks++
 				s.IndexElems += n.size()
 				s.IndexCells += n.chunk.BlockCap()
+				s.IndexBytes += n.chunk.BlockBytes()
 			} else {
 				s.DataChunks++
 				s.DataElems += n.size()
 				s.DataCells += n.chunk.BlockCap()
+				s.DataBytes += n.chunk.BlockBytes()
 			}
 		})
 	}
+	s.NodeBytes = (s.DataChunks + s.IndexChunks) * int(unsafe.Sizeof(node[V]{}))
 	if s.DataChunks > 0 {
 		s.DataMean = float64(s.DataElems) / float64(s.DataChunks)
 	}

@@ -20,16 +20,18 @@ import (
 // sequence number grows monotonically across lifetimes and a validation
 // against a stale snapshot from a previous lifetime always fails.
 //
-// Field order: everything a traversal hop reads (lock, next, level, the
-// chunk's block pointer and size) lies in the first 48 bytes; the snapshot
-// epoch words, which only data-layer writers and snapshots touch, come last.
-// The whole node is 64 bytes, one cache line and one size class: the keys
-// and payloads live in the chunk's block, sized to what the chunk holds.
+// Field order: everything a traversal hop reads (lock, next, the chunk's
+// block pointer and size, level) lies in the first 36 bytes; the snapshot
+// epoch word, which only data-layer writers and snapshots touch, comes last.
+// The whole node is 48 bytes on 64-bit platforms, a Go size class: the keys
+// and payloads live in the chunk's block, sized to what the chunk holds. The
+// epoch at which a retired node was unlinked is not a field: it is only read
+// by reclamation, so it rides in the node's hazard retire record (retire).
 type node[V any] struct {
 	lock  seqlock.Lock
 	next  atomic.Pointer[node[V]]
-	level int32
 	chunk vectormap.Chunk[node[V]]
+	level int32
 
 	// verEpoch is the snapshot epoch at which the node's current data-layer
 	// contents were installed. It is only advanced by a writer holding the
@@ -41,13 +43,6 @@ type node[V any] struct {
 	// the advancing writer pushed into the version store covers the node.
 	// Meaningful only for data-layer nodes; index nodes never consult it.
 	verEpoch atomic.Uint64
-
-	// retireEpoch is a conservative upper bound on the epoch of the write
-	// that unlinked the node, stamped by retire. The hazard domain's recycle
-	// filter keeps a retired data node while any pinned snapshot's epoch is
-	// below this bound, so snapshot scans may still traverse its next
-	// pointer (see snapshot.go for the reachability argument).
-	retireEpoch atomic.Uint64
 }
 
 // isIndex reports whether the node belongs to an index layer.
@@ -153,7 +148,6 @@ func (m *memory[V]) allocRaw(level int) *node[V] {
 		m.reuses.Add(1)
 		n.next.Store(nil)
 		n.verEpoch.Store(0)
-		n.retireEpoch.Store(0)
 		if n.lock.IsOrphan() {
 			// Clear the stale orphan flag from the previous lifetime.
 			n.lock.Acquire()

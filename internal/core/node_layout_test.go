@@ -6,18 +6,20 @@ import (
 	"unsafe"
 )
 
-// TestNodeLayout pins the one-chunk node: the whole struct fits the 64-byte
-// size class, one cache line, and everything a traversal hop reads ends by
-// byte 48. A chunk's keys and payloads are one block allocation beside it.
-// A second chunk header, a field slipped in ahead of the chunk, or storage
-// that takes a second allocation fails here.
+// TestNodeLayout pins the one-chunk node: the whole struct is the 48-byte
+// size class on 64-bit platforms (at most 48 bytes on 32-bit ones), and
+// everything a traversal hop reads ends by byte 36. A chunk's keys and
+// payloads are one block allocation beside it. A second chunk header, a
+// field slipped in ahead of the chunk or level, a chunk header wider than 16
+// bytes, or storage that takes a second allocation fails here.
 func TestNodeLayout(t *testing.T) {
 	var n node[uint64]
-	if sz := unsafe.Sizeof(n); sz > 64 {
-		t.Errorf("unsafe.Sizeof(node[uint64]{}) = %d, want ≤ 64", sz)
+	want := uintptr(48)
+	if sz := unsafe.Sizeof(n); sz != want && (unsafe.Sizeof(uintptr(0)) == 8 || sz > want) {
+		t.Errorf("unsafe.Sizeof(node[uint64]{}) = %d, want 48 on 64-bit, ≤ 48 on 32-bit", sz)
 	}
-	if end := unsafe.Offsetof(n.chunk) + unsafe.Sizeof(n.chunk); end > 48 {
-		t.Errorf("chunk ends at byte %d, want ≤ 48 (lock, next, level, chunk lead the struct)", end)
+	if end := unsafe.Offsetof(n.level) + unsafe.Sizeof(n.level); end > 36 {
+		t.Errorf("level ends at byte %d, want ≤ 36 (lock, next, chunk, level lead the struct)", end)
 	}
 	if a, b := unsafe.Sizeof(n), unsafe.Sizeof(node[[4]uint64]{}); a != b {
 		t.Errorf("node size depends on V: %d vs %d", a, b)

@@ -48,16 +48,20 @@ import (
 //   - Snapshot scans walk the data layer hand-over-hand with no hazard
 //     pointers and no restarts: a torn node read retries the same node, and
 //     unlinked nodes remain safe to traverse because retirement is
-//     epoch-aware — the hazard domain's recycle filter refuses to recycle a
-//     data node while any pinned snapshot's epoch is below the node's
-//     retireEpoch. Any stale node a post-pin walker can reach was unlinked
-//     after the pin (unlink happens under locks the walker's validated reads
-//     respect, and stale next pointers only lead to nodes that were in the
-//     list at unlink time), so its retireEpoch exceeds the pinned epoch and
-//     the filter keeps it. Such nodes contribute nothing live to the scan —
-//     the write that unlinked them also advanced their verEpoch past the
-//     pinned epoch — and their content at the pinned epoch is covered by
-//     version-store records.
+//     epoch-aware — retire stamps a data node's hazard retire record with
+//     its retire epoch, a bound on the epoch of the unlinking write, and the
+//     domain's recycle filter refuses to recycle the node while any pinned
+//     snapshot's epoch is below that stamp. The stamp lives in the record,
+//     not the node, because only the filter reads it. Any stale node a
+//     post-pin walker can reach was unlinked after the pin (unlink happens
+//     under locks the walker's validated reads respect, and stale next
+//     pointers only lead to nodes that were in the list at unlink time), so
+//     its retire epoch exceeds the pinned epoch and the filter keeps it.
+//     Such nodes contribute nothing live to the scan — the write that
+//     unlinked them also advanced their verEpoch past the pinned epoch —
+//     and their content at the pinned epoch is covered by version-store
+//     records. In leak mode there is no domain and no stamp: the collector
+//     keeps every node a walker can still reach.
 
 // opSnap restarts are charged by snapshot point reads (descent retries).
 // Snapshot scans never restart by construction; they have no restart path.
@@ -304,10 +308,12 @@ func (m *Map[V]) pruneVersions() {
 // snapshotsPermitRecycle is the hazard domain's recycle filter: a retired
 // data node must outlive every pinned snapshot whose epoch precedes the
 // node's unlink, because a snapshot scan may still traverse its next
-// pointer. Index nodes are never touched by unprotected snapshot reads and
-// are always recyclable.
-func (m *Map[V]) snapshotsPermitRecycle(n *node[V]) bool {
-	if n.level != 0 {
+// pointer. retireEpoch is the bound retire stamped the node's retire record
+// with; it is 0, and the node always recyclable, for an index node (never
+// touched by unprotected snapshot reads) and for a data node retired with no
+// snapshot pinned.
+func (m *Map[V]) snapshotsPermitRecycle(_ *node[V], retireEpoch uint64) bool {
+	if retireEpoch == 0 {
 		return true
 	}
 	r := &m.snaps
@@ -317,7 +323,7 @@ func (m *Map[V]) snapshotsPermitRecycle(n *node[V]) bool {
 	r.mu.Lock()
 	mp, any := r.minPinnedLocked()
 	r.mu.Unlock()
-	return !any || mp >= n.retireEpoch.Load()
+	return !any || mp >= retireEpoch
 }
 
 // noteDataWrite is the copy-on-write hook, called by every data-layer write

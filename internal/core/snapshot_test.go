@@ -402,124 +402,149 @@ func TestSnapshotRangeAndCursor(t *testing.T) {
 	}
 }
 
+// eachReclaimMode runs fn on tiny chunks under hazard reclamation and under
+// leak mode, as subtests "hazard" and "leak". The snapshot walk's safety
+// rests on a different mechanism in each: the recycle filter reading the
+// retire epoch from a node's retire record, or the collector keeping every
+// node a scan can reach.
+func eachReclaimMode(t *testing.T, fn func(t *testing.T, cfg Config, hazard bool)) {
+	for _, mode := range []struct {
+		name    string
+		reclaim ReclaimMode
+	}{{"hazard", ReclaimHazard}, {"leak", ReclaimLeak}} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := testConfigs()["tiny-chunks"]
+			cfg.Reclaim = mode.reclaim
+			fn(t, cfg, mode.reclaim == ReclaimHazard)
+		})
+	}
+}
+
 // TestSnapshotPinsRetiredChunks is the epoch-reclamation edge suite: retired
 // data chunks must survive FlushRetired while any snapshot that can reach
 // them is pinned — including when two snapshots pin the same retired chunk
-// and only one closes — and must drain to zero once the last pin drops.
+// and only one closes — and must drain to zero once the last pin drops. In
+// leak mode nothing is retired into a domain, so the Retired counts are
+// hazard-only; the pinned snapshot must read its era in both modes.
 func TestSnapshotPinsRetiredChunks(t *testing.T) {
-	cfg := testConfigs()["tiny-chunks"]
-	m := newTestMap(t, cfg)
-	ref := map[int64]int64{}
-	for k := int64(0); k < 256; k++ {
-		m.Insert(k, v64(k))
-		ref[k] = k
-	}
-	m.FlushRetired()
+	eachReclaimMode(t, func(t *testing.T, cfg Config, hazard bool) {
+		m := newTestMap(t, cfg)
+		ref := map[int64]int64{}
+		for k := int64(0); k < 256; k++ {
+			m.Insert(k, v64(k))
+			ref[k] = k
+		}
+		m.FlushRetired()
 
-	s1 := m.Snapshot()
-	s2 := m.Snapshot() // same era: both pin the same soon-to-be-retired chunks
+		s1 := m.Snapshot()
+		s2 := m.Snapshot() // same era: both pin the same soon-to-be-retired chunks
 
-	// Drain the map: merges and unlinks retire nearly every data chunk.
-	for k := int64(0); k < 256; k++ {
-		m.Remove(k)
-	}
-	for k := int64(0); k < 256; k += 16 {
-		m.Contains(k)
-	}
-	m.FlushRetired()
-	if st := m.Stats(); st.Retired == 0 {
-		t.Fatalf("no retired nodes pending under two pins; churn retired %d total", st.RetiredTotal)
-	}
+		// Drain the map: merges and unlinks retire nearly every data chunk.
+		for k := int64(0); k < 256; k++ {
+			m.Remove(k)
+		}
+		for k := int64(0); k < 256; k += 16 {
+			m.Contains(k)
+		}
+		m.FlushRetired()
+		if st := m.Stats(); hazard && st.Retired == 0 {
+			t.Fatalf("no retired nodes pending under two pins; churn retired %d total", st.RetiredTotal)
+		}
 
-	// Close one pin: the other still holds the chunks and still reads them.
-	s1.Close()
-	m.FlushRetired()
-	if st := m.Stats(); st.Retired == 0 {
-		t.Fatal("retired chunks reclaimed while a second snapshot still pins them")
-	}
-	mustEqualModel(t, s2, ref, "second pin after first closed")
+		// Close one pin: the other still holds the chunks and still reads them.
+		s1.Close()
+		m.FlushRetired()
+		if st := m.Stats(); hazard && st.Retired == 0 {
+			t.Fatal("retired chunks reclaimed while a second snapshot still pins them")
+		}
+		mustEqualModel(t, s2, ref, "second pin after first closed")
 
-	// Last pin drops: everything must drain.
-	s2.Close()
-	m.FlushRetired()
-	if st := m.Stats(); st.Retired != 0 {
-		t.Fatalf("%d retired nodes pending after all snapshots closed (retired %d, reclaimed %d)",
-			st.Retired, st.RetiredTotal, st.Reclaimed)
-	}
-	if got := m.Stats().SnapshotRecords; got != 0 {
-		t.Fatalf("version store holds %d records after all pins dropped", got)
-	}
-	mustCheck(t, m)
+		// Last pin drops: everything must drain.
+		s2.Close()
+		m.FlushRetired()
+		if st := m.Stats(); st.Retired != 0 {
+			t.Fatalf("%d retired nodes pending after all snapshots closed (retired %d, reclaimed %d)",
+				st.Retired, st.RetiredTotal, st.Reclaimed)
+		}
+		if got := m.Stats().SnapshotRecords; got != 0 {
+			t.Fatalf("version store holds %d records after all pins dropped", got)
+		}
+		mustCheck(t, m)
+	})
 }
 
 // TestSnapshotReleaseRace closes snapshots at exactly the moment their last
 // scan finishes, racing write churn whose threshold-driven reclamation
-// scans run continuously, under the epoch-aware recycle filter. Every scan
-// must still read its pinned era exactly; -race runs of this test are the
-// memory-safety proof for the unprotected snapshot walk. (FlushRetired is a
-// quiescence-only API, so reclamation pressure comes from the writers' own
-// hazard scans: tiny chunks plus continuous remove churn retire nodes far
-// past the scan threshold for the whole run.)
+// scans run continuously, under the epoch-aware recycle filter (or, in
+// leak mode, the collector). Every scan must still read its pinned era
+// exactly; -race runs of this test are the memory-safety proof for the
+// unprotected snapshot walk. (FlushRetired is a quiescence-only API, so
+// reclamation pressure comes from the writers' own hazard scans: tiny
+// chunks plus continuous remove churn retire nodes far past the scan
+// threshold for the whole run.)
 func TestSnapshotReleaseRace(t *testing.T) {
-	cfg := testConfigs()["tiny-chunks"]
-	m := newTestMap(t, cfg)
-	const stable = 64
-	for k := int64(0); k < stable; k++ {
-		m.Insert(k, v64(k)) // class A: never touched, present in every era
-	}
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	// Writers churn a disjoint key region, retiring chunks continuously.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 5))
-			for !stop.Load() {
-				k := stable + int64(rng.Intn(256))
-				if rng.Intn(2) == 0 {
-					m.Insert(k, v64(k))
-				} else {
-					m.Remove(k)
-				}
-			}
-		}(w)
-	}
-	// Scanners: pin, scan, close immediately — the release lands exactly at
-	// scan-completion time, adjacent to the writers' concurrent reclamation
-	// scans.
-	scans := 0
-	for scans < 300 {
-		s := m.Snapshot()
-		seen := 0
-		prev := int64(MinKey)
-		s.Ascend(func(k int64, v *int64) bool {
-			if k <= prev {
-				t.Errorf("scan not strictly ascending: %d after %d", k, prev)
-			}
-			prev = k
-			if k < stable {
-				seen++
-				if *v != k {
-					t.Errorf("class-A key %d carries value %d", k, *v)
-				}
-			}
-			return true
-		})
-		s.Close()
-		if seen != stable {
-			t.Fatalf("scan %d: saw %d of %d class-A keys", scans, seen, stable)
+	eachReclaimMode(t, func(t *testing.T, cfg Config, _ bool) {
+		m := newTestMap(t, cfg)
+		const stable = 64
+		for k := int64(0); k < stable; k++ {
+			m.Insert(k, v64(k)) // class A: never touched, present in every era
 		}
-		scans++
-	}
-	stop.Store(true)
-	wg.Wait()
-	m.FlushRetired()
-	if st := m.Stats(); st.Retired != 0 {
-		t.Fatalf("%d retired nodes pending at quiescence", st.Retired)
-	}
-	mustCheck(t, m)
+
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		// Writers churn a disjoint key region, retiring chunks continuously.
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w) + 5))
+				for !stop.Load() {
+					k := stable + int64(rng.Intn(256))
+					if rng.Intn(2) == 0 {
+						m.Insert(k, v64(k))
+					} else {
+						m.Remove(k)
+					}
+				}
+			}(w)
+		}
+		// Scanners: pin, scan, close immediately — the release lands exactly
+		// at scan-completion time, adjacent to the writers' concurrent
+		// reclamation scans.
+		scans := 0
+		for scans < 300 {
+			s := m.Snapshot()
+			seen := 0
+			prev := int64(MinKey)
+			s.Ascend(func(k int64, v *int64) bool {
+				if k <= prev {
+					t.Errorf("scan not strictly ascending: %d after %d", k, prev)
+				}
+				prev = k
+				if k < stable {
+					seen++
+					if *v != k {
+						t.Errorf("class-A key %d carries value %d", k, *v)
+					}
+				}
+				return true
+			})
+			s.Close()
+			if seen != stable {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("scan %d: saw %d of %d class-A keys", scans, seen, stable)
+			}
+			scans++
+		}
+		stop.Store(true)
+		wg.Wait()
+		m.FlushRetired()
+		if st := m.Stats(); st.Retired != 0 {
+			t.Fatalf("%d retired nodes pending at quiescence", st.Retired)
+		}
+		mustCheck(t, m)
+	})
 }
 
 // TestSnapshotChaosWritersVsScanner is the headline stress: chaos-perturbed

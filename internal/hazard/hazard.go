@@ -80,15 +80,17 @@ type Domain[T any] struct {
 	suppressReclaim atomic.Bool
 
 	// recycleFilter, when installed, is consulted by scans for every retired
-	// node that no hazard pointer protects: returning false keeps the node on
-	// the retired list for a later scan. It extends the reclamation condition
-	// from "no hazard pointer" to "no hazard pointer AND the filter agrees",
-	// which is how MVCC snapshots pin retired pre-image nodes past their
-	// unlink (epoch-aware reclamation): the filter holds back any node whose
-	// retire epoch a pinned snapshot can still see. The filter must be
-	// monotone per node — once it returns true for a node it must keep doing
-	// so — since a node it releases may be recycled immediately.
-	recycleFilter atomic.Pointer[func(*T) bool]
+	// node that no hazard pointer protects, with the tag its Retire call
+	// recorded: returning false keeps the node on the retired list for a
+	// later scan. It extends the reclamation condition from "no hazard
+	// pointer" to "no hazard pointer AND the filter agrees", which is how
+	// MVCC snapshots pin retired pre-image nodes past their unlink
+	// (epoch-aware reclamation): the tag is the node's retire epoch, and the
+	// filter holds back any node whose retire epoch a pinned snapshot can
+	// still see. The filter must be monotone per record — once it returns
+	// true for a node and tag it must keep doing so — since a node it
+	// releases may be recycled immediately.
+	recycleFilter atomic.Pointer[func(p *T, tag uint64) bool]
 }
 
 // NewDomain creates a hazard-pointer domain. recycle, if non-nil, is invoked
@@ -108,15 +110,23 @@ type Handle[T any] struct {
 	domain  *Domain[T]
 	slots   [SlotsPerHandle]atomic.Pointer[T]
 	used    int // high-water mark of slots in use (stack discipline not required)
-	retired []*T
+	retired []retiree[T]
 	inUse   atomic.Bool
+}
+
+// retiree is one retired-list record: the node and the tag its Retire call
+// gave, which scans hand to the recycle filter. Keeping the tag here, not in
+// the node, costs the node nothing for a word only reclamation reads.
+type retiree[T any] struct {
+	p   *T
+	tag uint64
 }
 
 // NewHandle registers a new handle with the domain. Handles are never
 // unregistered (their slots read as nil once released); pools should reuse
 // them via Acquire/ReleaseToPool semantics of the caller.
 func (d *Domain[T]) NewHandle() *Handle[T] {
-	h := &Handle[T]{domain: d, retired: make([]*T, 0, ScanThreshold+8)}
+	h := &Handle[T]{domain: d, retired: make([]retiree[T], 0, ScanThreshold+8)}
 	h.inUse.Store(true)
 	d.mu.Lock()
 	old := *d.handles.Load()
@@ -154,12 +164,14 @@ func (d *Domain[T]) RetireHWM() int64 { return d.retireHWM.Load() }
 func (d *Domain[T]) SetReclaimSuppressed(on bool) { d.suppressReclaim.Store(on) }
 
 // SetRecycleFilter installs (or, with nil, removes) the epoch-aware
-// reclamation filter; see the field comment for the contract. Installation
-// is not synchronized against in-flight scans: a scan that already read the
+// reclamation filter, which a scan calls with each unprotected retired node
+// and the tag its Retire call recorded (the skip vector's tag is the node's
+// retire epoch); see the field comment for the contract. Installation is not
+// synchronized against in-flight scans: a scan that already read the
 // previous filter may recycle a node the new filter would have kept, so the
 // filter must be installed before any node it needs to protect is retired
 // (the skip vector installs it at construction time).
-func (d *Domain[T]) SetRecycleFilter(f func(*T) bool) {
+func (d *Domain[T]) SetRecycleFilter(f func(p *T, tag uint64) bool) {
 	if f == nil {
 		d.recycleFilter.Store(nil)
 		return
@@ -201,10 +213,16 @@ func (h *Handle[T]) ClearAll() {
 }
 
 // Retire marks p as logically deleted ("HP.mark" in the listings). Once no
-// handle protects p, it is handed to the domain's recycle hook. Retire may
+// handle protects p and the recycle filter, if any, accepts p with its tag,
+// p is handed to the domain's recycle hook. The tag is at most one value,
+// kept in p's retired-list record for the filter; none is tag 0. Retire may
 // trigger a scan of all handles' slots.
-func (h *Handle[T]) Retire(p *T) {
-	h.retired = append(h.retired, p)
+func (h *Handle[T]) Retire(p *T, tag ...uint64) {
+	r := retiree[T]{p: p}
+	if len(tag) > 0 {
+		r.tag = tag[0]
+	}
+	h.retired = append(h.retired, r)
 	h.domain.retiredCount.Add(1)
 	h.domain.retiredTotal.Add(1)
 	h.domain.retireHWM.Observe(int64(len(h.retired)))
@@ -244,29 +262,27 @@ func (h *Handle[T]) scan() {
 	// missed; the protocol tolerates it because such a node was already
 	// unreachable when it was retired.
 	chaos.Step(chaos.HazardScan)
-	var filter func(*T) bool
+	var filter func(*T, uint64) bool
 	if fp := h.domain.recycleFilter.Load(); fp != nil {
 		filter = *fp
 	}
 	keep := h.retired[:0]
-	for _, p := range h.retired {
-		if _, live := protected[p]; live {
-			keep = append(keep, p)
+	for _, r := range h.retired {
+		if _, live := protected[r.p]; live {
+			keep = append(keep, r)
 			continue
 		}
-		if filter != nil && !filter(p) {
-			keep = append(keep, p)
+		if filter != nil && !filter(r.p, r.tag) {
+			keep = append(keep, r)
 			continue
 		}
 		h.domain.retiredCount.Add(-1)
 		h.domain.recycled.Add(1)
 		if h.domain.recycle != nil {
-			h.domain.recycle(p)
+			h.domain.recycle(r.p)
 		}
 	}
 	// Zero the tail so recycled nodes are not pinned by the backing array.
-	for i := len(keep); i < len(h.retired); i++ {
-		h.retired[i] = nil
-	}
+	clear(h.retired[len(keep):])
 	h.retired = keep
 }

@@ -214,7 +214,7 @@ func TestRecycleFilterHoldsNodes(t *testing.T) {
 	// The filter rejects odd ids — they must survive every scan, unprotected,
 	// until the filter releases them.
 	var release atomic.Bool
-	d.SetRecycleFilter(func(n *nodeT) bool { return n.id%2 == 0 || release.Load() })
+	d.SetRecycleFilter(func(n *nodeT, _ uint64) bool { return n.id%2 == 0 || release.Load() })
 
 	nodes := make([]*nodeT, 2*ScanThreshold)
 	for i := range nodes {
@@ -244,6 +244,48 @@ func TestRecycleFilterHoldsNodes(t *testing.T) {
 	}
 }
 
+// TestRecycleFilterSeesRetireTag checks that the filter receives, for each
+// node, the tag its Retire call passed (and 0 for a Retire without one),
+// in every scan until the node is released, and that releasing by tag
+// recycles exactly the nodes whose tags the filter accepts.
+func TestRecycleFilterSeesRetireTag(t *testing.T) {
+	recycled := map[*nodeT]bool{}
+	d := NewDomain(func(n *nodeT) { recycled[n] = true })
+	h := d.NewHandle()
+
+	want := map[*nodeT]uint64{}
+	var limit atomic.Uint64
+	limit.Store(2 * ScanThreshold)
+	d.SetRecycleFilter(func(n *nodeT, tag uint64) bool {
+		if tag != want[n] {
+			t.Errorf("filter saw node %d with tag %d, want %d", n.id, tag, want[n])
+		}
+		return tag <= limit.Load()
+	})
+
+	untagged := &nodeT{id: -1}
+	want[untagged] = 0
+	h.Retire(untagged)
+	nodes := make([]*nodeT, 4*ScanThreshold)
+	for i := range nodes {
+		nodes[i] = &nodeT{id: i}
+		want[nodes[i]] = uint64(i) * 3 // tags not in id order of retirement scans
+		h.Retire(nodes[i], want[nodes[i]])
+	}
+	for _, bound := range []uint64{2 * ScanThreshold, 6 * ScanThreshold, 12 * ScanThreshold} {
+		limit.Store(bound)
+		h.Flush()
+		for n, tag := range want {
+			if recycled[n] != (tag <= bound) {
+				t.Fatalf("limit %d: node %d (tag %d) recycled = %t", bound, n.id, tag, recycled[n])
+			}
+		}
+	}
+	if got := d.RetiredCount(); got != 0 {
+		t.Fatalf("RetiredCount = %d after every tag was released", got)
+	}
+}
+
 func TestRecycleFilterComposesWithProtection(t *testing.T) {
 	// A node both hazard-protected and filter-held must stay pending until
 	// BOTH clear, in either order.
@@ -255,7 +297,7 @@ func TestRecycleFilterComposesWithProtection(t *testing.T) {
 
 		var release atomic.Bool
 		victim := &nodeT{id: 1}
-		d.SetRecycleFilter(func(n *nodeT) bool { return n != victim || release.Load() })
+		d.SetRecycleFilter(func(n *nodeT, _ uint64) bool { return n != victim || release.Load() })
 		reader.Protect(0, victim)
 		owner.Retire(victim)
 

@@ -71,6 +71,12 @@ const (
 	wordSize = unsafe.Sizeof(uint64(0))
 	// signBit biases an int64 key into a uint64 of the same order.
 	signBit = 1 << 63
+	// The Go runtime gives a pointer-bearing object larger than
+	// mallocHeaderMin bytes (one pointer per bit of a pointer-sized word)
+	// a mallocHeaderSize-byte header in front of it, in its size class.
+	// TestBlockBytes checks both against the allocator's own count.
+	mallocHeaderMin  = ptrSize * ptrSize * 8
+	mallocHeaderSize = 8
 )
 
 // emptyBlock is the zero-capacity block every chunk starts from and returns
@@ -340,7 +346,7 @@ func newBlock(c int, words bool, w width, sp span) *block {
 type shape struct {
 	typ   reflect.Type // struct{ Hdr uint64; Keys [keyBytes/w]uintN; Vals [c]unsafe.Pointer or [c]uint64 }
 	fit   int          // the most cells a block in the same size class holds
-	class uintptr      // the bytes that size class pays for
+	class uintptr      // the bytes the allocator charges: the size class
 }
 
 // shapes caches one shape per capacity, cell kind (first index 1: word
@@ -399,19 +405,23 @@ func newShape(c int, words bool, w width) *shape {
 	}
 	// The allocator rounds every object up to its size class, and append's
 	// capacity growth reports that rounding for an object of a given size
-	// and kind (a pointer-bearing one pays a malloc header, a noscan one does
-	// not), the same path reflect.New takes.
-	var class uintptr
+	// and kind, the same path reflect.New takes. A pointer-bearing object
+	// larger than mallocHeaderMin also pays a malloc header inside its
+	// class, which append leaves out of the capacity it reports.
+	var usable, header uintptr
 	if words {
 		n := int((typ.Size() + wordSize - 1) / wordSize)
-		class = uintptr(cap(append([]uint64(nil), make([]uint64, n)...))) * wordSize
+		usable = uintptr(cap(append([]uint64(nil), make([]uint64, n)...))) * wordSize
 	} else {
 		n := int((typ.Size() + ptrSize - 1) / ptrSize)
-		class = uintptr(cap(append([]unsafe.Pointer(nil), make([]unsafe.Pointer, n)...))) * ptrSize
+		usable = uintptr(cap(append([]unsafe.Pointer(nil), make([]unsafe.Pointer, n)...))) * ptrSize
+		if uintptr(n)*ptrSize > mallocHeaderMin {
+			header = mallocHeaderSize
+		}
 	}
-	fit := int((class - keysOff) / (w.bytes() + cellBytes))
-	for keysOff+keyBytes(fit, w)+uintptr(fit)*cellBytes > class {
+	fit := int((usable - keysOff) / (w.bytes() + cellBytes))
+	for keysOff+keyBytes(fit, w)+uintptr(fit)*cellBytes > usable {
 		fit-- // the key array's padding cells
 	}
-	return &shape{typ: typ, fit: fit, class: class}
+	return &shape{typ: typ, fit: fit, class: usable + header}
 }

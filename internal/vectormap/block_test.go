@@ -2,6 +2,7 @@ package vectormap
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -251,8 +252,9 @@ func TestBlockNoPingPong(t *testing.T) {
 // TestBlockMovesSizeDestinationOnce: a split destination gets one block, with
 // room for what it received and the inserts after it; the source keeps its
 // own unless the shrink rule applies to what the split left, which after a
-// capacity split of a full chunk it does; a merge allocates only when the
-// absorber's block is too small.
+// capacity split of a full chunk it does; an unsorted split selects its
+// median without allocating; a merge allocates only when the absorber's
+// block is too small.
 func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 	const target, limit = 32, 64
 	bothPolicies(t, func(t *testing.T, sorted bool) {
@@ -272,10 +274,9 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 		// shrinks reports whether a block of c cells left holding n shrinks.
 		shrinks := func(n, c int) bool { return capFor(appendRoom(n), limit, false, w2) < c }
 		next := dstPool()
-		want := 2.0 // the destination and the source's smaller block
-		if !sorted {
-			want++ // the copy of the keys that picks the median
-		}
+		// The destination and the source's smaller block; an unsorted split
+		// picks its median in a stack copy of the keys.
+		want := 2.0
 		if got := allocsPerOp(sized(limit), func(c *Chunk[int64]) { c.SplitUpperHalfTo(next()) }); got != want {
 			t.Fatalf("capacity split took %v allocations, want %v", got, want)
 		}
@@ -396,6 +397,57 @@ func TestBlockReserveKeys(t *testing.T) {
 	if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 10, false) },
 		func(c *Chunk[int64]) { c.ReserveKeys(1, 20, 20) }); got != 0 {
 		t.Fatalf("ReserveKeys with room to spare took %v allocations", got)
+	}
+}
+
+// TestBlockBytes checks that BlockBytes is what the allocator charged for the
+// block, read from the runtime's own count of bytes allocated, for pointer
+// and word cells at every key width and size; 0 for the shared empty block;
+// and that reading it allocates nothing. Anything else the process allocates
+// meanwhile (the race runtime does) only adds to the count, so each case
+// takes the least of three measurements.
+func TestBlockBytes(t *testing.T) {
+	const chunks = 64
+	for _, words := range []bool{false, true} {
+		for _, gap := range []int64{1, 1 << 16, 1 << 32} {
+			for n := 1; n <= 64; n++ {
+				fresh := func() []Cells {
+					cs := make([]Cells, chunks)
+					for i := range cs {
+						if words {
+							cs[i].InitWords(32, false)
+						} else {
+							cs[i].Init(32, false)
+						}
+					}
+					return cs
+				}
+				// The first block of a shape builds its type: measure after it.
+				fresh()[0].ReserveKeys(n, 0, int64(n-1)*gap)
+				charged := uint64(math.MaxUint64)
+				var cs []Cells
+				for range 3 {
+					cs = fresh()
+					if got := cs[0].BlockBytes(); got != 0 {
+						t.Fatalf("empty chunk: BlockBytes = %d, want 0", got)
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					for i := range cs {
+						cs[i].ReserveKeys(n, 0, int64(n-1)*gap)
+					}
+					runtime.ReadMemStats(&after)
+					charged = min(charged, (after.TotalAlloc-before.TotalAlloc)/chunks)
+				}
+				if got := cs[0].BlockBytes(); uint64(got) != charged {
+					t.Errorf("words=%t gap=%d n=%d: BlockBytes = %d, allocator charged %d per block",
+						words, gap, n, got, charged)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { cs[0].BlockBytes() }); allocs != 0 {
+					t.Errorf("BlockBytes took %v allocations", allocs)
+				}
+			}
+		}
 	}
 }
 

@@ -85,14 +85,21 @@ type Cell struct {
 // vector data node whose values fit in a word reads and writes its Cells
 // directly.
 //
+// Its header is 16 bytes on 64-bit platforms: the block pointer, the size,
+// and the logical capacity packed into a uint16 beside the two flags.
+//
 // The zero value is unusable; call Init or InitWords.
 type Cells struct {
 	blk    atomic.Pointer[block]
 	size   atomic.Int32
-	limit  int32 // the logical capacity, 2×targetSize
+	limit  uint16 // the logical capacity, 2×targetSize
 	sorted bool
 	words  bool // payload cells are words, not pointers
 }
+
+// MaxTarget is the largest targetSize a chunk takes: its logical capacity,
+// 2×targetSize, must fit the header's 16-bit field.
+const MaxTarget = 1<<15 - 1
 
 // Chunk is a Cells whose payloads are *P pointers. In the skip vector, P is
 // the node type for index-layer chunks (the payload is the "down" pointer)
@@ -118,10 +125,10 @@ func (c *Cells) Init(targetSize int, sorted bool) { c.init(targetSize, sorted, f
 func (c *Cells) InitWords(targetSize int, sorted bool) { c.init(targetSize, sorted, true) }
 
 func (c *Cells) init(targetSize int, sorted, words bool) {
-	if targetSize < 1 {
-		panic(fmt.Sprintf("vectormap: targetSize %d < 1", targetSize))
+	if targetSize < 1 || targetSize > MaxTarget {
+		panic(fmt.Sprintf("vectormap: targetSize %d outside [1, %d]", targetSize, MaxTarget))
 	}
-	c.limit = int32(2 * targetSize)
+	c.limit = uint16(2 * targetSize)
 	c.sorted = sorted
 	c.words = words
 	c.size.Store(0)
@@ -147,7 +154,7 @@ func (c *Cells) Size() int {
 
 // Full reports whether the chunk is at its logical capacity. Caller must
 // hold the write lock.
-func (c *Cells) Full() bool { return c.size.Load() >= c.limit }
+func (c *Cells) Full() bool { return int(c.size.Load()) >= int(c.limit) }
 
 // load is every read path's single load of the block, with the size clamped
 // into [0, that block's capacity], so that concurrent readers can never
@@ -464,6 +471,17 @@ func (c *Cells) ReserveKeys(n int, lo, hi int64) {
 // capacity, which Size never exceeds, against Cap's logical one.
 func (c *Cells) BlockCap() int { return c.blk.Load().cap() }
 
+// BlockBytes is what the allocator charges for the chunk's block: the size
+// class it was allocated in, or 0 for the shared empty block. It reads the
+// shape cache the block was allocated through, so it does not allocate.
+func (c *Cells) BlockBytes() int {
+	b := c.blk.Load()
+	if b.cap() == 0 {
+		return 0
+	}
+	return int(shapeOf(b.cap(), c.words, b.width()).class)
+}
+
 // KeyBytes is the width of the key cells of the chunk's block, 2, 4 or 8
 // bytes, or 0 for the shared empty block.
 func (c *Cells) KeyBytes() int {
@@ -703,10 +721,18 @@ func (c *Cells) SplitUpperHalfTo(dst *Cells) int64 {
 	}
 	pivot := b.loadKey(s / 2)
 	if !c.sorted {
-		// Select the median via an explicit copy + sort of keys. Splits are
-		// rare (amortized across T inserts), so O(T log T) here is
-		// acceptable and keeps the hot paths branch-light.
-		tmp := c.Keys()
+		// Select the median via a copy + sort of the keys. Splits are rare
+		// (amortized across T inserts), so O(T log T) here is acceptable and
+		// keeps the hot paths branch-light. The copy sits in a stack array
+		// unless the chunk holds more keys than it has room for.
+		var buf [128]int64
+		tmp := buf[:0]
+		if s > len(buf) {
+			tmp = make([]int64, 0, s)
+		}
+		for i := range s {
+			tmp = append(tmp, b.loadKey(i))
+		}
 		slices.Sort(tmp)
 		pivot = tmp[s/2]
 	}

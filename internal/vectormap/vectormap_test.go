@@ -35,13 +35,22 @@ func TestInitCapacity(t *testing.T) {
 }
 
 func TestInitRejectsBadTarget(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for targetSize 0")
-		}
-	}()
+	for _, target := range []int{0, MaxTarget + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for targetSize %d", target)
+				}
+			}()
+			var c Chunk[int64]
+			c.Init(target, true)
+		}()
+	}
 	var c Chunk[int64]
-	c.Init(0, true)
+	c.Init(MaxTarget, true)
+	if got := c.Cap(); got != 2*MaxTarget {
+		t.Fatalf("Cap() at MaxTarget = %d, want %d", got, 2*MaxTarget)
+	}
 }
 
 func TestInsertGetRemove(t *testing.T) {

@@ -55,13 +55,14 @@ func WithLayerCount(n int) Option {
 }
 
 // WithTargetDataVectorSize sets the expected data-chunk occupancy T_D
-// (default 32; chunk capacity is 2×T_D).
+// (default 32; chunk capacity is 2×T_D; at most vectormap.MaxTarget,
+// 2^15−1).
 func WithTargetDataVectorSize(n int) Option {
 	return func(c *core.Config) { c.TargetDataVectorSize = n }
 }
 
 // WithTargetIndexVectorSize sets the expected index-chunk occupancy T_I
-// (default 32).
+// (default 32; at most vectormap.MaxTarget, 2^15−1).
 func WithTargetIndexVectorSize(n int) Option {
 	return func(c *core.Config) { c.TargetIndexVectorSize = n }
 }
