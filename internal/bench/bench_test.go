@@ -357,6 +357,32 @@ func TestMemoryFootprint(t *testing.T) {
 			t.Logf("warning: SV-HP %.1f B/elem not below FSL %.1f B/elem", sv, fsl)
 		}
 	}
+	// Every variant built on core.Map has a walked column, which the heap
+	// delta, holding all it counts and more, never falls below; a cell that
+	// did would be marked.
+	for _, name := range []string{"SV-HP", "SV-Leak", "USL-HP", "USL-Leak", "SL-HP"} {
+		heapCol, walkedCol := tb.Col(name), tb.Col(name+" walked")
+		if heapCol < 0 || walkedCol < 0 {
+			t.Fatalf("%s: columns %d and %d (walked) in %v", name, heapCol, walkedCol, tb.Columns)
+		}
+		for i, x := range tb.XValues {
+			heap, walked := tb.Cells[i][heapCol], tb.Cells[i][walkedCol]
+			if walked <= 0 || heap < walked || tb.marked(i, heapCol) {
+				t.Errorf("%s at %s: heap delta %.1f B/elem, walked %.1f, marked %t",
+					name, x, heap, walked, tb.marked(i, heapCol))
+			}
+		}
+	}
+	if tb.Col("FSL walked") >= 0 {
+		t.Error("FSL, which is no core.Map, has a walked column")
+	}
+	if strings.Contains(tb.Render(), "*") {
+		t.Errorf("unmarked table renders a mark:\n%s", tb.Render())
+	}
+	tb.Mark(0, tb.Col("SV-HP"))
+	if out := tb.Render(); !strings.Contains(out, "*") || !strings.Contains(out, tb.Note) {
+		t.Errorf("marked cell not shown:\n%s", out)
+	}
 }
 
 func TestMemoryChurnGarbageBounded(t *testing.T) {

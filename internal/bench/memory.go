@@ -12,28 +12,51 @@ import (
 // amortizes per-node overheads across T elements).
 //
 // The measurement forces a full GC before and after construction and reads
-// HeapAlloc, so it reflects live structure size, not allocation churn.
+// HeapAlloc, so it reflects live structure size, not allocation churn. Each
+// variant built on core.Map (SV, USL, SL) also gets a "walked" column: the
+// bytes its layers hold, counted exactly by Occupancy (nodes at their struct
+// size, blocks at their size class). The heap delta holds everything the
+// walk counts and more, so a heap cell below its walked bytes is marked: that
+// heap delta missed part of the structure.
 func MemoryFootprint(keyRangeExps []int, seed uint64) *Table {
-	variants := ScalabilityVariants()
-	cols := make([]string, len(variants))
+	variants := append(ScalabilityVariants(), SLHP)
+	var cols []string
+	heapCol := make([]int, len(variants))
 	for i, v := range variants {
-		cols[i] = v.Name
+		heapCol[i] = len(cols)
+		cols = append(cols, v.Name)
+		if _, ok := v.New(2).(*svMap); ok {
+			cols = append(cols, v.Name+" walked")
+		}
 	}
 	t := NewTable("Memory: live bytes per element after half-range prefill", "key-bits", cols)
+	t.Note = "* heap delta below the walked bytes"
 	for _, exp := range keyRangeExps {
 		keyRange := Pow2(exp)
-		row := make([]float64, len(variants))
+		row := make([]float64, len(cols))
+		var marks []int
 		for i, v := range variants {
-			row[i] = bytesPerElement(v, keyRange, seed)
+			heap, walked, ok := bytesPerElement(v, keyRange, seed)
+			row[heapCol[i]] = heap
+			if ok {
+				row[heapCol[i]+1] = walked
+				if heap < walked {
+					marks = append(marks, heapCol[i])
+				}
+			}
 		}
 		t.AddRow(fmt.Sprintf("2^%d", exp), row)
+		for _, c := range marks {
+			t.Mark(len(t.XValues)-1, c)
+		}
 	}
 	return t
 }
 
 // bytesPerElement builds one structure and reports its live heap cost per
-// contained element.
-func bytesPerElement(v Variant, keyRange int64, seed uint64) float64 {
+// contained element and, for a variant built on core.Map (ok), the bytes per
+// element its layers hold.
+func bytesPerElement(v Variant, keyRange int64, seed uint64) (heap, walked float64, ok bool) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -47,15 +70,18 @@ func bytesPerElement(v Variant, keyRange int64, seed uint64) float64 {
 
 	n := m.Len()
 	if n == 0 {
-		return 0
+		return 0, 0, false
 	}
 	delta := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	if delta < 0 {
 		delta = 0
 	}
-	perElem := delta / float64(n)
+	if sv, isSV := m.(*svMap); isSV {
+		occ := sv.m.Occupancy()
+		walked, ok = float64(occ.NodeBytes+occ.DataBytes+occ.IndexBytes)/float64(n), true
+	}
 	runtime.KeepAlive(m)
-	return perElem
+	return delta / float64(n), walked, ok
 }
 
 // MemoryChurnGarbage measures the bounded-garbage property: after a heavy

@@ -13,6 +13,23 @@ type Table struct {
 	Columns []string
 	XValues []string
 	Cells   [][]float64 // Cells[row][col]
+	// Marked lists the cells flagged by Mark, as {row, col}; Render
+	// suffixes each with "*" and prints Note below the table when any is.
+	Marked [][2]int `json:",omitempty"`
+	Note   string   `json:",omitempty"`
+}
+
+// Mark flags the cell at row, col.
+func (t *Table) Mark(row, col int) { t.Marked = append(t.Marked, [2]int{row, col}) }
+
+// marked reports whether the cell at row, col is flagged.
+func (t *Table) marked(row, col int) bool {
+	for _, m := range t.Marked {
+		if m == [2]int{row, col} {
+			return true
+		}
+	}
+	return false
 }
 
 // NewTable allocates a table with the given axes.
@@ -53,10 +70,17 @@ func (t *Table) Render() string {
 	b.WriteByte('\n')
 	for i, x := range t.XValues {
 		fmt.Fprintf(&b, "%-*s", w, x)
-		for _, v := range t.Cells[i] {
-			fmt.Fprintf(&b, "%*s", w, formatOps(v))
+		for j, v := range t.Cells[i] {
+			cell := formatOps(v)
+			if t.marked(i, j) {
+				cell += "*"
+			}
+			fmt.Fprintf(&b, "%*s", w, cell)
 		}
 		b.WriteByte('\n')
+	}
+	if len(t.Marked) > 0 && t.Note != "" {
+		fmt.Fprintf(&b, "# %s\n", t.Note)
 	}
 	return b.String()
 }

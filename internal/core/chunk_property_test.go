@@ -17,14 +17,16 @@ import (
 // invariant too — and the contents are compared with a model. BulkLoad's
 // T_I = 1 defect sat in this corner. The sweep runs for int64 values, stored
 // inline in word cells, and again under boxed/ for a value too wide for a
-// word, stored in a box behind a pointer cell. Each runs over five key
-// spaces of 160 keys: above 0; straddling 2^16, so chunk blocks switch
-// between 2-byte and 4-byte key cells as keys cross it; straddling 2^32,
-// where they switch between 2-byte and 8-byte cells; and next to each
-// sentinel. Every key space runs the whole T_D 1…8 × T_I 1…4 grid.
+// word, stored in a box behind a pointer cell. Each runs over six key
+// spaces of 160 keys: above 0, in 1-byte key cells; straddling 2^8, so
+// chunk blocks switch between 1-byte and 2-byte cells as keys cross it;
+// straddling 2^16, where they switch between 1-byte and 4-byte cells;
+// straddling 2^32, where they switch between 1-byte and 8-byte cells; and
+// next to each sentinel. Every key space runs the whole T_D 1…8 × T_I 1…4
+// grid.
 func TestChunkPropertiesTinyTargets(t *testing.T) {
 	cases := 0
-	for _, base := range []int64{0, 1<<16 - 80, 1<<32 - 80, vectormap.NegInf, vectormap.PosInf - 161} {
+	for _, base := range []int64{0, 1<<8 - 80, 1<<16 - 80, 1<<32 - 80, vectormap.NegInf, vectormap.PosInf - 161} {
 		for _, boxed := range []bool{false, true} {
 			for td := 1; td <= 8; td++ {
 				for ti := 1; ti <= 4; ti++ {

@@ -130,9 +130,10 @@ type OccupancySnapshot struct {
 	DataCells  int
 	IndexCells int
 	// ChunksByKeyBytes counts the chunks, of either kind, by the width of
-	// their key cells: [2], [4] and [8] count blocks of 2-, 4- and 8-byte
-	// cells, which hold keys sharing their upper 48 bits, their upper 32,
-	// or neither; [0] counts empty chunks.
+	// their key cells: [1], [2], [4] and [8] count blocks of 1-, 2-, 4- and
+	// 8-byte cells, which hold keys sharing their upper 56 bits (in at most
+	// 63 cells), their upper 48, their upper 32, or neither; [0] counts
+	// empty chunks.
 	ChunksByKeyBytes [9]int
 	// NodeBytes, DataBytes and IndexBytes are the walked bytes: the nodes
 	// counted at their struct size, and each layer class's blocks at the

@@ -473,6 +473,61 @@ func TestSnapshotPinsRetiredChunks(t *testing.T) {
 	})
 }
 
+// TestSnapshotCursorOutlivesRecycling is the single-threaded, deterministic
+// form of the release race: a snapshot cursor that stands on a data node
+// holds no hazard pointer, so only the retire record's epoch tag keeps the
+// node from being recycled under it. The cursor reads into the middle of
+// the map; the keys around that point are removed, which unlinks and
+// retires the node it stands on and the ones after it, while the nodes
+// beyond keep their keys; FlushRetired runs the recycle filter over them,
+// and fresh inserts far above take whatever nodes the free lists hold. The
+// cursor must then finish its pinned era exactly: a node recycled since the
+// pin would carry it into the new keys, past the unchanged nodes.
+func TestSnapshotCursorOutlivesRecycling(t *testing.T) {
+	eachReclaimMode(t, func(t *testing.T, cfg Config, hazard bool) {
+		const n, read, kept = 256, 100, 160
+		m := newTestMap(t, cfg)
+		for k := int64(0); k < n; k++ {
+			m.Insert(k, v64(k))
+		}
+		m.FlushRetired()
+		s := m.Snapshot()
+		c := s.Cursor(0)
+		next := func(want int64) {
+			t.Helper()
+			k, v, ok := c.Next()
+			if !ok || k != want || *v != want {
+				t.Fatalf("cursor read %d → %v (ok %t), want %d → %d", k, v, ok, want, want)
+			}
+		}
+		for k := int64(0); k < read; k++ {
+			next(k)
+		}
+		for k := int64(read - 8); k < kept; k++ {
+			m.Remove(k)
+		}
+		m.FlushRetired()
+		if st := m.Stats(); hazard && st.Retired == 0 {
+			t.Fatalf("no retired node held for the pinned cursor; %d retired in all", st.RetiredTotal)
+		}
+		for k := int64(4 * n); k < 8*n; k++ {
+			m.Insert(k, v64(-k))
+		}
+		for k := int64(read); k < n; k++ {
+			next(k)
+		}
+		if k, _, ok := c.Next(); ok {
+			t.Fatalf("cursor read %d past its pinned era", k)
+		}
+		s.Close()
+		m.FlushRetired()
+		if st := m.Stats(); st.Retired != 0 {
+			t.Fatalf("%d retired nodes pending after the snapshot closed", st.Retired)
+		}
+		mustCheck(t, m)
+	})
+}
+
 // TestSnapshotReleaseRace closes snapshots at exactly the moment their last
 // scan finishes, racing write churn whose threshold-driven reclamation
 // scans run continuously, under the epoch-aware recycle filter (or, in

@@ -18,13 +18,26 @@ import (
 
 const budgetKeys = 1 << 16
 
-// heapBytesPerKeyBudget is about 0.35 B/key above the 14.66 B/key measured
+// heapBytesPerKeyBudget is about 0.33 B/key above the 13.97 B/key measured
 // here on amd64 with values stored inline in occupancy-sized chunk blocks
-// beside 48 B nodes, whose keys, sharing their upper 48 bits, take 2-byte
-// cells, and whose blocks grow by half again only for puts that extend their
-// span and shrink below about ⅔ full. The 64 B node that kept its retire
-// epoch and a 24 B chunk header measured 15.27 and fails it.
-const heapBytesPerKeyBudget = 15.0
+// beside 48 B nodes, whose keys take 1-byte cells where they share their
+// upper 56 bits and 2-byte cells where they share only their upper 48, and
+// whose blocks grow by half again only for puts that extend their span and
+// shrink below about ⅔ full. With 2-byte cells at the narrowest it measured
+// 14.66 and fails it; the 64 B node that kept its retire epoch and a 24 B
+// chunk header measured 15.27.
+const heapBytesPerKeyBudget = 14.3
+
+// heapBytesPerKeyBudget2 bounds the same build with keys 2^8 apart, so that
+// every block with two keys or more takes 2-byte cells: 15.11 B/key
+// measured, and 15.10 with 2-byte cells at the narrowest, so 1-byte cells
+// cost a map whose keys cannot use them nothing.
+const heapBytesPerKeyBudget2 = 15.4
+
+// oneByteDataChunksFloor is 0.03 below the share of the default build's
+// data chunks whose blocks take 1-byte key cells, every key of the chunk in
+// one aligned window of 256: 0.759 measured.
+const oneByteDataChunksFloor = 0.73
 
 // wideHeapBytesPerKeyBudget bounds the same build with keys 2^32 apart, so
 // that every block with two keys or more takes 8-byte cells: 22.21 B/key
@@ -67,9 +80,10 @@ const prefillAllocsBudget = 0.215
 // nodes, 2.460 with 64 B ones.
 const walkedNodeBytesPerKeyBudget = 1.85
 
-// The walked bytes of the default build lie between what its keys' cells
-// hold, a 2-byte key and an 8-byte value each, and the heap delta plus a
-// slack for what the walk does not see (head and tail nodes, contexts).
+// The walked bytes of the default build lie between 10 B/key, more than its
+// keys' cells hold (a 1- or 2-byte key and an 8-byte value each), and the
+// heap delta plus a slack for what the walk does not see (head and tail
+// nodes, contexts).
 const (
 	walkedBytesPerKeyFloor = 10.0
 	walkedHeapSlack        = 0.5
@@ -104,7 +118,7 @@ func TestWorkBudgets(t *testing.T) {
 	// The block types are built once per process, on first use (vectormap
 	// block.go); a throwaway build makes them before the measured one, so
 	// the heap row counts what each key costs. The other builds space the
-	// same keys 2^16 and 2^32 apart.
+	// same keys 2^8, 2^16 and 2^32 apart.
 	build := func(shift uint) *core.Map[uint64] {
 		m, err := core.NewMap[uint64](core.DefaultConfig())
 		if err != nil {
@@ -126,7 +140,8 @@ func TestWorkBudgets(t *testing.T) {
 	}
 	_, wideHeapPerKey := heapPerKey(31)
 	_, heapPerKey4 := heapPerKey(15)
-	m, heapPerKey2 := heapPerKey(0)
+	_, heapPerKey2 := heapPerKey(7)
+	m, heapPerKey1 := heapPerKey(0)
 	occ := m.Occupancy()
 
 	h := m.NewHandle()
@@ -253,7 +268,8 @@ func TestWorkBudgets(t *testing.T) {
 		{"descents per sorted 64-key Handle.ApplyBatch", batchDescents(), 1},
 		{"descents per 1,000-step facade Cursor walk", cursorDescents(), 1},
 		{"restarts", float64(m.Stats().Restarts), 0},
-		{"heap bytes per key", heapPerKey2, heapBytesPerKeyBudget},
+		{"heap bytes per key", heapPerKey1, heapBytesPerKeyBudget},
+		{"heap bytes per key, keys 2^8 apart", heapPerKey2, heapBytesPerKeyBudget2},
 		{"heap bytes per key, keys 2^16 apart", heapPerKey4, heapBytesPerKeyBudget4},
 		{"heap bytes per key, keys 2^32 apart", wideHeapPerKey, wideHeapBytesPerKeyBudget},
 		// The LayerCount head blocks hold NegInf and take 8-byte cells;
@@ -275,6 +291,13 @@ func TestWorkBudgets(t *testing.T) {
 	} else {
 		t.Logf("data block fill = %.3f (floor %.3f)", fill, dataFillFloor)
 	}
+	// Index chunks, whose keys are whole data nodes apart, take wider cells
+	// here, so the 1-byte blocks are data blocks.
+	if share := float64(occ.ChunksByKeyBytes[1]) / float64(occ.DataChunks); share < oneByteDataChunksFloor {
+		t.Errorf("share of data chunks in 1-byte key cells = %.3f, floor %.3f", share, oneByteDataChunksFloor)
+	} else {
+		t.Logf("share of data chunks in 1-byte key cells = %.3f (floor %.3f)", share, oneByteDataChunksFloor)
+	}
 	// Walked bytes count what the layers hold; the heap delta adds the
 	// head and tail nodes, the pooled contexts and whatever else the build
 	// left live, so it may exceed the walk by a little and never fall short
@@ -283,12 +306,12 @@ func TestWorkBudgets(t *testing.T) {
 	if walked < walkedBytesPerKeyFloor {
 		t.Errorf("walked bytes per key = %.3f, below the %.0f bytes each key's cells hold", walked, walkedBytesPerKeyFloor)
 	}
-	if walked > heapPerKey2+walkedHeapSlack {
-		t.Errorf("walked bytes per key = %.3f, above the heap delta %.3f + %.1f", walked, heapPerKey2, walkedHeapSlack)
+	if walked > heapPerKey1+walkedHeapSlack {
+		t.Errorf("walked bytes per key = %.3f, above the heap delta %.3f + %.1f", walked, heapPerKey1, walkedHeapSlack)
 	} else {
 		t.Logf("walked bytes per key = %.3f (nodes %.3f, data blocks %.3f, index blocks %.3f; heap delta %.3f)",
 			walked, float64(occ.NodeBytes)/budgetKeys, float64(occ.DataBytes)/budgetKeys,
-			float64(occ.IndexBytes)/budgetKeys, heapPerKey2)
+			float64(occ.IndexBytes)/budgetKeys, heapPerKey1)
 	}
 	runtime.KeepAlive(m)
 }

@@ -105,3 +105,45 @@ func BenchmarkChunkSplitAbsorb(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkChunkKeyWidth sets 1-byte key cells against 2-byte ones on the
+// same reads: n keys 2 apart (one 2^8 window) or 2^9 apart (one 2^16
+// window), at T = 32 holding 32 keys and at T = 128 holding 60, reserved up
+// front, since a block of 1-byte cells holds at most 63. Get and FindLE
+// probe every key and every gap in turn; Bounds reads the whole chunk.
+func BenchmarkChunkKeyWidth(b *testing.B) {
+	for _, g := range spacings[:2] {
+		for _, target := range []int{32, 128} {
+			n := min(target, 60)
+			for _, sorted := range []bool{false, true} {
+				var c Cells
+				c.InitWords(target, sorted)
+				c.ReserveKeys(n, g.key(0), g.key(n-1))
+				for i := range n {
+					c.Insert(g.key(i), Cell{})
+				}
+				if c.KeyBytes() != int(g.w.bytes()) {
+					b.Fatalf("%d keys %d apart take %d-byte cells", n, 2*g.unit, c.KeyBytes())
+				}
+				name := fmt.Sprintf("w=%d/T=%d/sorted=%t", g.w.bytes(), target, sorted)
+				b.Run("Get/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						c.Get(g.key(i % n))
+					}
+				})
+				b.Run("FindLE/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						c.FindLE(g.key(i%n) + g.unit)
+					}
+				})
+				if !sorted {
+					b.Run("Bounds/"+name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							c.Bounds()
+						}
+					})
+				}
+			}
+		}
+	}
+}

@@ -11,8 +11,8 @@ import (
 // block is a chunk's storage: one allocation laid out as
 //
 //	hdr  uint64        prefix<<8w | capacity<<2 | width code
-//	keys [c]cell       atomic key cells of w = 2, 4 or 8 bytes, padded to a
-//	                   multiple of 8 bytes
+//	keys [c]cell       atomic key cells of w = 1, 2, 4 or 8 bytes, padded to
+//	                   a multiple of 8 bytes
 //	vals [c]cell       atomic payload cells
 //
 // Every key is stored as its biased form u = uint64(k) ^ 1<<63, whose
@@ -22,21 +22,24 @@ import (
 // is then key order at every width, and a key with another prefix lies
 // wholly before or after the block. The width code sits in the header's two
 // low bits, where a reader finds it before it knows the width; the capacity
-// takes the rest below the prefix: 14 bits at w = 2, 30 at w = 4, 62 at
-// w = 8. A block's width is the narrowest whose prefix every key it was
+// takes the rest below the prefix: 6 bits at w = 1, 14 at w = 2, 30 at
+// w = 4, 62 at w = 8. So a block of 1-byte cells has at most 63 of them,
+// and one of 64 (a full chunk at targetSize 32) takes 2-byte cells. A
+// block's width is the narrowest whose prefix every key it was
 // allocated for shares and whose capacity bits hold its capacity. Like the
 // capacity it never changes; a key that does not fit goes into a new, wider
 // block on the resize path (Cells.grow).
 //
-// sync/atomic has no 16-bit type, so a 2-byte cell is read and written
-// through the aligned 4-byte word that holds it and its neighbour: cell i is
-// the half at bit 16·(i&1) of word i/2. Only the node's single writer
-// stores, and it rewrites its half in a load and a store of the word.
+// sync/atomic has no 8- or 16-bit type, so a 1- or 2-byte cell is read and
+// written through the aligned 4-byte word that holds it and its neighbours:
+// cell i is the lane at bit 8w·(i mod 4/w) of word i·w/4. Only the node's
+// single writer stores, and it rewrites its lane in a load and a store of
+// the word. The scans read a whole word per load (search.go).
 //
 // A payload cell is an unsafe.Pointer in a pointer-celled chunk and a uint64
 // in a word-celled one (Cells.InitWords), so word cells are 8 bytes even
-// where pointers are 4. The key array is padded to a multiple of 8 bytes (4
-// cells of 2 bytes, 2 of 4), so every payload array starts 8-aligned on
+// where pointers are 4. The key array is padded to a multiple of 8 bytes (8
+// cells of 1 byte, 4 of 2, 2 of 4), so every payload array starts 8-aligned on
 // every platform. The Go type below names only the header. Each allocation's
 // real type is built per capacity, cell kind and width with
 // reflect.StructOf (shapeOf), so the collector scans exactly the payload
@@ -54,6 +57,7 @@ const (
 	w8 width = iota
 	w4
 	w2
+	w1
 )
 
 func (w width) bytes() uintptr { return 8 >> w }
@@ -89,7 +93,7 @@ func (b *block) width() width { return width(b.hdr & 3) }
 
 // capMask is, by width code, the capacity field of a header shifted right
 // by 2.
-var capMask = [4]uint64{1<<62 - 1, 1<<30 - 1, 1<<14 - 1}
+var capMask = [4]uint64{1<<62 - 1, 1<<30 - 1, 1<<14 - 1, 1<<6 - 1}
 
 // cap is the block's capacity.
 func (b *block) cap() int { return int(b.hdr >> 2 & capMask[b.hdr&3]) }
@@ -213,8 +217,10 @@ func (s span) width() width {
 		return w8
 	case d>>16 != 0:
 		return w4
+	case d>>8 != 0:
+		return w2
 	}
-	return w2
+	return w1
 }
 
 // span is the span of b's first s keys.
@@ -224,6 +230,8 @@ func (b *block) span(s int) span {
 	}
 	var sp span
 	switch b.width() {
+	case w1:
+		sp.lo, sp.hi = bounds[uint8](b, s)
 	case w2:
 		sp.lo, sp.hi = bounds[uint16](b, s)
 	case w4:
@@ -354,7 +362,7 @@ type shape struct {
 // microsecond, a block resize otherwise well under one. Each table is
 // indexed by capacity and replaced copy-on-write under its mu, so a hit is
 // one atomic load and one index.
-var shapes [2][3]struct {
+var shapes [2][4]struct {
 	mu  sync.Mutex
 	tab atomic.Pointer[[]*shape]
 }
@@ -390,7 +398,7 @@ func b2i(b bool) int {
 func newShape(c int, words bool, w width) *shape {
 	// The key array's padding is explicit, in whole cells, because StructOf
 	// aligns a uint64 to only 4 bytes on 32-bit platforms.
-	key := [...]reflect.Type{reflect.TypeFor[uint64](), reflect.TypeFor[uint32](), reflect.TypeFor[uint16]()}[w]
+	key := [...]reflect.Type{reflect.TypeFor[uint64](), reflect.TypeFor[uint32](), reflect.TypeFor[uint16](), reflect.TypeFor[uint8]()}[w]
 	cell, cellBytes := reflect.TypeFor[unsafe.Pointer](), ptrSize
 	if words {
 		cell, cellBytes = reflect.TypeFor[uint64](), wordSize

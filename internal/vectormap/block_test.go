@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"skipvector/internal/seqlock"
 )
@@ -16,17 +17,61 @@ import (
 // blockCap is the capacity of c's current block.
 func blockCap(c *Chunk[int64]) int { return c.blk.Load().cap() }
 
+// blockWidth is the key-cell width of c's current block.
+func blockWidth(c *Chunk[int64]) width { return c.blk.Load().width() }
+
 // filled returns a chunk of the given target size holding the keys 0, 2, …,
 // 2(n-1), inserted one at a time so its block is whatever the policy makes.
-func filled(target, n int, sorted bool) *Chunk[int64] { return filledFrom(0, target, n, sorted) }
-
-// filledFrom is filled with the keys base, base+2, …, base+2(n-1).
-func filledFrom(base int64, target, n int, sorted bool) *Chunk[int64] {
+func filled(target, n int, sorted bool) *Chunk[int64] {
 	var c Chunk[int64]
 	c.Init(target, sorted)
 	for i := 0; i < n; i++ {
-		k := base + int64(2*i)
-		c.Insert(k, val(k))
+		c.Insert(int64(2*i), val(int64(2*i)))
+	}
+	return &c
+}
+
+// spacing is one key-cell width the sizing tests run at. Its keys are
+// key(i) = 384u + 2iu for a unit u of 1, 2^8, 2^16 or 2^32, so a key lies
+// between any two neighbours, and key(-64) to key(63), which holds a full
+// chunk at targetSize 32 with room on either side, lies in one window of
+// 256u keys: they share their upper 56, 48 or 32 bits, or at u = 2^32 no
+// more than the 8-byte width needs.
+type spacing struct {
+	w    width
+	unit int64
+}
+
+var spacings = []spacing{{w1, 1}, {w2, 1 << 8}, {w4, 1 << 16}, {w8, 1 << 32}}
+
+func (g spacing) key(i int) int64 { return (384 + 2*int64(i)) * g.unit }
+
+// keys is the span of the keys key(from) to key(to-1).
+func (g spacing) keys(from, to int) span {
+	if from >= to {
+		return noKeys
+	}
+	return span{g.key(from), g.key(to - 1)}
+}
+
+// perWidth runs f as one subtest per spacing, named by its cell width.
+func perWidth(t *testing.T, f func(t *testing.T, g spacing)) {
+	for _, g := range spacings {
+		t.Run(fmt.Sprintf("%d-byte", g.w.bytes()), func(t *testing.T) {
+			if got := (span{g.key(-64), g.key(63)}).width(); got != g.w {
+				t.Fatalf("keys %d apart take %d-byte cells", 2*g.unit, got.bytes())
+			}
+			f(t, g)
+		})
+	}
+}
+
+// filledAt is filled with the keys g.key(0), …, g.key(n-1).
+func filledAt(g spacing, target, n int, sorted bool) *Chunk[int64] {
+	var c Chunk[int64]
+	c.Init(target, sorted)
+	for i := 0; i < n; i++ {
+		c.Insert(g.key(i), val(g.key(i)))
 	}
 	return &c
 }
@@ -46,66 +91,68 @@ func allocsPerOp(build func() *Chunk[int64], op func(c *Chunk[int64])) float64 {
 	})
 }
 
-// policyBase is where the keys of the policy tests start: far enough above 0
-// that a key below the smallest shares the block's 2-byte prefix.
-const policyBase = 1000
-
 // put is a key a policy test puts, and whether it extends the chunk's span.
 type put struct {
 	k       int64
 	extends bool
 }
 
-// puts are the policy tests' puts into a chunk built by filledFrom(policyBase,
-// _, n, _): one above its span, one below, and one inside it when it has two
-// keys.
-func puts(n int) []put {
-	p := []put{{policyBase + 2*int64(n), true}, {policyBase - 2, true}}
+// puts are the policy tests' puts into a chunk built by filledAt(g, _, n, _):
+// one above its span, one below, and one inside it when it has two keys.
+func (g spacing) puts(n int) []put {
+	p := []put{{g.key(n), true}, {g.key(-1), true}}
 	if n >= 2 {
-		p = append(p, put{policyBase + 2*int64(n) - 3, false})
+		p = append(p, put{g.key(n-1) - g.unit, false})
 	}
 	return p
 }
 
 // TestBlockGrowsWhenFull walks every size from empty to full and puts a key
 // above, below and inside the span: a put allocates exactly one block when,
-// and only when, the block is full. A put that extends the span grows the
-// block geometrically, to appendRoom(size) cells, and one inside it to
-// room(size), each rounded to its size class.
+// and only when, the block is full or its cells cannot hold the key (one
+// key takes 1-byte cells, and the second key of a wider spacing widens
+// them). A put that extends the span grows the block geometrically, to
+// appendRoom(size) cells, and one inside it to room(size), each rounded to
+// its size class, at the width of the keys: a block of 1-byte cells holds
+// at most 63, so the 64 of a full chunk at targetSize 32 take 2-byte cells.
 func TestBlockGrowsWhenFull(t *testing.T) {
-	for _, target := range []int{1, 2, 4, 32} {
-		bothPolicies(t, func(t *testing.T, sorted bool) {
-			limit := 2 * target
-			for n := 0; n < limit; n++ {
-				build := func() *Chunk[int64] { return filledFrom(policyBase, target, n, sorted) }
-				before := blockCap(build())
-				fresh := val(-1)
-				for _, p := range puts(n) {
-					got := allocsPerOp(build, func(c *Chunk[int64]) { c.Insert(p.k, fresh) })
-					want := 0.0
-					if n == before {
-						want = 1
-					}
-					if got != want {
-						t.Fatalf("T=%d: put of %d into %d/%d cells took %v allocations, want %v", target, p.k, n, before, got, want)
-					}
-					c := build()
-					c.Insert(p.k, fresh)
-					step := room(n)
-					if p.extends {
-						step = appendRoom(n)
-					}
-					if bc, want := blockCap(c), capFor(step, limit, false, w2); n == before && bc != want {
-						t.Fatalf("T=%d: put of %d (extends the span: %t) grew a full block of %d to %d cells, want %d",
-							target, p.k, p.extends, n, bc, want)
-					}
-					if err := c.CheckInvariants(); err != nil {
-						t.Fatalf("T=%d size %d: %v", target, n+1, err)
+	perWidth(t, func(t *testing.T, g spacing) {
+		for _, target := range []int{1, 2, 4, 32} {
+			bothPolicies(t, func(t *testing.T, sorted bool) {
+				limit := 2 * target
+				for n := 0; n < limit; n++ {
+					build := func() *Chunk[int64] { return filledAt(g, target, n, sorted) }
+					before := blockCap(build())
+					fresh := val(-1)
+					for _, p := range g.puts(n) {
+						got := allocsPerOp(build, func(c *Chunk[int64]) { c.Insert(p.k, fresh) })
+						grows := n == before || !build().blk.Load().holds(spanOf(p.k))
+						want := 0.0
+						if grows {
+							want = 1
+						}
+						if got != want {
+							t.Fatalf("T=%d: put of %d into %d/%d cells took %v allocations, want %v", target, p.k, n, before, got, want)
+						}
+						c := build()
+						c.Insert(p.k, fresh)
+						step := room(n)
+						if p.extends {
+							step = appendRoom(n)
+						}
+						bc, bw := blockCap(c), blockWidth(c)
+						if want, ww := sized(step, limit, false, g.keys(0, n).with(spanOf(p.k))); grows && (bc != want || bw != ww) {
+							t.Fatalf("T=%d: put of %d (extends the span: %t) grew a block of %d/%d cells to %d cells of %d bytes, want %d of %d",
+								target, p.k, p.extends, n, before, bc, bw.bytes(), want, ww.bytes())
+						}
+						if err := c.CheckInvariants(); err != nil {
+							t.Fatalf("T=%d size %d: %v", target, n+1, err)
+						}
 					}
 				}
-			}
-		})
-	}
+			})
+		}
+	})
 }
 
 // TestBlockDescendingAppendsGrowGeometrically: keys inserted in descending
@@ -116,137 +163,148 @@ func TestBlockGrowsWhenFull(t *testing.T) {
 // block takes 8-byte cells from the start, so the first key after it does
 // not widen the block.
 func TestBlockDescendingAppendsGrowGeometrically(t *testing.T) {
-	for _, target := range []int{1, 2, 4, 32} {
-		bothPolicies(t, func(t *testing.T, sorted bool) {
-			limit := 2 * target
-			var grows [3]int
-			for run, step := range []int64{2, -2, -2} {
-				var c Chunk[int64]
-				c.Init(target, sorted)
-				w, n0 := w2, 0
-				if run == 2 {
-					c.Insert(NegInf, val(0))
-					if c.KeyBytes() != 8 {
-						t.Fatalf("a block holding only NegInf has %d-byte cells, want 8", c.KeyBytes())
-					}
-					w, n0 = w8, 1
-				}
-				for n, k := n0, int64(policyBase); n < limit; n, k = n+1, k+step {
-					before := blockCap(&c)
-					c.Insert(k, val(k))
-					if n < before {
-						continue
-					}
-					grows[run]++
-					if bc, want := blockCap(&c), capFor(appendRoom(n), limit, false, w); bc != want {
-						t.Fatalf("T=%d: append of %d (step %d) grew a full block of %d to %d cells, want %d", target, k, step, n, bc, want)
-					}
-				}
-				if err := c.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if grows[0] != grows[1] {
-				t.Fatalf("T=%d: ascending appends grew the block %d times, descending ones %d", target, grows[0], grows[1])
-			}
-		})
-	}
-}
-
-// TestBlockShrinksBelowTwoThirds drains a full chunk one key at a time: a
-// removal allocates exactly one smaller block, of room(left) cells, when the
-// geometric step around what it leaves, appendRoom(left) cells, fits a
-// smaller size class than the block's own (below about ⅔ full), and the last
-// removal drops to the shared empty block for free.
-func TestBlockShrinksBelowTwoThirds(t *testing.T) {
-	for _, target := range []int{1, 2, 4, 32} {
-		bothPolicies(t, func(t *testing.T, sorted bool) {
-			limit := 2 * target
-			// drained holds the keys 2i for i in [0, n) after removing the
-			// upper ones from a full chunk, one at a time.
-			drained := func(n int) *Chunk[int64] {
-				c := filled(target, limit, sorted)
-				for i := limit - 1; i >= n; i-- {
-					c.Remove(int64(2 * i))
-				}
-				return c
-			}
-			shrank := 0
-			for n := limit; n > 0; n-- {
-				before := blockCap(drained(n))
-				got := allocsPerOp(func() *Chunk[int64] { return drained(n) },
-					func(c *Chunk[int64]) { c.Remove(int64(2 * (n - 1))) })
-				left := n - 1
-				shrinks := left > 0 && capFor(appendRoom(left), limit, false, w2) < before
-				want := 0.0
-				if shrinks {
-					want = 1
-					shrank++
-				}
-				if got != want {
-					t.Fatalf("T=%d: removal leaving %d in %d cells took %v allocations, want %v", target, left, before, got, want)
-				}
-				c := drained(left)
-				switch bc := blockCap(c); {
-				case left == 0 && c.blk.Load() != &emptyBlock:
-					t.Fatalf("T=%d: empty chunk kept a block of %d cells", target, bc)
-				case shrinks && bc != capFor(room(left), limit, false, w2):
-					t.Fatalf("T=%d: shrank to %d cells around %d elements, want %d", target, bc, left, capFor(room(left), limit, false, w2))
-				case shrinks && 3*left >= 2*before:
-					t.Fatalf("T=%d: shrank a block of %d cells holding %d, at least ⅔ full", target, before, left)
-				case !shrinks && left > 0 && bc != before:
-					t.Fatalf("T=%d: removal leaving %d of %d cells resized to %d", target, left, before, bc)
-				}
-				if err := c.CheckInvariants(); err != nil {
-					t.Fatalf("T=%d size %d: %v", target, left, err)
-				}
-			}
-			if target == 32 && shrank == 0 {
-				t.Fatal("T=32: draining a full chunk never shrank its block")
-			}
-		})
-	}
-}
-
-// TestBlockNoPingPong: inserting a key and removing it again, ten times over,
-// allocates at most one block in total, at every size, with the key above,
-// below or inside the span. It counts the blocks the chunk publishes over all
-// ten pairs: testing.AllocsPerRun would hide the first pair in its unmeasured
-// warm-up run, and runtime.MemStats counts every allocation in the process,
-// which under -race, with other test binaries running beside this one, also
-// saw allocations no chunk made.
-func TestBlockNoPingPong(t *testing.T) {
-	for _, target := range []int{1, 2, 4, 32} {
-		bothPolicies(t, func(t *testing.T, sorted bool) {
-			fresh := val(-1)
-			for n := 1; n < 2*target; n++ {
-				for _, p := range puts(n) {
-					c := filledFrom(policyBase, target, n, sorted)
-					allocs := 0
-					counted := func(op func() bool) {
-						b := c.blk.Load()
-						if !op() {
-							t.Fatalf("T=%d: an insert or removal of %d at size %d did nothing", target, p.k, n)
+	perWidth(t, func(t *testing.T, g spacing) {
+		for _, target := range []int{1, 2, 4, 32} {
+			bothPolicies(t, func(t *testing.T, sorted bool) {
+				limit := 2 * target
+				var grows [3]int
+				for run, step := range []int{1, -1, -1} {
+					var c Chunk[int64]
+					c.Init(target, sorted)
+					sp, n0 := noKeys, 0
+					if run == 2 {
+						c.Insert(NegInf, val(0))
+						if c.KeyBytes() != 8 {
+							t.Fatalf("a block holding only NegInf has %d-byte cells, want 8", c.KeyBytes())
 						}
-						if nb := c.blk.Load(); nb != b && nb != &emptyBlock {
-							allocs++
+						sp, n0 = spanOf(NegInf), 1
+					}
+					for n, i := n0, 0; n < limit; n, i = n+1, i+step {
+						k := g.key(i)
+						before := blockCap(&c)
+						c.Insert(k, val(k))
+						if sp = sp.with(spanOf(k)); n < before {
+							continue
 						}
-					}
-					for range 10 {
-						counted(func() bool { return c.Insert(p.k, fresh) })
-						counted(func() bool { _, ok := c.Remove(p.k); return ok })
-					}
-					if allocs > 1 {
-						t.Fatalf("T=%d: 10 insert/remove pairs of %d at size %d allocated %d blocks, want at most 1",
-							target, p.k, n, allocs)
+						grows[run]++
+						want, ww := sized(appendRoom(n), limit, false, sp)
+						if bc, bw := blockCap(&c), blockWidth(&c); bc != want || bw != ww {
+							t.Fatalf("T=%d: append of %d (step %d) grew a full block of %d to %d cells of %d bytes, want %d of %d",
+								target, k, step, n, bc, bw.bytes(), want, ww.bytes())
+						}
 					}
 					if err := c.CheckInvariants(); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-		})
-	}
+				if grows[0] != grows[1] {
+					t.Fatalf("T=%d: ascending appends grew the block %d times, descending ones %d", target, grows[0], grows[1])
+				}
+			})
+		}
+	})
+}
+
+// TestBlockShrinksBelowTwoThirds drains a full chunk one key at a time: a
+// removal allocates exactly one smaller block, of room(left) cells, when the
+// geometric step around what it leaves, appendRoom(left) cells, fits a
+// smaller size class than the block's own at its own width (below about ⅔
+// full), and the last removal drops to the shared empty block for free.
+func TestBlockShrinksBelowTwoThirds(t *testing.T) {
+	perWidth(t, func(t *testing.T, g spacing) {
+		for _, target := range []int{1, 2, 4, 32} {
+			bothPolicies(t, func(t *testing.T, sorted bool) {
+				limit := 2 * target
+				// drained holds the keys g.key(i) for i in [0, n) after
+				// removing the upper ones from a full chunk, one at a time.
+				drained := func(n int) *Chunk[int64] {
+					c := filledAt(g, target, limit, sorted)
+					for i := limit - 1; i >= n; i-- {
+						c.Remove(g.key(i))
+					}
+					return c
+				}
+				shrank := 0
+				for n := limit; n > 0; n-- {
+					before, bw := blockCap(drained(n)), blockWidth(drained(n))
+					got := allocsPerOp(func() *Chunk[int64] { return drained(n) },
+						func(c *Chunk[int64]) { c.Remove(g.key(n - 1)) })
+					left := n - 1
+					shrinks := left > 0 && capFor(appendRoom(left), limit, false, bw) < before
+					want := 0.0
+					if shrinks {
+						want = 1
+						shrank++
+					}
+					if got != want {
+						t.Fatalf("T=%d: removal leaving %d in %d cells took %v allocations, want %v", target, left, before, got, want)
+					}
+					c := drained(left)
+					wantCap, wantW := sized(room(left), limit, false, g.keys(0, left))
+					switch bc := blockCap(c); {
+					case left == 0 && c.blk.Load() != &emptyBlock:
+						t.Fatalf("T=%d: empty chunk kept a block of %d cells", target, bc)
+					case shrinks && (bc != wantCap || blockWidth(c) != wantW):
+						t.Fatalf("T=%d: shrank to %d cells of %d bytes around %d elements, want %d of %d",
+							target, bc, blockWidth(c).bytes(), left, wantCap, wantW.bytes())
+					case shrinks && 3*left >= 2*before:
+						t.Fatalf("T=%d: shrank a block of %d cells holding %d, at least ⅔ full", target, before, left)
+					case !shrinks && left > 0 && bc != before:
+						t.Fatalf("T=%d: removal leaving %d of %d cells resized to %d", target, left, before, bc)
+					}
+					if err := c.CheckInvariants(); err != nil {
+						t.Fatalf("T=%d size %d: %v", target, left, err)
+					}
+				}
+				if target == 32 && shrank == 0 {
+					t.Fatal("T=32: draining a full chunk never shrank its block")
+				}
+			})
+		}
+	})
+}
+
+// TestBlockNoPingPong: inserting a key and removing it again, ten times over,
+// allocates at most one block in total, at every size and width, with the
+// key above, below or inside the span. It counts the blocks the chunk
+// publishes over all ten pairs: testing.AllocsPerRun would hide the first
+// pair in its unmeasured warm-up run, and runtime.MemStats counts every
+// allocation in the process, which under -race, with other test binaries
+// running beside this one, also saw allocations no chunk made.
+func TestBlockNoPingPong(t *testing.T) {
+	perWidth(t, func(t *testing.T, g spacing) {
+		for _, target := range []int{1, 2, 4, 32} {
+			bothPolicies(t, func(t *testing.T, sorted bool) {
+				fresh := val(-1)
+				for n := 1; n < 2*target; n++ {
+					for _, p := range g.puts(n) {
+						c := filledAt(g, target, n, sorted)
+						allocs := 0
+						counted := func(op func() bool) {
+							b := c.blk.Load()
+							if !op() {
+								t.Fatalf("T=%d: an insert or removal of %d at size %d did nothing", target, p.k, n)
+							}
+							if nb := c.blk.Load(); nb != b && nb != &emptyBlock {
+								allocs++
+							}
+						}
+						for range 10 {
+							counted(func() bool { return c.Insert(p.k, fresh) })
+							counted(func() bool { _, ok := c.Remove(p.k); return ok })
+						}
+						if allocs > 1 {
+							t.Fatalf("T=%d: 10 insert/remove pairs of %d at size %d allocated %d blocks, want at most 1",
+								target, p.k, n, allocs)
+						}
+						if err := c.CheckInvariants(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	})
 }
 
 // TestBlockMovesSizeDestinationOnce: a split destination gets one block, with
@@ -257,93 +315,105 @@ func TestBlockNoPingPong(t *testing.T) {
 // block is too small.
 func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 	const target, limit = 32, 64
-	bothPolicies(t, func(t *testing.T, sorted bool) {
-		sized := func(n int) func() *Chunk[int64] {
-			return func() *Chunk[int64] { return filled(target, n, sorted) }
-		}
-		// Destinations are built outside the measured runs.
-		var dsts []*Chunk[int64]
-		dstPool := func() func() *Chunk[int64] {
-			dsts = dsts[:0]
-			for range 9 {
-				dsts = append(dsts, filled(target, 0, sorted))
+	perWidth(t, func(t *testing.T, g spacing) {
+		bothPolicies(t, func(t *testing.T, sorted bool) {
+			holding := func(n int) func() *Chunk[int64] {
+				return func() *Chunk[int64] { return filledAt(g, target, n, sorted) }
 			}
-			i := 0
-			return func() *Chunk[int64] { i++; return dsts[i-1] }
-		}
-		// shrinks reports whether a block of c cells left holding n shrinks.
-		shrinks := func(n, c int) bool { return capFor(appendRoom(n), limit, false, w2) < c }
-		next := dstPool()
-		// The destination and the source's smaller block; an unsorted split
-		// picks its median in a stack copy of the keys.
-		want := 2.0
-		if got := allocsPerOp(sized(limit), func(c *Chunk[int64]) { c.SplitUpperHalfTo(next()) }); got != want {
-			t.Fatalf("capacity split took %v allocations, want %v", got, want)
-		}
-		half := capFor(room(target), limit, false, w2)
-		for _, d := range dsts {
-			if d.Size() != target || blockCap(d) != half {
-				t.Fatalf("split destination holds %d in %d cells, want %d in %d", d.Size(), blockCap(d), target, half)
+			// Destinations are built outside the measured runs.
+			var dsts []*Chunk[int64]
+			dstPool := func() func() *Chunk[int64] {
+				dsts = dsts[:0]
+				for range 9 {
+					dsts = append(dsts, filledAt(g, target, 0, sorted))
+				}
+				i := 0
+				return func() *Chunk[int64] { i++; return dsts[i-1] }
 			}
-		}
-		split := filled(target, limit, sorted)
-		split.SplitUpperHalfTo(filled(target, 0, sorted))
-		if split.Size() != target || blockCap(split) != half {
-			t.Fatalf("split source holds %d in %d cells, want %d in %d", split.Size(), blockCap(split), target, half)
-		}
+			// shrinks reports whether the block of c holding n shrinks.
+			shrinks := func(n int, c *Chunk[int64]) bool {
+				return capFor(appendRoom(n), limit, false, blockWidth(c)) < blockCap(c)
+			}
+			next := dstPool()
+			// The destination and the source's smaller block; an unsorted
+			// split picks its median in a stack copy of the keys.
+			want := 2.0
+			if got := allocsPerOp(holding(limit), func(c *Chunk[int64]) { c.SplitUpperHalfTo(next()) }); got != want {
+				t.Fatalf("capacity split took %v allocations, want %v", got, want)
+			}
+			half, halfW := sized(room(target), limit, false, g.keys(target, limit))
+			for _, d := range dsts {
+				if d.Size() != target || blockCap(d) != half || blockWidth(d) != halfW {
+					t.Fatalf("split destination holds %d in %d cells of %d bytes, want %d in %d of %d",
+						d.Size(), blockCap(d), blockWidth(d).bytes(), target, half, halfW.bytes())
+				}
+			}
+			split := filledAt(g, target, limit, sorted)
+			split.SplitUpperHalfTo(filledAt(g, target, 0, sorted))
+			if half, halfW = sized(room(target), limit, false, g.keys(0, target)); split.Size() != target ||
+				blockCap(split) != half || blockWidth(split) != halfW {
+				t.Fatalf("split source holds %d in %d cells of %d bytes, want %d in %d of %d",
+					split.Size(), blockCap(split), blockWidth(split).bytes(), target, half, halfW.bytes())
+			}
 
-		// A keyed split allocates the destination, and a smaller source
-		// when what it keeps shrinks.
-		for _, tc := range []struct {
-			k    int64
-			kept int
-		}{{50, 26}, {60, 31}, {10, 6}, {1000, 40}} {
-			c := filled(target, 40, sorted)
-			before := blockCap(c)
-			moved := c.Size() - tc.kept
-			want, cells := 0.0, before
-			if moved > 0 {
-				want++
+			// A keyed split allocates the destination, and a smaller source
+			// when what it keeps shrinks.
+			for _, tc := range []struct {
+				k    int64
+				kept int
+			}{{g.key(25), 26}, {g.key(30), 31}, {g.key(5), 6}, {g.key(40), 40}} {
+				c := filledAt(g, target, 40, sorted)
+				before := blockCap(c)
+				moved := c.Size() - tc.kept
+				want, cells := 0.0, before
+				if moved > 0 {
+					want++
+				}
+				if shrinks(tc.kept, c) {
+					want++
+					cells, _ = sized(room(tc.kept), limit, false, g.keys(0, tc.kept))
+				}
+				next = dstPool()
+				if got := allocsPerOp(holding(40), func(c *Chunk[int64]) { c.MoveGreaterTo(tc.k, next()) }); got != want {
+					t.Fatalf("keyed split at %d took %v allocations, want %v", tc.k, got, want)
+				}
+				c.MoveGreaterTo(tc.k, filledAt(g, target, 0, sorted))
+				if c.Size() != tc.kept || blockCap(c) != cells {
+					t.Fatalf("keyed split at %d left %d in %d cells (had %d), want %d in %d",
+						tc.k, c.Size(), blockCap(c), before, tc.kept, cells)
+				}
 			}
-			if shrinks(tc.kept, before) {
-				want, cells = want+1, capFor(room(tc.kept), limit, false, w2)
-			}
-			next = dstPool()
-			if got := allocsPerOp(sized(40), func(c *Chunk[int64]) { c.MoveGreaterTo(tc.k, next()) }); got != want {
-				t.Fatalf("keyed split at %d took %v allocations, want %v", tc.k, got, want)
-			}
-			c.MoveGreaterTo(tc.k, filled(target, 0, sorted))
-			if c.Size() != tc.kept || blockCap(c) != cells {
-				t.Fatalf("keyed split at %d left %d in %d cells (had %d), want %d in %d",
-					tc.k, c.Size(), blockCap(c), before, tc.kept, cells)
-			}
-		}
 
-		// Absorbing fits or grows once.
-		src := func(n int) *Chunk[int64] {
-			var s Chunk[int64]
-			s.Init(target, sorted)
-			for i := 0; i < n; i++ {
-				s.Insert(int64(1000+i), val(int64(i)))
+			// Absorbing fits or grows once.
+			for _, tc := range []struct{ have, take int }{{20, 2}, {20, 30}, {40, 24}} {
+				src := func() *Chunk[int64] {
+					var s Chunk[int64]
+					s.Init(target, sorted)
+					for i := tc.have; i < tc.have+tc.take; i++ {
+						s.Insert(g.key(i), val(int64(i)))
+					}
+					return &s
+				}
+				have := filledAt(g, target, tc.have, sorted)
+				want := 0.0
+				if tc.have+tc.take > blockCap(have) {
+					want = 1
+				}
+				srcs := make([]*Chunk[int64], 0, 9)
+				for range 9 {
+					srcs = append(srcs, src())
+				}
+				got := allocsPerOp(func() *Chunk[int64] { return filledAt(g, target, tc.have, sorted) },
+					func(c *Chunk[int64]) { c.AbsorbFrom(srcs[0]); srcs = srcs[1:] })
+				if got != want {
+					t.Fatalf("absorbing %d into %d/%d cells took %v allocations, want %v", tc.take, tc.have, blockCap(have), got, want)
+				}
+				have.AbsorbFrom(src())
+				if err := have.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			return &s
-		}
-		for _, tc := range []struct{ have, take int }{{20, 2}, {20, 30}, {40, 24}} {
-			have := filled(target, tc.have, sorted)
-			want := 0.0
-			if tc.have+tc.take > blockCap(have) {
-				want = 1
-			}
-			srcs := make([]*Chunk[int64], 0, 9)
-			for range 9 {
-				srcs = append(srcs, src(tc.take))
-			}
-			got := allocsPerOp(func() *Chunk[int64] { return filled(target, tc.have, sorted) },
-				func(c *Chunk[int64]) { c.AbsorbFrom(srcs[0]); srcs = srcs[1:] })
-			if got != want {
-				t.Fatalf("absorbing %d into %d/%d cells took %v allocations, want %v", tc.take, tc.have, blockCap(have), got, want)
-			}
-		}
+		})
 	})
 }
 
@@ -409,7 +479,7 @@ func TestBlockReserveKeys(t *testing.T) {
 func TestBlockBytes(t *testing.T) {
 	const chunks = 64
 	for _, words := range []bool{false, true} {
-		for _, gap := range []int64{1, 1 << 16, 1 << 32} {
+		for _, gap := range []int64{1, 1 << 8, 1 << 16, 1 << 32} {
 			for n := 1; n <= 64; n++ {
 				fresh := func() []Cells {
 					cs := make([]Cells, chunks)
@@ -455,9 +525,10 @@ func TestBlockBytes(t *testing.T) {
 // keeps replacing the chunk's block: it fills the chunk, drains it, and
 // splits and re-absorbs it, every step under a seqlock write hold as a skip
 // vector node does, and grows the block for an insert while the lock is only
-// frozen, as Insert does. The keys are 2^12 apart and straddle 2^32, so 16
-// of them share each 2^16 window: blocks go between 2-, 4- and 8-byte key
-// cells. An insert from another window or across 2^32 widens the block,
+// frozen, as Insert does. The keys come in groups of four, 16 apart inside
+// one 2^8 window, with the groups 2^14 apart and straddling 2^32, so four
+// groups share each 2^16 window: blocks go between 1-, 2-, 4- and 8-byte
+// key cells. An insert from another window or across 2^32 widens the block,
 // while frozen or under the write hold, and a shrink, split or merge that
 // leaves fewer windows narrows it. Readers never lock. A read may see
 // anything while a write is in flight, but it must not panic, and every
@@ -467,8 +538,9 @@ func TestChunkConcurrentResize(t *testing.T) {
 	const (
 		target       = 8
 		keySpace     = 48
-		stride       = 1 << 12
-		base         = 1<<32 - keySpace/2*stride // keys base, base+stride, …
+		group        = 4
+		stride       = 1 << 14
+		base         = 1<<32 - keySpace/group/2*stride // groups at base, base+stride, …
 		cycles       = 150
 		minValidated = 5000
 	)
@@ -480,7 +552,7 @@ func TestChunkConcurrentResize(t *testing.T) {
 		)
 		c.Init(target, sorted)
 		d.Init(target, sorted)
-		key := func(k int) int64 { return base + int64(k)*stride }
+		key := func(k int) int64 { return base + int64(k/group)*stride + int64(k%group)*16 }
 		payload := make([]*int64, keySpace)
 		for k := range payload {
 			payload[k] = val(key(k) * 3)
@@ -631,7 +703,7 @@ func TestChunkConcurrentResize(t *testing.T) {
 		if validated.Load() == 0 {
 			t.Fatal("no read validated; the test exercised nothing")
 		}
-		for _, w := range [][2]int{{2, 4}, {4, 8}, {2, 8}, {8, 2}} {
+		for _, w := range [][2]int{{1, 2}, {2, 4}, {4, 8}, {2, 8}, {8, 2}, {2, 1}} {
 			if moves[w[0]][w[1]] == 0 {
 				t.Fatalf("no block of %d-byte keys replaced one of %d-byte keys (%v)", w[1], w[0], moves)
 			}
@@ -644,82 +716,90 @@ func TestChunkConcurrentResize(t *testing.T) {
 
 // TestWordCellsFollowTheSizingPolicy runs a word-celled chunk through the
 // same grow, shrink, split and merge steps as the pointer-celled tests
-// above: every resize lands on the word-cell size class, every value —
-// including 0 — survives each block copy, and the chunk invariant holds
-// throughout.
+// above, at every key width: every resize lands on the word-cell size class
+// at the width of its keys, every value — including 0 — survives each block
+// copy, and the chunk invariant holds throughout.
 func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
 	const target, limit = 32, 64
-	bothPolicies(t, func(t *testing.T, sorted bool) {
-		word := func(k int64) Cell { return Cell{Word: uint64(k) * 3} }
-		var c, d Cells
-		c.InitWords(target, sorted)
-		d.InitWords(target, sorted)
-		check := func(ch *Cells, keys ...int64) {
-			t.Helper()
-			if err := ch.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range keys {
-				if v, ok := ch.Get(k); !ok || v != word(k) {
-					t.Fatalf("Get(%d) = %+v, %t", k, v, ok)
+	perWidth(t, func(t *testing.T, g spacing) {
+		bothPolicies(t, func(t *testing.T, sorted bool) {
+			word := func(k int64) Cell { return Cell{Word: uint64(k) * 3} }
+			var c, d Cells
+			c.InitWords(target, sorted)
+			d.InitWords(target, sorted)
+			check := func(ch *Cells, keys ...int64) {
+				t.Helper()
+				if err := ch.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range keys {
+					if v, ok := ch.Get(k); !ok || v != word(k) {
+						t.Fatalf("Get(%d) = %+v, %t", k, v, ok)
+					}
 				}
 			}
-		}
-		// Appends grow the block by the geometric step.
-		var keys []int64
-		for n := 0; n < limit; n++ {
-			before := c.blk.Load().cap()
-			c.Insert(int64(n), word(int64(n)))
-			keys = append(keys, int64(n))
-			if n == before {
-				if bc := c.blk.Load().cap(); bc != capFor(appendRoom(n), limit, true, w2) {
-					t.Fatalf("an append grew a full block of %d to %d cells, want %d", n, bc, capFor(appendRoom(n), limit, true, w2))
+			grew := func(ch *Cells, n, step int, sp span) {
+				t.Helper()
+				want, ww := sized(step, limit, true, sp)
+				if b := ch.blk.Load(); b.cap() != want || b.width() != ww {
+					t.Fatalf("a put grew a full block of %d to %d cells of %d bytes, want %d of %d",
+						n, b.cap(), b.width().bytes(), want, ww.bytes())
 				}
 			}
+			// Appends grow the block by the geometric step.
+			var keys []int64
+			for n := 0; n < limit; n++ {
+				before := c.blk.Load().cap()
+				c.Insert(g.key(n), word(g.key(n)))
+				keys = append(keys, g.key(n))
+				if n == before {
+					grew(&c, n, appendRoom(n), g.keys(0, n+1))
+				}
+				check(&c, keys...)
+			}
+			// Puts between two ends grow it by room.
+			var e Cells
+			e.InitWords(target, sorted)
+			inside := []int64{g.key(-64), g.key(63)}
+			for _, k := range inside {
+				e.Insert(k, word(k))
+			}
+			for n := 2; n < limit; n++ {
+				before := e.blk.Load().cap()
+				k := g.key(2*n - 64)
+				e.Insert(k, word(k))
+				inside = append(inside, k)
+				if n == before {
+					grew(&e, n, room(n), g.keys(-64, 64))
+				}
+				check(&e, inside...)
+			}
+			pivot, _ := slices.BinarySearch(keys, c.SplitUpperHalfTo(&d))
+			check(&c, keys[:pivot]...)
+			check(&d, keys[pivot:]...)
+			c.AbsorbFrom(&d)
 			check(&c, keys...)
-		}
-		// Puts between two ends grow it by room.
-		var e Cells
-		e.InitWords(target, sorted)
-		e.Insert(0, word(0))
-		e.Insert(1000, word(1000))
-		inside := []int64{0, 1000}
-		for n := 2; n < limit; n++ {
-			before := e.blk.Load().cap()
-			k := int64(n * 7)
-			e.Insert(k, word(k))
-			inside = append(inside, k)
-			if n == before {
-				if bc := e.blk.Load().cap(); bc != capFor(room(n), limit, true, w2) {
-					t.Fatalf("a put inside the span grew a full block of %d to %d cells, want %d", n, bc, capFor(room(n), limit, true, w2))
+			for len(keys) > 1 {
+				k := keys[len(keys)-1]
+				keys = keys[:len(keys)-1]
+				if v, ok := c.Remove(k); !ok || v != word(k) {
+					t.Fatalf("Remove(%d) = %+v, %t", k, v, ok)
 				}
+				check(&c, keys...)
 			}
-			check(&e, inside...)
-		}
-		pivot := c.SplitUpperHalfTo(&d)
-		check(&c, keys[:pivot]...)
-		check(&d, keys[pivot:]...)
-		c.AbsorbFrom(&d)
-		check(&c, keys...)
-		for len(keys) > 1 {
-			k := keys[len(keys)-1]
-			keys = keys[:len(keys)-1]
-			if v, ok := c.Remove(k); !ok || v != word(k) {
-				t.Fatalf("Remove(%d) = %+v, %t", k, v, ok)
-			}
-			check(&c, keys...)
-		}
+		})
 	})
 }
 
-// TestBlockWidensAndNarrows walks one chunk through the three key widths and
-// back: keys in one 2^16 window take 2-byte cells; a put from another window
-// below the same 2^32 widens the block to 4-byte cells, and one across 2^32
-// to 8-byte cells, each at once, by one resize, whether or not the block is
-// full. A block keeps its width until its next resize, which narrows it
-// again once the foreign keys are gone. Splits, merges and batches choose
-// the width from the keys they move. The chunk invariant holds after every
-// step, and every key keeps its payload.
+// TestBlockWidensAndNarrows walks one chunk through the four key widths and
+// back: keys in one 2^8 window take 1-byte cells; a put from another 2^8
+// window of the same 2^16 one widens the block to 2-byte cells, one from
+// another 2^16 window below the same 2^32 to 4-byte cells, and one across
+// 2^32 to 8-byte cells, each at once, by one resize, whether or not the
+// block is full. A block keeps its width until its next resize, which
+// narrows it again once the foreign keys are gone. Splits, merges and
+// batches choose the width from the keys they move. The chunk invariant
+// holds after every step, and every key keeps its payload.
 func TestBlockWidensAndNarrows(t *testing.T) {
 	const (
 		hi  = 1 << 32
@@ -771,12 +851,18 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 		for k := int64(win - 10); k < win; k++ {
 			insert(k)
 		}
-		step("ten keys below a window boundary", c, 2)
+		step("ten keys below a window boundary", c, 1)
+		if got, want := c.blk.Load().hdr>>8, (uint64(win-1)^signBit)>>8; got != want {
+			t.Fatalf("1-byte block keeps prefix %#x, want %#x", got, want)
+		}
+		insert(win - 257)
+		step("a key in the 2^8 window below", c, 2)
 		if got, want := c.blk.Load().hdr>>16, (uint64(win-1)^signBit)>>16; got != want {
 			t.Fatalf("2-byte block keeps prefix %#x, want %#x", got, want)
 		}
+		remove(win - 257)
 		fresh := val(0)
-		for _, k := range []int64{1 << 16, hi} {
+		for _, k := range []int64{1 << 8, 1 << 16, hi} {
 			if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 10, sorted) },
 				func(c *Chunk[int64]) { c.Insert(k, fresh) }); got != 1 {
 				t.Fatalf("a put of %d into 10/%d cells took %v allocations, want 1", k, blockCap(filled(32, 10, sorted)), got)
@@ -808,8 +894,8 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 		}
 		step("keys on both sides of the window", c, 4)
 		c.MoveGreaterTo(win-1, &d)
-		step("split destination past the window", &d, 2)
-		if d.blk.Load().hdr>>16 != (uint64(win)^signBit)>>16 || d.Size() != 4 {
+		step("split destination past the window", &d, 1)
+		if d.blk.Load().hdr>>8 != (uint64(win)^signBit)>>8 || d.Size() != 4 {
 			t.Fatalf("split destination holds %d keys under header %#x", d.Size(), d.blk.Load().hdr)
 		}
 		c.AbsorbFrom(&d)
@@ -850,7 +936,7 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 			delete(model, k)
 		}
 		c.ApplyOps(ops, out[:len(ops)])
-		step("batch shrink to the keys ≥ 0", c, 2)
+		step("batch shrink to the keys ≥ 0", c, 1)
 		check("batch shrink")
 
 		// A foreign key into a block with room to spare widens it once, for
@@ -858,7 +944,7 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 		for _, tc := range []struct {
 			k        int64
 			keyBytes int
-		}{{1 << 16, 4}, {hi + 1, 8}} {
+		}{{1 << 8, 2}, {1 << 16, 4}, {hi + 1, 8}} {
 			widen := []SlotOp[int64]{{Key: tc.k, Val: fresh}, {Key: 1, Val: fresh}, {Key: 3, Val: fresh}}
 			out = make([]SlotOutcome, len(widen))
 			if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 3, sorted) },
@@ -866,7 +952,7 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 				t.Fatalf("a batch led by key %d took %v allocations, want 1", tc.k, got)
 			}
 			w := filled(32, 3, sorted)
-			if w.Full() || w.KeyBytes() != 2 || w.Size() == blockCap(w) {
+			if w.Full() || w.KeyBytes() != 1 || w.Size() == blockCap(w) {
 				t.Fatalf("setup: 3 keys in %d cells of %d bytes", blockCap(w), w.KeyBytes())
 			}
 			w.ApplyOps(widen, out)
@@ -896,5 +982,26 @@ func TestTwoByteStoreKeepsItsNeighbour(t *testing.T) {
 	}
 	if got := atomic.LoadUint32((*uint32)(b.keys())); got != 0x2222_1111 {
 		t.Fatalf("word 0 is %#x, want cell 0 in its low half and cell 1 in its high half", got)
+	}
+}
+
+// TestOneByteStoreKeepsItsNeighbours: a 1-byte cell shares its 4-byte word
+// with three others, and storing one rewrites only its own lane.
+func TestOneByteStoreKeepsItsNeighbours(t *testing.T) {
+	b := newBlock(8, true, w1, spanOf(0))
+	for i := range 8 {
+		b.storeKey(i, int64(0x11*(i+1)))
+	}
+	b.storeKey(2, 0xff)
+	b.storeKey(5, 0)
+	for i, want := range []int64{0x11, 0x22, 0xff, 0x44, 0x55, 0, 0x77, 0x88} {
+		if got := b.loadKey(i); got != want {
+			t.Fatalf("cell %d holds %#x, want %#x", i, got, want)
+		}
+	}
+	for i, want := range []uint32{0x44ff_2211, 0x8877_0055} {
+		if got := atomic.LoadUint32((*uint32)(unsafe.Add(b.keys(), 4*i))); got != want {
+			t.Fatalf("word %d is %#x, want %#x: cell 4i in its low byte, the next three above", i, got, want)
+		}
 	}
 }

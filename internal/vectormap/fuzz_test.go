@@ -9,17 +9,22 @@ import (
 // FuzzChunkModel drives a chunk with an op byte-stream cross-checked
 // against a map model, and a word-celled twin (InitWords) with the same ops,
 // whose payload words — 0 included — must match the model too. The 16 keys
-// start at base, so a base just below a multiple of 2^16 puts them in two
-// 2^16 windows and drives the blocks between 2- and 4-byte key cells, and
-// one just below a multiple of 2^32 (or wrapping past PosInf) between 2- and
-// 8-byte cells. Run with `go test -fuzz FuzzChunkModel` for
+// start at base, so they share one 2^8 window and take 1-byte key cells
+// unless base lies just below a window boundary: a multiple of 2^8 puts them
+// in two 2^8 windows and drives the blocks between 1- and 2-byte cells, one
+// of 2^16 between 1- and 4-byte cells, and one of 2^32 (or wrapping past
+// PosInf) between 1- and 8-byte cells. Run with `go test -fuzz FuzzChunkModel` for
 // continuous fuzzing; `go test` replays the seed corpus.
 func FuzzChunkModel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, true, int64(0))
 	f.Add([]byte{10, 200, 30, 40, 5, 60, 7, 80}, false, int64(0))
 	f.Add([]byte{255, 255, 0, 0, 128, 128}, true, int64(0))
-	// Across a prefix boundary: 2^16, 2^32, 0 and the PosInf/NegInf wrap.
+	// Across a prefix boundary: 2^8, 2^16, 2^32, 0 and the PosInf/NegInf
+	// wrap.
 	across := []byte{0, 15, 1, 14, 2, 13, 3, 12, 4, 11, 5, 10, 6, 9, 7, 8, 23, 24, 40, 47, 8, 7}
+	f.Add(across, true, int64(1<<8-8))
+	f.Add(across, false, int64(7<<8-8))
+	f.Add(across, false, int64(-1<<8-8))
 	f.Add(across, true, int64(1<<16-8))
 	f.Add(across, false, int64(5<<16-8))
 	f.Add(across, false, int64(-1<<16-8))
@@ -87,16 +92,17 @@ func FuzzChunkModel(f *testing.F) {
 }
 
 // FuzzLowerBound is the differential proof obligation for the branchless
-// search (search.go), over all three key widths: on every *non-decreasing*
+// search (search.go), over all four key widths: on every *non-decreasing*
 // key array — duplicates included — lowerBound/upperBound must agree
 // exactly with the reference binary searches, and on *arbitrary* array
 // contents (the torn sizes and mid-shift states an optimistic reader can
 // observe before seqlock validation rejects them) both must still terminate
 // with a result in [0, s]. Keys are raw little-endian int64s so the fuzzer
 // can reach the sentinel extremes (NegInf/PosInf) where the sign bias
-// matters. The same keys also fill a block of 4-byte and one of 2-byte cells
-// under the first key's prefix, keeping their low 32 or 16 biased bits, so
-// each narrow kernel meets probes from its own prefix and from every other.
+// matters. The same keys also fill a block of 4-byte, one of 2-byte and one
+// of 1-byte cells under the first key's prefix, keeping their low 32, 16 or
+// 8 biased bits, so each narrow kernel meets probes from its own prefix and
+// from every other.
 func FuzzLowerBound(f *testing.F) {
 	k8 := func(ks ...int64) []byte {
 		b := make([]byte, 8*len(ks))
@@ -121,6 +127,17 @@ func FuzzLowerBound(f *testing.F) {
 	f.Add(k8(-1, 0, 1), int64(0), uint8(3))
 	f.Add(k8(-2, -1, 0xffffffff), int64(-1), uint8(3))
 	f.Add(k8(-2, -1, 0xffff), int64(0xffff), uint8(3))
+	f.Add(k8(1<<8-1, 1<<8, 1<<8+1), int64(1<<8), uint8(3))
+	f.Add(k8(3<<8+5, 3<<8-1, 7), int64(3<<8-1), uint8(3))
+	f.Add(k8(-2, -1, 0xff), int64(0xff), uint8(3))
+	f.Add(k8(1<<8, 1<<8+2, 1<<8+4), int64(2<<8), uint8(40))
+	// Every key in one 2^8 window, each count from 1 to 9 lanes: whole and
+	// part words of 1- and 2-byte cells, probed below, inside and above.
+	f.Add(k8(0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90), int64(0x45), uint8(9))
+	f.Add(k8(0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70), int64(0x71), uint8(7))
+	f.Add(k8(0x10, 0x20, 0x30, 0x40, 0x50), int64(0x50), uint8(5))
+	f.Add(k8(0x10, 0x20, 0x30), int64(0xff), uint8(3))
+	f.Add(k8(0x10), int64(0), uint8(1))
 	f.Add(k8(1<<32, 1<<32+2, 1<<32+4), int64(2<<32), uint8(40))
 	f.Add(k8(1<<16, 1<<16+2, 1<<16+4), int64(2<<16), uint8(40))
 	f.Add(k8(NegInf, NegInf+1, PosInf), int64(PosInf), uint8(3))
@@ -137,7 +154,7 @@ func FuzzLowerBound(f *testing.F) {
 		if n > 0 {
 			first = raws[0]
 		}
-		for _, w := range []width{w8, w4, w2} {
+		for _, w := range []width{w8, w4, w2, w1} {
 			var c Chunk[int64]
 			c.Init(capacity/2, true)
 			b := newBlock(capacity, false, w, spanOf(first))

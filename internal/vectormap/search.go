@@ -8,16 +8,25 @@ import (
 
 // The chunk kernels. Each is written once, generic over its block's key-cell
 // type T, and each call branches once on the block's width to pick the
-// instantiation, in the Cells method that calls it. The three cell
+// instantiation, in the Cells method that calls it. The four cell
 // types are distinct GC shapes, so each gets its own stenciled code, in
 // which unsafe.Sizeof(T(0)) is a constant: the kernels pass it to the
-// non-generic, inlined helpers (load, store, pivot, pair, cellOf, probe),
-// whose width branches fold away. They call no method on T and no generic
-// function, so nothing goes through the dictionary; -gcflags=-m reports
-// each helper inlined once per instantiation. A kernel compares cells, never
-// keys: cellOf resolves a key with another prefix against the whole block
-// before any cell is read, and within one prefix unsigned cell order is key
-// order (block.go). Unsorted scans read two 2-byte cells per 4-byte load.
+// non-generic, inlined helpers (load, store, pivot, probe, lanesAt, tail,
+// lane, cellOf), whose width branches fold away. They call no method on T
+// and no generic function, so nothing goes through the dictionary;
+// scripts/inline-check.sh fails unless -gcflags=-m reports each helper
+// inlined once per instantiation. A kernel compares cells, never keys:
+// cellOf resolves a key with another prefix against the whole block before
+// any cell is read, and within one prefix unsigned cell order is key order
+// (block.go).
+//
+// The unsorted scans run one lane loop: each aligned 4-byte word is loaded
+// once and its four 1-byte or two 2-byte lanes are tested in registers (a
+// wider cell is a lane of its own), the last word's lanes past the size
+// replaced by copies of its first (tail). The exact-match scan tests all
+// lanes of a word at once with the zero-lane test of Hacker's Delight
+// (ch. 6); the nearest-key scans and top and bounds take the lanes in turn,
+// a lane count fixed per width.
 //
 // The sorted search is branchless, in the conditional-move shape ("Bridging
 // Cache-Friendliness and Concurrency", and Khuong & Morin's branchless
@@ -33,20 +42,77 @@ import (
 // index stays in [0, s) and s is clamped to the capacity of the block being
 // probed, which the caller loaded once, so a torn size, a replaced block or
 // concurrently shifting keys can only yield garbage *values* (discarded when
-// the seqlock validation fails), never an out-of-bounds access. The fuzz
+// the seqlock validation fails), never an out-of-bounds access. A word
+// holding a cell below s lies wholly inside the key array, which is padded
+// to whole 8-byte words; its lanes at or past s are never read as keys. The fuzz
 // suite (FuzzLowerBound) proves the search equal to the textbook binary
 // search (search_ref_test.go, test-only) on every non-decreasing array of
 // every width, duplicates included, and in-bounds and terminating on
 // arbitrary (torn, unsorted) array states.
 
-// cell is a key-cell type: a block of 2-, 4- or 8-byte cells.
-type cell interface{ uint16 | uint32 | uint64 }
+// cell is a key-cell type: a block of 1-, 2-, 4- or 8-byte cells.
+type cell interface {
+	uint8 | uint16 | uint32 | uint64
+}
 
-// pivot loads the cell a search probes at i: cell i, or for 2-byte cells
-// the high cell of word i.
+// lanes is how many cells one load of a scan reads: the 4/size cells of an
+// aligned 4-byte word for cells narrower than 4 bytes, else the one cell.
+func lanes(size uintptr) int {
+	if size < 4 {
+		return int(4 / size)
+	}
+	return 1
+}
+
+// lanesAt loads the cells from i, a multiple of lanes(size), in one load:
+// lane j of the word, in the bits from 8·size·j, is cell i+j. The lanes of
+// the last word at or past s hold a stale cell or padding: a kernel passes
+// that word through tail.
+func lanesAt(keys unsafe.Pointer, i int, size uintptr) uint64 {
+	if size == 8 {
+		return atomic.LoadUint64((*uint64)(unsafe.Add(keys, uintptr(i)*8)))
+	}
+	return uint64(atomic.LoadUint32((*uint32)(unsafe.Add(keys, uintptr(i)*size))))
+}
+
+// tail is the word w of size-byte cells with its lanes from n on replaced
+// by copies of lane 0: a repeat of a cell below s changes no maximum,
+// minimum, nearest key or first match.
+func tail(w uint64, n int, size uintptr) uint64 {
+	keep := uint64(1)<<(8*size*uintptr(n)) - 1
+	return w&keep | lane(w, 0, size)*ones(size)&^keep
+}
+
+// lane is lane j of w, a word of size-byte cells from lanesAt.
+func lane(w uint64, j int, size uintptr) uint64 {
+	return w >> (8 * size * uintptr(j)) & (1<<(8*size) - 1)
+}
+
+// nearer is the search below's step over the cell x at position i: the
+// position and cell of the largest cell ≤ c so far, the first of equals.
+func nearer(best int, bestC uint64, i int, x, c uint64) (int, uint64) {
+	if x <= c && (best < 0 || x > bestC) {
+		return i, x
+	}
+	return best, bestC
+}
+
+// ones has the low bit of every lane of a word of size-byte cells set.
+func ones(size uintptr) uint64 {
+	switch size {
+	case 1:
+		return 0x0101_0101
+	case 2:
+		return 0x0001_0001
+	}
+	return 1
+}
+
+// pivot loads the cell a search probes at i: cell i, or for cells narrower
+// than 4 bytes the high lane of word i.
 func pivot(keys unsafe.Pointer, i, size uintptr) uint64 {
-	if size == 2 {
-		return uint64(atomic.LoadUint32((*uint32)(unsafe.Add(keys, i*4)))) >> 16
+	if size < 4 {
+		return uint64(atomic.LoadUint32((*uint32)(unsafe.Add(keys, i*4)))) >> (32 - 8*size)
 	}
 	return load(keys, i, size)
 }
@@ -56,24 +122,6 @@ func pivot(keys unsafe.Pointer, i, size uintptr) uint64 {
 func probe(x uint64, half uintptr, c uint64) uintptr {
 	_, borrow := bits.Sub64(x, c, 0) // 1 iff x < c
 	return half & -uintptr(borrow)
-}
-
-// stride is how many cells a scan takes per load (pair).
-func stride(size uintptr) int { return 1 + int(size&2)/2 }
-
-// pair loads the cells i and, for 2-byte cells, i+1 as x and y, in one load;
-// y repeats x for wider cells and when i+1 = s, which leaves every scan's
-// result as it is.
-func pair(keys unsafe.Pointer, i, s int, size uintptr) (x, y uint64) {
-	if size == 8 {
-		x = atomic.LoadUint64((*uint64)(unsafe.Add(keys, uintptr(i)*8)))
-		return x, x
-	}
-	w := uint64(atomic.LoadUint32((*uint32)(unsafe.Add(keys, uintptr(i)*size))))
-	if x = w & (1<<(8*size) - 1); size == 4 || i+1 == s {
-		return x, x
-	}
-	return x, w >> 16
 }
 
 // What find looks for among a block's first s keys.
@@ -93,21 +141,32 @@ const (
 // reversed.
 func find[T cell](b *block, k int64, s int, mode int) int {
 	size := unsafe.Sizeof(T(0))
+	mask := uint64(1)<<(8*size) - 1
 	c, side := b.cellOf(k, size)
 	keys, i := b.keys(), 0
 	switch {
-	case mode == scan: // two 2-byte cells per load
-		for ; i < s && side == 0; i += stride(size) {
-			switch x, y := pair(keys, i, s, size); c {
-			case x:
-				return i
-			case y:
-				return i + 1
+	case mode == scan:
+		if side != 0 {
+			return -1
+		}
+		// The zero-lane test of Hacker's Delight (ch. 6) on w ^ c in every
+		// lane of each word: a lane's high bit is flagged when the lane is
+		// 0, and a borrow out of a zero lane can flag lanes above it, never
+		// below, so the lowest flag is exact.
+		lo, per := ones(size), lanes(size)
+		hi, bc := lo<<(8*size-1), c*lo
+		for ; i < s; i += per {
+			w := lanesAt(keys, i, size)
+			if per > 1 && s-i < per {
+				w = tail(w, s-i, size)
+			}
+			if t := w ^ bc; (t-lo)&^t&hi != 0 {
+				return i + bits.TrailingZeros64((t-lo)&^t&hi)/(8*int(size))
 			}
 		}
 		return -1
 	case mode >= below:
-		mask, flip := uint64(1)<<(8*size)-1, uint64(0)
+		flip := uint64(0)
 		if mode == above {
 			flip, c, side = mask, c^mask, -side
 		}
@@ -117,18 +176,24 @@ func find[T cell](b *block, k int64, s int, mode int) int {
 		case side > 0:
 			c = mask // every key of the block is on k's side
 		}
-		best, bestC := -1, uint64(0)
-		for ; i < s; i += stride(size) {
-			x, y := pair(keys, i, s, size)
-			if x ^= flip; x <= c && (best < 0 || x > bestC) {
-				best, bestC = i, x
+		best, bestC, per := -1, uint64(0), lanes(size)
+		for ; i < s; i += per {
+			w := lanesAt(keys, i, size)
+			if per > 1 && s-i < per {
+				w = tail(w, s-i, size)
 			}
-			if y ^= flip; y <= c && (best < 0 || y > bestC) {
-				best, bestC = i+1, y
+			w ^= flip * ones(size)
+			best, bestC = nearer(best, bestC, i, lane(w, 0, size), c)
+			if per > 1 {
+				best, bestC = nearer(best, bestC, i+1, lane(w, 1, size), c)
+			}
+			if per > 2 {
+				best, bestC = nearer(best, bestC, i+2, lane(w, 2, size), c)
+				best, bestC = nearer(best, bestC, i+3, lane(w, 3, size), c)
 			}
 		}
 		return best
-	case side > 0 || mode == upper && side == 0 && c == 1<<(8*size)-1:
+	case side > 0 || mode == upper && side == 0 && c == mask:
 		i = s
 	case side == 0 && s > 0:
 		if mode == upper {
@@ -136,14 +201,12 @@ func find[T cell](b *block, k int64, s int, mode int) int {
 		}
 		// Two probes per iteration: the trip count is ⌈log2 s⌉ total, so
 		// the 2× unroll halves loop overhead for the 64-slot default without
-		// bloating the small-chunk case. 2-byte cells are searched by whole
-		// words, on each word's high cell, and the word found is then
-		// settled on its low cell: every probe is an aligned load and a
-		// constant shift.
-		off, n := uintptr(0), uintptr(s)
-		if size == 2 {
-			n /= 2
-		}
+		// bloating the small-chunk case. Cells narrower than 4 bytes are
+		// searched by whole words, on each word's high lane, and the word
+		// found is then settled in ⌈log2 lanes⌉ probes of its other lanes:
+		// every load is an aligned word.
+		per := uintptr(lanes(size))
+		off, n := uintptr(0), uintptr(s)/per
 		for n > 1 {
 			half := n >> 1
 			off += probe(pivot(keys, off+half-1, size), half, c)
@@ -157,10 +220,16 @@ func find[T cell](b *block, k int64, s int, mode int) int {
 		if n == 1 {
 			off += probe(pivot(keys, off, size), 1, c)
 		}
-		if size == 2 {
-			if off *= 2; int(off) < s {
-				off += probe(load(keys, off, 2), 1, c)
+		if off *= per; per > 1 && int(off) < s {
+			// Every key of a whole word below off is < c and its high
+			// lane is ≥ c. A last word short of s has its lanes at or past
+			// s read as the largest cell, which no c exceeds.
+			w := lanesAt(keys, int(off), size) | ^uint64(0)<<(8*size*(uintptr(s)-off))
+			j := uintptr(0)
+			for half := per / 2; half > 0; half /= 2 {
+				j += probe(w>>(8*size*(j+half-1))&mask, half, c)
 			}
+			off += j
 		}
 		i = int(off)
 	}
@@ -174,12 +243,23 @@ func find[T cell](b *block, k int64, s int, mode int) int {
 // smallest, which is the largest over complemented cells.
 func top[T cell](b *block, s int, low bool) int64 {
 	size, keys, flip, c := unsafe.Sizeof(T(0)), b.keys(), uint64(0), uint64(0)
+	mask := uint64(1)<<(8*size) - 1
 	if low {
-		flip = 1<<(8*size) - 1
+		flip = mask
 	}
-	for i := 0; i < s; i += stride(size) {
-		x, y := pair(keys, i, s, size)
-		c = max(c, x^flip, y^flip)
+	for i, per := 0, lanes(size); i < s; i += per {
+		w := lanesAt(keys, i, size)
+		if per > 1 && s-i < per {
+			w = tail(w, s-i, size)
+		}
+		w ^= flip * ones(size)
+		c = max(c, lane(w, 0, size))
+		if per > 1 {
+			c = max(c, lane(w, 1, size))
+		}
+		if per > 2 {
+			c = max(c, lane(w, 2, size), lane(w, 3, size))
+		}
 	}
 	return b.keyOf(c^flip, size)
 }
@@ -188,9 +268,18 @@ func top[T cell](b *block, s int, low bool) int64 {
 func bounds[T cell](b *block, s int) (int64, int64) {
 	size, keys := unsafe.Sizeof(T(0)), b.keys()
 	lo, hi := ^uint64(0), uint64(0)
-	for i := 0; i < s; i += stride(size) {
-		x, y := pair(keys, i, s, size)
-		lo, hi = min(lo, x, y), max(hi, x, y)
+	for i, per := 0, lanes(size); i < s; i += per {
+		w := lanesAt(keys, i, size)
+		if per > 1 && s-i < per {
+			w = tail(w, s-i, size)
+		}
+		lo, hi = min(lo, lane(w, 0, size)), max(hi, lane(w, 0, size))
+		if per > 1 {
+			lo, hi = min(lo, lane(w, 1, size)), max(hi, lane(w, 1, size))
+		}
+		if per > 2 {
+			lo, hi = min(lo, lane(w, 2, size), lane(w, 3, size)), max(hi, lane(w, 2, size), lane(w, 3, size))
+		}
 	}
 	return b.keyOf(lo, size), b.keyOf(hi, size)
 }
@@ -213,6 +302,8 @@ func shift[T cell](b *block, dst, src, n int) {
 // read reaches its kernel in one call.
 func (b *block) shift(dst, src, n int) {
 	switch b.width() {
+	case w1:
+		shift[uint8](b, dst, src, n)
 	case w2:
 		shift[uint16](b, dst, src, n)
 	case w4:

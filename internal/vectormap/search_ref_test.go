@@ -1,5 +1,10 @@
 package vectormap
 
+import (
+	"math/rand"
+	"testing"
+)
+
 // lowerBoundRef is the textbook binary search the branchless core in
 // search.go displaced, kept verbatim as the differential oracle of
 // FuzzLowerBound and the "ref" column of BenchmarkChunkIndexOf.
@@ -38,4 +43,81 @@ func (c *Chunk[P]) getRef(k int64) (*P, bool) {
 		return (*P)(b.loadVal(i)), true
 	}
 	return nil, false
+}
+
+// TestLaneKernelsMatchReference holds the unsorted kernels, which read a
+// word of lanes per load, to one-key-at-a-time loops over loadKey at every
+// width and every size up to 40 (whole and part words of every lane count),
+// with stale keys in the cells past the size and duplicates among the keys:
+// scan finds the first match, below and above the first of the nearest keys,
+// and top and bounds the ends. The probes lie inside the block's prefix,
+// on its cells' extremes and outside it on both sides.
+func TestLaneKernelsMatchReference(t *testing.T) {
+	const capacity = 40
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []width{w8, w4, w2, w1} {
+		mask := uint64(1)<<w.bits() - 1
+		for s := 0; s <= capacity; s++ {
+			for range 20 {
+				prefix := int64(rng.Uint64() &^ mask)
+				b := newBlock(capacity, false, w, spanOf(prefix))
+				// A few distinct low parts make duplicates likely.
+				lows := []uint64{0, mask, rng.Uint64() & mask, rng.Uint64() & mask, rng.Uint64() & mask}
+				for i := range capacity {
+					b.storeKey(i, prefix|int64(lows[rng.Intn(len(lows))]))
+				}
+				probes := []int64{prefix - 1, prefix + int64(mask) + 1}
+				for _, l := range lows {
+					probes = append(probes, prefix|int64(l), prefix|int64(l^1))
+				}
+				for _, k := range probes {
+					scanRef, belowRef, aboveRef := -1, -1, -1
+					for i := s - 1; i >= 0; i-- {
+						ki := b.loadKey(i)
+						if ki == k {
+							scanRef = i
+						}
+						if ki <= k && (belowRef < 0 || ki >= b.loadKey(belowRef)) {
+							belowRef = i
+						}
+						if ki >= k && (aboveRef < 0 || ki <= b.loadKey(aboveRef)) {
+							aboveRef = i
+						}
+					}
+					var c Cells
+					for mode, want := range map[int]int{scan: scanRef, below: belowRef, above: aboveRef} {
+						if got := c.indexOf(b, s, k, mode); got != want {
+							t.Fatalf("%d-byte keys, s=%d, mode %d, key %d: position %d, want %d", w.bytes(), s, mode, k, got, want)
+						}
+					}
+				}
+				if s == 0 {
+					continue
+				}
+				lo, hi := b.loadKey(0), b.loadKey(0)
+				for i := 1; i < s; i++ {
+					lo, hi = min(lo, b.loadKey(i)), max(hi, b.loadKey(i))
+				}
+				var gotLo, gotHi, minK, maxK int64
+				switch w {
+				case w1:
+					gotLo, gotHi = bounds[uint8](b, s)
+					minK, maxK = top[uint8](b, s, true), top[uint8](b, s, false)
+				case w2:
+					gotLo, gotHi = bounds[uint16](b, s)
+					minK, maxK = top[uint16](b, s, true), top[uint16](b, s, false)
+				case w4:
+					gotLo, gotHi = bounds[uint32](b, s)
+					minK, maxK = top[uint32](b, s, true), top[uint32](b, s, false)
+				default:
+					gotLo, gotHi = bounds[uint64](b, s)
+					minK, maxK = top[uint64](b, s, true), top[uint64](b, s, false)
+				}
+				if gotLo != lo || gotHi != hi || minK != lo || maxK != hi {
+					t.Fatalf("%d-byte keys, s=%d: bounds %d..%d, top %d..%d, want %d..%d",
+						w.bytes(), s, gotLo, gotHi, minK, maxK, lo, hi)
+				}
+			}
+		}
+	}
 }

@@ -7,10 +7,11 @@
 // touches a handful of contiguous cache lines instead of chasing per-element
 // pointers. The block is sized to what the chunk holds, not to 2×targetSize,
 // and is replaced by a bigger or smaller one as the chunk fills and drains.
-// Its key cells are 2 bytes each when its keys all share their upper 48
-// bits, which the block's header then keeps, 4 bytes when they share their
-// upper 32 and 8 bytes otherwise; every replacement chooses the width again
-// from the keys the new block is to hold.
+// Its key cells are 1 byte each when its keys all share their upper 56 bits
+// (and it has at most 63 cells), which the block's header then keeps, 2
+// bytes when they share their upper 48, 4 bytes when they share their upper
+// 32 and 8 bytes otherwise; every replacement chooses the width again from
+// the keys the new block is to hold.
 //
 // Chunks come in two flavours (Section V-B):
 //
@@ -245,6 +246,8 @@ func (c *Cells) MinKey() (int64, bool) {
 		return b.loadKey(0), true
 	}
 	switch b.width() {
+	case w1:
+		return top[uint8](b, s, true), true
 	case w2:
 		return top[uint16](b, s, true), true
 	case w4:
@@ -263,6 +266,8 @@ func (c *Cells) MaxKey() (int64, bool) {
 		return b.loadKey(s - 1), true
 	}
 	switch b.width() {
+	case w1:
+		return top[uint8](b, s, false), true
 	case w2:
 		return top[uint16](b, s, false), true
 	case w4:
@@ -284,6 +289,8 @@ func (c *Cells) Bounds() (minK, maxK int64, ok bool) {
 		return b.loadKey(0), b.loadKey(s - 1), true
 	}
 	switch b.width() {
+	case w1:
+		minK, maxK = bounds[uint8](b, s)
 	case w2:
 		minK, maxK = bounds[uint16](b, s)
 	case w4:
@@ -306,6 +313,8 @@ func (c *Cells) lookup() int {
 // writers' search, one call below them.
 func (c *Cells) indexOf(b *block, s int, k int64, mode int) int {
 	switch b.width() {
+	case w1:
+		return find[uint8](b, k, s, mode)
 	case w2:
 		return find[uint16](b, k, s, mode)
 	case w4:
@@ -319,6 +328,8 @@ func (c *Cells) Get(k int64) (Cell, bool) {
 	b, s := c.load()
 	var i int
 	switch mode := c.lookup(); b.width() {
+	case w1:
+		i = find[uint8](b, k, s, mode)
 	case w2:
 		i = find[uint16](b, k, s, mode)
 	case w4:
@@ -336,6 +347,8 @@ func (c *Cells) Get(k int64) (Cell, bool) {
 func (c *Cells) Contains(k int64) bool {
 	b, s := c.load()
 	switch mode := c.lookup(); b.width() {
+	case w1:
+		return find[uint8](b, k, s, mode) >= 0
 	case w2:
 		return find[uint16](b, k, s, mode) >= 0
 	case w4:
@@ -358,6 +371,8 @@ func (c *Cells) FindLE(k int64) (key int64, val Cell, ok bool) {
 	}
 	var i int
 	switch b.width() {
+	case w1:
+		i = find[uint8](b, k, s, mode)
 	case w2:
 		i = find[uint16](b, k, s, mode)
 	case w4:
@@ -381,6 +396,8 @@ func (c *Cells) FindGE(k int64) (key int64, val Cell, ok bool) {
 	}
 	var i int
 	switch b.width() {
+	case w1:
+		i = find[uint8](b, k, s, mode)
 	case w2:
 		i = find[uint16](b, k, s, mode)
 	case w4:
@@ -482,7 +499,7 @@ func (c *Cells) BlockBytes() int {
 	return int(shapeOf(b.cap(), c.words, b.width()).class)
 }
 
-// KeyBytes is the width of the key cells of the chunk's block, 2, 4 or 8
+// KeyBytes is the width of the key cells of the chunk's block, 1, 2, 4 or 8
 // bytes, or 0 for the shared empty block.
 func (c *Cells) KeyBytes() int {
 	if b := c.blk.Load(); b.cap() > 0 {
@@ -830,8 +847,6 @@ func (c *Cells) CheckInvariants() error {
 	}
 	s, bc, w := int(c.size.Load()), b.cap(), b.width()
 	switch {
-	case w > w2:
-		return fmt.Errorf("block header %#x has no key width", b.hdr)
 	case bc > c.Cap():
 		return fmt.Errorf("block of %d cells exceeds capacity %d", bc, c.Cap())
 	case s < 0 || s > bc:
