@@ -303,7 +303,7 @@ func (d *DurableMap[V]) Remove(k int64) (bool, error) {
 // ApplyBatch applies ops with Map.ApplyBatch's semantics and frames them as
 // one atomic commit unit in the log: recovery replays either the whole
 // batch's effects or none of them, never a prefix — even though live readers
-// may still observe intermediate states between chunk-run commits.
+// may still observe intermediate states between group commits.
 func (d *DurableMap[V]) ApplyBatch(ops []BatchOp[V]) ([]BatchResult, error) {
 	unit := d.log.BeginUnit()
 	results := d.mem.m.ApplyBatchLogged(unit, toCoreOps(ops))

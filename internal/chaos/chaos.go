@@ -83,8 +83,9 @@ const (
 	// HazardScan perturbs the window between a scan's hazard snapshot and
 	// its reclamation sweep.
 	HazardScan
-	// CoreFreeze perturbs Insert right after it froze a node, widening the
-	// frozen window other operations must navigate around.
+	// CoreFreeze perturbs a tower insert right after it froze a node,
+	// widening the frozen window other operations must navigate around. An
+	// insert that draws no tower freezes nothing and never reaches it.
 	CoreFreeze
 	// CoreSplit perturbs splits: between per-layer publications of a
 	// multi-layer insert and before a capacity split links its orphan.
@@ -100,13 +101,16 @@ const (
 	// remembered seqlock version; a forced failure simulates the node having
 	// changed, driving the finger-miss fallback to the full descent.
 	CoreFinger
-	// CoreBatch is hit in ApplyBatch's group-commit path: before a group's
-	// descent (a forced failure restarts the group after its predecessor
-	// groups already committed), after the group's write lock is taken but
-	// before any slot is applied (a forced failure aborts and restarts the
-	// group — the window where a torn batch would be observable if groups
-	// were not individually atomic), and perturbation-only between the
-	// multi-slot applications inside one held lock.
+	// CoreBatch is hit in the group commit, the data layer's write kernel,
+	// which every ApplyBatch group and every singleton Insert, Upsert and
+	// Remove that changes only the data layer goes through (a singleton is a
+	// group of one): before a group's descent (a forced failure restarts the
+	// group after its predecessor groups already committed), after the
+	// group's write lock is taken but before any slot is applied (a forced
+	// failure aborts and restarts the group — the window where a torn batch
+	// would be observable if groups were not individually atomic), and
+	// perturbation-only between the multi-slot applications inside one held
+	// lock.
 	CoreBatch
 	// CoreSnapshot is hit in the snapshot subsystem: on every node visit of
 	// a snapshot scan (a forced failure simulates a torn optimistic read of

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"skipvector/internal/telemetry"
 )
 
 // applyBatchModel replays a batch against a plain map model with ApplyBatch's
@@ -470,5 +472,50 @@ func TestBatchResumeTinyTargets(t *testing.T) {
 			// to the node before, which a walk from the finger never reaches.
 			apply("handle finger one key right", window(lo-1), h.ApplyBatch)
 		})
+	}
+}
+
+// TestBatchGroupExtent pins the commit unit ApplyBatch actually keeps, read
+// from sv_batch_group_size: a group extends past its chunk's largest key only
+// towards a next key within one key span of it. Two puts that both land in
+// the chunk {0, 2, 4, 6} commit as one group when the second key is 12 (6
+// past the max, inside the span of 6) and as two when it is 13. The seed
+// draws height 0 for both keys, so neither takes the tower route.
+func TestBatchGroupExtent(t *testing.T) {
+	prev := telemetry.Enabled()
+	telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(prev)
+
+	cfg := DefaultConfig()
+	cfg.TargetDataVectorSize = 4
+	cfg.TargetIndexVectorSize = 2
+	cfg.LayerCount = 5
+	cfg.Seed = 1
+	keys := []int64{0, 2, 4, 6}
+	for k := int64(100); k < 132; k += 2 {
+		keys = append(keys, k)
+	}
+	for _, c := range []struct {
+		second int64
+		groups int64
+	}{{12, 1}, {13, 2}} {
+		m, err := BulkLoad[int64](cfg, keys, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi, ok := m.heads[0].next.Load().chunk.Bounds(); !ok || lo != 0 || hi != 6 {
+			t.Fatalf("first data chunk spans [%d, %d], want [0, 6]", lo, hi)
+		}
+		res := m.ApplyBatch([]BatchOp[int64]{{Key: 2, Val: v64(1)}, {Key: c.second, Val: v64(2)}})
+		if res[0].Outcome != BatchUpdated || res[1].Outcome != BatchInserted {
+			t.Fatalf("puts (2, %d): outcomes %v, %v", c.second, res[0].Outcome, res[1].Outcome)
+		}
+		if f := m.Stats().Freezes; f != 0 {
+			t.Fatalf("puts (2, %d): a key drew a tower (%d freezes)", c.second, f)
+		}
+		if got := m.batchGroupSize.Snapshot().Count; got != c.groups {
+			t.Errorf("puts (2, %d) committed as %d groups, want %d", c.second, got, c.groups)
+		}
+		mustCheck(t, m)
 	}
 }

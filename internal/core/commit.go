@@ -14,8 +14,8 @@ import "skipvector/internal/vectormap"
 // that node's lock, so their hook invocations are ordered exactly as their
 // linearization points; non-conflicting operations may interleave freely in
 // the hook's sink, which is harmless because they commute. A group commit
-// (ApplyBatch) fires the hook once per group, under the single lock whose
-// release linearizes the whole group; a serializable RangeUpdate fires it
+// fires the hook once per group, under the single lock whose release
+// linearizes the whole group; a serializable RangeUpdate fires it
 // once with every updated pair, under the full 2PL window.
 //
 // The hook must be fast and allocation-shy (it runs under a seqlock write
@@ -66,37 +66,15 @@ func (m *Map[V]) ApplyBatchLogged(unit uint64, ops []BatchOp[V]) []BatchResult {
 	return res
 }
 
-// logPut reports one effective put. Caller holds the write lock whose
-// release publishes it.
-func (m *Map[V]) logPut(ctx *opCtx[V], k int64, v vectormap.Cell) {
+// logOps reports one commit's effective ops — puts that inserted or
+// overwrote, deletes that removed — in slot order (same-key runs keep request
+// order, so replay preserves last-write-wins). The caller holds the lock (for
+// a range, every lock) whose release publishes them.
+func (m *Map[V]) logOps(ctx *opCtx[V], kind CommitKind, slots []vectormap.CellOp, outs []vectormap.SlotOutcome) {
 	if m.commitHook == nil {
 		return
 	}
-	vals := ctx.commitVals(1)
-	m.load(v, &vals[0])
-	ctx.commitScratch[0] = CommitOp[V]{Key: k, Val: &vals[0]}
-	m.commitHook(ctx.walUnit, CommitSingleton, ctx.commitScratch[:1])
-	clear(vals) // don't pin the value past the call
-}
-
-// logDel reports one effective delete under the same contract as logPut.
-func (m *Map[V]) logDel(ctx *opCtx[V], k int64) {
-	if m.commitHook == nil {
-		return
-	}
-	ctx.commitScratch[0] = CommitOp[V]{Key: k, Del: true}
-	m.commitHook(ctx.walUnit, CommitSingleton, ctx.commitScratch[:1])
-}
-
-// logBatchGroup reports one group commit's effective ops, in slot order
-// (same-key runs keep request order, so replay preserves last-write-wins).
-// Caller holds the group's lock.
-func (m *Map[V]) logBatchGroup(ctx *opCtx[V], slots []vectormap.CellOp, outs []vectormap.SlotOutcome) {
-	if m.commitHook == nil {
-		return
-	}
-	sc := &ctx.batch
-	cs := sc.commits[:0]
+	cs := ctx.batch.commits[:0]
 	vals := ctx.commitVals(len(slots))
 	for i := range slots {
 		switch outs[i] {
@@ -107,9 +85,10 @@ func (m *Map[V]) logBatchGroup(ctx *opCtx[V], slots []vectormap.CellOp, outs []v
 			cs = append(cs, CommitOp[V]{Key: slots[i].Key, Del: true})
 		}
 	}
-	sc.commits = cs
 	if len(cs) > 0 {
-		m.commitHook(ctx.walUnit, CommitBatchGroup, cs)
+		m.commitHook(ctx.walUnit, kind, cs)
 	}
+	clear(cs) // don't pin the values past the call
 	clear(vals)
+	ctx.batch.commits = cs
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"skipvector/internal/hazard"
+	"skipvector/internal/vectormap"
 )
 
 // opCtx is the per-operation (really per-goroutine, via pooling) state: the
@@ -25,13 +26,23 @@ type opCtx[V any] struct {
 	fing   finger[V]
 	batch  batchScratch[V] // reusable ApplyBatch buffers (contexts are pooled)
 
+	// one and oneOut are a singleton write's group of one (writeKey). They
+	// cannot share batch.slots, which stays live while a batch replays a
+	// key run through the singleton paths.
+	one    [1]vectormap.CellOp
+	oneOut [1]vectormap.SlotOutcome
+
 	// walUnit tags commit-hook calls with the batch commit unit this context
-	// is executing (0 outside ApplyBatchLogged); commitScratch is the
-	// singleton hook's one-op argument buffer and commitVal the value copies
-	// the hook's ops point at (see commit.go).
-	walUnit       uint64
-	commitScratch [1]CommitOp[V]
-	commitVal     []V
+	// is executing (0 outside ApplyBatchLogged); commitVal holds the value
+	// copies the hook's ops point at (see commit.go).
+	walUnit   uint64
+	commitVal []V
+}
+
+// single loads op, with outcome out, into the context's group of one.
+func (c *opCtx[V]) single(op vectormap.CellOp, out vectormap.SlotOutcome) ([]vectormap.CellOp, []vectormap.SlotOutcome) {
+	c.one[0], c.oneOut[0] = op, out
+	return c.one[:], c.oneOut[:]
 }
 
 // commitVals returns scratch for n value copies handed to the commit hook.

@@ -89,19 +89,6 @@ func (f *finger[V]) punish() {
 // cheaper than the validated crawl.
 const fingerHops = 4
 
-// fingerMode selects the ownership test fingerSeek applies.
-type fingerMode int
-
-const (
-	// fingerPoint accepts any key the walk can resolve.
-	fingerPoint fingerMode = iota
-	// fingerRemove excludes the minimum of the node the walk lands on:
-	// removing a node's minimum must take the full descent, because the key
-	// may own an index tower that only the top-down pass can find and
-	// unlink.
-	fingerRemove
-)
-
 // inReach reports whether k may be resolved from a node whose exact bounds
 // are [lo, hi] within the hop budget. The node's own key span is a free
 // density estimate for the chunks around it: when k lies past hi by more
@@ -118,7 +105,7 @@ func inReach(lo, hi, k int64) bool {
 // hazard pointer on the returned node and a validated snapshot of its lock
 // — exactly the postcondition of descendToData. On a miss nothing is held
 // and the caller performs the full descent.
-func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode traverseMode, fm fingerMode) (*node[V], seqlock.Version, bool) {
+func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode traverseMode) (*node[V], seqlock.Version, bool) {
 	f := &ctx.fing
 	n := f.node
 	if n == nil {
@@ -168,15 +155,6 @@ func (m *Map[V]) fingerSeek(ctx *opCtx[V], k int64, mode traverseMode, fm finger
 		// Budget exhausted or a validation lost a race: nothing was locked
 		// and nothing observed inconsistently, so no restart is charged.
 		return m.fingerMiss(ctx, true)
-	}
-	if fm == fingerRemove {
-		lo := f.lo
-		if curr != n {
-			lo, _ = curr.minKey()
-		}
-		if lo == k || !curr.lock.Validate(ver) {
-			return m.fingerMiss(ctx, true)
-		}
 	}
 	f.penalty = 0
 	m.fingerHits.add(ctx.stripe, 1)

@@ -43,16 +43,12 @@ func fingerOn(t *testing.T, m *Map[int64], ctx *opCtx[int64], k int64) (n *node[
 	return n, minK, maxK
 }
 
-// seek probes the finger with a fresh backoff window, in the traverse mode
-// its callers use, and releases any hazard pointer a hit leaves published,
-// so tests can chain probes deterministically.
-func seek(m *Map[int64], ctx *opCtx[int64], k int64, fm fingerMode) bool {
+// seek probes the finger with a fresh backoff window and releases any
+// hazard pointer a hit leaves published, so tests can chain probes
+// deterministically.
+func seek(m *Map[int64], ctx *opCtx[int64], k int64) bool {
 	ctx.fing.backoff = 0
-	mode := modeRead
-	if fm == fingerRemove {
-		mode = modeWrite
-	}
-	_, _, hit := m.fingerSeek(ctx, k, mode, fm)
+	_, _, hit := m.fingerSeek(ctx, k, modeRead)
 	ctx.dropAll()
 	return hit
 }
@@ -64,7 +60,7 @@ func TestFingerHitAfterLookup(t *testing.T) {
 
 	before := m.Stats()
 	_, _, _ = fingerOn(t, m, ctx, 100)
-	if !seek(m, ctx, 100, fingerPoint) {
+	if !seek(m, ctx, 100) {
 		t.Fatal("repeat probe of the same key missed")
 	}
 	if got := m.Stats(); got.FingerHits <= before.FingerHits {
@@ -96,7 +92,7 @@ func TestFingerSpanOwnership(t *testing.T) {
 	}
 
 	// Both stored extremes hit for point lookups.
-	if !seek(m, ctx, minK, fingerPoint) || !seek(m, ctx, maxK, fingerPoint) {
+	if !seek(m, ctx, minK) || !seek(m, ctx, maxK) {
 		t.Fatal("in-chunk keys missed")
 	}
 	// The gap before the successor's minimum belongs to this node: with
@@ -104,7 +100,7 @@ func TestFingerSpanOwnership(t *testing.T) {
 	if succMin != maxK+2 {
 		t.Fatalf("layout surprise: maxK=%d succMin=%d", maxK, succMin)
 	}
-	if !seek(m, ctx, maxK+1, fingerPoint) {
+	if !seek(m, ctx, maxK+1) {
 		t.Fatal("gap key before successor missed")
 	}
 	if found := m.lookupCtx(ctx, maxK+1, nil); found {
@@ -112,15 +108,11 @@ func TestFingerSpanOwnership(t *testing.T) {
 	}
 	// The successor's minimum, and the key past it, belong to the successor:
 	// the walk reaches them in one hop.
-	if !seek(m, ctx, succMin, fingerPoint) || !seek(m, ctx, succMin+1, fingerPoint) {
+	if !seek(m, ctx, succMin) || !seek(m, ctx, succMin+1) {
 		t.Fatal("key on the successor missed")
 	}
-	// Removing the successor's minimum must take the full descent.
-	if seek(m, ctx, succMin, fingerRemove) {
-		t.Fatal("remove-mode probe hit on the successor's minimum")
-	}
 	// Keys below the node's minimum miss (quick reject once bounds cached).
-	if seek(m, ctx, minK-1, fingerPoint) {
+	if seek(m, ctx, minK-1) {
 		t.Fatal("key below node minimum hit")
 	}
 }
@@ -146,9 +138,9 @@ func TestFingerWalkReach(t *testing.T) {
 
 	n, _, _ := fingerOn(t, m, ctx, 400)
 	// seekTo is seek returning the node a hit lands on.
-	seekTo := func(k int64, fm fingerMode) *node[int64] {
+	seekTo := func(k int64) *node[int64] {
 		ctx.fing.backoff = 0
-		curr, _, hit := m.fingerSeek(ctx, k, modeWrite, fm)
+		curr, _, hit := m.fingerSeek(ctx, k, modeWrite)
 		ctx.dropAll()
 		if !hit {
 			return nil
@@ -163,7 +155,7 @@ func TestFingerWalkReach(t *testing.T) {
 			t.Fatalf("node %d hops right is empty", hop)
 		}
 		if hop > fingerHops {
-			if seekTo(lo, fingerPoint) != nil {
+			if seekTo(lo) != nil {
 				t.Fatalf("key %d hops right hit past the budget", hop)
 			}
 			if ctx.fing.backoff == 0 {
@@ -176,17 +168,9 @@ func TestFingerWalkReach(t *testing.T) {
 			k    int64
 			want *node[int64]
 		}{{lo - 1, prev}, {lo, right}, {hi, right}} {
-			if got := seekTo(c.k, fingerPoint); got != c.want {
+			if got := seekTo(c.k); got != c.want {
 				t.Fatalf("key %d, %d hops right: landed on %p, want %p", c.k, hop, got, c.want)
 			}
-		}
-		// The walk lands on the owner, so remove mode declines exactly that
-		// node's minimum.
-		if seekTo(lo, fingerRemove) != nil {
-			t.Fatalf("remove-mode probe hit on the minimum %d hops right", hop)
-		}
-		if seekTo(hi, fingerRemove) != right {
-			t.Fatalf("remove-mode probe missed a non-minimum key %d hops right", hop)
 		}
 		prev = right
 	}
@@ -195,28 +179,64 @@ func TestFingerWalkReach(t *testing.T) {
 	}
 }
 
-func TestFingerRemoveModeExcludesMinimum(t *testing.T) {
-	m := fingerTestMap(t, 2, 400)
-	ctx := m.ctxs.get()
-	defer m.ctxs.put(ctx)
+// TestFingerRemoveIndexedMinimum removes, through a Handle whose finger sits
+// on a data node, that node's indexed minimum: the write kernel finds the
+// node through the finger but must defer the key to the top-down pass, which
+// alone can unlink its index tower. A removal that skipped the pass would
+// leave an index entry for an absent key, which CheckInvariants reports.
+// Changing path is not a failed attempt, so no restart may be charged.
+func TestFingerRemoveIndexedMinimum(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TargetDataVectorSize = 4
+	cfg.TargetIndexVectorSize = 2
+	cfg.LayerCount = 5
+	var keys []int64
+	for k := int64(0); k < 400; k += 2 {
+		keys = append(keys, k)
+	}
+	m, err := BulkLoad[int64](cfg, keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.NewHandle()
+	defer h.Close()
 
-	_, minK, maxK := fingerOn(t, m, ctx, 200)
-	if maxK == minK {
-		t.Skip("finger node holds a single key; layout too sparse for this test")
+	// Every data node after the head starts with an indexed minimum; take
+	// each one's minimum and maximum before any removal changes the layout.
+	var minima, maxima []int64
+	for n := m.heads[0].next.Load(); n.next.Load() != nil; n = n.next.Load() {
+		lo, hi, ok := n.chunk.Bounds()
+		if ok && lo < hi && !n.lock.IsOrphan() {
+			minima, maxima = append(minima, lo), append(maxima, hi)
+		}
 	}
-	// Removing a node's minimum may need to unlink an index tower, which
-	// only the full descent can find — remove mode must decline.
-	if seek(m, ctx, minK, fingerRemove) {
-		t.Fatal("remove-mode probe hit on the node minimum")
+	if len(minima) < 40 {
+		t.Fatalf("only %d data nodes with two keys or more", len(minima))
 	}
-	if !seek(m, ctx, minK, fingerPoint) {
-		t.Fatal("point-mode probe missed the node minimum")
+	restarts := m.Stats().Restarts
+	for i, lo := range minima {
+		if _, ok := h.Lookup(maxima[i]); !ok {
+			t.Fatalf("Lookup(%d) lost the key", maxima[i])
+		}
+		if got, _ := h.ctx.fing.node.minKey(); got != lo {
+			t.Fatalf("finger sits on a node with minimum %d, want %d", got, lo)
+		}
+		hits := m.Stats().FingerHits
+		if !h.Remove(lo) {
+			t.Fatalf("Remove(%d) of an indexed minimum reported absent", lo)
+		}
+		if m.Stats().FingerHits == hits {
+			t.Fatalf("Remove(%d) did not reach its node through the finger", lo)
+		}
+		if m.Contains(lo) {
+			t.Fatalf("key %d still present after Remove", lo)
+		}
+		mustCheck(t, m)
 	}
-	// Non-minimum keys are never indexed (indexed keys are data-node
-	// minima), so remove mode accepts them.
-	if !seek(m, ctx, maxK, fingerRemove) {
-		t.Fatal("remove-mode probe missed a non-minimum key")
+	if got := m.Stats().Restarts - restarts; got != 0 {
+		t.Fatalf("removing %d indexed minima charged %d restarts", len(minima), got)
 	}
+	t.Logf("removed %d indexed minima through the finger, 0 restarts", len(minima))
 }
 
 func TestFingerInvalidatedByWrite(t *testing.T) {
@@ -234,7 +254,7 @@ func TestFingerInvalidatedByWrite(t *testing.T) {
 	if n.lock.Validate(ver) {
 		t.Fatal("write did not bump the node's word")
 	}
-	if seek(m, ctx, 500, fingerPoint) {
+	if seek(m, ctx, 500) {
 		t.Fatal("probe hit through a stale version")
 	}
 	if ctx.fing.node != nil {
@@ -244,7 +264,7 @@ func TestFingerInvalidatedByWrite(t *testing.T) {
 	if found := m.lookupCtx(ctx, 500, nil); !found {
 		t.Fatal("lookup after invalidation lost the key")
 	}
-	if !seek(m, ctx, 500, fingerPoint) {
+	if !seek(m, ctx, 500) {
 		t.Fatal("finger did not recover after re-record")
 	}
 }
@@ -264,7 +284,7 @@ func TestFingerInvalidatedBySplit(t *testing.T) {
 	if m.Stats().Splits <= splitsBefore {
 		t.Fatalf("no split occurred (before=%d after=%d)", splitsBefore, m.Stats().Splits)
 	}
-	if seek(m, ctx, 500, fingerPoint) {
+	if seek(m, ctx, 500) {
 		t.Fatal("probe hit across a split through a stale version")
 	}
 	for d := int64(0); d <= 8; d++ {
@@ -285,7 +305,7 @@ func TestFingerInvalidatedByFreeze(t *testing.T) {
 	if !ok {
 		t.Fatal("TryFreeze on a quiescent node failed")
 	}
-	if seek(m, ctx, 100, fingerPoint) {
+	if seek(m, ctx, 100) {
 		n.lock.Thaw()
 		t.Fatal("probe hit on a frozen node through a stale version")
 	}
@@ -304,7 +324,7 @@ func TestFingerInvalidatedByFreeze(t *testing.T) {
 	if found := m.lookupCtx(ctx, 100, nil); !found {
 		t.Fatal("lookup after thaw lost the key")
 	}
-	if !seek(m, ctx, 100, fingerPoint) {
+	if !seek(m, ctx, 100) {
 		t.Fatal("finger did not recover after thaw")
 	}
 }
@@ -353,7 +373,7 @@ func TestFingerFollowsOrphans(t *testing.T) {
 	if f.node == nil || !f.node.lock.IsOrphan() || !f.ver.Orphan() {
 		t.Fatal("lookup into an orphan did not record the orphan finger")
 	}
-	if !seek(m, ctx, orphanKey, fingerPoint) {
+	if !seek(m, ctx, orphanKey) {
 		t.Fatal("probe on a recorded orphan missed")
 	}
 }
@@ -376,7 +396,7 @@ func TestFingerSurvivesDrainAndMerge(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after drain", m.Len())
 	}
-	if seek(m, ctx, 200, fingerPoint) {
+	if seek(m, ctx, 200) {
 		t.Fatal("probe hit a retired node")
 	}
 	if found := m.lookupCtx(ctx, 200, nil); found {
@@ -400,7 +420,7 @@ func TestFingerProbeBackoff(t *testing.T) {
 	// Each wasted full probe doubles the skip window.
 	wantPenalty := uint8(0)
 	for round := 0; round < 3; round++ {
-		if _, _, hit := m.fingerSeek(ctx, far, modeRead, fingerPoint); hit {
+		if _, _, hit := m.fingerSeek(ctx, far, modeRead); hit {
 			t.Fatalf("round %d: far key hit", round)
 		}
 		wantPenalty++
@@ -411,7 +431,7 @@ func TestFingerProbeBackoff(t *testing.T) {
 		// The window is spent declining without touching the node.
 		for f.backoff > 0 {
 			prev := f.backoff
-			if _, _, hit := m.fingerSeek(ctx, 100, modeRead, fingerPoint); hit {
+			if _, _, hit := m.fingerSeek(ctx, 100, modeRead); hit {
 				t.Fatal("probe during backoff window")
 			}
 			if f.backoff != prev-1 {
@@ -422,13 +442,13 @@ func TestFingerProbeBackoff(t *testing.T) {
 	// The cap bounds the window.
 	for round := 0; round < 10; round++ {
 		ctx.fing.backoff = 0
-		m.fingerSeek(ctx, far, modeRead, fingerPoint)
+		m.fingerSeek(ctx, far, modeRead)
 	}
 	if f.penalty != maxFingerPenalty {
 		t.Fatalf("penalty=%d, want cap %d", f.penalty, maxFingerPenalty)
 	}
 	// One hit restores full eagerness.
-	if !seek(m, ctx, 100, fingerPoint) {
+	if !seek(m, ctx, 100) {
 		t.Fatal("in-span probe missed after backoff")
 	}
 	if f.penalty != 0 || f.backoff != 0 {

@@ -1,5 +1,7 @@
 package core
 
+import "skipvector/internal/vectormap"
+
 // Handle pins an operation context — and with it the search finger — to one
 // caller. Map methods draw contexts from a shared LIFO pool, which keeps the
 // finger sticky for a single-threaded caller but shuffles contexts (and thus
@@ -49,19 +51,19 @@ func (h *Handle[V]) Contains(k int64) bool { return h.LookupInto(k, nil) }
 // Insert is Map.Insert through the pinned context.
 func (h *Handle[V]) Insert(k int64, v *V) bool {
 	checkKey(k)
-	return h.m.insertCtx(h.ctx, k, h.m.cellOf(v))
+	return h.m.putCtx(h.ctx, k, h.m.cellOf(v), true)
 }
 
 // Remove is Map.Remove through the pinned context.
 func (h *Handle[V]) Remove(k int64) bool {
 	checkKey(k)
-	return h.m.removeCtx(h.ctx, k)
+	return h.m.removeKey(h.ctx, k) == vectormap.SlotRemoved
 }
 
 // Upsert is Map.Upsert through the pinned context.
 func (h *Handle[V]) Upsert(k int64, v *V) bool {
 	checkKey(k)
-	return h.m.upsertWithHeight(h.ctx, k, h.m.cellOf(v), h.ctx.randomHeight())
+	return h.m.putCtx(h.ctx, k, h.m.cellOf(v), false)
 }
 
 // ApplyBatch is Map.ApplyBatch through the pinned context. Batches whose key

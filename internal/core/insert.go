@@ -35,28 +35,39 @@ func (st *insertState[V]) thawAll(height int) {
 }
 
 // Insert adds the mapping k→v and returns true, or returns false when k is
-// already present (Listing 3). A successful Insert linearizes at the
-// write-acquisition of its last lock; a failed one at the validated
+// already present. A key drawn no tower, the (T_D-1)/T_D common case, is a
+// group of one through the data layer's write kernel (writeGroup) and
+// linearizes at the release of its data node's lock; a tower insert takes
+// Listing 3's top-down path and linearizes at the release of the data node
+// it publishes k in. A failed Insert linearizes at the validated
 // observation of the existing key.
-func (m *Map[V]) Insert(k int64, v *V) bool {
+func (m *Map[V]) Insert(k int64, v *V) bool { return m.put(k, v, true) }
+
+// Upsert adds or overwrites the mapping k→v, returning true when k was newly
+// inserted and false when an existing value was overwritten. It linearizes
+// as Insert does.
+func (m *Map[V]) Upsert(k int64, v *V) bool { return m.put(k, v, false) }
+
+func (m *Map[V]) put(k int64, v *V, insertOnly bool) bool {
 	checkKey(k)
 	c := m.cellOf(v)
 	ctx := m.ctxs.get()
 	defer m.ctxs.put(ctx)
-	return m.insertCtx(ctx, k, c)
+	return m.putCtx(ctx, k, c, insertOnly)
 }
 
-// insertCtx is Insert's retry loop against an explicit context (shared with
-// Handle.Insert).
-func (m *Map[V]) insertCtx(ctx *opCtx[V], k int64, v vectormap.Cell) bool {
-	return m.insertWithHeight(ctx, k, v, ctx.randomHeight())
+// putCtx is Insert (insertOnly) or Upsert against an explicit context
+// (shared with Handle), reporting whether k was newly inserted.
+func (m *Map[V]) putCtx(ctx *opCtx[V], k int64, v vectormap.Cell, insertOnly bool) bool {
+	op := vectormap.CellOp{Key: k, Val: v, InsertOnly: insertOnly}
+	return m.writeKey(ctx, op, ctx.randomHeight()) == vectormap.SlotInserted
 }
 
-// insertWithHeight is the insert retry loop at a caller-chosen tower height.
-// ApplyBatch routes its ops at sort time — drawing each distinct key's height
-// once, before any locks are taken — so the singleton replay of a tall key
-// must not re-draw (re-drawing after deferral would square the tall
-// probability and starve the index layers).
+// insertWithHeight is the top-down insert of Listing 3 at a caller-chosen
+// tower height ≥ 1. ApplyBatch routes its ops at sort time — drawing each
+// distinct key's height once, before any locks are taken — so the singleton
+// replay of a tall key must not re-draw (re-drawing after deferral would
+// square the tall probability and starve the index layers).
 func (m *Map[V]) insertWithHeight(ctx *opCtx[V], k int64, v vectormap.Cell, height int) bool {
 	st := insertState[V]{lowestFrozen: -1}
 	for {
@@ -79,16 +90,6 @@ func (m *Map[V]) insertAttempt(
 		ok     bool
 		resume = st.lowestFrozen >= 1
 	)
-	// Height-0 inserts (the (T_D-1)/T_D common case) touch only the data
-	// layer, so when the search finger still covers k the whole index
-	// descent — including the per-layer duplicate check, which the
-	// data-layer Contains below subsumes (an indexed key is always present
-	// in the data layer) — can be skipped.
-	if height == 0 && !resume {
-		if fcurr, fver, hit := m.fingerSeek(ctx, k, modeWrite, fingerPoint); hit {
-			return m.finishInsertData(ctx, st, fcurr, fver, k, v, height)
-		}
-	}
 	if resume {
 		// Resume from the checkpoint: the lowest frozen node is stable, so
 		// its current word is a trivially valid snapshot and no hazard
@@ -111,18 +112,9 @@ func (m *Map[V]) insertAttempt(
 				return false, false
 			}
 			if int(curr.level) <= height {
-				fver, frozen := curr.lock.TryFreeze(ver)
-				if !frozen {
+				if ver, ok = m.freeze(ctx, st, curr, ver); !ok {
 					return false, false
 				}
-				// Frozen nodes cannot change or be retired, so the hazard
-				// pointer is no longer needed (Listing 3 line 12).
-				ctx.drop(curr)
-				st.prevs[curr.level] = curr
-				st.lowestFrozen = int(curr.level)
-				ver = fver
-				m.freezes.Inc(ctx.stripe)
-				chaos.Step(chaos.CoreFreeze)
 			}
 		}
 		resume = false
@@ -149,92 +141,68 @@ func (m *Map[V]) insertAttempt(
 		}
 	}
 
-	// Data layer: settle on the target node and freeze it.
+	// Data layer: settle on the target node, freeze it, and settle presence.
 	curr, ver, ok = m.traverseRight(ctx, curr, ver, k, modeWrite)
 	if !ok {
 		return false, false
 	}
-	return m.finishInsertData(ctx, st, curr, ver, k, v, height)
-}
-
-// finishInsertData is the data-layer tail of an insert attempt: curr owns k
-// under the validated snapshot ver (reached either by the full descent or by
-// a finger hit). It freezes curr, settles presence, and applies the write
-// phase. done=false requests a restart.
-func (m *Map[V]) finishInsertData(
-	ctx *opCtx[V], st *insertState[V], curr *node[V], ver seqlock.Version, k int64, v vectormap.Cell, height int,
-) (result, done bool) {
-	if _, frozen := curr.lock.TryFreeze(ver); !frozen {
+	if _, ok = m.freeze(ctx, st, curr, ver); !ok {
 		return false, false
 	}
-	ctx.drop(curr)
-	st.prevs[0] = curr
-	st.lowestFrozen = 0
-	m.freezes.Inc(ctx.stripe)
-	chaos.Step(chaos.CoreFreeze)
-
 	if curr.data().Contains(k) {
 		st.thawAll(height)
 		ctx.dropAll()
 		return false, true
 	}
-
-	fnode, fver := m.applyInsert(ctx, st, k, v, height)
+	nd := m.applyInsert(ctx, st, k, v, height)
 	st.reset()
 	ctx.dropAll()
 	m.length.add(ctx.stripe, 1)
-	m.recordFinger(ctx, fnode, fver)
+	// nd, k's data node, is shared since the release that published k; the
+	// finger takes whatever word it has now (recordFinger rejects a locked
+	// or frozen one).
+	m.recordFinger(ctx, nd, nd.lock.Current())
 	return true, true
 }
 
-// applyInsert performs the write phase of a successful Insert (Listing 3
-// lines 31-43). Every prevs[layer] for layer ∈ [0,height] is frozen by this
-// operation; nodes are upgraded to write-locked one at a time, bottom-up, so
-// concurrent searches that land on already-updated layers still complete
-// correctly (Section IV-C). It returns the data node that received k together
-// with a version snapshot suitable for recordFinger (which rejects unusable
-// words, so a best-effort Current() read is fine for nodes this operation no
-// longer holds locked).
-func (m *Map[V]) applyInsert(
-	ctx *opCtx[V], st *insertState[V], k int64, v vectormap.Cell, height int,
-) (*node[V], seqlock.Version) {
-	// Layer 0. A height-0 insert that finds the block full grows it while
-	// the node is only frozen (ReserveKeys), keeping the allocation out of the
-	// write hold that readers abort on.
-	d := st.prevs[0]
-	if height == 0 {
-		d.chunk.ReserveKeys(1, k, k)
+// freeze freezes curr, the node at its layer that k belongs to, under the
+// validated snapshot ver and records it in st (Listing 3 line 13). Frozen
+// nodes cannot change or be retired, so the hazard pointer is no longer
+// needed (Listing 3 line 12).
+func (m *Map[V]) freeze(ctx *opCtx[V], st *insertState[V], curr *node[V], ver seqlock.Version) (seqlock.Version, bool) {
+	fver, frozen := curr.lock.TryFreeze(ver)
+	if !frozen {
+		return 0, false
 	}
+	ctx.drop(curr)
+	st.prevs[curr.level] = curr
+	st.lowestFrozen = int(curr.level)
+	m.freezes.Inc(ctx.stripe)
+	chaos.Step(chaos.CoreFreeze)
+	return fver, true
+}
+
+// applyInsert performs the write phase of a successful tower insert
+// (Listing 3 lines 31-43). Every prevs[layer] for layer ∈ [0,height] is
+// frozen by this operation; nodes are upgraded to write-locked one at a time,
+// bottom-up, so concurrent searches that land on already-updated layers still
+// complete correctly (Section IV-C). It returns the data node that received k.
+func (m *Map[V]) applyInsert(ctx *opCtx[V], st *insertState[V], k int64, v vectormap.Cell, height int) *node[V] {
+	// The key becomes the minimum of a new node in every layer below its
+	// height, each stealing the elements greater than k from its frozen
+	// predecessor.
+	d := st.prevs[0]
 	d.lock.UpgradeFrozen()
 	m.noteDataWrite(d) // CoW pre-image before the first mutation (snapshot.go)
-	if height == 0 {
-		target := d
-		if d.chunk.Full() {
-			target = m.splitFull(ctx, d, k)
-		}
-		if !target.data().Insert(k, v) {
-			panic("core: insert into data chunk failed after absence check")
-		}
-		m.logPut(ctx, k, v) // before the release that publishes it (commit.go)
-		dver := d.lock.Release()
-		if target == d {
-			return d, dver
-		}
-		// k went into the split orphan, which became reachable (and thus
-		// shared) at the release above; snapshot whatever word it has now.
-		return target, target.lock.Current()
-	}
-
-	// height ≥ 1: the key becomes the minimum of a new node in every layer
-	// below its height, each stealing the elements greater than k from its
-	// frozen predecessor.
 	nd := m.mem.allocRaw(0)
 	d.chunk.MoveGreaterTo(k, &nd.chunk)
 	nd.data().Insert(k, v)
 	inheritVerEpoch(d, nd)
 	nd.next.Store(d.next.Load())
 	d.next.Store(nd)
-	m.logPut(ctx, k, v) // the data write publishes here, not at the tower top
+	// The data write publishes here, not at the tower top (commit.go).
+	slots, outs := ctx.single(vectormap.CellOp{Key: k, Val: v}, vectormap.SlotInserted)
+	m.logOps(ctx, CommitSingleton, slots, outs)
 	d.lock.Release()
 	m.stats.Splits.Add(1)
 
@@ -260,39 +228,27 @@ func (m *Map[V]) applyInsert(
 	// is at capacity).
 	chaos.Step(chaos.CoreSplit)
 	p := st.prevs[height]
-	p.chunk.ReserveKeys(1, k, k) // frozen, as at layer 0
+	p.chunk.ReserveKeys(1, k, k) // while frozen: no allocation in the write hold
 	p.lock.UpgradeFrozen()
 	target := p
 	if p.chunk.Full() {
-		target = m.splitFull(ctx, p, k)
+		if o, pivot := m.splitOrphanHalf(ctx, p); k >= pivot {
+			target = o
+		}
 	}
 	if !target.index().Insert(k, child) {
 		panic("core: insert into index chunk failed after absence check")
 	}
 	p.lock.Release()
-	// nd (k's data node) became shared when d released above; snapshot its
-	// current word for the finger.
-	return nd, nd.lock.Current()
+	return nd
 }
 
-// splitFull splits the write-locked full node n, moving its upper half into
-// a fresh orphan linked immediately to n's right (Section III: orphan
-// creation by capacity splits). It returns whichever node should receive k.
-// The orphan is invisible to other operations until n's lock is released,
-// because reaching it requires reading n.next and then validating n.
-func (m *Map[V]) splitFull(ctx *opCtx[V], n *node[V], k int64) *node[V] {
-	o, pivot := m.splitOrphanHalf(ctx, n)
-	if k >= pivot {
-		return o
-	}
-	return n
-}
-
-// splitOrphanHalf is the capacity-split primitive shared by splitFull and
-// ApplyBatch's group commit: it moves the upper half of the write-locked full
-// node n into a fresh private orphan linked to n's right and returns the
-// orphan with its pivot (minimum) key. The orphan stays invisible until the
-// lock that covers n is released.
+// splitOrphanHalf splits the write-locked full node n, moving its upper half
+// into a fresh private orphan linked immediately to n's right (Section III:
+// orphan creation by capacity splits), and returns the orphan with its pivot
+// (minimum) key. The orphan is invisible to other operations until the lock
+// that covers n is released, because reaching it requires reading n.next and
+// then validating n.
 func (m *Map[V]) splitOrphanHalf(ctx *opCtx[V], n *node[V]) (*node[V], int64) {
 	o := m.mem.allocRaw(int(n.level))
 	pivot := n.chunk.SplitUpperHalfTo(&o.chunk)

@@ -39,7 +39,7 @@ func (m *Map[V]) lookupCtx(ctx *opCtx[V], k int64, out *V) bool {
 // search finger short-circuits the descent when k falls inside the data node
 // the context's previous operation finished on.
 func (m *Map[V]) lookupOnce(ctx *opCtx[V], k int64, out *V) (found, ok bool) {
-	curr, ver, hit := m.fingerSeek(ctx, k, modeRead, fingerPoint)
+	curr, ver, hit := m.fingerSeek(ctx, k, modeRead)
 	if !hit {
 		curr, ver, ok = m.descendToData(ctx, k, modeRead)
 		if !ok {

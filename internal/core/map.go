@@ -15,11 +15,12 @@
 //
 // Concurrency follows Listings 2-4 of the paper: readers traverse
 // hand-over-hand, snapshotting each node's sequence lock and validating the
-// snapshot after every exposure; writers freeze their target nodes on the
-// way down (Insert) or lock top-down (Remove) and restart whenever a
-// validation fails. All optimistically read fields are atomic cells, so the
-// implementation is well-defined under the Go memory model and clean under
-// the race detector.
+// snapshot after every exposure. A write that changes only the data layer
+// locks its one data node (a group commit, batch.go); a tower insert freezes
+// its target nodes on the way down and the removal of an indexed key locks
+// top-down. Every writer restarts whenever a validation fails. All
+// optimistically read fields are atomic cells, so the implementation is
+// well-defined under the Go memory model and clean under the race detector.
 package core
 
 import (

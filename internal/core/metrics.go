@@ -18,9 +18,9 @@ func (m *Map[V]) initMetrics() {
 	m.reg = r
 
 	m.descentDepth = r.Histogram("sv_descent_depth",
-		"Index layers crossed by full read-path descents (finger hits skip the descent and are not observed).")
+		"Index layers crossed by full descents of reads and data-layer writes (finger hits skip the descent and are not observed).")
 	m.freezes = r.Counter("sv_freezes_total",
-		"Successful node freezes by Insert, tower and data layer (recorded only while telemetry is enabled).")
+		"Successful node freezes by tower inserts, one per layer up to the key's height, data layer included (recorded only while telemetry is enabled).")
 	m.batchSize = r.Histogram("sv_batch_size",
 		"Op counts of non-empty ApplyBatch calls (recorded only while telemetry is enabled).")
 	m.batchGroupSize = r.Histogram("sv_batch_group_size",

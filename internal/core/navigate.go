@@ -41,7 +41,7 @@ func (m *Map[V]) floorCtx(ctx *opCtx[V], k int64, out *V) (int64, bool) {
 }
 
 func (m *Map[V]) floorOnce(ctx *opCtx[V], k int64, out *V) (key int64, found, ok bool) {
-	curr, ver, hit := m.fingerSeek(ctx, k, modeRead, fingerPoint)
+	curr, ver, hit := m.fingerSeek(ctx, k, modeRead)
 	if !hit {
 		curr, ver, ok = m.descendToData(ctx, k, modeRead)
 		if !ok {
@@ -93,7 +93,7 @@ func (m *Map[V]) ceilingCtx(ctx *opCtx[V], k int64, out *V) (int64, bool) {
 }
 
 func (m *Map[V]) ceilingOnce(ctx *opCtx[V], k int64, out *V) (key int64, found, ok bool) {
-	curr, ver, hit := m.fingerSeek(ctx, k, modeRead, fingerPoint)
+	curr, ver, hit := m.fingerSeek(ctx, k, modeRead)
 	if !hit {
 		curr, ver, ok = m.descendToData(ctx, k, modeRead)
 		if !ok {

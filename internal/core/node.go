@@ -221,7 +221,7 @@ type StatsSnapshot struct {
 	Splits         int64
 	Merges         int64
 	Orphans        int64
-	Freezes        int64 // successful Insert freezes; recorded only while telemetry is enabled
+	Freezes        int64 // successful tower-insert freezes; recorded only while telemetry is enabled
 	Allocs         int64
 	Reuses         int64
 	Retired        int64 // nodes retired but not yet recycled (bounded garbage)

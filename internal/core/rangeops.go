@@ -84,7 +84,7 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, c vecto
 
 	var locked []*node[V]
 	for {
-		curr, ver, hit := m.fingerSeek(ctx, lo, modeRead, fingerPoint)
+		curr, ver, hit := m.fingerSeek(ctx, lo, modeRead)
 		if !hit {
 			var ok bool
 			curr, ver, ok = m.descendToData(ctx, lo, modeRead)
@@ -135,8 +135,7 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, c vecto
 	var cowEpoch uint64
 	cowDecided := false
 	logging := mutate && m.commitHook != nil
-	rcommits := ctx.batch.commits[:0]
-	rcells := ctx.batch.cells[:0]
+	slots, outs := ctx.batch.slots[:0], ctx.batch.outs[:0]
 	notePre := func(n *node[V]) {
 		if !cowDecided {
 			cowDecided = true
@@ -164,8 +163,8 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, c vecto
 				}
 				n.data().Set(k, nc)
 				if logging {
-					rcommits = append(rcommits, CommitOp[V]{Key: k})
-					rcells = append(rcells, nc)
+					slots = append(slots, vectormap.CellOp{Key: k, Val: nc})
+					outs = append(outs, vectormap.SlotUpdated)
 				}
 			}
 			if !cont {
@@ -180,18 +179,9 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, c vecto
 	// fired while every window lock is still held — the 2PL span is the
 	// operation's linearization point, so no conflicting write can order
 	// itself between the hook call and the releases below (commit.go).
-	if len(rcommits) > 0 {
-		vals := ctx.commitVals(len(rcommits))
-		for i, c := range rcells {
-			m.load(c, &vals[i])
-			rcommits[i].Val = &vals[i]
-		}
-		m.commitHook(ctx.walUnit, CommitRange, rcommits)
-		clear(rcommits) // don't pin the values past the call
-		clear(rcells)
-		clear(vals)
-	}
-	ctx.batch.commits, ctx.batch.cells = rcommits[:0], rcells[:0]
+	m.logOps(ctx, CommitRange, slots, outs)
+	clear(slots) // don't pin the values past the call
+	ctx.batch.slots, ctx.batch.outs = slots[:0], outs[:0]
 
 	// Shrink phase: release everything. Mutating ranges bump sequence
 	// numbers; read-only ranges restore the pre-lock words. The last window

@@ -2,47 +2,46 @@ package core
 
 import (
 	"skipvector/internal/chaos"
-	"skipvector/internal/seqlock"
+	"skipvector/internal/vectormap"
 )
 
-// Remove deletes the mapping for k, returning true when k was present
-// (Listing 4). A successful Remove linearizes at the write-acquisition of
-// its last lock; an unsuccessful one at the validated observation that k is
-// absent from the data layer.
+// Remove deletes the mapping for k, returning true when k was present. A
+// successful Remove linearizes at the release of the data node's lock it
+// removes k under; an unsuccessful one at the validated observation that k
+// is absent from the data layer.
 func (m *Map[V]) Remove(k int64) bool {
 	checkKey(k)
 	ctx := m.ctxs.get()
 	defer m.ctxs.put(ctx)
-	return m.removeCtx(ctx, k)
+	return m.removeKey(ctx, k) == vectormap.SlotRemoved
 }
 
-// removeCtx is Remove's retry loop against an explicit context (shared with
-// Handle.Remove).
-func (m *Map[V]) removeCtx(ctx *opCtx[V], k int64) bool {
+// removeKey deletes k (shared with Handle.Remove and writeKey). Every key
+// that is not the minimum of a non-orphan data node — the (T_D-1)/T_D common
+// case — is a group of one through the write kernel. Such a minimum may own
+// an index tower, which only the top-down pass of Listing 4 can find and
+// unlink, so the kernel defers it here. Taking that pass is a change of
+// path, not a failed attempt, and charges no restart.
+func (m *Map[V]) removeKey(ctx *opCtx[V], k int64) vectormap.SlotOutcome {
+	if out, deferred := m.writeOne(ctx, vectormap.CellOp{Key: k, Del: true}, opRemove); !deferred {
+		return out
+	}
 	for {
-		if result, done := m.removeAttempt(ctx, k); done {
-			return result
+		if out, done := m.removeAttempt(ctx, k); done {
+			return out
 		}
 		m.restart(ctx, opRemove)
 	}
 }
 
-// removeAttempt performs one optimistic attempt; done=false requests a
-// restart.
-func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
-	// An indexed key is always the minimum of its data node, and fingerRemove
-	// accepts only keys strictly above the minimum of the node the finger's
-	// walk lands on, so a finger hit proves k has no index tower: the whole descent — including
-	// the per-layer search for an index entry equal to k — can be skipped.
-	if fcurr, fver, hit := m.fingerSeek(ctx, k, modeWrite, fingerRemove); hit {
-		return m.removeFromDataLayer(ctx, fcurr, fver, k)
-	}
-
+// removeAttempt performs one top-down attempt (Listing 4); done=false
+// requests a restart.
+func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (out vectormap.SlotOutcome, done bool) {
 	curr := m.head
 	ctx.take(curr)
 	ver, ok := curr.lock.ReadVersion()
 	if !ok {
-		return false, false
+		return 0, false
 	}
 
 	// Descend, watching for an index entry equal to k.
@@ -50,11 +49,11 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 	for curr.isIndex() {
 		curr, ver, ok = m.traverseRight(ctx, curr, ver, k, modeWrite)
 		if !ok {
-			return false, false
+			return 0, false
 		}
 		kf, child, found := curr.index().FindLE(k)
 		if !found || child == nil {
-			return false, false
+			return 0, false
 		}
 		if kf == k {
 			// k lives in this index layer. If k is the minimum of a
@@ -63,15 +62,15 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 			// topmost occurrence (Listing 4 line 13).
 			minK, hasMin := curr.minKey()
 			if !curr.lock.Validate(ver) {
-				return false, false
+				return 0, false
 			}
 			if hasMin && minK == k && !ver.Orphan() {
-				return false, false
+				return 0, false
 			}
 			// Subsequent layers are traversed non-speculatively under
 			// hand-over-hand write locks (Listing 4 line 16).
 			if !curr.lock.TryUpgrade(ver) {
-				return false, false
+				return 0, false
 			}
 			ctx.drop(curr)
 			locked = curr
@@ -79,19 +78,25 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 		}
 		curr, ver, ok = m.exchangeDown(ctx, curr, ver, child)
 		if !ok {
-			return false, false
+			return 0, false
 		}
 	}
 
+	slots, outs := ctx.single(vectormap.CellOp{Key: k, Del: true}, vectormap.SlotNone)
 	if locked == nil {
-		// Common case: k was not in any index layer, so only the data
-		// layer needs to change (Listing 4 lines 23-31). Settle on the
-		// owning data node first.
+		// k was not in any index layer, so only the data layer changes
+		// (Listing 4 lines 23-31), as a group of one on the owner. If the
+		// kernel defers again, k is the minimum of a non-orphan data node:
+		// a concurrent Insert gave k an index entry that this descent missed
+		// (Listing 4 line 28), so restart and remove it top-down.
 		curr, ver, ok = m.traverseRight(ctx, curr, ver, k, modeWrite)
 		if !ok {
-			return false, false
+			return 0, false
 		}
-		return m.removeFromDataLayer(ctx, curr, ver, k)
+		if _, deferred, ok := m.commitAt(ctx, curr, ver, slots, outs, opRemove); !ok || deferred {
+			return 0, false
+		}
+		return outs[0], true
 	}
 
 	// k was found in an index layer: walk down removing it from every
@@ -113,58 +118,9 @@ func (m *Map[V]) removeAttempt(ctx *opCtx[V], k int64) (result, done bool) {
 		curr.lock.Release()
 		curr = child
 	}
-	m.noteDataWrite(curr) // CoW pre-image before the first mutation (snapshot.go)
-	if _, found := curr.data().Remove(k); !found {
+	m.applyLocked(ctx, curr, slots, outs, opRemove)
+	if outs[0] != vectormap.SlotRemoved {
 		panic("core: data entry for indexed key missing under write lock")
 	}
-	m.logDel(ctx, k) // before the release that publishes it (commit.go)
-	fver := curr.lock.Release()
-	ctx.dropAll()
-	m.length.add(ctx.stripe, -1)
-	m.recordFinger(ctx, curr, fver)
-	return true, true
-}
-
-// removeFromDataLayer handles the common case where k has no index entries.
-// curr is the data node reached by the descent, with snapshot ver.
-func (m *Map[V]) removeFromDataLayer(
-	ctx *opCtx[V], curr *node[V], ver seqlock.Version, k int64,
-) (result, done bool) {
-	if !curr.lock.TryUpgrade(ver) {
-		return false, false
-	}
-	ctx.drop(curr)
-	// Mirror of the index-layer race check (Listing 4 line 28): if k is the
-	// minimum of a non-orphan data node, a concurrent Insert gave k an
-	// index entry that this descent missed; restart and remove it top-down.
-	minK, hasMin := curr.minKey()
-	if hasMin && minK == k && !curr.lock.IsOrphan() {
-		curr.lock.Abort()
-		return false, false
-	}
-	// With snapshots pinned the pre-image must be published before the chunk
-	// changes, and only for a write that will actually change it: the
-	// absence path releases with Abort, which forbids any modification —
-	// including a verEpoch bump — so presence is settled first.
-	if m.snaps.count.Load() > 0 {
-		if !curr.data().Contains(k) {
-			m.recordFinger(ctx, curr, curr.lock.Abort())
-			ctx.dropAll()
-			return false, true
-		}
-		m.noteDataWrite(curr)
-	}
-	_, removed := curr.data().Remove(k)
-	if removed {
-		m.logDel(ctx, k) // before the release that publishes it (commit.go)
-		fver := curr.lock.Release()
-		m.length.add(ctx.stripe, -1)
-		m.recordFinger(ctx, curr, fver)
-	} else {
-		// Abort restores the pre-acquisition word, which is a valid snapshot
-		// of the (unmodified) node — remember it for the next operation.
-		m.recordFinger(ctx, curr, curr.lock.Abort())
-	}
-	ctx.dropAll()
-	return removed, true
+	return outs[0], true
 }

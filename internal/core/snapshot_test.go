@@ -1011,3 +1011,39 @@ func TestSnapshotLastCloseRacingPreImagePush(t *testing.T) {
 	}
 	mustCheck(t, m)
 }
+
+// TestSnapshotNoEffectWritesPublishNothing pins the write kernel's snapshot
+// rule: under a pinned snapshot, a write that changes nothing — a Remove of
+// an absent key, an Insert of a present one, a batch made only of such ops —
+// aborts before the copy-on-write hook and publishes no pre-image. An
+// effective write publishes one.
+func TestSnapshotNoEffectWritesPublishNothing(t *testing.T) {
+	m := newTestMap(t, DefaultConfig())
+	for k := int64(0); k < 64; k += 2 {
+		m.Insert(k, v64(k))
+	}
+	s := m.Snapshot()
+	defer s.Close()
+	for _, c := range []struct {
+		name  string
+		write func() bool // reports whether the write did what was expected
+		cow   int64
+	}{
+		{"Remove of an absent key", func() bool { return !m.Remove(3) }, 0},
+		{"Insert of a present key", func() bool { return !m.Insert(4, v64(9)) }, 0},
+		{"batch of an absent delete and an insert-only hit", func() bool {
+			res := m.ApplyBatch([]BatchOp[int64]{{Key: 5, Del: true}, {Key: 6, Val: v64(9), InsertOnly: true}})
+			return res[0].Outcome == BatchAbsent && res[1].Outcome == BatchExists
+		}, 0},
+		{"Remove of a present key", func() bool { return m.Remove(8) }, 1},
+	} {
+		before := m.Stats().SnapshotCow
+		if !c.write() {
+			t.Fatalf("%s: unexpected outcome", c.name)
+		}
+		if got := m.Stats().SnapshotCow - before; got != c.cow {
+			t.Errorf("%s published %d pre-images, want %d", c.name, got, c.cow)
+		}
+	}
+	mustCheck(t, m)
+}

@@ -19,10 +19,14 @@ import (
 // invariantExpect parameterizes verifyMetricInvariants for the workload that
 // preceded the check. Zero values disable the corresponding assertion.
 type invariantExpect struct {
-	// minFreezes is a lower bound on the freeze counter; a successful Insert
-	// freezes at least one node per layer it touches, so a run with telemetry
-	// enabled throughout must report Freezes ≥ successful inserts.
-	minFreezes int64
+	// freezesCoverIndex asserts Freezes ≥ IndexElems, for a map built from
+	// empty with telemetry enabled throughout: only a tower insert adds index
+	// entries, and one of height h freezes h+1 nodes to add h of them.
+	freezesCoverIndex bool
+	// singletonOnly asserts the workload made no ApplyBatch call, so the
+	// batch instruments must read 0: singleton writes share the group-commit
+	// kernel but none of its batch accounting.
+	singletonOnly bool
 	// occLo/occHi bound the mean interior data-chunk occupancy. Asserted only
 	// when the structure holds at least minDataChunks interior data chunks,
 	// so a nearly empty map cannot trip the envelope on noise.
@@ -157,8 +161,14 @@ func verifyMetricInvariants(m *Map[int64], exp invariantExpect) error {
 			bs.Sum, exp.batchOps)
 	}
 
-	if s.Freezes < exp.minFreezes {
-		return fmt.Errorf("freezes %d < expected minimum %d", s.Freezes, exp.minFreezes)
+	if exp.singletonOnly && (bs.Count != 0 || gs.Count != 0 || s.BatchDescentsSaved != 0 || s.RestartsBatch != 0) {
+		return fmt.Errorf("singleton-only traffic moved the batch instruments: %d batches, %d commit units, %d descents saved, %d batch restarts",
+			bs.Count, gs.Count, s.BatchDescentsSaved, s.RestartsBatch)
+	}
+
+	occ := m.Occupancy()
+	if exp.freezesCoverIndex && s.Freezes < int64(occ.IndexElems) {
+		return fmt.Errorf("freezes %d < %d index entries, each added by a freezing tower insert", s.Freezes, occ.IndexElems)
 	}
 
 	// Descent depth can never exceed the number of index layers: each
@@ -178,7 +188,6 @@ func verifyMetricInvariants(m *Map[int64], exp invariantExpect) error {
 
 	// Chunk fill: no chunk holds more elements than its block has cells,
 	// and no block has more cells than the chunk's logical capacity.
-	occ := m.Occupancy()
 	if occ.DataElems > occ.DataCells || occ.DataCells > occ.DataChunks*2*m.cfg.TargetDataVectorSize {
 		return fmt.Errorf("%d data elements in %d cells of %d chunks (T_D %d)",
 			occ.DataElems, occ.DataCells, occ.DataChunks, m.cfg.TargetDataVectorSize)
@@ -220,7 +229,7 @@ func TestMetricInvariantsAfterChaosStress(t *testing.T) {
 				opsPerG = 800
 			}
 			m := newTestMap(t, cfg)
-			var inserts, batchOps, snapsTaken atomic.Int64
+			var batchOps, snapsTaken atomic.Int64
 
 			seed := uint64(0x7e1e + len(name))
 			chaos.Enable(stressChaosConfig(seed))
@@ -246,9 +255,7 @@ func TestMetricInvariantsAfterChaosStress(t *testing.T) {
 						switch rng.Intn(9) {
 						case 0, 1, 2:
 							v := int64(i)
-							if m.Insert(k, &v) {
-								inserts.Add(1)
-							}
+							m.Insert(k, &v)
 						case 3:
 							m.Remove(k)
 						case 4:
@@ -288,13 +295,13 @@ func TestMetricInvariantsAfterChaosStress(t *testing.T) {
 			}
 
 			exp := invariantExpect{
-				minFreezes:      inserts.Load(),
-				occLo:           float64(cfg.TargetDataVectorSize) / 2,
-				occHi:           2 * float64(cfg.TargetDataVectorSize),
-				minDataChunks:   4,
-				batchOps:        batchOps.Load(),
-				snapshotsClosed: true,
-				minSnapshots:    snapsTaken.Load(),
+				freezesCoverIndex: true,
+				occLo:             float64(cfg.TargetDataVectorSize) / 2,
+				occHi:             2 * float64(cfg.TargetDataVectorSize),
+				minDataChunks:     4,
+				batchOps:          batchOps.Load(),
+				snapshotsClosed:   true,
+				minSnapshots:      snapsTaken.Load(),
 			}
 			if err := verifyMetricInvariants(m, exp); err != nil {
 				t.Fatalf("metric invariants violated after stress: %v\nstats: %+v", err, m.Stats())
@@ -374,7 +381,7 @@ func TestInvariantSuiteDetectsSuppressedReclaim(t *testing.T) {
 	m.mem.domain.SetReclaimSuppressed(false)
 	m.FlushRetired()
 	m.mem.domain.ResetRetireHWM()
-	if err := verifyMetricInvariants(m, invariantExpect{}); err != nil {
+	if err := verifyMetricInvariants(m, invariantExpect{freezesCoverIndex: true, singletonOnly: true}); err != nil {
 		t.Fatalf("invariants still failing after suppression lifted and retirees flushed: %v", err)
 	}
 	if s = m.Stats(); s.Retired != 0 {
@@ -451,7 +458,8 @@ func TestInvariantSuiteDetectsSuppressedSnapshotRelease(t *testing.T) {
 	leakedPin.Close()
 	m.FlushRetired()
 	m.mem.domain.ResetRetireHWM()
-	if err := verifyMetricInvariants(m, invariantExpect{snapshotsClosed: true}); err != nil {
+	exp := invariantExpect{snapshotsClosed: true, freezesCoverIndex: true, singletonOnly: true}
+	if err := verifyMetricInvariants(m, exp); err != nil {
 		t.Fatalf("invariants still failing after the pin was released: %v", err)
 	}
 	if st = m.Stats(); st.Retired != 0 {

@@ -185,9 +185,9 @@ func (m *Map[V]) exchangeDown(
 	return child, childVer, true
 }
 
-// descendToData performs the read path shared by Lookup and the range
-// operations: from the top head, repeatedly traverse right and exchange down
-// until the data layer, then traverse right once more. On success the caller
+// descendToData performs the descent shared by the read paths and the write
+// kernel (writeGroup): from the top head, repeatedly traverse right and
+// exchange down until the data layer, then traverse right once more. On success the caller
 // holds a hazard pointer on the returned data node and a snapshot of its
 // lock to validate against.
 func (m *Map[V]) descendToData(

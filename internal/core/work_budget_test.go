@@ -151,6 +151,7 @@ func TestWorkBudgets(t *testing.T) {
 		i++
 		return keys[i%budgetKeys] + int64(i&1)
 	}
+	one := uint64(1)
 	perOp := func(op func(k int64)) float64 {
 		return testing.AllocsPerRun(1000, func() { op(nextKey()) })
 	}
@@ -256,6 +257,8 @@ func TestWorkBudgets(t *testing.T) {
 		{"allocs per Handle.Contains", perOp(func(k int64) { h.Contains(k) }), 0},
 		{"allocs per Handle.Floor", perOp(func(k int64) { h.Floor(k) }), 0},
 		{"allocs per Handle.Ceiling", perOp(func(k int64) { h.Ceiling(k) }), 0},
+		{"allocs per Handle.Insert of a present key", perOp(func(k int64) { h.Insert(k&^1, &one) }), 0},
+		{"allocs per Handle.Remove of an absent key", perOp(func(k int64) { h.Remove(k | 1) }), 0},
 		{"allocs per facade Lookup", perOp(func(k int64) { facade.Lookup(k) }), 0},
 		{"allocs per facade Upsert of a present key", perOp(func(k int64) {
 			facade.Upsert(k&^1, uint64(k))

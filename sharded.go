@@ -22,7 +22,7 @@ import (
 //   - Point operations (Insert/Upsert/Lookup/Remove/Floor/Ceiling) are
 //     linearizable, exactly as on Map.
 //   - ApplyBatch commits per shard: each shard's part is applied with the
-//     core chunk-grouped batch (its per-chunk runs atomic), parts run in
+//     core chunk-grouped batch (its group commits atomic), parts run in
 //     parallel, and the call returns after all shards committed — but a
 //     concurrent reader can observe some shards' parts before others.
 //   - RangeQuery/RangeUpdate/Ascend windows crossing a shard boundary are

@@ -188,12 +188,16 @@ const (
 
 // ApplyBatch applies ops and returns one result per op, in request order.
 // Ops commit in ascending key order (same-key ops in request order, last
-// write wins), and every run of keys owned by one data chunk commits
-// atomically under a single lock acquisition — on batches with spatial
-// locality this amortizes one traversal and one lock round trip over the
-// whole run, which is where the chunked layout beats issuing the ops one by
-// one. The batch as a whole is not atomic: concurrent readers may observe a
-// state between two chunk commits, but never a partially-applied chunk run.
+// write wins) as a sequence of group commits, each atomic under a single
+// lock acquisition — on batches with spatial locality this amortizes one
+// traversal and one lock round trip over the keys of a data chunk, which is
+// where the chunked layout beats issuing the ops one by one. A group holds
+// consecutive keys owned by one data chunk, but one chunk's keys may commit
+// as several groups: a group extends past the chunk's largest key only
+// towards a next key within one key span of it, and a key that raises an
+// index tower or removes an indexed minimum commits on its own. The batch as
+// a whole is not atomic: concurrent readers may observe a state between two
+// group commits, but never a partially-applied group.
 func (m *Map[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
 	return m.m.ApplyBatch(toCoreOps(ops))
 }
@@ -478,7 +482,7 @@ func (h *Handle[V]) Upsert(k int64, v V) bool { return h.h.Upsert(k, &v) }
 
 // ApplyBatch is Map.ApplyBatch through the pinned session. Batches whose
 // first keys land where the previous operation finished resume from the
-// session's search finger, skipping even the one descent per chunk run.
+// session's search finger, skipping even the one descent per group.
 func (h *Handle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
 	return h.h.ApplyBatch(toCoreOps(ops))
 }

@@ -27,9 +27,10 @@ func New(opts ...Option) *Set {
 func (s *Set) Insert(k int64) bool { return s.m.Insert(k, struct{}{}) }
 
 // InsertBatch adds every key in ks and returns how many were newly
-// inserted. Runs of keys that land in one data chunk commit under a single
-// lock acquisition, so sorted or clustered inputs are substantially cheaper
-// than an Insert loop. Duplicate keys in ks count once.
+// inserted. Keys that land close together in one data chunk commit under a
+// single lock acquisition (see skipvector.Map.ApplyBatch for the exact
+// unit), so sorted or clustered inputs are substantially cheaper than an
+// Insert loop. Duplicate keys in ks count once.
 func (s *Set) InsertBatch(ks []int64) int {
 	ops := make([]skipvector.BatchOp[struct{}], len(ks))
 	for i, k := range ks {
