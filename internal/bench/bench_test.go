@@ -376,6 +376,16 @@ func TestMemoryFootprint(t *testing.T) {
 	if tb.Col("FSL walked") >= 0 {
 		t.Error("FSL, which is no core.Map, has a walked column")
 	}
+	// The first structure of a kind measured pays none of the process's
+	// one-time allocations: its heap delta stays within 1.25× that of the
+	// same structure without hazard pointers, measured after it. (Each map's
+	// own telemetry registry, about 24 KB, is a fixed cost every variant
+	// pays alike; at 2^12 it is as much per element as the walked bytes.)
+	for _, kind := range []string{"SV", "USL"} {
+		if hp, leak := tb.Cells[0][tb.Col(kind+"-HP")], tb.Cells[0][tb.Col(kind+"-Leak")]; hp > 1.25*leak {
+			t.Errorf("first row: %s-HP heap delta %.1f B/elem, over 1.25× %s-Leak's %.1f", kind, hp, kind, leak)
+		}
+	}
 	if strings.Contains(tb.Render(), "*") {
 		t.Errorf("unmarked table renders a mark:\n%s", tb.Render())
 	}

@@ -31,6 +31,15 @@ func MemoryFootprint(keyRangeExps []int, seed uint64) *Table {
 	}
 	t := NewTable("Memory: live bytes per element after half-range prefill", "key-bits", cols)
 	t.Note = "* heap delta below the walked bytes"
+	// The process's one-time allocations (the chunk blocks' shape cache,
+	// registries) would be charged to the first structure of each kind
+	// measured; a throwaway build of each at the smallest range makes them
+	// first.
+	if len(keyRangeExps) > 0 {
+		for _, v := range variants {
+			bytesPerElement(v, Pow2(keyRangeExps[0]), seed)
+		}
+	}
 	for _, exp := range keyRangeExps {
 		keyRange := Pow2(exp)
 		row := make([]float64, len(cols))

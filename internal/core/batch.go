@@ -456,6 +456,16 @@ func (m *Map[V]) commitAt(
 	return g, false, true
 }
 
+// noEffect reports whether every outcome left the chunk as it was.
+func noEffect(outs []vectormap.SlotOutcome) bool {
+	for _, o := range outs {
+		if o != vectormap.SlotAbsent && o != vectormap.SlotExists {
+			return false
+		}
+	}
+	return true
+}
+
 // abortAt releases curr's write lock with nothing modified and remembers the
 // restored word, a valid snapshot of the unchanged node, for the finger.
 func (m *Map[V]) abortAt(ctx *opCtx[V], curr *node[V]) {
@@ -472,11 +482,14 @@ func (m *Map[V]) abortAt(ctx *opCtx[V], curr *node[V]) {
 // (verEpoch included) untouched. One epoch covers the group: private split
 // orphans inherit curr's freshly stamped verEpoch, so a snapshot pinned
 // before this point reads the whole group's pre-image from the version
-// store (snapshot.go).
+// store (snapshot.go). A group that changed nothing (every outcome an absent
+// delete or an insert-only hit) under no epoch left curr untouched
+// (ApplyOps), so it aborts instead: a no-op write fails no reader's
+// validation and no finger.
 func (m *Map[V]) applyLocked(
 	ctx *opCtx[V], curr *node[V], slots []vectormap.CellOp, outs []vectormap.SlotOutcome, kind opKind,
 ) {
-	m.noteDataWrite(curr)
+	epoch := m.noteDataWrite(curr)
 
 	// The segment chain: curr plus the private orphans split off so far, in
 	// key order; segMins[i] bounds segment i's keys from below.
@@ -514,6 +527,11 @@ func (m *Map[V]) applyLocked(
 		}
 	}
 	sc.segs, sc.segMins = segs, segMins
+	if epoch == 0 && len(segs) == 1 && noEffect(outs) {
+		clear(segs)
+		m.abortAt(ctx, curr)
+		return
+	}
 
 	// The finger version for a split-orphan last segment must be read
 	// *before* the release below makes the orphan reachable: afterwards a

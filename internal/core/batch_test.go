@@ -519,3 +519,54 @@ func TestBatchGroupExtent(t *testing.T) {
 		mustCheck(t, m)
 	}
 }
+
+// TestNoOpWritesKeepTheVersion: with no snapshot pinned, a write that
+// changes nothing (a Remove of an absent key, an Insert of a present one,
+// through the map or a Handle, or a batch made only of such ops) aborts its
+// data node's lock, so the seqlock version that readers and fingers
+// validate against stays as it was. A write that changes the node bumps it.
+func TestNoOpWritesKeepTheVersion(t *testing.T) {
+	m := newTestMap(t, DefaultConfig())
+	for k := int64(0); k < 1000; k += 2 {
+		m.Insert(k, v64(k))
+	}
+	h := m.NewHandle()
+	defer h.Close()
+	const present, absent = 500, 501
+	var owner *node[int64]
+	for n := m.heads[0]; n != nil && owner == nil; n = n.next.Load() {
+		if n.data().Contains(present) && n.data().Contains(present+2) {
+			owner = n
+		}
+	}
+	if owner == nil {
+		t.Fatalf("no data node holds both %d and %d", present, present+2)
+	}
+	for _, c := range []struct {
+		name  string
+		write func() bool // reports whether the write did what was expected
+		bumps bool
+	}{
+		{"Remove of an absent key", func() bool { return !m.Remove(absent) }, false},
+		{"Insert of a present key", func() bool { return !m.Insert(present, v64(9)) }, false},
+		{"Handle.Remove of an absent key", func() bool { return !h.Remove(absent) }, false},
+		{"Handle.Insert of a present key", func() bool { return !h.Insert(present, v64(9)) }, false},
+		{"batch of an absent delete and an insert-only hit", func() bool {
+			res := m.ApplyBatch([]BatchOp[int64]{{Key: absent, Del: true}, {Key: present, Val: v64(9), InsertOnly: true}})
+			return res[0].Outcome == BatchAbsent && res[1].Outcome == BatchExists
+		}, false},
+		{"Handle batch of an absent delete", func() bool {
+			return h.ApplyBatch([]BatchOp[int64]{{Key: absent, Del: true}})[0].Outcome == BatchAbsent
+		}, false},
+		{"Upsert of a present key", func() bool { return !m.Upsert(present, v64(9)) }, true},
+	} {
+		before := owner.lock.Current()
+		if !c.write() {
+			t.Fatalf("%s: unexpected outcome", c.name)
+		}
+		if after := owner.lock.Current(); (after != before) != c.bumps {
+			t.Errorf("%s: the owner's version went from %v to %v, want a bump: %t", c.name, before, after, c.bumps)
+		}
+	}
+	mustCheck(t, m)
+}

@@ -129,12 +129,13 @@ type OccupancySnapshot struct {
 	// blocks' fill.
 	DataCells  int
 	IndexCells int
-	// ChunksByKeyBytes counts the chunks, of either kind, by the width of
-	// their key cells: [1], [2], [4] and [8] count blocks of 1-, 2-, 4- and
-	// 8-byte cells, which hold keys sharing their upper 56 bits (in at most
-	// 63 cells), their upper 48, their upper 32, or neither; [0] counts
-	// empty chunks.
-	ChunksByKeyBytes [9]int
+	// DataChunksByKeyBytes and IndexChunksByKeyBytes count each layer
+	// class's chunks by the width of their key cells: [1], [2], [4] and [8]
+	// count blocks of 1-, 2-, 4- and 8-byte cells, a block of w < 8 bytes
+	// holding keys that lie in one window of 2^8w values starting at a
+	// multiple of 2^(8w-1) (in at most 64 cells at w = 1), so any keys less
+	// than 2^(8w-1) apart; [0] counts empty chunks.
+	DataChunksByKeyBytes, IndexChunksByKeyBytes [9]int
 	// NodeBytes, DataBytes and IndexBytes are the walked bytes: the nodes
 	// counted at their struct size, and each layer class's blocks at the
 	// allocator size class they were allocated in. They are exact, unlike a
@@ -152,13 +153,14 @@ func (m *Map[V]) Occupancy() OccupancySnapshot {
 	var s OccupancySnapshot
 	for l := 0; l < m.cfg.LayerCount; l++ {
 		m.walkLayer(l, func(n *node[V]) {
-			s.ChunksByKeyBytes[n.chunk.KeyBytes()]++
 			if n.isIndex() {
+				s.IndexChunksByKeyBytes[n.chunk.KeyBytes()]++
 				s.IndexChunks++
 				s.IndexElems += n.size()
 				s.IndexCells += n.chunk.BlockCap()
 				s.IndexBytes += n.chunk.BlockBytes()
 			} else {
+				s.DataChunksByKeyBytes[n.chunk.KeyBytes()]++
 				s.DataChunks++
 				s.DataElems += n.size()
 				s.DataCells += n.chunk.BlockCap()

@@ -109,7 +109,7 @@ func BenchmarkChunkSplitAbsorb(b *testing.B) {
 // BenchmarkChunkKeyWidth sets 1-byte key cells against 2-byte ones on the
 // same reads: n keys 2 apart (one 2^8 window) or 2^9 apart (one 2^16
 // window), at T = 32 holding 32 keys and at T = 128 holding 60, reserved up
-// front, since a block of 1-byte cells holds at most 63. Get and FindLE
+// front, since a block of 1-byte cells holds at most 64. Get and FindLE
 // probe every key and every gap in turn; Bounds reads the whole chunk.
 func BenchmarkChunkKeyWidth(b *testing.B) {
 	for _, g := range spacings[:2] {

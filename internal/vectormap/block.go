@@ -10,25 +10,34 @@ import (
 
 // block is a chunk's storage: one allocation laid out as
 //
-//	hdr  uint64        prefix<<8w | capacity<<2 | width code
+//	hdr  uint64        base | capacity | width tag
 //	keys [c]cell       atomic key cells of w = 1, 2, 4 or 8 bytes, padded to
 //	                   a multiple of 8 bytes
 //	vals [c]cell       atomic payload cells
 //
 // Every key is stored as its biased form u = uint64(k) ^ 1<<63, whose
-// unsigned order is key order. A block of w-byte cells keeps the low 8w bits
-// of each u in its cells and the upper bits, which all its keys share, once
-// in its header as the prefix (none when w = 8). Unsigned order of the cells
-// is then key order at every width, and a key with another prefix lies
-// wholly before or after the block. The width code sits in the header's two
-// low bits, where a reader finds it before it knows the width; the capacity
-// takes the rest below the prefix: 6 bits at w = 1, 14 at w = 2, 30 at
-// w = 4, 62 at w = 8. So a block of 1-byte cells has at most 63 of them,
-// and one of 64 (a full chunk at targetSize 32) takes 2-byte cells. A
-// block's width is the narrowest whose prefix every key it was
-// allocated for shares and whose capacity bits hold its capacity. Like the
-// capacity it never changes; a key that does not fit goes into a new, wider
-// block on the resize path (Cells.grow).
+// unsigned order is key order. A block of w-byte cells, w < 8, holds the keys
+// of one window of 2^8w biased values, base ≤ u < base + 2^8w, where base is
+// a multiple of half the window, 2^(8w-1); each cell stores u − base. So any
+// keys less than 2^(8w-1) apart fit one block of w-byte cells, wherever they
+// lie, unsigned order of the cells is key order at every width, and a key
+// outside the window lies wholly before or after the block. An 8-byte cell
+// stores u itself.
+//
+// The header is base with its low 8w−1 bits, which base leaves clear, holding
+// a prefix-free width tag and the capacity, so a reader decodes the width
+// from the three low bits before it knows the width:
+//
+//	1-byte cells:         bit 0 = 1, 6 bits of capacity − 1, a 57-bit base
+//	2-, 4-, 8-byte cells: bit 0 = 0, a 2-bit code, 12, 28 or 61 capacity
+//	                      bits, then a 49- or 33-bit base (none at 8)
+//
+// So a block of 1-byte cells has 1 to 64 of them (a full chunk at targetSize
+// 32), and one of 2-byte cells at most 4,095. A block's width is the
+// narrowest whose window holds every key it was allocated for and whose
+// header counts the cells those keys need (sized). Like the capacity and the
+// base it never changes; a key outside the window goes into a new block on
+// the resize path (Cells.grow), which chooses the width and window again.
 //
 // sync/atomic has no 8- or 16-bit type, so a 1- or 2-byte cell is read and
 // written through the aligned 4-byte word that holds it and its neighbours:
@@ -64,7 +73,33 @@ func (w width) bytes() uintptr { return 8 >> w }
 func (w width) bits() uint     { return 64 >> w }
 
 // maxCap is the largest capacity a header of width w holds.
-func (w width) maxCap() uint64 { return 1<<(w.bits()-2) - 1 }
+func (w width) maxCap() uint64 {
+	f := &capFields[tags[w]]
+	return f.mask + f.min
+}
+
+// tags holds each width's tag, the header's low bits that name it: bit 0 set
+// for 1-byte cells, else a 2-bit code above a clear bit 0.
+var tags = [4]uint64{w8: 0b000, w4: 0b010, w2: 0b100, w1: 0b1}
+
+// widths and capFields decode a header by its three low bits: the width they
+// name, and where its capacity field starts, how wide it is and what a 0 in
+// it stands for, and the log2 of the width's cell bytes (vals). A block of
+// 1-byte cells has at least one, so its 6 bits hold 1 to 64 cells, a full
+// chunk at targetSize 32; the other widths' fields count from 0, the empty
+// block's capacity. The low bits 0b110 name no width and are never written.
+var (
+	widths    = [8]width{0b000: w8, 0b010: w4, 0b100: w2, 0b001: w1, 0b011: w1, 0b101: w1, 0b111: w1}
+	capFields = [8]struct {
+		shift, log uint8
+		mask, min  uint64
+	}{
+		0b000: {3, 3, 1<<61 - 1, 0},
+		0b010: {3, 2, 1<<28 - 1, 0},
+		0b100: {3, 1, 1<<12 - 1, 0},
+		0b001: {1, 0, 1<<6 - 1, 1}, 0b011: {1, 0, 1<<6 - 1, 1}, 0b101: {1, 0, 1<<6 - 1, 1}, 0b111: {1, 0, 1<<6 - 1, 1},
+	}
+)
 
 const (
 	// keysOff is where the key cells start: right after the 8-byte header,
@@ -89,14 +124,14 @@ const (
 var emptyBlock block
 
 // width is the width of b's key cells.
-func (b *block) width() width { return width(b.hdr & 3) }
+func (b *block) width() width { return widths[b.hdr&7] }
 
-// capMask is, by width code, the capacity field of a header shifted right
-// by 2.
-var capMask = [4]uint64{1<<62 - 1, 1<<30 - 1, 1<<14 - 1, 1<<6 - 1}
-
-// cap is the block's capacity.
-func (b *block) cap() int { return int(b.hdr >> 2 & capMask[b.hdr&3]) }
+// cap is the block's capacity. Masking a shift count with 63 spares the
+// compiler's test for counts past 63 here and in vals.
+func (b *block) cap() int {
+	f := &capFields[b.hdr&7]
+	return int(b.hdr>>(f.shift&63)&f.mask + f.min)
+}
 
 // keys is the address of the first key cell.
 func (b *block) keys() unsafe.Pointer { return unsafe.Add(unsafe.Pointer(b), keysOff) }
@@ -125,51 +160,65 @@ func store(keys unsafe.Pointer, i, size uintptr, c uint64) {
 	w.Store(w.Load()&^(mask<<sh) | uint32(c)<<sh)
 }
 
-// cellOf splits k for a block of size-byte cells: its cell, the low bits of
-// its biased form, and where its prefix lies against the block's: -1 below,
-// 0 the same, 1 above. Every key shares an 8-byte block's empty prefix.
+// windowBase clears the low 8·size−1 bits of u. Of a biased key, that is the
+// base of the window of size-byte cells holding it in its lower half; of a
+// header of that width, the block's base. It is 0 at 8 bytes.
+func windowBase(u uint64, size uintptr) uint64 {
+	if size == 8 {
+		return 0
+	}
+	return u &^ (1<<(8*size-1) - 1)
+}
+
+// cellOf splits k for a block of size-byte cells: its cell, its biased form
+// less the block's base, and where it lies against the block's window: -1
+// below the base, 0 inside, 1 at base + 2^8w or above. Every key lies inside
+// an 8-byte block's window.
 func (b *block) cellOf(k int64, size uintptr) (c uint64, side int) {
 	u := uint64(k) ^ signBit
 	if size == 8 {
 		return u, 0
 	}
-	bits := 8 * size
-	switch p, bp := u>>bits, b.hdr>>bits; {
-	case p < bp:
+	base := windowBase(b.hdr, size)
+	switch c = u - base; {
+	case u < base:
 		side = -1
-	case p > bp:
+	case c>>(8*size) != 0:
 		side = 1
 	}
-	return u & (1<<bits - 1), side
+	return c, side
 }
+
+// base is the base of b's window.
+func (b *block) base() uint64 { return windowBase(b.hdr, b.width().bytes()) }
 
 // keyOf is the key whose cell is c in b, of size-byte cells.
 func (b *block) keyOf(c uint64, size uintptr) int64 {
-	bits := 8 * size
-	return int64((b.hdr>>bits<<bits | c) ^ signBit)
+	return int64((windowBase(b.hdr, size) + c) ^ signBit)
 }
 
 // loadKey loads key i of a block of any width: load and keyOf for a width
 // known only at run time, spelled out to stay within the inlining budget.
 func (b *block) loadKey(i int) int64 {
-	w := b.hdr & 3
-	if w == 0 {
-		return int64(atomic.LoadUint64((*uint64)(unsafe.Add(unsafe.Pointer(b), keysOff+uintptr(i)*8))) ^ signBit)
+	w := widths[b.hdr&7]
+	off := uintptr(i) << (3 - w)
+	if w == w8 {
+		return int64(atomic.LoadUint64((*uint64)(unsafe.Add(unsafe.Pointer(b), keysOff+off))) ^ signBit)
 	}
-	off, bits := uintptr(i)<<(3-w), 64>>w
-	x := atomic.LoadUint32((*uint32)(unsafe.Add(unsafe.Pointer(b), keysOff+off&^3))) >> (off & 3 * 8)
-	return int64((b.hdr>>bits<<bits | uint64(x)&(1<<bits-1)) ^ signBit)
+	low := 63 >> w
+	x := uint64(atomic.LoadUint32((*uint32)(unsafe.Add(unsafe.Pointer(b), keysOff+off&^3)))) >> (off & 3 * 8)
+	return int64((b.hdr>>low<<low + x&(2<<low-1)) ^ signBit)
 }
 
-// storeKey stores k into key cell i. The block must hold k: a cell cannot
-// keep another prefix, so a key that would lose it panics here instead of
+// storeKey stores k into key cell i. The block must hold k: a key outside
+// the block's window would lose its high bits, so it panics here instead of
 // turning into a different key.
 func (b *block) storeKey(i int, k int64) {
 	size := b.width().bytes()
 	c, side := b.cellOf(k, size)
 	if side != 0 {
-		panic(fmt.Sprintf("vectormap: key %d stored in a block of %d-byte cells and prefix %#x",
-			k, size, b.hdr>>(8*size)))
+		panic(fmt.Sprintf("vectormap: key %d stored in a block of %d-byte cells and base %#x",
+			k, size, b.base()))
 	}
 	store(b.keys(), uintptr(i), size, c)
 }
@@ -178,9 +227,13 @@ func (b *block) storeKey(i int, k int64) {
 // w: c cells rounded up to a multiple of 8 bytes.
 func keyBytes(c int, w width) uintptr { return (uintptr(c)*w.bytes() + 7) &^ 7 }
 
-// vals is the address of the first payload cell.
+// vals is the address of the first payload cell: past the key array,
+// b.cap() cells of b.width() bytes padded to 8 (keyBytes), decoded from one
+// capFields entry so that the payload reads inline.
 func (b *block) vals() unsafe.Pointer {
-	return unsafe.Add(unsafe.Pointer(b), keysOff+keyBytes(b.cap(), b.width()))
+	f := &capFields[b.hdr&7]
+	c := uintptr(b.hdr>>(f.shift&63)&f.mask + f.min)
+	return unsafe.Add(unsafe.Pointer(b), keysOff+(c<<(f.log&63)+7)&^7)
 }
 
 // val returns pointer cell i. i must be below b.cap().
@@ -207,20 +260,43 @@ func spanOf(k int64) span { return span{k, k} }
 
 func (s span) with(t span) span { return span{min(s.lo, t.lo), max(s.hi, t.hi)} }
 
-// width is the narrowest width whose prefix every key of s shares: the ends
-// share it, so every key between them does. The empty span gets 8 bytes, and
-// so does a span that holds a sentinel: a head or tail node's chunk, whose
-// other keys all lie in other windows, even when the sentinel is alone.
+// width is the narrowest width whose window holds every key of s. The
+// window of w-byte cells that holds s.lo in its lower half is the one that
+// reaches furthest above it, so s fits a window of that width if it fits
+// that one. The empty span gets 8 bytes, and so does a span that holds a
+// sentinel: a head or tail node's chunk, whose other keys all lie in other
+// windows, even when the sentinel is alone.
 func (s span) width() width {
-	switch d := uint64(s.lo) ^ uint64(s.hi); {
-	case s.lo > s.hi || d>>32 != 0 || s.lo == NegInf || s.hi == PosInf:
+	lo, hi := uint64(s.lo)^signBit, uint64(s.hi)^signBit
+	switch {
+	case s.lo > s.hi || s.lo == NegInf || s.hi == PosInf || !inWindow(lo, hi, 4):
 		return w8
-	case d>>16 != 0:
+	case !inWindow(lo, hi, 2):
 		return w4
-	case d>>8 != 0:
+	case !inWindow(lo, hi, 1):
 		return w2
 	}
 	return w1
+}
+
+// windowFor is the base of the window of size-byte cells for the keys of
+// sp, which must fit one. Of the two windows that may hold them, the one
+// with sp.lo in its lower half and the one half a window lower, it takes the
+// one whose middle lies nearer to theirs, so that keys put later on either
+// side are as likely to fit.
+func windowFor(sp span, size uintptr) uint64 {
+	lo, hi := uint64(sp.lo)^signBit, uint64(sp.hi)^signBit
+	base, half := windowBase(lo, size), uint64(1)<<(8*size-1)
+	if base >= half && hi-base < half && lo+(hi-lo)/2-base < half/2 {
+		base -= half
+	}
+	return base
+}
+
+// inWindow reports whether the biased keys lo ≤ hi fit one window of
+// size-byte cells.
+func inWindow(lo, hi uint64, size uintptr) bool {
+	return (hi-windowBase(lo, size))>>(8*size) == 0
 }
 
 // span is the span of b's first s keys.
@@ -251,13 +327,13 @@ func (b *block) holds(sp span) bool {
 }
 
 // fill copies src's first n cells into the same cells of b. Keys of the
-// same width and the payloads are plain (bulk) copies rather than one atomic
-// store per cell; keys that change width go one by one. b must be a fresh
-// block no reader can see yet, of src's cell kind, that holds src's keys,
-// and src must have no other writer; concurrent atomic loads of src by
-// optimistic readers do not race with these reads.
+// same width and base and the payloads are plain (bulk) copies rather than
+// one atomic store per cell; keys that change width or base go one by one.
+// b must be a fresh block no reader can see yet, of src's cell kind, that
+// holds src's keys, and src must have no other writer; concurrent atomic
+// loads of src by optimistic readers do not race with these reads.
 func (b *block) fill(src *block, n int, words bool) {
-	if w := b.width(); w == src.width() {
+	if w := b.width(); w == src.width() && b.base() == src.base() {
 		nb := keyBytes(n, w)
 		copy(unsafe.Slice((*byte)(b.keys()), nb), unsafe.Slice((*byte)(src.keys()), nb))
 	} else {
@@ -298,7 +374,7 @@ func (b *block) fill(src *block, n int, words bool) {
 // Every capacity is then rounded up to the last cell its allocator size class
 // pays for and capped at the chunk's logical capacity, 2×targetSize. Each
 // new block takes the narrowest width its keys allow, so a resize also
-// narrows a block whose out-of-prefix keys left.
+// narrows a block whose keys outside the narrower window left.
 //
 // No insert and removal of one key resize a block back and forth. A put into
 // a block of s elements grows it to at most the class of appendRoom(s) cells
@@ -324,28 +400,31 @@ func appendRoom(n int) int { return max(n+minHeadroom, n*growNum/growDen) }
 func room(n int) int { return max(n+minHeadroom, n*roomNum/roomDen) }
 
 // capFor is the capacity of the block allocated for at least n ≤ limit cells
-// of the given kind and width.
+// of the given kind and width, short of n only where the width's header holds
+// fewer cells.
 func capFor(n, limit int, words bool, w width) int {
-	return min(shapeOf(n, words, w).fit, limit)
+	return int(min(uint64(min(shapeOf(n, words, w).fit, limit)), w.maxCap()))
 }
 
 // sized is the capacity and width of the block allocated for at least
-// n ≤ limit cells of the given kind holding the keys of sp: the narrowest
-// width sp allows whose header holds the capacity.
-func sized(n, limit int, words bool, sp span) (int, width) {
+// n ≤ limit cells of the given kind, need ≤ n of them for certain, holding
+// the keys of sp: the narrowest width sp allows whose header holds need
+// cells. A room past what that header counts is cut to its most cells
+// rather than widened: 64 cells of 1 byte cost less than 64 or more of 2.
+func sized(need, n, limit int, words bool, sp span) (int, width) {
 	w := sp.width()
-	for uint64(capFor(n, limit, words, w)) > w.maxCap() {
+	for uint64(need) > w.maxCap() {
 		w--
 	}
 	return capFor(n, limit, words, w), w
 }
 
 // newBlock allocates a zeroed block of capacity c ≥ 1 and width w for the
-// keys of sp, which must share one prefix of that width.
+// keys of sp, which must fit one window of that width (windowFor).
 func newBlock(c int, words bool, w width, sp span) *block {
 	b := (*block)(reflect.New(shapeOf(c, words, w).typ).UnsafePointer())
-	bits := w.bits()
-	b.hdr = (uint64(sp.lo)^signBit)>>bits<<bits | uint64(c)<<2 | uint64(w)
+	t := tags[w]
+	b.hdr = windowFor(sp, w.bytes()) | (uint64(c)-capFields[t].min)<<capFields[t].shift | t
 	return b
 }
 

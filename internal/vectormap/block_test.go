@@ -113,8 +113,9 @@ func (g spacing) puts(n int) []put {
 // key takes 1-byte cells, and the second key of a wider spacing widens
 // them). A put that extends the span grows the block geometrically, to
 // appendRoom(size) cells, and one inside it to room(size), each rounded to
-// its size class, at the width of the keys: a block of 1-byte cells holds
-// at most 63, so the 64 of a full chunk at targetSize 32 take 2-byte cells.
+// its size class, at the width of the keys and no more than that width's
+// header counts: a block of 1-byte cells holds at most 64, a full chunk at
+// targetSize 32.
 func TestBlockGrowsWhenFull(t *testing.T) {
 	perWidth(t, func(t *testing.T, g spacing) {
 		for _, target := range []int{1, 2, 4, 32} {
@@ -141,7 +142,7 @@ func TestBlockGrowsWhenFull(t *testing.T) {
 							step = appendRoom(n)
 						}
 						bc, bw := blockCap(c), blockWidth(c)
-						if want, ww := sized(step, limit, false, g.keys(0, n).with(spanOf(p.k))); grows && (bc != want || bw != ww) {
+						if want, ww := sized(n+1, step, limit, false, g.keys(0, n).with(spanOf(p.k))); grows && (bc != want || bw != ww) {
 							t.Fatalf("T=%d: put of %d (extends the span: %t) grew a block of %d/%d cells to %d cells of %d bytes, want %d of %d",
 								target, p.k, p.extends, n, before, bc, bw.bytes(), want, ww.bytes())
 						}
@@ -187,7 +188,7 @@ func TestBlockDescendingAppendsGrowGeometrically(t *testing.T) {
 							continue
 						}
 						grows[run]++
-						want, ww := sized(appendRoom(n), limit, false, sp)
+						want, ww := sized(n+1, appendRoom(n), limit, false, sp)
 						if bc, bw := blockCap(&c), blockWidth(&c); bc != want || bw != ww {
 							t.Fatalf("T=%d: append of %d (step %d) grew a full block of %d to %d cells of %d bytes, want %d of %d",
 								target, k, step, n, bc, bw.bytes(), want, ww.bytes())
@@ -240,7 +241,7 @@ func TestBlockShrinksBelowTwoThirds(t *testing.T) {
 						t.Fatalf("T=%d: removal leaving %d in %d cells took %v allocations, want %v", target, left, before, got, want)
 					}
 					c := drained(left)
-					wantCap, wantW := sized(room(left), limit, false, g.keys(0, left))
+					wantCap, wantW := sized(left, room(left), limit, false, g.keys(0, left))
 					switch bc := blockCap(c); {
 					case left == 0 && c.blk.Load() != &emptyBlock:
 						t.Fatalf("T=%d: empty chunk kept a block of %d cells", target, bc)
@@ -341,7 +342,7 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 			if got := allocsPerOp(holding(limit), func(c *Chunk[int64]) { c.SplitUpperHalfTo(next()) }); got != want {
 				t.Fatalf("capacity split took %v allocations, want %v", got, want)
 			}
-			half, halfW := sized(room(target), limit, false, g.keys(target, limit))
+			half, halfW := sized(target, room(target), limit, false, g.keys(target, limit))
 			for _, d := range dsts {
 				if d.Size() != target || blockCap(d) != half || blockWidth(d) != halfW {
 					t.Fatalf("split destination holds %d in %d cells of %d bytes, want %d in %d of %d",
@@ -350,7 +351,7 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 			}
 			split := filledAt(g, target, limit, sorted)
 			split.SplitUpperHalfTo(filledAt(g, target, 0, sorted))
-			if half, halfW = sized(room(target), limit, false, g.keys(0, target)); split.Size() != target ||
+			if half, halfW = sized(target, room(target), limit, false, g.keys(0, target)); split.Size() != target ||
 				blockCap(split) != half || blockWidth(split) != halfW {
 				t.Fatalf("split source holds %d in %d cells of %d bytes, want %d in %d of %d",
 					split.Size(), blockCap(split), blockWidth(split).bytes(), target, half, halfW.bytes())
@@ -371,7 +372,7 @@ func TestBlockMovesSizeDestinationOnce(t *testing.T) {
 				}
 				if shrinks(tc.kept, c) {
 					want++
-					cells, _ = sized(room(tc.kept), limit, false, g.keys(0, tc.kept))
+					cells, _ = sized(tc.kept, room(tc.kept), limit, false, g.keys(0, tc.kept))
 				}
 				next = dstPool()
 				if got := allocsPerOp(holding(40), func(c *Chunk[int64]) { c.MoveGreaterTo(tc.k, next()) }); got != want {
@@ -525,12 +526,14 @@ func TestBlockBytes(t *testing.T) {
 // keeps replacing the chunk's block: it fills the chunk, drains it, and
 // splits and re-absorbs it, every step under a seqlock write hold as a skip
 // vector node does, and grows the block for an insert while the lock is only
-// frozen, as Insert does. The keys come in groups of four, 16 apart inside
-// one 2^8 window, with the groups 2^14 apart and straddling 2^32, so four
-// groups share each 2^16 window: blocks go between 1-, 2-, 4- and 8-byte
-// key cells. An insert from another window or across 2^32 widens the block,
+// frozen, as Insert does. The keys come in groups of four, 16 apart, so a
+// group takes 1-byte cells, with the groups 2^14 apart in two clusters of
+// six, one straddling 2^32 and the other 2^33 above it: two neighbouring
+// groups fit one window of 2-byte cells, a cluster one of 4-byte cells, and
+// keys of both clusters need 8-byte cells. Blocks go between 1-, 2-, 4- and
+// 8-byte key cells. An insert from outside the block's window widens it,
 // while frozen or under the write hold, and a shrink, split or merge that
-// leaves fewer windows narrows it. Readers never lock. A read may see
+// leaves keys of a narrower window narrows it. Readers never lock. A read may see
 // anything while a write is in flight, but it must not panic, and every
 // read the seqlock validates must match the contents the writer published
 // for that version.
@@ -540,7 +543,7 @@ func TestChunkConcurrentResize(t *testing.T) {
 		keySpace     = 48
 		group        = 4
 		stride       = 1 << 14
-		base         = 1<<32 - keySpace/group/2*stride // groups at base, base+stride, …
+		base         = 1<<32 - keySpace/group/4*stride // groups at base, base+stride, …
 		cycles       = 150
 		minValidated = 5000
 	)
@@ -552,7 +555,9 @@ func TestChunkConcurrentResize(t *testing.T) {
 		)
 		c.Init(target, sorted)
 		d.Init(target, sorted)
-		key := func(k int) int64 { return base + int64(k/group)*stride + int64(k%group)*16 }
+		key := func(k int) int64 {
+			return base + int64(k/(keySpace/2))<<33 + int64(k%(keySpace/2)/group)*stride + int64(k%group)*16
+		}
 		payload := make([]*int64, keySpace)
 		for k := range payload {
 			payload[k] = val(key(k) * 3)
@@ -740,7 +745,7 @@ func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
 			}
 			grew := func(ch *Cells, n, step int, sp span) {
 				t.Helper()
-				want, ww := sized(step, limit, true, sp)
+				want, ww := sized(n+1, step, limit, true, sp)
 				if b := ch.blk.Load(); b.cap() != want || b.width() != ww {
 					t.Fatalf("a put grew a full block of %d to %d cells of %d bytes, want %d of %d",
 						n, b.cap(), b.width().bytes(), want, ww.bytes())
@@ -792,19 +797,28 @@ func TestWordCellsFollowTheSizingPolicy(t *testing.T) {
 }
 
 // TestBlockWidensAndNarrows walks one chunk through the four key widths and
-// back: keys in one 2^8 window take 1-byte cells; a put from another 2^8
-// window of the same 2^16 one widens the block to 2-byte cells, one from
-// another 2^16 window below the same 2^32 to 4-byte cells, and one across
-// 2^32 to 8-byte cells, each at once, by one resize, whether or not the
+// back: keys less than 2^7 apart take 1-byte cells; a put 2^8 below widens
+// the block to 2-byte cells, one 2^15 above to 4-byte cells, and one 2^31
+// below to 8-byte cells, each at once, by one resize, whether or not the
 // block is full. A block keeps its width until its next resize, which
-// narrows it again once the foreign keys are gone. Splits, merges and
-// batches choose the width from the keys they move. The chunk invariant
-// holds after every step, and every key keeps its payload.
+// narrows it again once the far keys are gone. Splits, merges and batches
+// choose the width from the keys they move. The chunk invariant holds after
+// every step, and every key keeps its payload.
 func TestBlockWidensAndNarrows(t *testing.T) {
 	const (
 		hi  = 1 << 32
-		win = hi + 1<<16 // a 2^16 window boundary above 2^32
+		win = hi + 1<<16 // a multiple of 2^16 above 2^32
 	)
+	// based checks that ch's block has a window base of its width: a
+	// multiple of half its window. CheckInvariants checks that the window
+	// holds every key.
+	based := func(what string, ch *Chunk[int64]) {
+		t.Helper()
+		b := ch.blk.Load()
+		if half := uint64(1) << (b.width().bits() - 1); b.base()%half != 0 {
+			t.Fatalf("%s: block of %d-byte cells has base %#x", what, b.width().bytes(), b.base())
+		}
+	}
 	bothPolicies(t, func(t *testing.T, sorted bool) {
 		c := newChunk(t, 32, sorted)
 		model := map[int64]int64{}
@@ -852,14 +866,10 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 			insert(k)
 		}
 		step("ten keys below a window boundary", c, 1)
-		if got, want := c.blk.Load().hdr>>8, (uint64(win-1)^signBit)>>8; got != want {
-			t.Fatalf("1-byte block keeps prefix %#x, want %#x", got, want)
-		}
+		based("ten keys below a window boundary", c)
 		insert(win - 257)
-		step("a key in the 2^8 window below", c, 2)
-		if got, want := c.blk.Load().hdr>>16, (uint64(win-1)^signBit)>>16; got != want {
-			t.Fatalf("2-byte block keeps prefix %#x, want %#x", got, want)
-		}
+		step("a key 2^8 below", c, 2)
+		based("a key 2^8 below", c)
 		remove(win - 257)
 		fresh := val(0)
 		for _, k := range []int64{1 << 8, 1 << 16, hi} {
@@ -869,16 +879,19 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 			}
 		}
 		insert(win)
-		step("a key past the window", c, 4)
-		insert(hi - 1)
-		step("a key below 2^32", c, 8)
+		step("a key inside the 2-byte window", c, 2)
+		insert(win + 1<<15)
+		step("a key 2^15 above", c, 4)
+		insert(hi - 1<<31 - 1)
+		step("a key 2^31 below", c, 8)
 		check("widened")
-		remove(hi - 1)
-		step("the key below 2^32 removed", c, 8)
+		remove(hi - 1<<31 - 1)
+		step("the key 2^31 below removed", c, 8)
 		fillUp(win - 11)
 		insert(win - 100) // the first insert into the full block resizes it
 		step("the next grow", c, 4)
 		check("narrowed to 4 bytes by a grow")
+		remove(win + 1<<15)
 		remove(win)
 		fillUp(win - 200)
 		insert(win - 300)
@@ -889,17 +902,18 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 		// two sides widens.
 		var d Chunk[int64]
 		d.Init(32, sorted)
-		for k := int64(win); k < win+4; k++ {
+		for k := int64(win + 1<<15); k < win+1<<15+4; k++ {
 			insert(k)
 		}
-		step("keys on both sides of the window", c, 4)
-		c.MoveGreaterTo(win-1, &d)
-		step("split destination past the window", &d, 1)
-		if d.blk.Load().hdr>>8 != (uint64(win)^signBit)>>8 || d.Size() != 4 {
+		step("keys 2^15 apart", c, 4)
+		c.MoveGreaterTo(win, &d)
+		step("split destination 2^15 above", &d, 1)
+		based("split destination 2^15 above", &d)
+		if d.Size() != 4 {
 			t.Fatalf("split destination holds %d keys under header %#x", d.Size(), d.blk.Load().hdr)
 		}
 		c.AbsorbFrom(&d)
-		step("merge across the window", c, 4)
+		step("merge of keys 2^15 apart", c, 4)
 		check("merged")
 
 		// A batch widens once for every put still ahead and narrows at its
@@ -919,8 +933,8 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 		}
 		ops = ops[:0]
 		for k := int64(0); k < 12; k++ {
-			ops = append(ops, SlotOp[int64]{Key: k - 8, Val: val(k)})
-			model[k-8] = k
+			ops = append(ops, SlotOp[int64]{Key: (k - 8) << 30, Val: val(k)})
+			model[(k-8)<<30] = k
 		}
 		out = make([]SlotOutcome, len(ops))
 		if got := allocsPerOp(func() *Chunk[int64] { return filled(32, 0, sorted) },
@@ -928,15 +942,15 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 			t.Fatalf("a batch across 0 took %v allocations, want 1", got)
 		}
 		c.ApplyOps(ops, out)
-		step("batch across 0", c, 8)
+		step("batch of keys 2^30 apart across 0", c, 8)
 		check("batch")
 		ops = ops[:0]
 		for k := int64(-8); k < 0; k++ {
-			ops = append(ops, SlotOp[int64]{Key: k, Del: true})
-			delete(model, k)
+			ops = append(ops, SlotOp[int64]{Key: k << 30, Del: true})
+			delete(model, k<<30)
 		}
 		c.ApplyOps(ops, out[:len(ops)])
-		step("batch shrink to the keys ≥ 0", c, 1)
+		step("batch shrink to the keys ≥ 0", c, 4)
 		check("batch shrink")
 
 		// A foreign key into a block with room to spare widens it once, for
@@ -966,10 +980,113 @@ func TestBlockWidensAndNarrows(t *testing.T) {
 	})
 }
 
+// TestBlockWindowAtAnyAlignment: a block of w-byte cells holds the keys of
+// one window of 2^8w biased values starting at a multiple of half a window,
+// so keys less than half a window apart take w-byte cells wherever they lie.
+// At each narrow width, keys straddling a multiple of the window, less than
+// half a window apart, take w-byte cells in one allocation; a put at the
+// window's top key stays in the block; a put one past the top or one below
+// the base widens it through the resize path, in one allocation.
+func TestBlockWindowAtAnyAlignment(t *testing.T) {
+	for _, w := range []width{w1, w2, w4} {
+		t.Run(fmt.Sprintf("%d-byte", w.bytes()), func(t *testing.T) {
+			bothPolicies(t, func(t *testing.T, sorted bool) {
+				window, half := int64(1)<<w.bits(), int64(1)<<(w.bits()-1)
+				var ops []SlotOp[int64]
+				for i := int64(-10); i <= 10; i++ {
+					ops = append(ops, SlotOp[int64]{Key: 7*window + i*half/32, Val: val(i)})
+				}
+				out := make([]SlotOutcome, len(ops))
+				empty := func() *Chunk[int64] { return filled(32, 0, sorted) }
+				if got := allocsPerOp(empty, func(c *Chunk[int64]) { c.ApplyOps(ops, out) }); got != 1 {
+					t.Fatalf("a batch straddling %d took %v allocations, want 1", 7*window, got)
+				}
+				// built holds the batch's keys but the middle one, which
+				// leaves a spare cell.
+				built := func() *Chunk[int64] {
+					c := empty()
+					c.ApplyOps(ops, out)
+					c.Remove(7 * window)
+					return c
+				}
+				c := built()
+				b := c.blk.Load()
+				if c.KeyBytes() != int(w.bytes()) || c.Size() == blockCap(c) {
+					t.Fatalf("%d keys straddling %d take %d of %d-byte cells", c.Size(), 7*window, blockCap(c), c.KeyBytes())
+				}
+				if b.base()%uint64(half) != 0 {
+					t.Fatalf("base %#x is no multiple of %#x", b.base(), half)
+				}
+				// at is the key base + off.
+				at := func(off int64) int64 { return int64((b.base() + uint64(off)) ^ signBit) }
+				fresh := val(-1)
+				for _, p := range []struct {
+					k     int64
+					grows bool
+				}{{at(window - 1), false}, {at(window), true}, {at(-1), true}} {
+					want := 0.0
+					if p.grows {
+						want = 1
+					}
+					if got := allocsPerOp(built, func(c *Chunk[int64]) { c.Insert(p.k, fresh) }); got != want {
+						t.Fatalf("a put at base%+d took %v allocations, want %v", p.k-at(0), got, want)
+					}
+					c := built()
+					before := c.blk.Load()
+					c.Insert(p.k, fresh)
+					if got, same := c.KeyBytes(), c.blk.Load() == before; p.grows == same || p.grows != (got > int(w.bytes())) {
+						t.Fatalf("a put at base%+d left %d-byte cells, in the same block: %t", p.k-at(0), got, same)
+					}
+					if err := c.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestBlockHoldsUpTo64OneByteCells: a block of 1-byte cells counts up to 64
+// cells, so a chunk of up to 64 keys that fit one window keeps 1-byte cells
+// at every size, however far its growth step reaches: a put into a full
+// block of 48 or more (48 cells on 64-bit platforms) asks for more than 64
+// cells and takes 64 of 1 byte, where 2-byte cells would cost a larger size
+// class. The 65th key, at targetSize 128, takes 2-byte cells.
+func TestBlockHoldsUpTo64OneByteCells(t *testing.T) {
+	bothPolicies(t, func(t *testing.T, sorted bool) {
+		for _, target := range []int{32, 128} {
+			for n := 49; n <= 64; n++ {
+				if c := filled(target, n, sorted); c.KeyBytes() != 1 {
+					t.Fatalf("T=%d: %d keys in one window take %d-byte cells", target, n, c.KeyBytes())
+				}
+			}
+			grew := false
+			for n := 48; n < 64; n++ {
+				c := filled(target, n, sorted)
+				if c.Size() != blockCap(c) {
+					continue
+				}
+				grew = true
+				c.Insert(int64(2*n), val(0))
+				if got, two := c.BlockBytes(), int(shapeOf(64, false, w2).class); c.KeyBytes() != 1 || blockCap(c) != 64 || got >= two {
+					t.Fatalf("T=%d: a put into a full block of %d took %d cells of %d bytes in %d B, want 64 of 1 byte in less than %d",
+						target, n, blockCap(c), c.KeyBytes(), got, two)
+				}
+			}
+			if !grew {
+				t.Fatalf("T=%d: no block of 48 to 63 keys was full", target)
+			}
+		}
+		if c := filled(128, 65, sorted); c.KeyBytes() != 2 {
+			t.Fatalf("65 keys take %d-byte cells, want 2", c.KeyBytes())
+		}
+	})
+}
+
 // TestTwoByteStoreKeepsItsNeighbour: a 2-byte cell shares its 4-byte word
 // with the next, and storing one rewrites only its own half.
 func TestTwoByteStoreKeepsItsNeighbour(t *testing.T) {
-	b := newBlock(8, true, w2, spanOf(0))
+	b := newBlock(8, true, w2, span{0, 0xffff})
 	for i := range 8 {
 		b.storeKey(i, int64(0x1111*(i+1)))
 	}
@@ -988,7 +1105,7 @@ func TestTwoByteStoreKeepsItsNeighbour(t *testing.T) {
 // TestOneByteStoreKeepsItsNeighbours: a 1-byte cell shares its 4-byte word
 // with three others, and storing one rewrites only its own lane.
 func TestOneByteStoreKeepsItsNeighbours(t *testing.T) {
-	b := newBlock(8, true, w1, spanOf(0))
+	b := newBlock(8, true, w1, span{0, 0xff})
 	for i := range 8 {
 		b.storeKey(i, int64(0x11*(i+1)))
 	}

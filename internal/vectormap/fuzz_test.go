@@ -9,39 +9,53 @@ import (
 // FuzzChunkModel drives a chunk with an op byte-stream cross-checked
 // against a map model, and a word-celled twin (InitWords) with the same ops,
 // whose payload words — 0 included — must match the model too. The 16 keys
-// start at base, so they share one 2^8 window and take 1-byte key cells
-// unless base lies just below a window boundary: a multiple of 2^8 puts them
-// in two 2^8 windows and drives the blocks between 1- and 2-byte cells, one
-// of 2^16 between 1- and 4-byte cells, and one of 2^32 (or wrapping past
-// PosInf) between 1- and 8-byte cells. Run with `go test -fuzz FuzzChunkModel` for
-// continuous fuzzing; `go test` replays the seed corpus.
+// are two runs of eight, from base and from base + stride (wrapping past
+// PosInf to NegInf); a stride of 8 makes them the 16 keys from base, which
+// take 1-byte key cells. Runs further apart drive the blocks between 1-byte
+// cells and the width their distance needs, and runs that end at the top
+// of a window of w-byte cells from base, 2^8w − 1 and 2^8w past it, probe
+// the window's edges: the key at the top stays in the block, the one past
+// it widens it. Run with `go test -fuzz FuzzChunkModel` for continuous
+// fuzzing; `go test` replays the seed corpus.
 func FuzzChunkModel(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5}, true, int64(0))
-	f.Add([]byte{10, 200, 30, 40, 5, 60, 7, 80}, false, int64(0))
-	f.Add([]byte{255, 255, 0, 0, 128, 128}, true, int64(0))
-	// Across a prefix boundary: 2^8, 2^16, 2^32, 0 and the PosInf/NegInf
-	// wrap.
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, true, int64(0), int64(8))
+	f.Add([]byte{10, 200, 30, 40, 5, 60, 7, 80}, false, int64(0), int64(8))
+	f.Add([]byte{255, 255, 0, 0, 128, 128}, true, int64(0), int64(8))
+	// Runs in two windows of 1-byte cells, 2-byte cells, 4-byte cells, and
+	// across 0 and the PosInf/NegInf wrap.
 	across := []byte{0, 15, 1, 14, 2, 13, 3, 12, 4, 11, 5, 10, 6, 9, 7, 8, 23, 24, 40, 47, 8, 7}
-	f.Add(across, true, int64(1<<8-8))
-	f.Add(across, false, int64(7<<8-8))
-	f.Add(across, false, int64(-1<<8-8))
-	f.Add(across, true, int64(1<<16-8))
-	f.Add(across, false, int64(5<<16-8))
-	f.Add(across, false, int64(-1<<16-8))
-	f.Add(across, true, int64(1<<32-8))
-	f.Add(across, false, int64(1<<32-8))
-	f.Add(across, true, int64(-8))
-	f.Add(across, false, int64(PosInf-7))
-	f.Add(across, true, int64(NegInf))
+	f.Add(across, true, int64(0), int64(1<<8))
+	f.Add(across, false, int64(7<<8-4), int64(1<<8))
+	f.Add(across, true, int64(0), int64(1<<16))
+	f.Add(across, false, int64(-1<<16-4), int64(1<<16))
+	f.Add(across, true, int64(0), int64(1<<32))
+	f.Add(across, false, int64(1<<32-4), int64(1<<32))
+	f.Add(across, true, int64(-8), int64(8))
+	f.Add(across, false, int64(PosInf-7), int64(8))
+	f.Add(across, true, int64(NegInf), int64(8))
+	// A window's edges, at every narrow width: base is a window base, and
+	// the second run ends at base + 2^8w, so it holds the window's top key
+	// and the one past it. The ops put the base first, then the top, then
+	// the key past it, and take them out again; or the top first, whose
+	// window lies half a window higher, then the base below it.
+	edges := []byte{0, 14, 15, 0x1f, 0x2e, 0x2f, 0x1e, 7, 8, 0x20, 0x10, 15, 0x1f, 0x27}
+	topFirst := []byte{14, 0, 0x20, 0x2e, 15, 1, 0x1e, 0x10, 0x11, 0x2f}
+	for _, bits := range []uint{8, 16, 32} {
+		base, stride := int64(5)<<(bits-1), int64(1)<<bits-7
+		f.Add(edges, true, base, stride)
+		f.Add(edges, false, base, stride)
+		f.Add(topFirst, true, base, stride)
+		f.Add(topFirst, false, -base, stride)
+	}
 
-	f.Fuzz(func(t *testing.T, ops []byte, sorted bool, base int64) {
+	f.Fuzz(func(t *testing.T, ops []byte, sorted bool, base, stride int64) {
 		var c Chunk[int64]
 		var w Cells
 		c.Init(4, sorted) // capacity 8
 		w.InitWords(4, sorted)
 		model := map[int64]int64{}
 		for _, b := range ops {
-			k := base + int64(b%16) // wraps past PosInf to NegInf
+			k := base + int64(b&7) + int64(b>>3&1)*stride // wraps past PosInf to NegInf
 			switch (b >> 4) % 3 {
 			case 0:
 				if len(model) == c.Cap() {
@@ -100,9 +114,9 @@ func FuzzChunkModel(f *testing.F) {
 // with a result in [0, s]. Keys are raw little-endian int64s so the fuzzer
 // can reach the sentinel extremes (NegInf/PosInf) where the sign bias
 // matters. The same keys also fill a block of 4-byte, one of 2-byte and one
-// of 1-byte cells under the first key's prefix, keeping their low 32, 16 or
-// 8 biased bits, so each narrow kernel meets probes from its own prefix and
-// from every other.
+// of 1-byte cells whose window holds the first key in its lower half, each
+// key brought into that window (windowKey), so each narrow kernel meets
+// probes from inside its window, below it and above it.
 func FuzzLowerBound(f *testing.F) {
 	k8 := func(ks ...int64) []byte {
 		b := make([]byte, 8*len(ks))
@@ -117,8 +131,8 @@ func FuzzLowerBound(f *testing.F) {
 	f.Add(k8(9, 2, -7, 2), int64(2), uint8(200))          // unsorted + torn size
 	f.Add(k8(), int64(0), uint8(0))                       // empty
 	f.Add(k8(PosInf, NegInf), int64(PosInf-1), uint8(2))  // reversed at extremes
-	// Across prefix boundaries: the narrow blocks keep the low bits under
-	// the first key's prefix, and the probe lands on either side.
+	// Across window boundaries: the narrow blocks keep the keys brought into
+	// the first key's window, and the probe lands on either side.
 	f.Add(k8(1<<32-1, 1<<32, 1<<32+1), int64(1<<32), uint8(3))
 	f.Add(k8(1<<32+5, 1<<32-1, 7), int64(1<<32-1), uint8(3))
 	f.Add(k8(1<<16-1, 1<<16, 1<<16+1), int64(1<<16), uint8(3))
@@ -142,6 +156,16 @@ func FuzzLowerBound(f *testing.F) {
 	f.Add(k8(1<<16, 1<<16+2, 1<<16+4), int64(2<<16), uint8(40))
 	f.Add(k8(NegInf, NegInf+1, PosInf), int64(PosInf), uint8(3))
 	f.Add(k8(PosInf-1, PosInf), int64(PosInf), uint8(2))
+	// A window's edges, at every narrow width: keys at the window's base,
+	// just above it and at its top, probed at each of them, just below the
+	// base and just past the top.
+	for _, bits := range []uint{8, 16, 32} {
+		base := int64(5) << (bits - 1)
+		top := base + 1<<bits - 1
+		for _, k := range []int64{base - 1, base, top, top + 1} {
+			f.Add(k8(base, base+1, top), k, uint8(3))
+		}
+	}
 
 	const capacity = 32
 	f.Fuzz(func(t *testing.T, raw []byte, k int64, rawSize uint8) {
@@ -150,7 +174,7 @@ func FuzzLowerBound(f *testing.F) {
 		for i := range raws {
 			raws[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		first := k // the narrow blocks' prefix: the first key's, else the probe's
+		first := k // in the narrow blocks' windows: the first key, else the probe
 		if n > 0 {
 			first = raws[0]
 		}
@@ -161,9 +185,7 @@ func FuzzLowerBound(f *testing.F) {
 			c.blk.Store(b)
 			keys := make([]int64, n)
 			for i, rk := range raws {
-				// rk's low bits under first's prefix.
-				mask := uint64(1)<<w.bits() - 1
-				keys[i] = int64(uint64(first)&^mask | uint64(rk)&mask)
+				keys[i] = windowKey(b, rk)
 				b.storeKey(i, keys[i])
 			}
 			// A torn size may exceed the populated prefix or the capacity;
@@ -200,4 +222,18 @@ func FuzzLowerBound(f *testing.F) {
 			}
 		}
 	})
+}
+
+// windowKey brings k into b's window: the low 8w bits of its biased form
+// above b's base, or the low 8w−1 where that would pass the largest key.
+func windowKey(b *block, k int64) int64 {
+	w := b.width()
+	if w == w8 {
+		return k
+	}
+	base, c := b.base(), (uint64(k)^signBit)&(1<<w.bits()-1)
+	if base+c < base {
+		c &= 1<<(w.bits()-1) - 1
+	}
+	return int64((base + c) ^ signBit)
 }

@@ -16,9 +16,9 @@ import (
 // and no generic function, so nothing goes through the dictionary;
 // scripts/inline-check.sh fails unless -gcflags=-m reports each helper
 // inlined once per instantiation. A kernel compares cells, never keys:
-// cellOf resolves a key with another prefix against the whole block before
-// any cell is read, and within one prefix unsigned cell order is key order
-// (block.go).
+// cellOf resolves a key outside the block's window against the whole block
+// before any cell is read, and inside the window a cell is the key's offset
+// from the window's base, so unsigned cell order is key order (block.go).
 //
 // The unsorted scans run one lane loop: each aligned 4-byte word is loaded
 // once and its four 1-byte or two 2-byte lanes are tested in registers (a

@@ -50,7 +50,7 @@ func (c *Chunk[P]) getRef(k int64) (*P, bool) {
 // width and every size up to 40 (whole and part words of every lane count),
 // with stale keys in the cells past the size and duplicates among the keys:
 // scan finds the first match, below and above the first of the nearest keys,
-// and top and bounds the ends. The probes lie inside the block's prefix,
+// and top and bounds the ends. The probes lie inside the block's window,
 // on its cells' extremes and outside it on both sides.
 func TestLaneKernelsMatchReference(t *testing.T) {
 	const capacity = 40
@@ -59,16 +59,16 @@ func TestLaneKernelsMatchReference(t *testing.T) {
 		mask := uint64(1)<<w.bits() - 1
 		for s := 0; s <= capacity; s++ {
 			for range 20 {
-				prefix := int64(rng.Uint64() &^ mask)
-				b := newBlock(capacity, false, w, spanOf(prefix))
+				base := int64(rng.Uint64() &^ mask)
+				b := newBlock(capacity, false, w, span{base, base | int64(mask)})
 				// A few distinct low parts make duplicates likely.
 				lows := []uint64{0, mask, rng.Uint64() & mask, rng.Uint64() & mask, rng.Uint64() & mask}
 				for i := range capacity {
-					b.storeKey(i, prefix|int64(lows[rng.Intn(len(lows))]))
+					b.storeKey(i, base|int64(lows[rng.Intn(len(lows))]))
 				}
-				probes := []int64{prefix - 1, prefix + int64(mask) + 1}
+				probes := []int64{base - 1, base + int64(mask) + 1}
 				for _, l := range lows {
-					probes = append(probes, prefix|int64(l), prefix|int64(l^1))
+					probes = append(probes, base|int64(l), base|int64(l^1))
 				}
 				for _, k := range probes {
 					scanRef, belowRef, aboveRef := -1, -1, -1

@@ -7,11 +7,13 @@
 // touches a handful of contiguous cache lines instead of chasing per-element
 // pointers. The block is sized to what the chunk holds, not to 2×targetSize,
 // and is replaced by a bigger or smaller one as the chunk fills and drains.
-// Its key cells are 1 byte each when its keys all share their upper 56 bits
-// (and it has at most 63 cells), which the block's header then keeps, 2
-// bytes when they share their upper 48, 4 bytes when they share their upper
-// 32 and 8 bytes otherwise; every replacement chooses the width again from
-// the keys the new block is to hold.
+// Its key cells are 1 byte each when its keys all lie in one window of 2^8
+// values starting at a multiple of 2^7 (and it has at most 64 cells), whose
+// base the block's header then keeps, 2 bytes when they lie in one of 2^16,
+// 4 bytes in one of 2^32 and 8 bytes otherwise; so keys less than 2^7, 2^15
+// or 2^31 apart take 1-, 2- or 4-byte cells wherever they lie. Every
+// replacement chooses the width and window again from the keys the new
+// block is to hold.
 //
 // Chunks come in two flavours (Section V-B):
 //
@@ -162,14 +164,7 @@ func (c *Cells) Full() bool { return int(c.size.Load()) >= int(c.limit) }
 // index outside the block they read even if they observe a torn state.
 func (c *Cells) load() (*block, int) {
 	b := c.blk.Load()
-	s := int(c.size.Load())
-	if s < 0 {
-		return b, 0
-	}
-	if c := b.cap(); s > c {
-		return b, c
-	}
-	return b, s
+	return b, min(max(int(c.size.Load()), 0), b.cap())
 }
 
 // owned returns the block and the exact size to a writer, which holds the
@@ -412,21 +407,22 @@ func (c *Cells) FindGE(k int64) (key int64, val Cell, ok bool) {
 }
 
 // resize moves the first s elements of b into a new block with room for at
-// least n ≥ s cells and for the keys of sp, which must cover those s keys,
-// and publishes it. The new block takes the narrowest width sp allows. b
-// itself is left as it was. Caller must hold the write lock, or hold the node
-// frozen with nothing about to change (ReserveKeys).
-func (c *Cells) resize(b *block, s, n int, sp span) *block {
-	nb := c.newBlock(n, sp)
+// least need ≥ s cells, and for n ≥ need where the width's header holds that
+// many, and for the keys of sp, which must cover those s keys, and publishes
+// it. The new block takes the narrowest width sp and need allow. b itself is
+// left as it was. Caller must hold the write lock, or hold the node frozen
+// with nothing about to change (ReserveKeys).
+func (c *Cells) resize(b *block, s, need, n int, sp span) *block {
+	nb := c.newBlock(need, n, sp)
 	nb.fill(b, s, c.words)
 	c.blk.Store(nb)
 	return nb
 }
 
-// newBlock allocates this chunk's block for at least n cells and the keys
-// of sp.
-func (c *Cells) newBlock(n int, sp span) *block {
-	capacity, w := sized(n, int(c.limit), c.words, sp)
+// newBlock allocates this chunk's block for at least n cells, need ≤ n of
+// them for certain, and the keys of sp.
+func (c *Cells) newBlock(need, n int, sp span) *block {
+	capacity, w := sized(need, n, int(c.limit), c.words, sp)
 	return newBlock(capacity, c.words, w, sp)
 }
 
@@ -454,7 +450,7 @@ func (c *Cells) grow(b *block, s, need int, more span) *block {
 	if more.lo < lo || more.hi > sp.hi {
 		n = appendRoom(s)
 	}
-	return c.resize(b, s, max(n, need), sp.with(more))
+	return c.resize(b, s, need, max(n, need), sp.with(more))
 }
 
 // settle applies the shrink rule after removals left n elements in b.
@@ -468,7 +464,7 @@ func (c *Cells) settle(b *block, n int) {
 	}
 	// g ≥ cap rules a smaller class out without looking it up.
 	if g := appendRoom(n); g < b.cap() && capFor(g, int(c.limit), c.words, b.width()) < b.cap() {
-		c.resize(b, n, room(n), b.span(n))
+		c.resize(b, n, n, room(n), b.span(n))
 	}
 }
 
@@ -608,10 +604,13 @@ func (o SlotOutcome) String() string {
 // capacity and never stop the run. The block is resized at most once each
 // way per call: the first insert that finds it full, or too narrow for its
 // key, sizes it for the count and the keys of every put still ahead, and
-// the shrink rule runs once at the end. Caller must hold the owning node's
-// write lock; out must be at least as long as ops.
+// the shrink rule runs once at the end, if the call left fewer elements or
+// a new block. A call whose every outcome is SlotAbsent or SlotExists leaves
+// the chunk untouched. Caller must hold the owning node's write lock; out
+// must be at least as long as ops.
 func (c *Cells) ApplyOps(ops []CellOp, out []SlotOutcome) int {
-	b, s := c.owned()
+	b0, s0 := c.owned()
+	b, s := b0, s0
 	for i := range ops {
 		op := &ops[i]
 		j := c.indexOf(b, s, op.Key, c.lookup())
@@ -645,7 +644,9 @@ func (c *Cells) ApplyOps(ops []CellOp, out []SlotOutcome) int {
 			out[i] = SlotInserted
 		}
 	}
-	c.settle(b, s)
+	if s < s0 || b != b0 {
+		c.settle(b, s)
+	}
 	return len(ops)
 }
 
@@ -696,7 +697,7 @@ func (c *Cells) moveTo(dst *Cells, move func(k int64) bool) {
 	if n == 0 {
 		return
 	}
-	db := dst.newBlock(room(n), keys)
+	db := dst.newBlock(n, room(n), keys)
 	d, w := 0, 0
 	for i := 0; i < s; i++ {
 		if move(b.loadKey(i)) {
@@ -835,11 +836,13 @@ func (c *Cells) Keys() []int64 {
 // CheckInvariants validates internal consistency (used by tests): the block
 // within the chunk's capacity and of a capacity the sizing policy in
 // block.go produces for the chunk's cell kind and the block's width, size
-// within the block, every key carrying the block's prefix, no duplicate
-// keys, ascending order for sorted chunks, every key found at its own
-// position by the chunk's search (which resolves a key with another prefix
-// without probing), and, in a pointer-celled chunk, no pointer left in a
-// cell past the live prefix (it would keep its target alive).
+// within the block, every key round-tripping through the block's base (its
+// cell is its offset from the base, inside the window, and the base plus the
+// cell is the key), no duplicate keys, ascending order for sorted chunks,
+// every key found at its own position by the chunk's search (which resolves
+// a key outside the window without probing), and, in a pointer-celled
+// chunk, no pointer left in a cell past the live prefix (it would keep its
+// target alive).
 func (c *Cells) CheckInvariants() error {
 	b := c.blk.Load()
 	if b == nil {
@@ -858,9 +861,9 @@ func (c *Cells) CheckInvariants() error {
 	seen := make(map[int64]struct{}, s)
 	var prev int64
 	for i := 0; i < s; i++ {
-		k := b.loadKey(i)
-		if kc, side := b.cellOf(k, w.bytes()); side != 0 || kc != load(b.keys(), uintptr(i), w.bytes()) {
-			return fmt.Errorf("key %d at %d does not carry its block's prefix (header %#x)", k, i, b.hdr)
+		k, kc := b.loadKey(i), load(b.keys(), uintptr(i), w.bytes())
+		if cell, side := b.cellOf(k, w.bytes()); side != 0 || cell != kc || b.keyOf(kc, w.bytes()) != k {
+			return fmt.Errorf("key %d at %d does not round-trip through its block's base (header %#x)", k, i, b.hdr)
 		}
 		if _, dup := seen[k]; dup {
 			return fmt.Errorf("duplicate key %d", k)

@@ -4,12 +4,14 @@
 # type, and stenciled once per width. Each instantiation must inline the
 # small helpers it calls, or every probe and lane pays a call. This builds
 # the package with -gcflags=-m and fails unless every call of load, store,
-# pivot, probe, lanesAt, tail and lane inside a kernel is reported inlined once
-# per width, that is once per type of the cell constraint.
+# pivot, probe, lanesAt, tail and lane, and of the block methods cellOf and
+# keyOf, which carry the window arithmetic (block.go), inside a kernel is
+# reported inlined once per width, that is once per type of the cell
+# constraint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=internal/vectormap/search.go
-helpers="load store pivot probe lanesAt tail lane"
+helpers="load store pivot probe lanesAt tail lane (*block).cellOf (*block).keyOf"
 
 widths="$(grep -m1 -A1 '^type cell interface' "$src" | tail -n 1 | tr '|' '\n' | grep -c 'uint')"
 # The kernels' line ranges: from each generic func line to its closing brace.
@@ -22,12 +24,13 @@ diag="$(go build -gcflags=-m ./internal/vectormap/ 2>&1)"
 
 fail=0
 for h in $helpers; do
-	if grep -q "cannot inline $h:" <<<"$diag"; then
+	if grep -qF "cannot inline $h:" <<<"$diag"; then
 		echo "inline-check: $h cannot be inlined" >&2
 		fail=1
 	fi
 	# Each kernel call site of h with the number of times it was inlined.
-	sites="$( (grep -E "^$src:[0-9]+:[0-9]+: inlining call to $h\$" <<<"$diag" || true) |
+	re="$(sed 's/[][()*.^$]/\\&/g' <<<"$h")"
+	sites="$( (grep -E "^$src:[0-9]+:[0-9]+: inlining call to $re\$" <<<"$diag" || true) |
 		cut -d: -f2,3 | sort | uniq -c |
 		awk -v ranges="$ranges" '{
 			split($2, at, ":"); n = split(ranges, r, /[ \n]/)
