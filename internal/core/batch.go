@@ -95,7 +95,7 @@ type batchScratch[V any] struct {
 	heights []int              // tower height drawn at each tall key run's start, else 0
 	slots   []vectormap.CellOp // the ops in commit order, values as stored
 	outs    []vectormap.SlotOutcome
-	segs    []*node[V]
+	segs    []*node[V] // applyLocked's segment chain; lockedRange's window
 	segMins []int64
 	commits []CommitOp[V] // commit-hook argument buffer (commit.go)
 }

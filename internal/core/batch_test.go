@@ -520,11 +520,12 @@ func TestBatchGroupExtent(t *testing.T) {
 	}
 }
 
-// TestNoOpWritesKeepTheVersion: with no snapshot pinned, a write that
-// changes nothing (a Remove of an absent key, an Insert of a present one,
-// through the map or a Handle, or a batch made only of such ops) aborts its
-// data node's lock, so the seqlock version that readers and fingers
-// validate against stays as it was. A write that changes the node bumps it.
+// TestNoOpWritesKeepTheVersion: a write that changes nothing (a Remove of
+// an absent key, an Insert of a present one, through the map or a Handle,
+// or a batch made only of such ops) aborts its data node's lock, so the
+// seqlock version that readers and fingers validate against stays as it
+// was, with a snapshot pinned as without. A write that changes the node
+// bumps it.
 func TestNoOpWritesKeepTheVersion(t *testing.T) {
 	m := newTestMap(t, DefaultConfig())
 	for k := int64(0); k < 1000; k += 2 {
@@ -558,7 +559,23 @@ func TestNoOpWritesKeepTheVersion(t *testing.T) {
 		{"Handle batch of an absent delete", func() bool {
 			return h.ApplyBatch([]BatchOp[int64]{{Key: absent, Del: true}})[0].Outcome == BatchAbsent
 		}, false},
+		{"Remove of an absent key, snapshot pinned", func() bool {
+			s := m.Snapshot()
+			defer s.Close()
+			return !m.Remove(absent)
+		}, false},
+		{"batch of an absent delete and an insert-only hit, snapshot pinned", func() bool {
+			s := m.Snapshot()
+			defer s.Close()
+			res := m.ApplyBatch([]BatchOp[int64]{{Key: absent, Del: true}, {Key: present, Val: v64(9), InsertOnly: true}})
+			return res[0].Outcome == BatchAbsent && res[1].Outcome == BatchExists
+		}, false},
 		{"Upsert of a present key", func() bool { return !m.Upsert(present, v64(9)) }, true},
+		{"Upsert of a present key, snapshot pinned", func() bool {
+			s := m.Snapshot()
+			defer s.Close()
+			return !m.Upsert(present, v64(9))
+		}, true},
 	} {
 		before := owner.lock.Current()
 		if !c.write() {

@@ -82,7 +82,7 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, c vecto
 	ctx := m.ctxs.get()
 	defer m.ctxs.put(ctx)
 
-	var locked []*node[V]
+	locked := ctx.batch.segs[:0] // the window, in the context's node buffer
 	for {
 		curr, ver, hit := m.fingerSeek(ctx, lo, modeRead)
 		if !hit {
@@ -202,5 +202,7 @@ func (m *Map[V]) lockedRange(lo, hi int64, mutate bool, fn func(k int64, c vecto
 			fnode, fver = n, ver
 		}
 	}
+	clear(locked) // a pooled context pins no nodes
+	ctx.batch.segs = locked[:0]
 	m.recordFinger(ctx, fnode, fver)
 }

@@ -13,7 +13,8 @@ import (
 // This file implements MVCC snapshots: Map.Snapshot() pins a point-in-time
 // view that supports Get/Contains/Range/Cursor without ever blocking writers
 // and — for scans — without ever restarting, no matter how much churn the
-// live structure sees. The design is copy-on-write at chunk granularity:
+// live structure sees. The design is copy-on-write at chunk granularity, and
+// a version is a chunk block itself, frozen (Jiffy's immutable revisions):
 //
 //   - A global epoch counter orders writes against snapshot acquisitions.
 //     While at least one snapshot is pinned, every data-layer write advances
@@ -22,13 +23,17 @@ import (
 //     already fences every optimistic reader of the node.
 //
 //   - Each data node remembers verEpoch, the epoch at which its current
-//     contents were installed. Before the first mutation of a write that
-//     advanced the epoch to e, the writer publishes the node's pre-image
-//     (its full live content) into the version store as a record visible on
-//     the epoch interval [verEpoch, e), then stamps verEpoch = e. With no
-//     snapshots pinned, writers skip all of this: a later snapshot pins an
-//     epoch ≥ every epoch ever issued, so un-stamped nodes are trivially
-//     visible to it.
+//     contents were installed. Before the first store of a write that
+//     advanced the epoch to e, the writer moves the node onto a fresh copy
+//     of its block (vectormap's Detach) and publishes the block it left into
+//     the version store as the record visible on the epoch interval
+//     [verEpoch, e), then stamps verEpoch = e. So every data-layer store
+//     under a pin lands in a block detached in the same locked section, and
+//     a block a reader took a view of (Share) under a validated read holds
+//     that content for good: the record and the live view are one format,
+//     and nothing is copied out. With no snapshots pinned, writers skip all
+//     of this: a later snapshot pins an epoch ≥ every epoch ever issued, so
+//     un-stamped nodes are trivially visible to it.
 //
 //   - The pin protocol closes the writer/snapshot race without making
 //     writers wait: Snapshot raises snaps.count before reading the epoch,
@@ -46,9 +51,12 @@ import (
 //     removals) of where the current routing lands.
 //
 //   - Snapshot scans walk the data layer hand-over-hand with no hazard
-//     pointers and no restarts: a torn node read retries the same node, and
-//     unlinked nodes remain safe to traverse because retirement is
-//     epoch-aware — retire stamps a data node's hazard retire record with
+//     pointers and no restarts: a validated node read takes a view of the
+//     node's block, a torn one retries the same node. Versions visible at
+//     one epoch have disjoint key ranges, so the scan emits the records
+//     visible below a node's keys and then the node's view, in key order
+//     with no merge. Unlinked nodes remain safe to traverse because
+//     retirement is epoch-aware — retire stamps a data node's hazard retire record with
 //     its retire epoch, a bound on the epoch of the unlinking write, and the
 //     domain's recycle filter refuses to recycle the node while any pinned
 //     snapshot's epoch is below that stamp. The stamp lives in the record,
@@ -66,20 +74,18 @@ import (
 // opSnap restarts are charged by snapshot point reads (descent retries).
 // Snapshot scans never restart by construction; they have no restart path.
 
-// verRecord is one copy-on-write pre-image: the full (sentinel-free,
-// ascending) content a data node held on the epoch interval
-// [installed, superseded), values as the node stored them (value.go: a
-// boxed value's box is never written again, so sharing it is a copy).
-// Records are immutable once inserted.
+// verRecord is one copy-on-write pre-image: a view of the block a data node
+// held on the epoch interval [installed, superseded), which the node left
+// for a copy before the write that ended the interval stored anything, so
+// nothing writes it again. Values are as the node stored them (value.go: a
+// boxed value's box is never written again either). lo and hi are its
+// smallest and largest keys; a scan's bounds exclude the sentinels.
 type verRecord[V any] struct {
 	installed  uint64
 	superseded uint64
-	keys       []int64
-	vals       []vectormap.Cell
+	lo, hi     int64
+	data       vectormap.Cells
 }
-
-func (r *verRecord[V]) minKey() int64 { return r.keys[0] }
-func (r *verRecord[V]) maxKey() int64 { return r.keys[len(r.keys)-1] }
 
 // visibleAt reports whether the record is the version a snapshot pinned at
 // epoch s must read.
@@ -109,8 +115,7 @@ func (vs *versionStore[V]) insert(r *verRecord[V]) int {
 	vs.mu.Lock()
 	i := sort.Search(len(vs.recs), func(i int) bool {
 		ri := vs.recs[i]
-		return ri.minKey() > r.minKey() ||
-			(ri.minKey() == r.minKey() && ri.installed >= r.installed)
+		return ri.lo > r.lo || (ri.lo == r.lo && ri.installed >= r.installed)
 	})
 	vs.recs = append(vs.recs, nil)
 	copy(vs.recs[i+1:], vs.recs[i:])
@@ -123,24 +128,16 @@ func (vs *versionStore[V]) insert(r *verRecord[V]) int {
 
 // get resolves key k at epoch s from the store. Scanning left from the
 // insertion point for k, the first record visible at s is the unique
-// visible record whose range can contain k.
+// visible record whose range can contain k, and its block's own search
+// answers.
 func (vs *versionStore[V]) get(s uint64, k int64) (vectormap.Cell, bool) {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
-	i := sort.Search(len(vs.recs), func(i int) bool { return vs.recs[i].minKey() > k })
+	i := sort.Search(len(vs.recs), func(i int) bool { return vs.recs[i].lo > k })
 	for i--; i >= 0; i-- {
-		r := vs.recs[i]
-		if !r.visibleAt(s) {
-			continue
+		if r := vs.recs[i]; r.visibleAt(s) {
+			return r.data.Get(k)
 		}
-		if r.maxKey() < k {
-			return vectormap.Cell{}, false
-		}
-		j := sort.Search(len(r.keys), func(j int) bool { return r.keys[j] >= k })
-		if j < len(r.keys) && r.keys[j] == k {
-			return r.vals[j], true
-		}
-		return vectormap.Cell{}, false
 	}
 	return vectormap.Cell{}, false
 }
@@ -152,10 +149,10 @@ func (vs *versionStore[V]) collect(s uint64, lo, hi int64, out []*verRecord[V]) 
 	out = out[:0]
 	vs.mu.RLock()
 	for _, r := range vs.recs {
-		if r.minKey() > hi {
+		if r.lo > hi {
 			break
 		}
-		if r.maxKey() >= lo && r.visibleAt(s) {
+		if r.hi >= lo && r.visibleAt(s) {
 			out = append(out, r)
 		}
 	}
@@ -174,7 +171,8 @@ func (vs *versionStore[V]) resident() int {
 // prune drops every record no pinned snapshot can see. A record is garbage
 // once its superseded epoch is ≤ the minimum pinned epoch (new pins always
 // acquire an epoch ≥ every issued epoch, so they can never need it either).
-// Returns the number of records dropped.
+// A store left empty lets its backing array go, which a long pin may have
+// grown to many thousand records. Returns the number of records dropped.
 func (vs *versionStore[V]) prune(minPinned uint64, anyPinned bool) int {
 	vs.mu.Lock()
 	kept := vs.recs[:0]
@@ -185,8 +183,9 @@ func (vs *versionStore[V]) prune(minPinned uint64, anyPinned bool) int {
 		kept = append(kept, r)
 	}
 	dropped := len(vs.recs) - len(kept)
-	for i := len(kept); i < len(vs.recs); i++ {
-		vs.recs[i] = nil
+	clear(vs.recs[len(kept):])
+	if len(kept) == 0 {
+		kept = nil
 	}
 	vs.recs = kept
 	vs.mu.Unlock()
@@ -329,8 +328,9 @@ func (m *Map[V]) snapshotsPermitRecycle(_ *node[V], retireEpoch uint64) bool {
 // noteDataWrite is the copy-on-write hook, called by every data-layer write
 // with the node's write lock held and no mutation performed yet. With no
 // snapshot pinned it is a single shared atomic load. Otherwise it advances
-// the epoch (the write's linearization point relative to snapshots),
-// publishes the node's pre-image, and stamps the node's verEpoch. It
+// the epoch (the write's linearization point relative to snapshots), moves
+// the node onto a copy of its block and publishes the block it left as the
+// pre-image, and stamps the node's verEpoch. It
 // returns the epoch it issued (0 when no snapshot was pinned) so callers
 // that create sibling nodes inside the same locked section can stamp them.
 func (m *Map[V]) noteDataWrite(n *node[V]) uint64 {
@@ -342,51 +342,47 @@ func (m *Map[V]) noteDataWrite(n *node[V]) uint64 {
 	return e
 }
 
-// noteDataWrite2 is noteDataWrite for a write that mutates two nodes under
-// one pair of held locks (an orphan merge): both pre-images share a single
-// linearization epoch.
+// noteDataWrite2 is noteDataWrite for an orphan merge, which fills a from b
+// and empties b under one pair of held locks: both pre-images share a single
+// linearization epoch. b is not moved onto a copy: AbsorbFrom moves it onto
+// the empty block and stores nothing into the block it leaves.
 func (m *Map[V]) noteDataWrite2(a, b *node[V]) uint64 {
 	if m.snaps.count.Load() == 0 {
 		return 0
 	}
 	e := m.epoch.Add(1)
 	m.publishPreImage(a, e)
-	m.publishPreImage(b, e)
+	m.publishRecord(b, e)
 	return e
 }
 
-// publishPreImage copies n's current live content into the version store as
-// the record for epochs [n.verEpoch, e), then installs verEpoch = e. The
-// caller holds n's write lock and has not mutated the chunk yet, so the copy
-// is exact; snapshot readers cannot observe the intermediate states because
-// the held lock blocks their validation until release, by which point both
-// the record and the new verEpoch are in place.
+// publishPreImage publishes n's block as its pre-image (publishRecord) and
+// moves n onto a copy of it, so that the write's stores never reach the
+// record.
 func (m *Map[V]) publishPreImage(n *node[V], e uint64) {
+	m.publishRecord(n, e)
+	n.data().Detach()
+}
+
+// publishRecord publishes the block n holds, which the caller never writes
+// again, into the version store as the record for epochs [n.verEpoch, e),
+// then installs verEpoch = e. The caller holds n's write lock and has not
+// stored to the chunk yet, so the record is exact; snapshot readers cannot
+// observe the intermediate states because the held lock blocks their
+// validation until release, by which point both the record and the new
+// verEpoch are in place. An empty node publishes nothing.
+func (m *Map[V]) publishRecord(n *node[V], e uint64) {
 	old := n.verEpoch.Load()
 	n.verEpoch.Store(e)
-	sz := n.size()
-	if sz == 0 {
-		return
+	d := n.data()
+	if lo, hi, ok := d.Bounds(); ok {
+		r := &verRecord[V]{installed: old, superseded: e, lo: lo, hi: hi}
+		r.data.Share(d)
+		// Stretch the publication window (epoch advanced, record not yet
+		// visible); safe because the node lock is held throughout.
+		chaos.Step(chaos.CoreSnapshot)
+		m.snapChainLen.Observe(int(e), int64(m.vstore.insert(r)))
 	}
-	keys := make([]int64, 0, sz)
-	vals := make([]vectormap.Cell, 0, sz)
-	n.data().ForEachOrdered(func(k int64, v vectormap.Cell) bool {
-		if k != MinKey && k != MaxKey {
-			keys = append(keys, k)
-			vals = append(vals, v)
-		}
-		return true
-	})
-	if len(keys) == 0 {
-		return
-	}
-	// Stretch the publication window (epoch advanced, record not yet
-	// visible); safe because the node lock is held throughout.
-	chaos.Step(chaos.CoreSnapshot)
-	chain := m.vstore.insert(&verRecord[V]{
-		installed: old, superseded: e, keys: keys, vals: vals,
-	})
-	m.snapChainLen.Observe(int(e), int64(chain))
 	// The caller saw a pin before it issued e, but the last Close may have
 	// dropped the count to zero and pruned since, on a store that did not
 	// hold this record yet. Nothing else would prune it until the next pin,
@@ -557,11 +553,11 @@ func (c *SnapCursor[V]) NextInto(out *V) (int64, bool) {
 
 // snapWalker is the restart-free scan engine shared by Range, Ascend and
 // SnapCursor. It walks the data layer hand-over-hand; for every visited node
-// whose live content is visible at the pinned epoch it merges that content
-// with the version-store records covering the same key window, emitting each
-// key exactly once in ascending order. Nodes whose content moved past the
-// pin contribute nothing live — the records that cover them are flushed as
-// later windows open (or at the tail).
+// whose live content is visible at the pinned epoch it emits the
+// version-store records covering the key window up to that content, then the
+// content itself, each key exactly once in ascending order. Nodes whose
+// content moved past the pin contribute nothing live — the records that
+// cover them are emitted as later windows open (or at the tail).
 type snapWalker[V any] struct {
 	s        *Snapshot[V]
 	n        *node[V]
@@ -570,11 +566,10 @@ type snapWalker[V any] struct {
 	finished bool
 
 	// scratch reused across node visits
-	liveK []int64
-	liveV []vectormap.Cell
-	recs  []*verRecord[V]
-	next  *node[V]
-	qual  bool
+	live vectormap.Cells // a view of the current node's block
+	recs []*verRecord[V]
+	next *node[V]
+	qual bool
 
 	// output of the last successful step
 	outK []int64
@@ -605,10 +600,9 @@ func (s *Snapshot[V]) newWalker(lo, hi int64) *snapWalker[V] {
 	return &snapWalker[V]{s: s, n: start, pos: lo, hi: hi}
 }
 
-// readNode copies the walker's current node under seqlock validation: its
-// sentinel-free live content (only when visible at the pinned epoch), its
-// next pointer, and whether it qualified. A torn read retries the same node
-// — never the scan.
+// readNode reads the walker's current node under seqlock validation: a view
+// of its block, its next pointer, and whether its content is visible at the
+// pinned epoch. A torn read retries the same node — never the scan.
 func (w *snapWalker[V]) readNode() {
 	n := w.n
 	for {
@@ -617,25 +611,15 @@ func (w *snapWalker[V]) readNode() {
 			runtime.Gosched()
 			continue
 		}
-		w.liveK, w.liveV = w.liveK[:0], w.liveV[:0]
 		ver, ok := n.lock.ReadVersion()
 		if !ok {
 			runtime.Gosched()
 			continue
 		}
-		qual := n.verEpoch.Load() <= w.s.epoch
-		if qual {
-			n.data().ForEachOrdered(func(k int64, v vectormap.Cell) bool {
-				if k != MinKey && k != MaxKey {
-					w.liveK = append(w.liveK, k)
-					w.liveV = append(w.liveV, v)
-				}
-				return true
-			})
-		}
+		w.qual = n.verEpoch.Load() <= w.s.epoch
+		w.live.Share(n.data())
 		w.next = n.next.Load()
 		if n.lock.Validate(ver) {
-			w.qual = qual
 			return
 		}
 	}
@@ -652,16 +636,15 @@ func (w *snapWalker[V]) step() bool {
 		}
 		w.readNode()
 		if w.next == nil {
-			// Tail sentinel: flush the remaining records and finish.
-			w.emitWindow(w.hi, nil, nil)
+			// Tail sentinel: emit the remaining records and finish.
+			w.emitWindow(w.hi, nil)
 			w.finished = true
 			break
 		}
-		if w.qual && len(w.liveK) > 0 {
-			u := w.liveK[len(w.liveK)-1]
-			if u >= w.pos {
-				w.emitWindow(u, w.liveK, w.liveV)
-			}
+		// Only the tail holds MaxKey; a head node holding nothing but its
+		// sentinel reads MinKey, below every pos.
+		if u, ok := w.live.MaxKey(); w.qual && ok && u >= w.pos {
+			w.emitWindow(u, &w.live)
 		}
 		w.n = w.next
 		if len(w.outK) > 0 {
@@ -671,49 +654,35 @@ func (w *snapWalker[V]) step() bool {
 	return len(w.outK) > 0
 }
 
-// emitWindow merges the version-store records visible on [pos, u] with the
-// live pairs of the current node into outK/outV, in ascending key order,
-// then advances pos past the window. Records visible at one epoch have
-// disjoint ranges; the only possible duplicate is a record that is the
-// pre-image of the very content just read live (pushed between our read and
-// this query), and since the copies are identical the live pair wins.
-func (w *snapWalker[V]) emitWindow(u int64, liveK []int64, liveV []vectormap.Cell) {
-	if u > w.hi {
-		u = w.hi
-	}
-	if u < w.pos {
-		return
-	}
-	w.recs = w.s.m.vstore.collect(w.s.epoch, w.pos, u, w.recs)
-	li := 0
-	for li < len(liveK) && liveK[li] < w.pos {
-		li++
-	}
+// emitWindow appends to outK/outV the pairs on [pos, min(u, hi)] in
+// ascending key order, first those of the version-store records visible
+// there, then those of live, the current node's view (nil at the tail),
+// whose largest key is u, and advances pos past the window. Versions visible
+// at one epoch have disjoint key ranges (DESIGN.md §9), so the records lie
+// below live's keys and minKey order is key order. The one exception is a
+// record published from live's own version between the read and this query:
+// the very block live views, reaching u. It is skipped.
+func (w *snapWalker[V]) emitWindow(u int64, live *vectormap.Cells) {
+	top := min(u, w.hi)
+	w.recs = w.s.m.vstore.collect(w.s.epoch, w.pos, top, w.recs)
 	for _, r := range w.recs {
-		for j, k := range r.keys {
-			if k < w.pos {
-				continue
-			}
-			if k > u {
-				break
-			}
-			for li < len(liveK) && liveK[li] < k {
-				if liveK[li] <= u {
-					w.outK = append(w.outK, liveK[li])
-					w.outV = append(w.outV, liveV[li])
-				}
-				li++
-			}
-			if li < len(liveK) && liveK[li] == k {
-				continue // identical duplicate; live copy already emitted next
-			}
-			w.outK = append(w.outK, k)
-			w.outV = append(w.outV, r.vals[j])
+		if live == nil || r.hi < u {
+			w.emit(&r.data, top)
 		}
 	}
-	for ; li < len(liveK) && liveK[li] <= u; li++ {
-		w.outK = append(w.outK, liveK[li])
-		w.outV = append(w.outV, liveV[li])
+	if live != nil {
+		w.emit(live, top)
 	}
-	w.pos = u + 1
+	w.pos = top + 1
+}
+
+// emit appends c's pairs on [pos, top] to outK/outV in ascending key order.
+func (w *snapWalker[V]) emit(c *vectormap.Cells, top int64) {
+	c.ForEachOrdered(func(k int64, v vectormap.Cell) bool {
+		if k >= w.pos && k <= top {
+			w.outK = append(w.outK, k)
+			w.outV = append(w.outV, v)
+		}
+		return k < top
+	})
 }

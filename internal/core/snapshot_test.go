@@ -271,6 +271,71 @@ func TestSnapshotCloseSemantics(t *testing.T) {
 	}
 }
 
+// TestSnapshotStoreDropsItsArray: the last Close leaves the version store
+// with no backing array, however many records the pins grew it to, so the
+// store's peak is not kept for the life of the map.
+func TestSnapshotStoreDropsItsArray(t *testing.T) {
+	m := newTestMap(t, DefaultConfig())
+	for k := int64(0); k < 4096; k++ {
+		m.Insert(k, v64(k))
+	}
+	s1, s2 := m.Snapshot(), m.Snapshot()
+	for k := int64(0); k < 4096; k += 3 {
+		m.Remove(k)
+		m.Insert(k+4096, v64(k))
+	}
+	if n := m.Stats().SnapshotRecords; n < 100 {
+		t.Fatalf("pinned churn left %d records, want hundreds", n)
+	}
+	s1.Close()
+	if len(m.vstore.recs) == 0 {
+		t.Fatal("closing one of two pins at one epoch pruned its records")
+	}
+	s2.Close()
+	if n := cap(m.vstore.recs); n != 0 {
+		t.Fatalf("the version store keeps an array of %d records after the last Close", n)
+	}
+	mustCheck(t, m)
+}
+
+// TestSnapshotWalkerSkipsTheLivePreImage: a write between the walker's read
+// of a node and its version-store query publishes, as a record visible at
+// the pin, the very version the walker read live. The window skips that
+// record and emits each key once, with its pinned value.
+func TestSnapshotWalkerSkipsTheLivePreImage(t *testing.T) {
+	m := newTestMap(t, DefaultConfig())
+	for k := int64(1); k <= 200; k++ {
+		m.Insert(k, v64(k))
+	}
+	s := m.Snapshot()
+	defer s.Close()
+	w := s.newWalker(1, MaxKey-1)
+	for {
+		w.readNode()
+		if u, ok := w.live.MaxKey(); ok && u >= w.pos {
+			break
+		}
+		w.n = w.next
+	}
+	u, _ := w.live.MaxKey()
+	before := m.Stats().SnapshotCow
+	m.Upsert(u, v64(-u))
+	if m.Stats().SnapshotCow != before+1 {
+		t.Fatal("the write published no pre-image")
+	}
+	w.emitWindow(u, &w.live)
+	if int64(len(w.outK)) != u {
+		t.Fatalf("the window emitted %d pairs, want keys 1 to %d once each", len(w.outK), u)
+	}
+	for i, k := range w.outK {
+		var v int64
+		m.load(w.outV[i], &v)
+		if k != int64(i+1) || v != k {
+			t.Fatalf("pair %d is %d → %d, want %d → %d", i, k, v, i+1, i+1)
+		}
+	}
+}
+
 // TestSnapshotCursorMidScanClose: a snapshot closed while one of its cursors
 // is mid-scan must make the next cursor step panic rather than return data
 // from a released version.

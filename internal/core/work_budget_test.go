@@ -83,6 +83,25 @@ const (
 // and fails it.
 const prefillAllocsBudget = 0.215
 
+// pinnedUpsertAllocsBudget bounds the allocations of a facade Upsert of a
+// present key while a snapshot is pinned: the copy of the block the write
+// moves its node onto and the version record that keeps the block it left:
+// 2.01 measured over 10,000 writes (about 490 bytes each), 6.03 (about 1,450
+// bytes) when the record copied the node's keys and values out.
+const pinnedUpsertAllocsBudget = 2.1
+
+// rangeQueryAllocsBudget bounds the allocations of a 128-key facade
+// RangeQuery: 1 measured, the value copy fn reads; 5 when the window's node
+// list grew afresh on every call, and 24 when each node's ordered walk also
+// sorted its positions in a heap slice.
+const rangeQueryAllocsBudget = 1
+
+// pinnedAscendAllocsBudget bounds the allocations per key of a full pinned
+// Snapshot.Ascend of the facade map: a view of each node's block leaves only
+// the walker's own, 0.000 measured; 0.111 when the walker copied each node's
+// content out in key order.
+const pinnedAscendAllocsBudget = 0.001
+
 // walkedNodeBytesPerKeyBudget bounds the node structs the default build's
 // layers hold, counted exactly by Occupancy: 1.845 B/key measured with 48 B
 // nodes, 2.460 with 64 B ones.
@@ -180,6 +199,21 @@ func TestWorkBudgets(t *testing.T) {
 		defer s.Close()
 		return perOp(func(k int64) { s.Get(k) })
 	}
+	pinnedUpsert := func() float64 {
+		s := facade.Snapshot()
+		defer s.Close()
+		return perOp(func(k int64) { facade.Upsert(k&^1, uint64(k)) })
+	}
+	pinnedAscend := func() float64 {
+		s := facade.Snapshot()
+		defer s.Close()
+		return testing.AllocsPerRun(4, func() { s.Ascend(func(int64, uint64) bool { return true }) }) / budgetKeys
+	}
+	// The facade holds the even keys below 2^17, so 128 of them lie in any
+	// window of 256 keys.
+	rangeQuery := func() float64 {
+		return perOp(func(k int64) { facade.RangeQuery(k, k+255, func(int64, uint64) bool { return true }) })
+	}
 	freshInserts := func(step int64) float64 {
 		m, key := skipvector.New[uint64](), int64(0)
 		return testing.AllocsPerRun(40, func() {
@@ -276,6 +310,9 @@ func TestWorkBudgets(t *testing.T) {
 			facade.Upsert(k&^1, uint64(k))
 		}), 0},
 		{"allocs per facade Snapshot.Get", snapshotGet(), 0},
+		{"allocs per facade Upsert of a present key, snapshot pinned", pinnedUpsert(), pinnedUpsertAllocsBudget},
+		{"allocs per key of a pinned facade Snapshot.Ascend", pinnedAscend(), pinnedAscendAllocsBudget},
+		{"allocs per 128-key facade RangeQuery", rangeQuery(), rangeQueryAllocsBudget},
 		{"allocs per facade Insert of a fresh key", freshInserts(1), freshInsertAllocsBudget},
 		{"allocs per facade Insert of a fresh key, descending", freshInserts(-1), freshInsertAllocsBudget},
 		{"allocs per facade Cursor.Next", cursorNextAllocs(), 0},

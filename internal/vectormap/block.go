@@ -351,6 +351,15 @@ func (b *block) fill(src *block, n int, words bool) {
 	}
 }
 
+// clone is a fresh block of b's capacity, width and window holding a copy of
+// b's first n cells, under the same terms as fill.
+func (b *block) clone(n int, words bool) *block {
+	nb := (*block)(reflect.New(shapeOf(b.cap(), words, b.width()).typ).UnsafePointer())
+	nb.hdr = b.hdr
+	nb.fill(b, n, words)
+	return nb
+}
+
 // Sizing policy. A resize asks for one of two rooms around the n elements a
 // block must hold: the geometric appendRoom(n) = max(n+4, 3n/2) cells, or
 // room(n) = max(n+4, 5n/4).

@@ -2,6 +2,7 @@ package vectormap
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -204,4 +205,118 @@ func TestInitLeavesOldBlockAlone(t *testing.T) {
 	if v, ok := c.Get(3); !ok || *v != 3 {
 		t.Fatal("chunk unusable after reinit")
 	}
+}
+
+// TestShareSurvivesDetachedWrites pins the rule snapshot records rest on: a
+// view taken with Share keeps the pairs it was taken with, and its block
+// every byte, through Detach and any write after it — each write primitive,
+// and removals down to a shrink — at every key width, in both cell kinds and
+// both policies. The write lands in the copy Detach moved the chunk onto.
+// n keys leave the block spare cells at every width, so that a put stores
+// into the block and does not grow out of it.
+func TestShareSurvivesDetachedWrites(t *testing.T) {
+	const target, n = 16, 19
+	// env is one write's subtest: the shared chunk c, a second chunk d, the
+	// width's keys and the cell kind's payloads.
+	type env struct {
+		t    *testing.T
+		c, d *Cells
+		key  func(i int) int64
+		cell func(k int64) Cell
+	}
+	writes := []struct {
+		name  string
+		write func(e env)
+	}{
+		{"Insert", func(e env) { e.c.Insert(e.key(-1), e.cell(e.key(-1))) }},
+		{"Set", func(e env) { e.c.Set(e.key(0), e.cell(e.key(5))) }},
+		{"Remove", func(e env) { e.c.Remove(e.key(0)) }},
+		{"ApplyOps", func(e env) {
+			ops := []CellOp{{Key: e.key(1), Val: e.cell(e.key(5))}, {Key: e.key(2), Del: true}, {Key: e.key(-2), Val: e.cell(e.key(-2))}}
+			e.c.ApplyOps(ops, make([]SlotOutcome, len(ops)))
+		}},
+		{"MoveGreaterTo", func(e env) { e.c.MoveGreaterTo(e.key(n/2), e.d) }},
+		{"SplitUpperHalfTo", func(e env) { e.c.SplitUpperHalfTo(e.d) }},
+		{"AbsorbFrom", func(e env) {
+			cv := e.cell(e.key(n))
+			e.d.Insert(e.key(n), cv)
+			var src Cells // the source's block needs no Detach
+			src.Share(e.d)
+			e.c.AbsorbFrom(e.d)
+			if v, ok := src.Get(e.key(n)); !ok || src.Size() != 1 || v != cv {
+				e.t.Fatal("AbsorbFrom changed the block its source left")
+			}
+		}},
+		{"shrink", func(e env) {
+			cells := e.c.BlockCap()
+			for i := 0; i < n-2; i++ {
+				e.c.Remove(e.key(i))
+			}
+			if e.c.BlockCap() >= cells {
+				e.t.Fatalf("removals left %d cells of %d: no shrink", e.c.BlockCap(), cells)
+			}
+		}},
+	}
+	perWidth(t, func(t *testing.T, g spacing) {
+		for _, words := range []bool{false, true} {
+			cell := func(k int64) Cell { return Cell{Ptr: unsafe.Pointer(val(k))} }
+			valueOf := func(v Cell) int64 { return *(*int64)(v.Ptr) }
+			if words {
+				cell = func(k int64) Cell { return Cell{Word: uint64(k)} }
+				valueOf = func(v Cell) int64 { return int64(v.Word) }
+			}
+			t.Run(map[bool]string{false: "pointer", true: "word"}[words], func(t *testing.T) {
+				bothPolicies(t, func(t *testing.T, sorted bool) {
+					for _, wr := range writes {
+						t.Run(wr.name, func(t *testing.T) {
+							var c, d Cells
+							c.init(target, sorted, words)
+							d.init(target, sorted, words)
+							// Alternate low and high keys, so an unsorted
+							// chunk's compaction moves cells.
+							for i := 0; i < n; i++ {
+								j := i / 2
+								if i%2 == 1 {
+									j = n - 1 - j
+								}
+								c.Insert(g.key(j), cell(g.key(j)))
+							}
+							var view Cells
+							view.Share(&c)
+							b := view.blk.Load()
+							image := func() []byte {
+								size := shapeOf(b.cap(), words, b.width()).typ.Size()
+								return slices.Clone(unsafe.Slice((*byte)(unsafe.Pointer(b)), size))
+							}
+							before := image()
+							c.Detach()
+							wr.write(env{t, &c, &d, g.key, cell})
+							if err := c.CheckInvariants(); err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(image(), before) {
+								t.Fatal("a write after Detach changed the shared block")
+							}
+							var got []int64
+							view.ForEachOrdered(func(k int64, v Cell) bool {
+								if valueOf(v) != k {
+									t.Fatalf("the view maps %d to %d", k, valueOf(v))
+								}
+								got = append(got, k)
+								return true
+							})
+							for i, k := range got {
+								if k != g.key(i) {
+									t.Fatalf("the view holds %v, want key(0) to key(%d)", got, n-1)
+								}
+							}
+							if len(got) != n {
+								t.Fatalf("the view holds %d keys, want %d", len(got), n)
+							}
+						})
+					}
+				})
+			})
+		}
+	})
 }

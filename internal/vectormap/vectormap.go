@@ -41,10 +41,10 @@
 package vectormap
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"unsafe"
 
@@ -91,7 +91,8 @@ type Cell struct {
 // Its header is 16 bytes on 64-bit platforms: the block pointer, the size,
 // and the logical capacity packed into a uint16 beside the two flags.
 //
-// The zero value is unusable; call Init or InitWords.
+// The zero value is unusable; call Init or InitWords, or Share for a
+// read-only view.
 type Cells struct {
 	blk    atomic.Pointer[block]
 	size   atomic.Int32
@@ -739,20 +740,11 @@ func (c *Cells) SplitUpperHalfTo(dst *Cells) int64 {
 	}
 	pivot := b.loadKey(s / 2)
 	if !c.sorted {
-		// Select the median via a copy + sort of the keys. Splits are rare
+		// Select the median by sorting the positions. Splits are rare
 		// (amortized across T inserts), so O(T log T) here is acceptable and
-		// keeps the hot paths branch-light. The copy sits in a stack array
-		// unless the chunk holds more keys than it has room for.
-		var buf [128]int64
-		tmp := buf[:0]
-		if s > len(buf) {
-			tmp = make([]int64, 0, s)
-		}
-		for i := range s {
-			tmp = append(tmp, b.loadKey(i))
-		}
-		slices.Sort(tmp)
-		pivot = tmp[s/2]
+		// keeps the hot paths branch-light.
+		var buf [orderBuf]int
+		pivot = b.loadKey(ordered(b, s, &buf)[s/2])
 	}
 	c.moveTo(dst, func(k int64) bool { return k >= pivot })
 	return pivot
@@ -761,8 +753,9 @@ func (c *Cells) SplitUpperHalfTo(dst *Cells) int64 {
 // AbsorbFrom moves every element of src into c (the merge primitive for
 // orphan cleanup, Listing 2 line 33). All of src's keys must exceed all of
 // c's keys (src is c's right neighbour), and src must be of c's cell kind.
-// Caller must hold write locks on both chunks. Panics if the combined size
-// exceeds capacity.
+// src is left on the empty block, and the block it leaves is not written,
+// so a view of it (Share) needs no Detach. Caller must hold write locks on
+// both chunks. Panics if the combined size exceeds capacity.
 func (c *Cells) AbsorbFrom(src *Cells) {
 	b, cs := c.owned()
 	sb, ss := src.owned()
@@ -772,12 +765,8 @@ func (c *Cells) AbsorbFrom(src *Cells) {
 	b = c.grow(b, cs, cs+ss, sb.span(ss))
 	if c.sorted && !src.sorted {
 		// Normalize: absorb in ascending key order.
-		idx := make([]int, ss)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(x, y int) bool { return sb.loadKey(idx[x]) < sb.loadKey(idx[y]) })
-		for n, i := range idx {
+		var buf [orderBuf]int
+		for n, i := range ordered(sb, ss, &buf) {
 			c.copyCell(b, cs+n, sb, i)
 		}
 	} else {
@@ -804,22 +793,60 @@ func (c *Cells) ForEach(fn func(k int64, v Cell) bool) {
 
 // ForEachOrdered calls fn in ascending key order regardless of chunk policy.
 // Unsorted chunks pay an O(T log T) index sort; it is used by range
-// operations, which hold the node lock.
+// operations, which hold the node lock, and on views (Share), which nothing
+// writes.
 func (c *Cells) ForEachOrdered(fn func(k int64, v Cell) bool) {
 	if c.sorted {
 		c.ForEach(fn)
 		return
 	}
 	b, s := c.load()
-	idx := make([]int, s)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool { return b.loadKey(idx[x]) < b.loadKey(idx[y]) })
-	for _, i := range idx {
+	var buf [orderBuf]int
+	for _, i := range ordered(b, s, &buf) {
 		if !fn(b.loadKey(i), c.cell(b, i)) {
 			return
 		}
+	}
+}
+
+// orderBuf is how many positions ordered sorts in its caller's array: a
+// full chunk at targetSize 64.
+const orderBuf = 128
+
+// ordered returns the positions of b's first s keys in ascending key order,
+// in buf unless s exceeds its length, so that a caller keeping buf on its
+// stack orders a chunk of the default size without allocating.
+func ordered(b *block, s int, buf *[orderBuf]int) []int {
+	idx := buf[:0]
+	if s > len(buf) {
+		idx = make([]int, 0, s)
+	}
+	for i := range s {
+		idx = append(idx, i)
+	}
+	slices.SortFunc(idx, func(x, y int) int { return cmp.Compare(b.loadKey(x), b.loadKey(y)) })
+	return idx
+}
+
+// Share makes c a read-only view of src's current block and size, loaded as
+// every reader loads them. Once the owning node's validation accepts the
+// read, the view holds src's content at that point and keeps it: a writer
+// moves its chunk off a block a view may hold before it stores (Detach), so
+// the block is never written again. c must never be written.
+func (c *Cells) Share(src *Cells) {
+	b, s := src.load()
+	c.limit, c.sorted, c.words = src.limit, src.sorted, src.words
+	c.blk.Store(b)
+	c.size.Store(int32(s))
+}
+
+// Detach moves c onto a fresh copy of its block, of the same capacity, width
+// and window, so that the block it leaves, which views taken with Share may
+// hold, is never written again. The shared empty block is never written, so
+// a chunk on it stays there. Caller must hold the write lock.
+func (c *Cells) Detach() {
+	if b, s := c.owned(); b.cap() > 0 {
+		c.blk.Store(b.clone(s, c.words))
 	}
 }
 
