@@ -131,13 +131,13 @@ const (
 	// same boundaries through the injected filesystem.
 	WALCrashPoint
 	// ShardRebalance is hit at every step boundary of a shard migration
-	// (destination build, snapshot pin, pre-copy batches, seal publication,
-	// writer drain, sealed reconciliation, final table publication): a forced
-	// failure makes the migrator abort and roll back at exactly that step —
-	// unsealing if it had sealed, dropping the half-built destination shards
-	// — so injection drives the abort/retry paths a mid-migration crash or
-	// planner cancellation would. Aborts never lose data: the source shards
-	// stay authoritative until the final publication succeeds.
+	// (plan, seal publication and writer drain, sealed copy, final table
+	// publication): a forced failure makes the migrator abort and roll back
+	// at exactly that step — unsealing if it had sealed, dropping the
+	// half-built destination shards — so injection drives the abort/retry
+	// paths a mid-migration crash or planner cancellation would. Aborts
+	// never lose data: the source shards stay authoritative until the final
+	// publication succeeds.
 	ShardRebalance
 
 	// NumSites is the number of injection sites (array-sizing constant).

@@ -27,19 +27,6 @@ func (m *Map[V]) RangeQuery(lo, hi int64, fn func(k int64, v *V) bool) {
 	})
 }
 
-// RangeStored is RangeQuery that also reports each value as the map stores
-// it, so a caller can later tell whether the key was rewritten (Stored.Same).
-func (m *Map[V]) RangeStored(lo, hi int64, fn func(k int64, v *V, s Stored) bool) {
-	if lo > hi {
-		return
-	}
-	var v V
-	m.lockedRange(lo, hi, false, func(k int64, c vectormap.Cell) (vectormap.Cell, bool) {
-		m.load(c, &v)
-		return c, fn(k, &v, Stored{c})
-	})
-}
-
 // RangeUpdate calls fn for every mapping with lo ≤ key ≤ hi in ascending key
 // order and replaces each value with a copy of fn's return. It returns the
 // number of mappings visited. The whole update is a single serializable

@@ -464,13 +464,6 @@ func (s *Snapshot[V]) Contains(k int64) bool { return s.GetInto(k, nil) }
 // never restarts and never blocks writers. v points at a copy that the next
 // call overwrites.
 func (s *Snapshot[V]) Range(lo, hi int64, fn func(k int64, v *V) bool) {
-	s.RangeStored(lo, hi, func(k int64, v *V, _ Stored) bool { return fn(k, v) })
-}
-
-// RangeStored is Range that also reports each value as the map stored it,
-// so a caller can later tell whether the key was rewritten since the
-// snapshot (Stored.Same against Map.RangeStored).
-func (s *Snapshot[V]) RangeStored(lo, hi int64, fn func(k int64, v *V, st Stored) bool) {
 	s.check()
 	checkKey(lo)
 	checkKey(hi)
@@ -483,17 +476,17 @@ func (s *Snapshot[V]) RangeStored(lo, hi int64, fn func(k int64, v *V, st Stored
 // Ascend calls fn for every pair in the snapshot in ascending key order.
 func (s *Snapshot[V]) Ascend(fn func(k int64, v *V) bool) {
 	s.check()
-	s.scan(MinKey+1, MaxKey-1, func(k int64, v *V, _ Stored) bool { return fn(k, v) })
+	s.scan(MinKey+1, MaxKey-1, fn)
 }
 
-// scan walks [lo, hi] for Range, RangeStored and Ascend.
-func (s *Snapshot[V]) scan(lo, hi int64, fn func(k int64, v *V, st Stored) bool) {
+// scan walks [lo, hi] for Range and Ascend.
+func (s *Snapshot[V]) scan(lo, hi int64, fn func(k int64, v *V) bool) {
 	var v V
 	w := s.newWalker(lo, hi)
 	for w.step() {
 		for i, c := range w.outV {
 			s.m.load(c, &v)
-			if !fn(w.outK[i], &v, Stored{c}) {
+			if !fn(w.outK[i], &v) {
 				return
 			}
 		}

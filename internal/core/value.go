@@ -74,15 +74,3 @@ func (m *Map[V]) load(c vectormap.Cell, out *V) {
 		*out = *(*V)(c.Ptr)
 	}
 }
-
-// Stored is a value as the map stores it: its bits in an inline map, its box
-// in a boxed one. It lets a caller tell whether a key was written between
-// two reads without comparing values of an arbitrary V.
-type Stored struct{ c vectormap.Cell }
-
-// Same reports whether a and b are the same stored value: equal bits in an
-// inline map, the same box in a boxed one. A box is not reused while a
-// Stored holds it, so the same box means no write replaced the value in
-// between. An inline map cannot tell a rewrite of the same bits apart, and
-// need not.
-func (a Stored) Same(b Stored) bool { return a.c == b.c }

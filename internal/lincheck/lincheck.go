@@ -47,16 +47,16 @@ const (
 	// operational (the interval covers only Snapshot(), not the reads).
 	KindSnapshot
 	// KindRebalance is a shard migration over the window [Key,Hi]: the
-	// migrator pinned a snapshot of the range at some point inside
-	// [Invoke,Return], copied it into fresh shards, and swapped the routing
-	// table. Two things must hold of the abstract map: the migration changes
-	// NOTHING (it is a pure representation change — the event applies no
-	// state mutation), and the content the migrator observed through its
-	// pinned snapshot (Pairs) must equal the model state's restriction to
-	// the window at the acquisition's linearization point, exactly and in
-	// ascending key order. Lost updates across the swap do not show up in
-	// the event itself — they surface as later point reads returning stale
-	// values, which the surrounding history then fails to linearize.
+	// migrator sealed the range, copied it into fresh shards while nothing
+	// could write it, and swapped the routing table, all inside
+	// [Invoke,Return]. Two things must hold of the abstract map: the
+	// migration changes NOTHING (it is a pure representation change — the
+	// event applies no state mutation), and the content the migrator copied
+	// (Pairs) must equal the model state's restriction to the window at one
+	// point, exactly and in ascending key order. Lost updates across the
+	// swap do not show up in the event itself — they surface as later point
+	// reads returning stale values, which the surrounding history then
+	// fails to linearize.
 	KindRebalance
 )
 
@@ -339,9 +339,9 @@ func apply(e Event, state map[int64]int64) (func(), bool) {
 		// [Key,Hi]: same keys, same values, ascending order. A KindSnapshot
 		// event mutates nothing — the pinned view's content is decided at the
 		// acquisition's linearization point and the later reads only reveal it.
-		// A KindRebalance event shares the rule: the migration's pinned
-		// pre-copy view linearizes at its acquisition, and the migration
-		// itself must be a no-op on the abstract map.
+		// A KindRebalance event shares the rule: the migration's sealed copy
+		// is one instant's view, and the migration itself must be a no-op on
+		// the abstract map.
 		keys := keysInRange(state, e.Key, e.Hi)
 		if len(keys) != len(e.Pairs) {
 			return nil, false

@@ -526,7 +526,7 @@ func TestRebalanceIllegalHistories(t *testing.T) {
 			Event{Kind: KindLookup, Key: 4, RetOK: false},
 		),
 		// Resurrection: a key removed before the migration reappears after
-		// the swap (a reconcile that failed to carry the delete).
+		// the swap (a copy taken before the delete).
 		seq(
 			Event{Kind: KindInsert, Key: 5, Val: 50, RetOK: true},
 			Event{Kind: KindRemove, Key: 5, RetOK: true},

@@ -28,9 +28,7 @@ func (s *Sharded[V]) initMetrics() {
 	r.CounterFunc("sv_shard_rebalance_aborts_total",
 		"Migrations aborted mid-flight and rolled back.", s.rebAborts.Load)
 	r.CounterFunc("sv_shard_rebalance_keys_copied_total",
-		"Pairs pre-copied through pinned snapshots by completed migrations.", s.rebCopied.Load)
-	r.CounterFunc("sv_shard_rebalance_reconciled_total",
-		"Sealed-window reconcile fixes (delta upserts plus deletes).", s.rebReconciled.Load)
+		"Pairs copied from frozen sources by completed migrations.", s.rebCopied.Load)
 	r.CounterFunc("sv_shard_rebalance_seal_ns_total",
 		"Total nanoseconds the per-range write redirect was in force.", s.rebSealNanos.Load)
 	r.CounterFunc("sv_shard_rebalance_seal_waits_total",

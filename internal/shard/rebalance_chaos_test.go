@@ -13,7 +13,7 @@ import (
 )
 
 // rebalanceChaos confines injection to the migration's step boundaries:
-// with FailOneIn 3 over the 6 chaos.ShardRebalance call sites, different
+// with FailOneIn 3 over the 4 chaos.ShardRebalance call sites, different
 // seeds abort at different steps; seeds that inject nothing complete.
 func rebalanceChaos(seed uint64) chaos.Config {
 	return chaos.Config{
@@ -24,15 +24,13 @@ func rebalanceChaos(seed uint64) chaos.Config {
 }
 
 // TestChaosRebalanceAbortEveryStep sweeps seeds until an injected abort has
-// been observed at EVERY migration step — plan, snapshot, copy, seal,
-// reconcile, publish — and proves each abort is a perfect rollback: same
-// bounds, same content, invariants intact, and the very next migration (no
-// chaos) completes. Loop-until-dry beats a fixed seed list: it cannot
+// been observed at EVERY migration step — plan, seal, copy, publish — and
+// proves each abort is a perfect rollback: same bounds, same content,
+// invariants intact, and the very next migration (no chaos) completes. Loop-until-dry beats a fixed seed list: it cannot
 // silently stop covering a step when the schedule shifts.
 func TestChaosRebalanceAbortEveryStep(t *testing.T) {
 	wantSteps := map[string]bool{
-		"plan": false, "snapshot": false, "copy": false,
-		"seal": false, "reconcile": false, "publish": false,
+		"plan": false, "seal": false, "copy": false, "publish": false,
 	}
 	base := campaignSeed(0xab027)
 	remaining := len(wantSteps)

@@ -15,12 +15,11 @@ type coreOp = core.BatchOp[int64]
 // TestRebalanceLinearizability machine-checks point-op linearizability
 // ACROSS forced mid-history table swaps. Worker procs hammer a 6-key space
 // spanning the boundary; the migrator proc runs a full split or merge and
-// files it as a KindRebalance event whose Pairs are what its pinned
-// snapshots actually observed (via the copy-phase observer) and whose
-// interval covers the acquisition. The checker then demands a single
-// linearization explaining every op's result AND the migrator's view: a
-// write lost across the swap, a resurrected delete, or a torn pre-copy all
-// fail the whole history.
+// files it as a KindRebalance event whose Pairs are what its copy actually
+// observed (via the copy observer) and whose interval covers the
+// migration. The checker then demands a single linearization explaining
+// every op's result AND the migrator's view: a write lost across the swap,
+// a resurrected delete, or a torn copy all fail the whole history.
 func TestRebalanceLinearizability(t *testing.T) {
 	const (
 		procs   = 3
@@ -37,16 +36,15 @@ func TestRebalanceLinearizability(t *testing.T) {
 		var wg sync.WaitGroup
 
 		// Migrator proc: one full migration mid-history. Pairs collected by
-		// the snapshot observer are exactly the pinned pre-copy view;
-		// EndAt confines the interval to the acquisition (Begin → the end
-		// of SplitShard/MergeShards, which covers the pin), mirroring how
-		// KindSnapshot events are recorded.
+		// the copy observer are exactly the copied view; EndAt confines the
+		// interval to Begin → the end of SplitShard/MergeShards, which
+		// covers the copy, mirroring how KindSnapshot events are recorded.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var pairs []lincheck.KV
 			s.mig.Lock() // observer set/cleared under the migration lock
-			s.snapObserver = func(k int64, v *int64) {
+			s.copyObserver = func(k int64, v *int64) {
 				pairs = append(pairs, lincheck.KV{K: k, V: *v})
 			}
 			s.mig.Unlock()
@@ -67,7 +65,7 @@ func TestRebalanceLinearizability(t *testing.T) {
 			}
 			ret := rec.Now()
 			s.mig.Lock()
-			s.snapObserver = nil
+			s.copyObserver = nil
 			s.mig.Unlock()
 			rec.EndAt(lincheck.Event{
 				Proc: procs, Kind: lincheck.KindRebalance,
@@ -140,7 +138,7 @@ func TestRebalanceLinearizabilityWithBatches(t *testing.T) {
 			defer wg.Done()
 			var pairs []lincheck.KV
 			s.mig.Lock()
-			s.snapObserver = func(k int64, v *int64) {
+			s.copyObserver = func(k int64, v *int64) {
 				pairs = append(pairs, lincheck.KV{K: k, V: *v})
 			}
 			s.mig.Unlock()
@@ -151,7 +149,7 @@ func TestRebalanceLinearizabilityWithBatches(t *testing.T) {
 			}
 			ret := rec.Now()
 			s.mig.Lock()
-			s.snapObserver = nil
+			s.copyObserver = nil
 			s.mig.Unlock()
 			rec.EndAt(lincheck.Event{
 				Proc: 2, Kind: lincheck.KindRebalance,

@@ -12,15 +12,15 @@
 // per-shard iterators back together at the boundaries, in key order.
 //
 // Boundaries are not fixed: the migrator (migrate.go) splits hot shards and
-// merges cold ones online, copying the affected key range into fresh maps
-// through pinned snapshots and swapping a new table in. When to move a
-// boundary is the caller's decision (SplitShard, MergeShards): the caller is
-// the skew observer, and LoadStats reports the per-shard op counters and
-// occupancy it decides from. Readers never block during a migration; writes
-// into the migrating range are redirected (briefly parked) across the swap,
+// merges cold ones online, sealing the affected key range, copying it into
+// fresh maps and swapping a new table in. When to move a boundary is the
+// caller's decision (SplitShard, MergeShards): the caller is the skew
+// observer, and LoadStats reports the per-shard op counters and occupancy it
+// decides from. Readers never block during a migration; writes into the
+// migrating range are parked for the copy and redirected across the swap,
 // and every write is counted through a generation gate (gate.go) so the
-// migrator can drain in-flight writes before it captures the sealed range's
-// final state. Point operations stay linearizable across a table swap.
+// migrator can drain in-flight writes before it copies the sealed range.
+// Point operations stay linearizable across a table swap.
 //
 // Consistency model: point operations and per-shard batch units are
 // linearizable (each shard is a fully linearizable map), including across
@@ -167,23 +167,17 @@ type Sharded[V any] struct {
 	singleBatch atomic.Int64 // ApplyBatch calls resolved entirely by one shard
 
 	// Rebalance metrics (migrate.go).
-	rebSplits     atomic.Int64 // completed split migrations
-	rebMerges     atomic.Int64 // completed merge migrations
-	rebAborts     atomic.Int64 // migrations aborted mid-flight (all rolled back)
-	rebCopied     atomic.Int64 // pairs pre-copied through pinned snapshots
-	rebReconciled atomic.Int64 // sealed-window fixes (delta upserts + deletes)
-	rebSealNanos  atomic.Int64 // total ns the write redirect was in force
-	sealWaits     atomic.Int64 // writes that parked on a sealed range
+	rebSplits    atomic.Int64 // completed split migrations
+	rebMerges    atomic.Int64 // completed merge migrations
+	rebAborts    atomic.Int64 // migrations aborted mid-flight (all rolled back)
+	rebCopied    atomic.Int64 // pairs copied from frozen sources
+	rebSealNanos atomic.Int64 // total ns the write redirect was in force
+	sealWaits    atomic.Int64 // writes that parked on a sealed range
 
-	// testHookSealed, when set, runs after the writer drain completes and
-	// before the sealed reconciliation — the window in which the migrating
-	// range is frozen. Test instrumentation only; never set in production.
-	testHookSealed func()
-
-	// snapObserver, when set, receives every pair a migration pre-copies
-	// from its pinned snapshots (test instrumentation for the lincheck
-	// rebalance histories). Guarded by mig.
-	snapObserver func(k int64, v *V)
+	// copyObserver, when set, receives every pair a migration copies, while
+	// the migrating range is sealed (test instrumentation for the lincheck
+	// rebalance histories and the seal tests). Guarded by mig.
+	copyObserver func(k int64, v *V)
 
 	reg *telemetry.Registry
 }
@@ -227,7 +221,7 @@ func New[V any](cfg core.Config, splits []int64) (*Sharded[V], error) {
 	s := &Sharded[V]{cfg: cfg}
 	maps := make([]*core.Map[V], n)
 	for i := 0; i < n; i++ {
-		m, err := s.newShardMap()
+		m, err := s.newShardMap(nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -238,10 +232,11 @@ func New[V any](cfg core.Config, splits []int64) (*Sharded[V], error) {
 	return s, nil
 }
 
-// newShardMap builds one shard map from the stored configuration with the
-// next unique metric-label id and a decorrelated height RNG stream. Used at
-// construction and by migrations for replacement shards.
-func (s *Sharded[V]) newShardMap() (*core.Map[V], error) {
+// newShardMap bulk-loads one shard map from strictly ascending keys and
+// their values (none for an empty shard) under the stored configuration,
+// with the next unique metric-label id and a decorrelated height RNG stream.
+// Used at construction and by migrations for replacement shards.
+func (s *Sharded[V]) newShardMap(keys []int64, vals []V) (*core.Map[V], error) {
 	id := s.nextID.Add(1) - 1
 	c := s.cfg
 	c.MetricLabels = append(append([]string(nil), s.cfg.MetricLabels...),
@@ -250,7 +245,11 @@ func (s *Sharded[V]) newShardMap() (*core.Map[V], error) {
 		c.Seed = core.DefaultConfig().Seed
 	}
 	c.Seed += uint64(id) * 0x9e3779b97f4a7c15
-	return core.NewMap[V](c)
+	ptrs := make([]*V, len(vals))
+	for i := range vals {
+		ptrs[i] = &vals[i]
+	}
+	return core.BulkLoad(c, keys, ptrs)
 }
 
 // publish swaps in a new boundary table and wakes every writer parked on the

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"runtime"
 	"testing"
 
 	"skipvector/internal/core"
@@ -61,6 +62,59 @@ func TestWorkBudgets(t *testing.T) {
 			t.Errorf("a sorted batch over %d shards committed %d parts", touched, got)
 		}
 	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMigrationWorkBudgets splits one shard of 2^16 sequential keys,
+// single-threaded under the default configuration, and bounds what the
+// move costs: the copy reads each key once, allocates mostly per chunk,
+// not per key, and bulk-loads destinations with full chunks. The sealed
+// window is logged, not gated: it is a clock reading.
+func TestMigrationWorkBudgets(t *testing.T) {
+	const n = 1 << 16
+	s, err := New[uint64](core.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < n; k++ {
+		v := uint64(k)
+		s.Insert(k, &v)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := s.SplitShard(0, n/2)
+	runtime.ReadMemStats(&after)
+	if err != nil || rep.Aborted {
+		t.Fatalf("SplitShard: %+v, %v", rep, err)
+	}
+	var elems, chunks, walked int
+	for _, m := range s.tab.Load().maps {
+		occ := m.Occupancy()
+		elems += occ.DataElems
+		chunks += occ.DataChunks
+		walked += occ.NodeBytes + occ.DataBytes + occ.IndexBytes
+	}
+	if rep.Copied != n {
+		t.Errorf("copied %d pairs, want %d", rep.Copied, n)
+	}
+	for _, row := range []struct {
+		name      string
+		got, want float64
+		atLeast   bool
+	}{
+		{"allocs per moved key", float64(after.Mallocs-before.Mallocs) / n, 0.10, false},
+		{"destination keys per data chunk", float64(elems) / float64(chunks), 31.5, true},
+		{"destination walked bytes per key", float64(walked) / n, 12.3, false},
+	} {
+		if row.atLeast && row.got < row.want || !row.atLeast && row.got > row.want {
+			t.Errorf("%s = %.3f, budget %.2f", row.name, row.got, row.want)
+		} else {
+			t.Logf("%s = %.3f (budget %.2f)", row.name, row.got, row.want)
+		}
+	}
+	t.Logf("sealed %v for %d keys", rep.Sealed, rep.Copied)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

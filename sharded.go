@@ -290,9 +290,8 @@ func (h *ShardedHandle[V]) Ceiling(k int64) (int64, V, bool) {
 func (m *ShardedMap[V]) ShardStats() []core.StatsSnapshot { return m.s.ShardStats() }
 
 // Migration reports what one online boundary move did: kind, pairs copied
-// through the pinned snapshots, sealed-window reconcile fixes, how long the
-// write redirect was in force, and the resulting bounds — or the step an
-// injected abort stopped at.
+// from the sealed sources, how long the write redirect was in force, and the
+// resulting bounds — or the step an injected abort stopped at.
 type Migration = shard.Migration
 
 // ShardLoadStat is one shard's standing in the current boundary table: ops
@@ -305,8 +304,8 @@ func (m *ShardedMap[V]) ShardLoadStats() []ShardLoadStat { return m.s.LoadStats(
 
 // SplitShard splits shard i at key online: keys below key stay left, keys
 // at or above it go right, and the boundary table gains a split. Readers
-// never block; writes into shard i's range are parked for the brief sealed
-// window (micro- to milliseconds) while the final delta is reconciled.
+// never block; writes into shard i's range are parked while the sealed range
+// is copied, about 0.2 µs per moved key on a 2 vCPU Xeon.
 func (m *ShardedMap[V]) SplitShard(i int, key int64) (Migration, error) {
 	return m.s.SplitShard(i, key)
 }
