@@ -145,17 +145,14 @@ func rebuild[V any](rec *wal.Recovery, codec Codec[V], mapOpts []Option) (*core.
 	for _, opt := range mapOpts {
 		opt(&cfg)
 	}
-	// The map copies every value it is given, so the decoded values live in
-	// one slice rather than one allocation each.
-	decoded := make([]V, len(rec.CheckpointKeys))
-	vals := make([]*V, len(rec.CheckpointKeys))
+	// The map copies every value it is given, so the checkpoint decodes
+	// into one slice rather than one allocation per value.
+	vals := make([]V, len(rec.CheckpointKeys))
 	for i, b := range rec.CheckpointVals {
-		v, err := codec.Decode(b)
-		if err != nil {
+		var err error
+		if vals[i], err = codec.Decode(b); err != nil {
 			return nil, 0, fmt.Errorf("skipvector: checkpoint value for key %d: %w", rec.CheckpointKeys[i], err)
 		}
-		decoded[i] = v
-		vals[i] = &decoded[i]
 	}
 	m, err := core.BulkLoad(cfg, rec.CheckpointKeys, vals)
 	if err != nil {
@@ -381,9 +378,10 @@ func (d *DurableMap[V]) Compact() error {
 	}
 	defer snap.Close()
 
-	// Stream the snapshot in chunk-sized runs. The image layout matches the
-	// map's own chunking (vectormap.AppendImage), so recovery bulk-loads it
-	// without re-sorting.
+	// Stream the snapshot in sorted 512-key runs, one chunk image each.
+	// Recovery joins the runs into one sorted sequence and bulk-loads it,
+	// which re-chunks the pairs at the map's T_D, so a run's length need not
+	// match the map's chunking and nothing is re-sorted.
 	const chunkKeys = 512
 	var (
 		keys []int64

@@ -382,9 +382,9 @@ func TestBatchResumeTinyTargets(t *testing.T) {
 				keys = append(keys, k)
 				model[k] = -k
 			}
-			vals := make([]*int64, len(keys))
+			vals := make([]int64, len(keys))
 			for i, k := range keys {
-				vals[i] = v64(-k)
+				vals[i] = -k
 			}
 			m, err := BulkLoad(cfg, keys, vals)
 			if err != nil {

@@ -10,8 +10,8 @@ import (
 // loading, and the fast path database index builds want (the paper's
 // future-work direction of using the skip vector as a database index). Keys
 // must be strictly ascending and within (MinKey, MaxKey); vals must be the
-// same length as keys (vals, or any of its elements, may be nil to load zero
-// values). Each *vals[i] is copied; the map keeps none of the pointers.
+// same length as keys, or nil to load zero values. Each vals[i] is copied;
+// the map keeps no reference to the slice.
 //
 // Every chunk is filled to exactly its target size (index chunks to two
 // entries when T_I = 1), so the loaded structure matches the steady-state
@@ -20,7 +20,7 @@ import (
 // marked orphans (the invariant normal operation maintains; lazy merging
 // will coalesce them if the top layer is overfull for the configured
 // LayerCount).
-func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
+func BulkLoad[V any](cfg Config, keys []int64, vals []V) (*Map[V], error) {
 	if vals != nil && len(vals) != len(keys) {
 		return nil, fmt.Errorf("core: BulkLoad with %d keys but %d values", len(keys), len(vals))
 	}
@@ -60,7 +60,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 		for i := off; i < end; i++ {
 			var v *V
 			if vals != nil {
-				v = vals[i]
+				v = &vals[i]
 			}
 			n.data().Insert(keys[i], m.cellOf(v))
 		}
@@ -124,7 +124,7 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
 
 // BulkLoadUnsorted sorts (key, value) pairs and bulk-loads them; a
 // convenience for callers with unsorted input. Duplicate keys are rejected.
-func BulkLoadUnsorted[V any](cfg Config, keys []int64, vals []*V) (*Map[V], error) {
+func BulkLoadUnsorted[V any](cfg Config, keys []int64, vals []V) (*Map[V], error) {
 	if vals != nil && len(vals) != len(keys) {
 		return nil, fmt.Errorf("core: BulkLoadUnsorted with %d keys but %d values", len(keys), len(vals))
 	}
@@ -134,9 +134,9 @@ func BulkLoadUnsorted[V any](cfg Config, keys []int64, vals []*V) (*Map[V], erro
 	}
 	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
 	sk := make([]int64, len(keys))
-	var sv []*V
+	var sv []V
 	if vals != nil {
-		sv = make([]*V, len(vals))
+		sv = make([]V, len(vals))
 	}
 	for n, i := range idx {
 		sk[n] = keys[i]

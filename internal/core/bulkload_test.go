@@ -17,9 +17,9 @@ func sortedKeys(n int) []int64 {
 func TestBulkLoadBasic(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, cfg Config) {
 		keys := sortedKeys(1000)
-		vals := make([]*int64, len(keys))
+		vals := make([]int64, len(keys))
 		for i, k := range keys {
-			vals[i] = v64(k * 10)
+			vals[i] = k * 10
 		}
 		m, err := BulkLoad(cfg, keys, vals)
 		if err != nil {
@@ -68,16 +68,16 @@ func TestBulkLoadNilValues(t *testing.T) {
 
 func TestBulkLoadRejectsBadInput(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := BulkLoad(cfg, []int64{1, 1}, []*int64{v64(1), v64(1)}); err == nil {
+	if _, err := BulkLoad(cfg, []int64{1, 1}, []int64{1, 1}); err == nil {
 		t.Fatal("duplicate keys accepted")
 	}
-	if _, err := BulkLoad(cfg, []int64{2, 1}, []*int64{v64(1), v64(1)}); err == nil {
+	if _, err := BulkLoad(cfg, []int64{2, 1}, []int64{1, 1}); err == nil {
 		t.Fatal("descending keys accepted")
 	}
-	if _, err := BulkLoad(cfg, []int64{MinKey}, []*int64{v64(1)}); err == nil {
+	if _, err := BulkLoad(cfg, []int64{MinKey}, []int64{1}); err == nil {
 		t.Fatal("sentinel key accepted")
 	}
-	if _, err := BulkLoad(cfg, []int64{1, 2}, []*int64{v64(1)}); err == nil {
+	if _, err := BulkLoad(cfg, []int64{1, 2}, []int64{1}); err == nil {
 		t.Fatal("mismatched vals accepted")
 	}
 	bad := cfg
@@ -214,7 +214,7 @@ func TestBulkLoadUnchunkedIndexHalves(t *testing.T) {
 
 func TestBulkLoadUnsorted(t *testing.T) {
 	keys := []int64{50, 10, 30, 20, 40}
-	vals := []*int64{v64(5), v64(1), v64(3), v64(2), v64(4)}
+	vals := []int64{5, 1, 3, 2, 4}
 	m, err := BulkLoadUnsorted(DefaultConfig(), keys, vals)
 	if err != nil {
 		t.Fatal(err)

@@ -79,12 +79,12 @@ func chunkPropertyRun[V any](t *testing.T, cfg Config, seed, base int64, enc fun
 		return &v
 	}
 	var keys []int64
-	var vals []*V
+	var vals []V
 	model := map[int64]int64{}
 	for r := int64(1); r <= keySpace; r += 3 {
 		k := base + r
 		keys = append(keys, k)
-		vals = append(vals, val(-k))
+		vals = append(vals, enc(-k))
 		model[k] = -k
 	}
 	m, err := BulkLoad(cfg, keys, vals)

@@ -149,15 +149,10 @@ const (
 
 // restart accounts one failed optimistic attempt and resets the context so
 // the operation can retry from the top. Every retry loop in the package goes
-// through here, so stats.Restarts is a complete count of torn reads, failed
-// validations, lost CAS races, and chaos-forced failures alike.
-//
-// The total is bumped before the per-kind counter; Stats loads the kinds
-// before the total. Under that pairing every per-kind increment a snapshot
-// observes has its total increment already visible, so the snapshot always
-// satisfies sum(per-kind) ≤ Restarts, with equality at quiescence.
+// through here, so the per-kind counters, and the total Stats sums from
+// them, are a complete count of torn reads, failed validations, lost CAS
+// races, and chaos-forced failures alike.
 func (m *Map[V]) restart(ctx *opCtx[V], op opKind) {
-	m.stats.Restarts.Add(1)
 	m.restartsByOp[op].Add(1)
 	ctx.dropAll()
 }

@@ -175,10 +175,8 @@ type Map[V any] struct {
 	// counters: one touch per group commit).
 	batchDescSaved lengthCounter
 
-	// restartsByOp breaks stats.Restarts down by the operation kind that
-	// paid the restart. Always-on like Restarts itself: restarts are a cold
-	// path, and the invariant suite wants the identity
-	// Restarts == Σ restartsByOp to hold without telemetry enabled.
+	// restartsByOp counts restarts by the operation kind that paid them;
+	// the restart total is their sum. Always on: restarts are a cold path.
 	restartsByOp [numOpKinds]atomic.Int64
 
 	// reg is this map's metric registry (always built; recording into the

@@ -29,7 +29,13 @@ func (m *Map[V]) initMetrics() {
 		"Resident version-store records observed at each copy-on-write push (recorded only while telemetry is enabled).")
 
 	r.CounterFunc("sv_restarts_total",
-		"Operation restarts after failed validation, across all op kinds.", m.stats.Restarts.Load)
+		"Operation restarts after failed validation, across all op kinds.", func() int64 {
+			var sum int64
+			for op := range m.restartsByOp {
+				sum += m.restartsByOp[op].Load()
+			}
+			return sum
+		})
 	for op, name := range map[opKind]string{
 		opLookup: "sv_restarts_lookup_total",
 		opInsert: "sv_restarts_insert_total",

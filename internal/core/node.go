@@ -189,28 +189,25 @@ func (c *lengthCounter) load() int64 {
 }
 
 // Stats exposes internal event counters for benchmarks and ablations. All
-// counters are updated on rare paths (restarts, splits, merges), never on
+// counters are updated on rare paths (splits, merges, orphans), never on
 // the per-element hot path.
 type Stats struct {
-	Restarts atomic.Int64 // operation restarts after failed validation
-	Splits   atomic.Int64 // chunk splits (capacity or keyed)
-	Merges   atomic.Int64 // orphan merges (including empty-orphan unlinks)
-	Orphans  atomic.Int64 // orphan nodes created (capacity splits + index-tower removals)
+	Splits  atomic.Int64 // chunk splits (capacity or keyed)
+	Merges  atomic.Int64 // orphan merges (including empty-orphan unlinks)
+	Orphans atomic.Int64 // orphan nodes created (capacity splits + index-tower removals)
 }
 
 // StatsSnapshot is a plain-value copy of Stats, extended with the memory,
 // hazard-domain, and search-finger counters. Collection is tear-free in the
 // sense that every field is a single atomic load (striped counters are sums
 // of atomic loads) taken with no lock held: a snapshot under concurrent
-// mutators shows each counter at some instant during the call. Cross-field
-// identities that must hold in any snapshot are preserved by load ordering:
-// the per-kind restart counters are loaded before the total (writers bump
-// the total first), and Reclaimed before RetiredTotal (a node is counted
-// retired before it can be counted reclaimed) — so
-// RestartsLookup+…+RestartsBatch ≤ Restarts and Reclaimed ≤ RetiredTotal
-// hold even mid-churn, with equality of the former at quiescence.
+// mutators shows each counter at some instant during the call. Restarts is
+// the sum of the per-kind restart counters, so RestartsLookup+…+RestartsSnap
+// = Restarts holds by construction. Reclaimed loads before RetiredTotal (a
+// node is counted retired before it can be counted reclaimed), so
+// Reclaimed ≤ RetiredTotal holds even mid-churn.
 type StatsSnapshot struct {
-	Restarts       int64
+	Restarts       int64 // sum of the per-kind counters below
 	RestartsLookup int64
 	RestartsInsert int64
 	RestartsRemove int64
@@ -246,7 +243,6 @@ type StatsSnapshot struct {
 // Stats returns a snapshot of the map's internal counters.
 func (m *Map[V]) Stats() StatsSnapshot {
 	s := StatsSnapshot{
-		// Per-kind restarts load before the total; see the type comment.
 		RestartsLookup: m.restartsByOp[opLookup].Load(),
 		RestartsInsert: m.restartsByOp[opInsert].Load(),
 		RestartsRemove: m.restartsByOp[opRemove].Load(),
@@ -255,7 +251,8 @@ func (m *Map[V]) Stats() StatsSnapshot {
 		RestartsBatch:  m.restartsByOp[opBatch].Load(),
 		RestartsSnap:   m.restartsByOp[opSnap].Load(),
 	}
-	s.Restarts = m.stats.Restarts.Load()
+	s.Restarts = s.RestartsLookup + s.RestartsInsert + s.RestartsRemove + s.RestartsNav +
+		s.RestartsRange + s.RestartsBatch + s.RestartsSnap
 	s.Splits = m.stats.Splits.Load()
 	s.Merges = m.stats.Merges.Load()
 	s.Orphans = m.stats.Orphans.Load()

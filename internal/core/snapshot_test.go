@@ -147,11 +147,11 @@ func TestSnapshotEmptyMap(t *testing.T) {
 func TestSnapshotOfBulkLoaded(t *testing.T) {
 	const n = 2000
 	keys := make([]int64, n)
-	vals := make([]*int64, n)
+	vals := make([]int64, n)
 	ref := map[int64]int64{}
 	for i := range keys {
 		keys[i] = int64(i * 2)
-		vals[i] = v64(int64(i))
+		vals[i] = int64(i)
 		ref[keys[i]] = int64(i)
 	}
 	m, err := BulkLoad(DefaultConfig(), keys, vals)

@@ -82,12 +82,7 @@ func (ix *svIndex) Name() string { return ix.name }
 // goroutines (i.e., during table load).
 func (ix *svIndex) BulkLoad(keys []int64, rids []RowID) error {
 	cfg := ix.m.Config()
-	ptrs := make([]*RowID, len(rids))
-	for i := range rids {
-		r := rids[i]
-		ptrs[i] = &r
-	}
-	m, err := core.BulkLoad(cfg, keys, ptrs)
+	m, err := core.BulkLoad(cfg, keys, rids)
 	if err != nil {
 		return err
 	}

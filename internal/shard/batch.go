@@ -10,178 +10,153 @@ import (
 // the owning shard's chunk-grouped ApplyBatch, returning outcomes
 // positionally aligned with the request slice.
 //
-// Partitioning is zero-copy when the ops arrive sorted by key (the common
-// case — callers that batch usually batch sorted runs): shard indices are
-// then non-decreasing, so each part is a contiguous subslice of ops and the
-// result subslices land directly in the right positions. Unsorted ops fall
-// back to bucketing with an index map and a result scatter.
+// One partitioner serves every batch: it routes each op once and sorts the
+// request indices by shard with a stable counting sort, so request order
+// survives inside each part and per-key last-write-wins is exactly the core
+// map's. When the ops already arrive in shard order (sorted input, the
+// common case) each part is a subslice of ops and its results land straight
+// in place; otherwise the parts are cut from one permuted copy and their
+// results scattered back through the recorded request indices.
 //
-// Parts run in parallel, one goroutine per non-resident part with the first
-// part applied inline, and ApplyBatch returns only after every part has
-// committed (the all-shards commit barrier). Same-key ops cannot span shards,
-// so per-key last-write-wins order is exactly the core map's. Atomicity is
-// per shard: each part linearizes as the owning shard's ApplyBatch does
-// (per-chunk groups), but a concurrent reader can observe a state where some
-// shards have committed their parts and others have not. Callers needing a
-// cross-shard atomic batch must align it to one shard.
+// A batch confined to one shard is applied directly. Several parts run in
+// parallel, one goroutine per part with the first part applied inline, and
+// ApplyBatch returns only after every part has committed (the all-shards
+// commit barrier). Atomicity is per shard: each part linearizes as the
+// owning shard's ApplyBatch does (per-chunk groups), but a concurrent reader
+// can observe a state where some shards have committed their parts and
+// others have not. Callers needing a cross-shard atomic batch must align it
+// to one shard.
 //
-// The whole fan-out runs inside one writer-gate reference: a concurrent
-// migration drains it like any point write, and a batch touching a sealed
-// range parks until the successor table lands, then re-routes against it.
+// The whole batch runs inside one writer-gate reference (writeEnter): a
+// concurrent migration drains it like any point write, and a batch touching
+// a sealed range parks until the successor table lands, then re-routes
+// against it.
 func (s *Sharded[V]) ApplyBatch(ops []core.BatchOp[V]) []core.BatchResult {
+	return s.applyBatch(nil, ops)
+}
+
+// partition is a batch routed against one table.
+type partition[V any] struct {
+	req   []core.BatchOp[V] // the request, in caller order
+	ops   []core.BatchOp[V] // the ops in shard order: req itself when it already is
+	order []int             // request index of each entry of ops; nil when ops is req
+	start []int             // shard i's part is ops[start[i]:start[i+1]]
+	first int               // lowest shard touched
+	parts int               // shards touched
+}
+
+// route partitions p.req against t, routing each op once, and reports false
+// when a part lies in t's sealed range. A batch confined to one shard is
+// its own part and costs no partition state.
+func (p *partition[V]) route(t *table[V]) bool {
+	p.ops, p.order = p.req, nil
+	p.first, p.parts = t.indexOf(p.req[0].Key), 1
+	var shardOf []int // each op's shard, kept once a second shard shows up
+	for j := 1; j < len(p.req); j++ {
+		i := t.indexOf(p.req[j].Key)
+		if shardOf == nil {
+			if i == p.first {
+				continue
+			}
+			shardOf = make([]int, j, len(p.req))
+			for x := range shardOf {
+				shardOf[x] = p.first
+			}
+		}
+		shardOf = append(shardOf, i)
+	}
+	if shardOf == nil {
+		return !t.sealed(p.first)
+	}
+
+	// Stable counting sort of the request indices by shard.
+	p.start = make([]int, len(t.maps)+1)
+	inOrder := true
+	for j, i := range shardOf {
+		p.start[i+1]++
+		inOrder = inOrder && (j == 0 || shardOf[j-1] <= i)
+	}
+	p.parts = 0
+	for i := range t.maps {
+		if p.start[i+1] > 0 {
+			if t.sealed(i) {
+				return false
+			}
+			if p.parts == 0 {
+				p.first = i
+			}
+			p.parts++
+		}
+		p.start[i+1] += p.start[i]
+	}
+	if inOrder {
+		return true
+	}
+	p.ops = make([]core.BatchOp[V], len(p.req))
+	p.order = make([]int, len(p.req))
+	for j, i := range shardOf {
+		p.ops[p.start[i]], p.order[p.start[i]] = p.req[j], j
+		p.start[i]++
+	}
+	// Each cursor now sits at the next part's start: shift them back.
+	copy(p.start[1:], p.start)
+	p.start[0] = 0
+	return true
+}
+
+// applyBatch is ApplyBatch for both entry points; h, when non-nil, is the
+// session the calling goroutine's part applies on.
+func (s *Sharded[V]) applyBatch(h *Handle[V], ops []core.BatchOp[V]) []core.BatchResult {
 	if len(ops) == 0 {
 		return nil
 	}
-	stripe := stripeOf(ops[0].Key)
-	for {
-		gen := s.gate.enter(stripe)
-		t := s.tab.Load()
-		if t.seal != nil && batchSealed(t, ops) {
-			s.gate.exit(gen, stripe)
-			s.sealWaits.Add(1)
-			<-t.swapped
-			continue
-		}
-		res := s.applyBatchOn(t, ops)
-		s.gate.exit(gen, stripe)
-		return res
-	}
-}
-
-// batchSealed reports whether any op routes into t's sealed range.
-func batchSealed[V any](t *table[V], ops []core.BatchOp[V]) bool {
-	for i := range ops {
-		if t.sealCovers(ops[i].Key) {
-			return true
-		}
-	}
-	return false
-}
-
-// applyBatchOn routes and applies ops against a specific table. The caller
-// holds a gate reference and has verified no op is sealed.
-func (s *Sharded[V]) applyBatchOn(t *table[V], ops []core.BatchOp[V]) []core.BatchResult {
-	if len(t.maps) == 1 {
+	p := partition[V]{req: ops}
+	t, _, gen, stripe := s.writeEnter(h, ops[0].Key, &p)
+	defer s.gate.exit(gen, stripe)
+	if p.parts == 1 {
 		s.singleBatch.Add(1)
-		t.load[0].add(ops[0].Key, int64(len(ops)))
-		return t.maps[0].ApplyBatch(ops)
+		return s.applyPart(h, t, p.first, ops)
 	}
-
-	// One routing pass decides the partition shape: sorted input keeps shard
-	// indices non-decreasing and admits the contiguous fast path.
-	first := t.indexOf(ops[0].Key)
-	contiguous := true
-	spans := first
-	prev := first
-	for i := 1; i < len(ops); i++ {
-		si := t.indexOf(ops[i].Key)
-		if si < prev {
-			contiguous = false
-			break
-		}
-		if si != prev {
-			spans = si
-			prev = si
-		}
-	}
-	if contiguous && spans == first {
-		// Every op routes to one shard: no fan-out, no barrier.
-		s.singleBatch.Add(1)
-		t.load[first].add(ops[0].Key, int64(len(ops)))
-		return t.maps[first].ApplyBatch(ops)
-	}
-
-	results := make([]core.BatchResult, len(ops))
-	if contiguous {
-		s.applyContiguous(t, ops, results)
-	} else {
-		s.applyScattered(t, ops, results)
-	}
-	return results
-}
-
-// applyContiguous fans out contiguous subslices of ops: part boundaries are
-// found by routing, each part shares the caller's backing array, and each
-// part's results are written straight into the aligned results window.
-func (s *Sharded[V]) applyContiguous(t *table[V], ops []core.BatchOp[V], results []core.BatchResult) {
-	type part struct {
-		shard  int
-		lo, hi int // ops[lo:hi]
-	}
-	var parts []part
-	lo := 0
-	cur := t.indexOf(ops[0].Key)
-	for i := 1; i < len(ops); i++ {
-		if si := t.indexOf(ops[i].Key); si != cur {
-			parts = append(parts, part{cur, lo, i})
-			lo, cur = i, si
-		}
-	}
-	parts = append(parts, part{cur, lo, len(ops)})
 	s.fanouts.Add(1)
-	s.fanoutParts.Add(int64(len(parts)))
-	for _, p := range parts {
-		t.load[p.shard].add(ops[p.lo].Key, int64(p.hi-p.lo))
-	}
-
+	s.fanoutParts.Add(int64(p.parts))
+	results := make([]core.BatchResult, len(ops))
+	byShard, order := p.ops, p.order
 	var wg sync.WaitGroup
-	for _, p := range parts[1:] {
-		wg.Add(1)
-		go func(p part) {
-			defer wg.Done()
-			copy(results[p.lo:p.hi], t.maps[p.shard].ApplyBatch(ops[p.lo:p.hi]))
-		}(p)
+	for i := p.first + 1; i < len(t.maps); i++ {
+		if lo, hi := p.start[i], p.start[i+1]; lo < hi {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scatter(results, order, lo, s.applyPart(nil, t, i, byShard[lo:hi]))
+			}()
+		}
 	}
 	// The first part runs inline: the calling goroutine is a worker too, so a
 	// two-shard batch spawns one goroutine, not two.
-	p := parts[0]
-	copy(results[p.lo:p.hi], t.maps[p.shard].ApplyBatch(ops[p.lo:p.hi]))
+	lo, hi := p.start[p.first], p.start[p.first+1]
+	scatter(results, order, lo, s.applyPart(h, t, p.first, byShard[lo:hi]))
 	wg.Wait()
+	return results
 }
 
-// applyScattered buckets unsorted ops by shard, preserving request order
-// inside each bucket — the core ApplyBatch sorts stably, so per-key request
-// order survives the detour — and scatters each part's results back through
-// the recorded original indices.
-func (s *Sharded[V]) applyScattered(t *table[V], ops []core.BatchOp[V], results []core.BatchResult) {
-	n := len(t.maps)
-	bucketOps := make([][]core.BatchOp[V], n)
-	bucketIdx := make([][]int, n)
-	for i, op := range ops {
-		si := t.indexOf(op.Key)
-		bucketOps[si] = append(bucketOps[si], op)
-		bucketIdx[si] = append(bucketIdx[si], i)
+// applyPart applies one part to shard i of t, on h's session when h is
+// non-nil, and counts its ops in the shard's load.
+func (s *Sharded[V]) applyPart(h *Handle[V], t *table[V], i int, ops []core.BatchOp[V]) []core.BatchResult {
+	t.load[i].add(ops[0].Key, int64(len(ops)))
+	if h != nil {
+		return h.at(i).ApplyBatch(ops)
 	}
-	parts := 0
-	for si := 0; si < n; si++ {
-		if len(bucketOps[si]) > 0 {
-			t.load[si].add(bucketOps[si][0].Key, int64(len(bucketOps[si])))
-			parts++
-		}
-	}
-	s.fanouts.Add(1)
-	s.fanoutParts.Add(int64(parts))
+	return t.maps[i].ApplyBatch(ops)
+}
 
-	var wg sync.WaitGroup
-	inline := -1
-	for si := 0; si < n; si++ {
-		if len(bucketOps[si]) == 0 {
-			continue
-		}
-		if inline < 0 {
-			inline = si
-			continue
-		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			for j, r := range t.maps[si].ApplyBatch(bucketOps[si]) {
-				results[bucketIdx[si][j]] = r
-			}
-		}(si)
+// scatter writes the results of the part that starts at entry lo of a
+// partition back to their request positions.
+func scatter(results []core.BatchResult, order []int, lo int, part []core.BatchResult) {
+	if order == nil {
+		copy(results[lo:], part)
+		return
 	}
-	for j, r := range t.maps[inline].ApplyBatch(bucketOps[inline]) {
-		results[bucketIdx[inline][j]] = r
+	for j, r := range part {
+		results[order[lo+j]] = r
 	}
-	wg.Wait()
 }

@@ -79,25 +79,6 @@ func (h *Handle[V]) at(i int) *core.Handle[V] {
 	return h.shards[i]
 }
 
-// writeEnter is Sharded.writeEnter for handle writes: gate in, rebind, park
-// if k is sealed. The caller must exit the gate right after the shard write.
-func (h *Handle[V]) writeEnter(k int64) (i int, gen uint64, stripe uint32) {
-	stripe = stripeOf(k)
-	for {
-		gen = h.s.gate.enter(stripe)
-		t := h.rebind()
-		if t.sealCovers(k) {
-			h.s.gate.exit(gen, stripe)
-			h.s.sealWaits.Add(1)
-			<-t.swapped
-			continue
-		}
-		i = t.indexOf(k)
-		t.load[i].inc(k)
-		return
-	}
-}
-
 // Lookup is Sharded.Lookup through the pinned sessions.
 func (h *Handle[V]) Lookup(k int64) (v *V, ok bool) {
 	v = new(V)
@@ -123,7 +104,7 @@ func (h *Handle[V]) Contains(k int64) bool {
 
 // Insert is Sharded.Insert through the pinned sessions.
 func (h *Handle[V]) Insert(k int64, v *V) bool {
-	i, gen, stripe := h.writeEnter(k)
+	_, i, gen, stripe := h.s.writeEnter(h, k, nil)
 	ok := h.at(i).Insert(k, v)
 	h.s.gate.exit(gen, stripe)
 	return ok
@@ -131,7 +112,7 @@ func (h *Handle[V]) Insert(k int64, v *V) bool {
 
 // Upsert is Sharded.Upsert through the pinned sessions.
 func (h *Handle[V]) Upsert(k int64, v *V) bool {
-	i, gen, stripe := h.writeEnter(k)
+	_, i, gen, stripe := h.s.writeEnter(h, k, nil)
 	ok := h.at(i).Upsert(k, v)
 	h.s.gate.exit(gen, stripe)
 	return ok
@@ -139,45 +120,18 @@ func (h *Handle[V]) Upsert(k int64, v *V) bool {
 
 // Remove is Sharded.Remove through the pinned sessions.
 func (h *Handle[V]) Remove(k int64) bool {
-	i, gen, stripe := h.writeEnter(k)
+	_, i, gen, stripe := h.s.writeEnter(h, k, nil)
 	ok := h.at(i).Remove(k)
 	h.s.gate.exit(gen, stripe)
 	return ok
 }
 
-// ApplyBatch is Sharded.ApplyBatch with the single-shard fast path routed
-// through the pinned session (finger-resumable); batches that span shards
-// fall back to the map-level fan-out, whose parallel parts cannot share one
-// session anyway. Like every write it runs gated and parks on a sealed
-// range. The seal always covers whole shard intervals of the table carrying
-// it, so for a single-shard batch checking one key decides for all.
+// ApplyBatch is Sharded.ApplyBatch through the pinned sessions: a batch
+// confined to one shard, and the inline part of one that spans several,
+// apply on this handle's session (finger-resumable); the parts fanned out
+// to other goroutines apply on their maps, since a session is not shared.
 func (h *Handle[V]) ApplyBatch(ops []core.BatchOp[V]) []core.BatchResult {
-	if len(ops) == 0 {
-		return nil
-	}
-	stripe := stripeOf(ops[0].Key)
-	for {
-		gen := h.s.gate.enter(stripe)
-		t := h.rebind()
-		si := t.indexOf(ops[0].Key)
-		for i := 1; i < len(ops); i++ {
-			if t.indexOf(ops[i].Key) != si {
-				h.s.gate.exit(gen, stripe)
-				return h.s.ApplyBatch(ops)
-			}
-		}
-		if t.sealCovers(ops[0].Key) {
-			h.s.gate.exit(gen, stripe)
-			h.s.sealWaits.Add(1)
-			<-t.swapped
-			continue
-		}
-		h.s.singleBatch.Add(1)
-		t.load[si].add(ops[0].Key, int64(len(ops)))
-		res := h.at(si).ApplyBatch(ops)
-		h.s.gate.exit(gen, stripe)
-		return res
-	}
+	return h.s.applyBatch(h, ops)
 }
 
 // Floor is Sharded.Floor through the pinned sessions.

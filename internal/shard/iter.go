@@ -50,10 +50,9 @@ func (s *Sharded[V]) RangeQuery(lo, hi int64, fn func(k int64, v *V) bool) {
 // order, storing a copy of each returned value, and reports how many entries
 // were visited. Updates are atomic per shard segment, not across the whole
 // window.
-// Each segment is a gated write: a concurrent migration drains it, and a
-// segment over a sealed shard parks until the successor table lands (the
-// seal covers whole shard intervals, so one covers-check decides for the
-// segment).
+// Each segment is a gated write of its shard: a concurrent migration drains
+// it, and a segment over a sealed shard parks until the successor table
+// lands.
 func (s *Sharded[V]) RangeUpdate(lo, hi int64, fn func(k int64, v *V) *V) int {
 	if lo > hi {
 		return 0
@@ -61,18 +60,8 @@ func (s *Sharded[V]) RangeUpdate(lo, hi int64, fn func(k int64, v *V) *V) int {
 	count := 0
 	next := lo
 	for next <= hi {
-		stripe := stripeOf(next)
-		gen := s.gate.enter(stripe)
-		t := s.tab.Load()
-		if t.sealCovers(next) {
-			s.gate.exit(gen, stripe)
-			s.sealWaits.Add(1)
-			<-t.swapped
-			continue
-		}
-		i := t.indexOf(next)
+		t, i, gen, stripe := s.writeEnter(nil, next, nil)
 		slo, shi := clamp(t, i, next, hi)
-		t.load[i].inc(next)
 		count += t.maps[i].RangeUpdate(slo, shi, fn)
 		s.gate.exit(gen, stripe)
 		if i >= len(t.splits) {

@@ -6,10 +6,11 @@
 //
 // The router is an immutable boundary table swapped atomically: resolving a
 // key to its shard costs one atomic pointer load and a binary search over a
-// handful of split keys — no lock, no per-operation allocation. Batches are
-// partitioned at shard boundaries and fanned out to the owning shards in
-// parallel with an all-shards commit barrier; ordered iteration stitches
-// per-shard iterators back together at the boundaries, in key order.
+// handful of split keys — no lock, no per-operation allocation. Batches go
+// through one partitioner (batch.go), a stable counting sort of the request
+// by shard, and fan out to the owning shards in parallel with an all-shards
+// commit barrier; ordered iteration stitches per-shard iterators back
+// together at the boundaries, in key order.
 //
 // Boundaries are not fixed: the migrator (migrate.go) splits hot shards and
 // merges cold ones online, sealing the affected key range, copying it into
@@ -20,7 +21,10 @@
 // migrating range are parked for the copy and redirected across the swap,
 // and every write is counted through a generation gate (gate.go) so the
 // migrator can drain in-flight writes before it copies the sealed range.
-// Point operations stay linearizable across a table swap.
+// Every write — point writes from Sharded and Handle, RangeUpdate segments
+// and batches — enters through one loop, writeEnter, which owns that
+// protocol: gate in, load the table, park while what the write routes to
+// is sealed. Point operations stay linearizable across a table swap.
 //
 // Consistency model: point operations and per-shard batch units are
 // linearizable (each shard is a fully linearizable map), including across
@@ -132,10 +136,11 @@ func (t *table[V]) highOf(i int) int64 {
 	return MaxKey
 }
 
-// sealCovers reports whether k lies in this table's sealed (migrating)
-// range.
-func (t *table[V]) sealCovers(k int64) bool {
-	return t.seal != nil && k >= t.seal.lo && k < t.seal.hi
+// sealed reports whether shard i lies in this table's sealed (migrating)
+// range. A seal always covers whole shard intervals of the table carrying
+// it, so a write is sealed exactly when a shard it routes to is.
+func (t *table[V]) sealed(i int) bool {
+	return t.seal != nil && t.lowOf(i) >= t.seal.lo && t.lowOf(i) < t.seal.hi
 }
 
 // Sharded is a key-range-partitioned ordered map: N core maps behind an
@@ -245,11 +250,7 @@ func (s *Sharded[V]) newShardMap(keys []int64, vals []V) (*core.Map[V], error) {
 		c.Seed = core.DefaultConfig().Seed
 	}
 	c.Seed += uint64(id) * 0x9e3779b97f4a7c15
-	ptrs := make([]*V, len(vals))
-	for i := range vals {
-		ptrs[i] = &vals[i]
-	}
-	return core.BulkLoad(c, keys, ptrs)
+	return core.BulkLoad(c, keys, vals)
 }
 
 // publish swaps in a new boundary table and wakes every writer parked on the
@@ -265,27 +266,39 @@ func (s *Sharded[V]) publish(t *table[V]) {
 	}
 }
 
-// writeEnter begins a gated write to key k: it enters the writer gate, loads
-// the current table, and resolves k's shard, parking until the next swap if
-// k lies in a sealed (migrating) range. On return the caller holds a gate
-// reference — a concurrent migration's drain waits for it — and MUST call
-// s.gate.exit(gen, stripe) as soon as the shard-map write returns.
-func (s *Sharded[V]) writeEnter(k int64) (t *table[V], i int, gen uint64, stripe uint32) {
+// writeEnter is the one gate-entry loop every write takes: point writes
+// from Sharded and Handle, each RangeUpdate segment and every batch. It
+// enters the writer gate on k's stripe, loads the current table (through
+// h.rebind when a handle writes), and routes the write against it: k to its
+// shard i, or, when b is non-nil, b's ops to their parts. If the write
+// routes into the table's sealed range, it exits the gate and parks until
+// the successor table lands, then retries against that one. It exits before
+// parking: the migrator's drain must not wait on a writer that is itself
+// waiting for the migrator's swap.
+//
+// On return the caller holds a gate reference — a concurrent migration's
+// drain waits for it — and MUST call s.gate.exit(gen, stripe) as soon as its
+// shard-map writes return.
+func (s *Sharded[V]) writeEnter(h *Handle[V], k int64, b *partition[V]) (t *table[V], i int, gen uint64, stripe uint32) {
 	stripe = stripeOf(k)
 	for {
 		gen = s.gate.enter(stripe)
-		t = s.tab.Load()
-		if t.sealCovers(k) {
-			// Exit before parking: the migrator's drain must not wait on a
-			// writer that is itself waiting for the migrator's swap.
-			s.gate.exit(gen, stripe)
-			s.sealWaits.Add(1)
-			<-t.swapped
-			continue
+		if h != nil {
+			t = h.rebind()
+		} else {
+			t = s.tab.Load()
 		}
-		i = t.indexOf(k)
-		t.load[i].inc(k)
-		return t, i, gen, stripe
+		if b != nil {
+			if b.route(t) {
+				return
+			}
+		} else if i = t.indexOf(k); !t.sealed(i) {
+			t.load[i].inc(k)
+			return
+		}
+		s.gate.exit(gen, stripe)
+		s.sealWaits.Add(1)
+		<-t.swapped
 	}
 }
 
@@ -302,7 +315,7 @@ func (s *Sharded[V]) ShardFor(k int64) int { return s.tab.Load().indexOf(k) }
 
 // Insert adds k→v to the owning shard; false when k is already present.
 func (s *Sharded[V]) Insert(k int64, v *V) bool {
-	t, i, gen, stripe := s.writeEnter(k)
+	t, i, gen, stripe := s.writeEnter(nil, k, nil)
 	ok := t.maps[i].Insert(k, v)
 	s.gate.exit(gen, stripe)
 	return ok
@@ -310,7 +323,7 @@ func (s *Sharded[V]) Insert(k int64, v *V) bool {
 
 // Upsert adds or replaces k→v; true when the key was newly inserted.
 func (s *Sharded[V]) Upsert(k int64, v *V) bool {
-	t, i, gen, stripe := s.writeEnter(k)
+	t, i, gen, stripe := s.writeEnter(nil, k, nil)
 	ok := t.maps[i].Upsert(k, v)
 	s.gate.exit(gen, stripe)
 	return ok
@@ -342,7 +355,7 @@ func (s *Sharded[V]) Contains(k int64) bool {
 
 // Remove deletes the mapping for k, reporting whether it was present.
 func (s *Sharded[V]) Remove(k int64) bool {
-	t, i, gen, stripe := s.writeEnter(k)
+	t, i, gen, stripe := s.writeEnter(nil, k, nil)
 	ok := t.maps[i].Remove(k)
 	s.gate.exit(gen, stripe)
 	return ok

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -293,10 +294,11 @@ func TestRangeStitching(t *testing.T) {
 	mustCheck(t, s)
 }
 
-// TestApplyBatchSpanningShards drives both fan-out paths: a sorted batch
-// spanning every shard (contiguous zero-copy partition) and an unsorted
-// batch with duplicate keys (scatter partition), checking positional
-// outcomes and last-write-wins per key.
+// TestApplyBatchSpanningShards drives both partition shapes: a sorted batch
+// spanning every shard (parts cut from the request in place) and an
+// unsorted batch with duplicate keys (parts cut from one permuted copy),
+// checking positional outcomes and last-write-wins per key. Then a seeded
+// table of random batches runs against a model (randomBatchesMatchModel).
 func TestApplyBatchSpanningShards(t *testing.T) {
 	s := newTest(t, tinyCfg(), []int64{10, 20, 30})
 
@@ -367,6 +369,120 @@ func TestApplyBatchSpanningShards(t *testing.T) {
 		t.Fatalf("empty batch returned %v", out)
 	}
 	mustCheck(t, s)
+
+	randomBatchesMatchModel(t, campaignSeed(0xba7c4))
+}
+
+// randomBatchesMatchModel applies random batches — sorted, reversed and
+// shuffled key orders, duplicate keys, InsertOnly puts and deletes of
+// absent keys — to maps of 1 to 8 shards, alternating Sharded.ApplyBatch
+// and Handle.ApplyBatch and moving a boundary (SplitShard or MergeShards)
+// between some of the batches. Every result must match, at its request
+// position, a model that applies the batch in (key, request) order, the
+// order a batch commits in; after every batch the map must hold the model.
+func randomBatchesMatchModel(t *testing.T, seed uint64) {
+	const (
+		keySpace = 48
+		batches  = 24
+	)
+	rng := rand.New(rand.NewSource(int64(seed)))
+	for shards := 1; shards <= 8; shards++ {
+		s := newTest(t, tinyCfg(), EvenBounds(0, keySpace, shards))
+		h := s.NewHandle()
+		model := map[int64]int64{}
+		for b := 0; b < batches; b++ {
+			ops := make([]core.BatchOp[int64], 1+rng.Intn(24))
+			vals := make([]int64, len(ops))
+			for j := range ops {
+				vals[j] = rng.Int63()
+				ops[j] = core.BatchOp[int64]{Key: rng.Int63n(keySpace), Val: &vals[j]}
+				switch rng.Intn(4) {
+				case 0:
+					ops[j].Del = true
+				case 1:
+					ops[j].InsertOnly = true
+				}
+			}
+			order := []string{"sorted", "reversed", "shuffled"}[b%3]
+			if order != "shuffled" {
+				sort.SliceStable(ops, func(x, y int) bool { return ops[x].Key < ops[y].Key })
+			}
+			if order == "reversed" {
+				for x, y := 0, len(ops)-1; x < y; x, y = x+1, y-1 {
+					ops[x], ops[y] = ops[y], ops[x]
+				}
+			}
+			entry, apply := "Sharded", s.ApplyBatch
+			if b%2 == 1 {
+				entry, apply = "Handle", h.ApplyBatch
+			}
+			want := modelBatch(model, ops)
+			got := apply(ops)
+			for j := range want {
+				if j >= len(got) || got[j].Outcome != want[j] {
+					t.Fatalf("%d shards, batch %d (%s, %s): op %d %+v outcome %v, model %v %s",
+						shards, b, order, entry, j, ops[j], got, want, seedNote(seed))
+				}
+			}
+			for k := int64(0); k < keySpace; k++ {
+				v, ok := s.Lookup(k)
+				if mv, mok := model[k]; ok != mok || ok && *v != mv {
+					t.Fatalf("%d shards, batch %d (%s, %s): key %d holds %v,%v, model %v,%v %s",
+						shards, b, order, entry, k, *v, ok, mv, mok, seedNote(seed))
+				}
+			}
+
+			if b%3 != 2 {
+				continue
+			}
+			bounds := s.Bounds()
+			k := 1 + rng.Int63n(keySpace-1)
+			var m Migration
+			var err error
+			switch {
+			case len(bounds) < 7 && !slices.Contains(bounds, k) && (len(bounds) == 0 || rng.Intn(2) == 0):
+				m, err = s.SplitShard(s.ShardFor(k), k)
+			case len(bounds) > 0:
+				m, err = s.MergeShards(rng.Intn(len(bounds)))
+			}
+			if err != nil || m.Aborted {
+				t.Fatalf("%d shards, after batch %d: %+v, %v %s", shards, b, m, err, seedNote(seed))
+			}
+		}
+		h.Close()
+		mustCheck(t, s)
+	}
+}
+
+// modelBatch applies ops to model in (key, request) order and returns each
+// op's outcome at its request position.
+func modelBatch(model map[int64]int64, ops []core.BatchOp[int64]) []core.BatchOutcome {
+	idx := make([]int, len(ops))
+	for j := range idx {
+		idx[j] = j
+	}
+	sort.SliceStable(idx, func(x, y int) bool { return ops[idx[x]].Key < ops[idx[y]].Key })
+	out := make([]core.BatchOutcome, len(ops))
+	for _, j := range idx {
+		op := ops[j]
+		_, present := model[op.Key]
+		switch {
+		case op.Del && present:
+			delete(model, op.Key)
+			out[j] = core.BatchRemoved
+		case op.Del:
+			out[j] = core.BatchAbsent
+		case op.InsertOnly && present:
+			out[j] = core.BatchExists
+		case present:
+			model[op.Key] = *op.Val
+			out[j] = core.BatchUpdated
+		default:
+			model[op.Key] = *op.Val
+			out[j] = core.BatchInserted
+		}
+	}
+	return out
 }
 
 // shardCounters reads the router metric atomics for assertions.
@@ -414,7 +530,7 @@ func TestHandleAcrossShards(t *testing.T) {
 	// Single-shard batch goes through the pinned session...
 	v := int64(1)
 	h.ApplyBatch([]core.BatchOp[int64]{{Key: 11, Val: &v}, {Key: 12, Val: &v}})
-	// ...and a spanning batch falls back to the fan-out.
+	// ...and a spanning batch fans out.
 	h.ApplyBatch([]core.BatchOp[int64]{{Key: 1, Val: &v}, {Key: 28, Val: &v}})
 	c := shardCounters(s)
 	if c["single"] != 1 || c["fanouts"] != 1 {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -40,6 +41,54 @@ func TestWorkBudgets(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(1000, func() { row.op(nextKey()) }); got != 0 {
 			t.Errorf("allocs per routed %s = %.2f, budget 0", row.name, got)
+		}
+	}
+
+	// Writes, on both entry points. A routed Upsert allocates nothing; a
+	// batch confined to one shard allocates only that shard's results; a
+	// sorted batch over four shards is partitioned in place, and an
+	// unsorted one pays a constant few allocations more for its one
+	// permuted copy, not one per op.
+	sorted := make([]core.BatchOp[uint64], 64)
+	vals := make([]uint64, len(sorted))
+	for j := range sorted {
+		k := int64(j)*2*n/int64(len(sorted)) | 1 // 16 keys in each shard
+		vals[j] = uint64(k)
+		sorted[j] = core.BatchOp[uint64]{Key: k, Val: &vals[j]}
+	}
+	unsorted := append([]core.BatchOp[uint64](nil), sorted...)
+	rand.New(rand.NewSource(1)).Shuffle(len(unsorted), func(a, b int) {
+		unsorted[a], unsorted[b] = unsorted[b], unsorted[a]
+	})
+	single := sorted[:16]
+	if s.ShardFor(single[0].Key) != s.ShardFor(single[len(single)-1].Key) ||
+		s.ShardFor(sorted[0].Key) == s.ShardFor(sorted[len(sorted)-1].Key) {
+		t.Fatal("batch keys do not route as the rows assume")
+	}
+	var in uint64
+	for _, e := range []struct {
+		name       string
+		upsert     func(k int64, v *uint64) bool
+		applyBatch func(ops []core.BatchOp[uint64]) []core.BatchResult
+	}{
+		{"Sharded", s.Upsert, s.ApplyBatch},
+		{"Handle", h.Upsert, h.ApplyBatch},
+	} {
+		for _, row := range []struct {
+			name   string
+			budget float64
+			op     func()
+		}{
+			{"routed Upsert", 0, func() { e.upsert(nextKey()&^1, &in) }},
+			{"single-shard batch", 1, func() { e.applyBatch(single) }},
+			{"sorted 64-op batch over 4 shards", 15, func() { e.applyBatch(sorted) }},
+			{"unsorted 64-op batch over 4 shards", 17, func() { e.applyBatch(unsorted) }},
+		} {
+			if got := testing.AllocsPerRun(200, row.op); got > row.budget {
+				t.Errorf("%s: allocs per %s = %.2f, budget %.0f", e.name, row.name, got, row.budget)
+			} else {
+				t.Logf("%s: allocs per %s = %.2f (budget %.0f)", e.name, row.name, got, row.budget)
+			}
 		}
 	}
 

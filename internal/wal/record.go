@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-
-	"skipvector/internal/vectormap"
 )
 
 // Frame layout. Every record is length-prefixed and CRC32C-framed:
@@ -116,12 +114,101 @@ func encodeCheckpointStart(dst []byte) []byte {
 	return append(dst, kindCheckpointStart)
 }
 
-// encodeChunkImage builds a kindChunkImage payload from one sorted chunk's
-// keys and encoded values, delegating the image layout to vectormap (the
-// chunk is the serialization unit).
+// Chunk images. A checkpoint is a sequence of images, each a run of the
+// map's pairs in ascending key order; recovery joins every image of a
+// checkpoint into one sorted run and bulk-loads it, which re-chunks the
+// pairs at the map's own target size, so an image's length is independent of
+// the map's chunking (Compact writes 512-key runs). The layout exploits the
+// sortedness — the first key is zigzag-encoded, every following key is a
+// strictly-positive delta, and values are length-prefixed byte strings:
+//
+//	count uvarint
+//	key[0] varint (zigzag)
+//	delta[i] = key[i] - key[i-1] uvarint, i ≥ 1 (always ≥ 1)
+//	for each i: len(val[i]) uvarint, val[i] bytes
+//
+// Runs of nearby keys — the common case, since images come from windows of
+// an ordered walk — compress to one or two bytes per key.
+
+// errBadImage reports a malformed or non-ascending chunk image.
+var errBadImage = errors.New("wal: bad chunk image")
+
+// maxImageKeys bounds a single image's key count against corrupted headers.
+const maxImageKeys = 1 << 24
+
+// encodeChunkImage builds a kindChunkImage payload from one sorted run's
+// keys and encoded values. keys must be strictly ascending and
+// len(vals) == len(keys).
 func encodeChunkImage(dst []byte, keys []int64, vals [][]byte) []byte {
 	dst = append(dst, kindChunkImage)
-	return vectormap.AppendImage(dst, keys, vals)
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	prev := int64(0)
+	for i, k := range keys {
+		if i == 0 {
+			dst = binary.AppendVarint(dst, k)
+		} else {
+			if k <= prev {
+				panic("wal: chunk image keys not strictly ascending")
+			}
+			dst = binary.AppendUvarint(dst, uint64(k-prev))
+		}
+		prev = k
+	}
+	for _, v := range vals {
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
+	}
+	return dst
+}
+
+// decodeChunkImage parses one chunk image body (the payload after its kind
+// byte), appending its keys and values to the provided slices. Returned
+// values alias freshly-allocated memory, never b. It validates strict key
+// ascent, so a corrupted image that still passes the log's CRC cannot
+// smuggle an out-of-order key into the bulk-load fast path.
+func decodeChunkImage(b []byte, keys []int64, vals [][]byte) ([]int64, [][]byte, error) {
+	count, n := binary.Uvarint(b)
+	if n <= 0 || count > maxImageKeys {
+		return keys, vals, errBadImage
+	}
+	b = b[n:]
+	prev := int64(0)
+	for i := uint64(0); i < count; i++ {
+		var k int64
+		if i == 0 {
+			var n int
+			k, n = binary.Varint(b)
+			if n <= 0 {
+				return keys, vals, errBadImage
+			}
+			b = b[n:]
+		} else {
+			d, n := binary.Uvarint(b)
+			if n <= 0 || d == 0 {
+				return keys, vals, errBadImage
+			}
+			b = b[n:]
+			k = prev + int64(d)
+			if k <= prev { // overflow wrap
+				return keys, vals, errBadImage
+			}
+		}
+		keys = append(keys, k)
+		prev = k
+	}
+	for i := uint64(0); i < count; i++ {
+		vlen, n := binary.Uvarint(b)
+		if n <= 0 || uint64(len(b)-n) < vlen {
+			return keys, vals, errBadImage
+		}
+		b = b[n:]
+		vals = append(vals, append([]byte(nil), b[:vlen]...))
+		b = b[vlen:]
+	}
+	if len(b) != 0 {
+		return keys, vals, errBadImage
+	}
+	return keys, vals, nil
 }
 
 // encodeCheckpointEnd builds a kindCheckpointEnd payload carrying the chunk

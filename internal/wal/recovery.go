@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-
-	"skipvector/internal/vectormap"
 )
 
 // ErrCorruptCheckpoint reports damage inside a manifest-referenced
@@ -254,7 +252,7 @@ func (l *Log) readCheckpoint(name string) ([]int64, [][]byte, error) {
 			sawStart = true
 		case kind == kindChunkImage:
 			prevLen := len(keys)
-			keys, vals, err = vectormap.DecodeImage(payload[1:], keys, vals)
+			keys, vals, err = decodeChunkImage(payload[1:], keys, vals)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w: %s: %v", ErrCorruptCheckpoint, name, err)
 			}

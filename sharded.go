@@ -107,10 +107,12 @@ func (m *ShardedMap[V]) Len() int { return m.s.Len() }
 
 // ApplyBatch partitions ops at shard boundaries, applies each part with the
 // owning shard's chunk-grouped batch in parallel, waits for all parts to
-// commit, and returns one result per op in request order. Sorted ops
-// partition zero-copy; per-key last-write-wins order is preserved either
-// way (same-key ops cannot span shards). See the type comment for the
-// cross-shard atomicity caveat.
+// commit, and returns one result per op in request order. The partition is
+// stable: each part keeps its ops in request order, so per-key
+// last-write-wins order is the single map's (same-key ops cannot span
+// shards). Ops already in key order are partitioned in place; any other
+// order costs one permuted copy. See the type comment for the cross-shard
+// atomicity caveat.
 func (m *ShardedMap[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
 	return m.s.ApplyBatch(toCoreOps(ops))
 }
@@ -265,9 +267,10 @@ func (h *ShardedHandle[V]) Contains(k int64) bool { return h.h.Contains(k) }
 // Remove is ShardedMap.Remove through the pinned session.
 func (h *ShardedHandle[V]) Remove(k int64) bool { return h.h.Remove(k) }
 
-// ApplyBatch is ShardedMap.ApplyBatch through the pinned session: batches
-// confined to one shard run on that shard's pinned session (finger-resumable);
-// cross-shard batches fall back to the parallel fan-out.
+// ApplyBatch is ShardedMap.ApplyBatch through the pinned session: a batch
+// confined to one shard, and the first part of one that spans several, run
+// on the pinned session (finger-resumable); the other parts fan out in
+// parallel on their shards.
 func (h *ShardedHandle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
 	return h.h.ApplyBatch(toCoreOps(ops))
 }

@@ -119,11 +119,7 @@ func NewFromSorted[V any](keys []int64, vals []V, opts ...Option) (*Map[V], erro
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	ptrs := make([]*V, len(vals))
-	for i := range vals {
-		ptrs[i] = &vals[i]
-	}
-	m, err := core.BulkLoad(cfg, keys, ptrs)
+	m, err := core.BulkLoad(cfg, keys, vals)
 	if err != nil {
 		return nil, err
 	}
