@@ -120,9 +120,9 @@ func OpenDurable[V any](dir string, codec Codec[V], opts ...DurableOption) (*Dur
 	}
 
 	d := &DurableMap[V]{
-		mem:   Map[V]{m: m},
-		log:   log,
-		codec: codec,
+		reader: reader[V]{m},
+		log:    log,
+		codec:  codec,
 		info: RecoveryInfo{
 			CheckpointKeys:  len(rec.CheckpointKeys),
 			TailRecords:     tail,
@@ -199,15 +199,18 @@ func rebuild[V any](rec *wal.Recovery, codec Codec[V], mapOpts []Option) (*core.
 }
 
 // DurableMap is a Map whose mutations survive crashes through an append-only
-// chunk log. Reads are served entirely from memory at the in-memory map's
-// cost; writes additionally append to the log and, depending on the sync
-// policy, wait for an fsync. All methods are safe for concurrent use.
+// chunk log. Its reads are Map's own (Lookup, Contains, Len, RangeQuery,
+// Ascend, Floor, Ceiling, Min, Max, Keys, Cursor, Snapshot, Stats,
+// CheckInvariants), served entirely from memory at the in-memory map's cost
+// and never touching the log. Its writes additionally append to the log and,
+// depending on the sync policy, wait for an fsync. All methods are safe for
+// concurrent use.
 //
 // Write methods return an error: once the log fails (disk full, I/O error)
 // it poisons itself, every subsequent write reports the failure, and no
 // acknowledgement is ever issued for a record that didn't reach the log.
 type DurableMap[V any] struct {
-	mem   Map[V]
+	reader[V]
 	log   *wal.Log
 	codec Codec[V]
 	info  RecoveryInfo
@@ -275,8 +278,7 @@ func (d *DurableMap[V]) Dir() string { return d.log.Dir() }
 // Insert adds k→v. It returns false when k is already present. A nil error
 // means the write is durable to the extent the sync policy promises.
 func (d *DurableMap[V]) Insert(k int64, v V) (bool, error) {
-	ok := d.mem.Insert(k, v)
-	if !ok {
+	if !d.m.Insert(k, &v) {
 		return false, d.log.Err()
 	}
 	return true, d.log.Commit()
@@ -284,14 +286,13 @@ func (d *DurableMap[V]) Insert(k int64, v V) (bool, error) {
 
 // Upsert adds or replaces k→v, returning true on insert, false on replace.
 func (d *DurableMap[V]) Upsert(k int64, v V) (bool, error) {
-	ok := d.mem.Upsert(k, v)
+	ok := d.m.Upsert(k, &v)
 	return ok, d.log.Commit()
 }
 
 // Remove deletes k, returning whether it was present.
 func (d *DurableMap[V]) Remove(k int64) (bool, error) {
-	ok := d.mem.Remove(k)
-	if !ok {
+	if !d.m.Remove(k) {
 		return false, d.log.Err()
 	}
 	return true, d.log.Commit()
@@ -303,7 +304,7 @@ func (d *DurableMap[V]) Remove(k int64) (bool, error) {
 // may still observe intermediate states between group commits.
 func (d *DurableMap[V]) ApplyBatch(ops []BatchOp[V]) ([]BatchResult, error) {
 	unit := d.log.BeginUnit()
-	results := d.mem.m.ApplyBatchLogged(unit, toCoreOps(ops))
+	results := d.m.ApplyBatchLogged(unit, toCoreOps(ops))
 	if err := d.log.EndUnit(unit); err != nil {
 		return results, err
 	}
@@ -313,47 +314,9 @@ func (d *DurableMap[V]) ApplyBatch(ops []BatchOp[V]) ([]BatchResult, error) {
 // RangeUpdate is Map.RangeUpdate with durability: the whole update set is
 // logged as a single record, so recovery applies it atomically.
 func (d *DurableMap[V]) RangeUpdate(lo, hi int64, fn func(k int64, v V) V) (int, error) {
-	n := d.mem.RangeUpdate(lo, hi, fn)
+	n := rangeUpdate(d.m, lo, hi, fn)
 	return n, d.log.Commit()
 }
-
-// Lookup returns the value mapped to k.
-func (d *DurableMap[V]) Lookup(k int64) (V, bool) { return d.mem.Lookup(k) }
-
-// Contains reports whether k is in the map.
-func (d *DurableMap[V]) Contains(k int64) bool { return d.mem.Contains(k) }
-
-// Len returns the number of mappings.
-func (d *DurableMap[V]) Len() int { return d.mem.Len() }
-
-// RangeQuery is Map.RangeQuery (reads never touch the log).
-func (d *DurableMap[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
-	d.mem.RangeQuery(lo, hi, fn)
-}
-
-// Ascend is Map.Ascend.
-func (d *DurableMap[V]) Ascend(fn func(k int64, v V) bool) { d.mem.Ascend(fn) }
-
-// Floor is Map.Floor.
-func (d *DurableMap[V]) Floor(k int64) (int64, V, bool) { return d.mem.Floor(k) }
-
-// Ceiling is Map.Ceiling.
-func (d *DurableMap[V]) Ceiling(k int64) (int64, V, bool) { return d.mem.Ceiling(k) }
-
-// Min is Map.Min.
-func (d *DurableMap[V]) Min() (int64, V, bool) { return d.mem.Min() }
-
-// Max is Map.Max.
-func (d *DurableMap[V]) Max() (int64, V, bool) { return d.mem.Max() }
-
-// Keys is Map.Keys.
-func (d *DurableMap[V]) Keys() []int64 { return d.mem.Keys() }
-
-// Cursor is Map.Cursor: a lock-free forward iterator over the live map.
-func (d *DurableMap[V]) Cursor(start int64) *Cursor[V] { return d.mem.Cursor(start) }
-
-// Snapshot is Map.Snapshot: an O(1) immutable point-in-time view.
-func (d *DurableMap[V]) Snapshot() *Snapshot[V] { return d.mem.Snapshot() }
 
 // Sync forces everything appended so far to stable storage, regardless of
 // the sync policy. It returns once the fsync (possibly another committer's,
@@ -372,7 +335,7 @@ func (d *DurableMap[V]) Compact() error {
 	defer d.compactMu.Unlock()
 
 	var snap *Snapshot[V]
-	cw, err := d.log.BeginCheckpoint(func() { snap = d.mem.Snapshot() })
+	cw, err := d.log.BeginCheckpoint(func() { snap = d.Snapshot() })
 	if err != nil {
 		return err
 	}
@@ -425,19 +388,13 @@ func (d *DurableMap[V]) Compact() error {
 // Metrics returns the combined metric catalog: the in-memory map's
 // instruments, the log's sv_wal_* series, and the process-global registry.
 func (d *DurableMap[V]) Metrics() *telemetry.View {
-	return telemetry.NewView(d.mem.m.Registry(), d.log.Registry(), telemetry.Global)
+	return telemetry.NewView(d.m.Registry(), d.log.Registry(), telemetry.Global)
 }
 
 // WriteMetrics renders the combined catalog in Prometheus text format.
 func (d *DurableMap[V]) WriteMetrics(w io.Writer) error {
 	return d.Metrics().WritePrometheus(w)
 }
-
-// Stats reports the in-memory map's internal event counters.
-func (d *DurableMap[V]) Stats() core.StatsSnapshot { return d.mem.Stats() }
-
-// CheckInvariants validates the in-memory structure. Quiescent use only.
-func (d *DurableMap[V]) CheckInvariants() error { return d.mem.CheckInvariants() }
 
 // Close flushes and closes the log. The in-memory map stays readable, but
 // further writes will fail. Close is not an fsync barrier under SyncOS; call

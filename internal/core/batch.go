@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"skipvector/internal/chaos"
@@ -100,21 +102,6 @@ type batchScratch[V any] struct {
 	commits []CommitOp[V] // commit-hook argument buffer (commit.go)
 }
 
-// batchSorter stably sorts the order permutation by op key without the
-// reflection overhead of sort.Slice (the batch hot path sorts on every call).
-type batchSorter[V any] struct {
-	ops   []BatchOp[V]
-	order []int
-}
-
-func (s *batchSorter[V]) Len() int { return len(s.order) }
-func (s *batchSorter[V]) Less(a, b int) bool {
-	return s.ops[s.order[a]].Key < s.ops[s.order[b]].Key
-}
-func (s *batchSorter[V]) Swap(a, b int) {
-	s.order[a], s.order[b] = s.order[b], s.order[a]
-}
-
 // ApplyBatch applies ops and returns one result per op, in request order.
 // Ops are committed in ascending key order, same-key ops in request order
 // (last write wins), as a sequence of group commits, each atomic under a
@@ -157,7 +144,7 @@ func (m *Map[V]) applyBatchCtx(ctx *opCtx[V], ops []BatchOp[V]) []BatchResult {
 	}
 	sc.order = order
 	if !presorted {
-		sort.Stable(&batchSorter[V]{ops: ops, order: order})
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ops[a].Key, ops[b].Key) })
 	}
 
 	// Route each distinct key (see the file comment): a key run containing a

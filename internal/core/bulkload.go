@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BulkLoad constructs a skip vector from pre-sorted data in O(n) time with
 // perfectly packed chunks — the ordered-map analogue of B+-tree bulk
@@ -120,29 +117,4 @@ func BulkLoad[V any](cfg Config, keys []int64, vals []V) (*Map[V], error) {
 
 	m.length.add(0, int64(len(keys)))
 	return m, nil
-}
-
-// BulkLoadUnsorted sorts (key, value) pairs and bulk-loads them; a
-// convenience for callers with unsorted input. Duplicate keys are rejected.
-func BulkLoadUnsorted[V any](cfg Config, keys []int64, vals []V) (*Map[V], error) {
-	if vals != nil && len(vals) != len(keys) {
-		return nil, fmt.Errorf("core: BulkLoadUnsorted with %d keys but %d values", len(keys), len(vals))
-	}
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	sk := make([]int64, len(keys))
-	var sv []V
-	if vals != nil {
-		sv = make([]V, len(vals))
-	}
-	for n, i := range idx {
-		sk[n] = keys[i]
-		if vals != nil {
-			sv[n] = vals[i]
-		}
-	}
-	return BulkLoad(cfg, sk, sv)
 }

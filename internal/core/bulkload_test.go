@@ -212,26 +212,6 @@ func TestBulkLoadUnchunkedIndexHalves(t *testing.T) {
 	mustCheck(t, m)
 }
 
-func TestBulkLoadUnsorted(t *testing.T) {
-	keys := []int64{50, 10, 30, 20, 40}
-	vals := []int64{5, 1, 3, 2, 4}
-	m, err := BulkLoadUnsorted(DefaultConfig(), keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Keys()
-	want := []int64{10, 20, 30, 40, 50}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("keys = %v", got)
-		}
-	}
-	if v, _ := m.Lookup(30); *v != 3 {
-		t.Fatal("value misaligned after sort")
-	}
-	mustCheck(t, m)
-}
-
 func TestBulkLoadOverfullTopLayer(t *testing.T) {
 	// Tiny LayerCount forces many orphan nodes in the top layer; the
 	// structure must still verify and operate.

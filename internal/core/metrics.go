@@ -60,14 +60,20 @@ func (m *Map[V]) initMetrics() {
 		m.batchDescSaved.load)
 	r.GaugeFunc("sv_len", "Current key count.", func() float64 { return float64(m.length.load()) })
 
-	r.CounterFunc("sv_snapshots_pinned_total", "Snapshots acquired.", m.snaps.pinnedTotal.Load)
+	// A scrape reads the series in registration order, so of each pair of
+	// counters where one counts what the other already counted (a release
+	// of a pin, a prune of a pushed record, a reclaim of a retired node),
+	// the dependent one registers first: a scrape under churn then keeps the
+	// bounds StatsSnapshot keeps (released ≤ pinned, pruned ≤ cow,
+	// reclaimed ≤ retired).
 	r.CounterFunc("sv_snapshots_released_total", "Snapshots released via Close.", m.snaps.releasedTotal.Load)
+	r.CounterFunc("sv_snapshots_pinned_total", "Snapshots acquired.", m.snaps.pinnedTotal.Load)
 	r.CounterFunc("sv_snapshots_leaked_total",
 		"Snapshots reclaimed by a finalizer without ever being closed.", m.snaps.leaked.Load)
-	r.CounterFunc("sv_snapshot_cow_total",
-		"Pre-image records pushed into the version store by copy-on-write writes.", m.vstore.pushed.Load)
 	r.CounterFunc("sv_snapshot_cow_pruned_total",
 		"Pre-image records pruned once no pinned snapshot could see them.", m.vstore.pruned.Load)
+	r.CounterFunc("sv_snapshot_cow_total",
+		"Pre-image records pushed into the version store by copy-on-write writes.", m.vstore.pushed.Load)
 	r.GaugeFunc("sv_snapshots_active", "Snapshots currently pinned.",
 		func() float64 { return float64(m.snaps.count.Load()) })
 	r.GaugeFunc("sv_snapshot_records", "Pre-image records resident in the version store.",
@@ -76,8 +82,8 @@ func (m *Map[V]) initMetrics() {
 		func() float64 { return float64(m.epoch.Load()) })
 
 	if d := m.mem.domain; d != nil {
-		r.CounterFunc("sv_hazard_retired_total", "Retire calls into the hazard domain.", d.RetiredTotal)
 		r.CounterFunc("sv_hazard_reclaimed_total", "Nodes a scan proved unreachable and recycled.", d.RecycledCount)
+		r.CounterFunc("sv_hazard_retired_total", "Retire calls into the hazard domain.", d.RetiredTotal)
 		r.CounterFunc("sv_hazard_scans_total", "Reclamation scans performed.", d.Scans)
 		r.GaugeFunc("sv_hazard_pending", "Nodes retired but not yet recycled (bounded garbage).",
 			func() float64 { return float64(d.RetiredCount()) })

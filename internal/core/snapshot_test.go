@@ -667,6 +667,34 @@ func TestSnapshotReleaseRace(t *testing.T) {
 	})
 }
 
+// TestSnapshotPruneBoundOutlivesLaterPin replays, step by step, the race
+// that made snapshot scans skip untouched keys: a prune (a Close's, or a
+// writer's after the last Close) finds nothing pinned, and before it applies
+// its bound a new snapshot pins and a write publishes the pre-image the new
+// snapshot must read. The late prune must keep that record.
+func TestSnapshotPruneBoundOutlivesLaterPin(t *testing.T) {
+	m := newTestMap(t, testConfigs()["tiny-chunks"])
+	const n = 64
+	for k := int64(0); k < n; k++ {
+		m.Insert(k, v64(k))
+	}
+	m.Snapshot().Close() // leave the epoch above zero
+	bound := m.pruneBound()
+	s := m.Snapshot()
+	defer s.Close()
+	m.Remove(n / 2)
+	m.Upsert(n/4, v64(-1))
+	m.vstore.prune(bound)
+	if got := s.Len(); got != n {
+		t.Fatalf("snapshot scan saw %d of %d keys after a late prune", got, n)
+	}
+	for k := int64(0); k < n; k++ {
+		if v, ok := s.Get(k); !ok || *v != k {
+			t.Fatalf("snapshot Get(%d) = %v,%t after a late prune", k, v, ok)
+		}
+	}
+}
+
 // TestSnapshotChaosWritersVsScanner is the headline stress: chaos-perturbed
 // writers churn four key classes while scanners pin and iterate snapshots.
 // Classes make the checks sharp without a lock-step model:

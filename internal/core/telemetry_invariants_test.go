@@ -550,6 +550,43 @@ func TestHazardChurnNoLeak(t *testing.T) {
 	mustCheck(t, m)
 }
 
+// dependentPairs are the counter pairs where the first counts what the
+// second already counted, so that first ≤ second at every instant.
+var dependentPairs = [][2]string{
+	{"sv_snapshots_released_total", "sv_snapshots_pinned_total"},
+	{"sv_snapshot_cow_pruned_total", "sv_snapshot_cow_total"},
+	{"sv_hazard_reclaimed_total", "sv_hazard_retired_total"},
+}
+
+// TestMetricsLoadDependentCountersFirst pins the scrape order: a view reads
+// its series in registration order, so the dependent counter of each pair
+// must come first for a scrape under churn to keep its bound.
+func TestMetricsLoadDependentCountersFirst(t *testing.T) {
+	out := newTestMap(t, testConfigs()["tiny-chunks"]).Metrics().String()
+	for _, p := range dependentPairs {
+		dep, base := strings.Index(out, `"`+p[0]+`"`), strings.Index(out, `"`+p[1]+`"`)
+		if dep < 0 || base < 0 || dep > base {
+			t.Errorf("%s is scraped at %d, %s at %d: the dependent counter must come first", p[0], dep, p[1], base)
+		}
+	}
+}
+
+// scrapeBoundsErr checks the dependent pairs on one JSON scrape.
+func scrapeBoundsErr(out string) error {
+	var vals map[string]any
+	if err := json.Unmarshal([]byte(out), &vals); err != nil {
+		return err
+	}
+	for _, p := range dependentPairs {
+		dep, _ := vals[p[0]].(float64)
+		base, _ := vals[p[1]].(float64)
+		if dep > base {
+			return fmt.Errorf("scrape tore: %s %v > %s %v", p[0], dep, p[1], base)
+		}
+	}
+	return nil
+}
+
 // TestStatsSnapshotTearFree snapshots Stats continuously while chaos-stressed
 // mutators run, asserting on every snapshot the two ordering identities the
 // collector promises (per-kind restarts never exceed the total; reclaimed
@@ -601,6 +638,16 @@ func TestStatsSnapshotTearFree(t *testing.T) {
 	var snapshots atomic.Int64
 	var mutating atomic.Bool
 	mutating.Store(true)
+	// Pins come and go under the writes, so pre-image records are pushed and
+	// pruned and pins released while the scrapes below read them.
+	pinsDone := make(chan struct{})
+	go func() {
+		defer close(pinsDone)
+		for mutating.Load() {
+			m.Snapshot().Close()
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
 	var snapErr error
 	go func() {
 		defer close(done)
@@ -621,6 +668,9 @@ func TestStatsSnapshotTearFree(t *testing.T) {
 				s.Reclaimed < last.Reclaimed, s.Freezes < last.Freezes:
 				snapErr = fmt.Errorf("cumulative counter went backwards: %+v then %+v", last, s)
 			}
+			if snapErr == nil {
+				snapErr = scrapeBoundsErr(m.Metrics().String())
+			}
 			if snapErr != nil || final {
 				return
 			}
@@ -634,6 +684,7 @@ func TestStatsSnapshotTearFree(t *testing.T) {
 	wg.Wait()
 	mutating.Store(false)
 	<-done
+	<-pinsDone
 	rep := chaos.Disable()
 	if rep.Fails() == 0 {
 		t.Fatalf("chaos injected nothing: %v", rep)

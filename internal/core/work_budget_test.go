@@ -293,6 +293,20 @@ func TestWorkBudgets(t *testing.T) {
 		return testing.AllocsPerRun(1000, func() { c.Next() })
 	}
 
+	// A batch out of key order is sorted in place, so it costs no more
+	// allocations than the same batch presorted (the result slice).
+	batchAllocs := func(reversed bool) float64 {
+		ops := make([]core.BatchOp[uint64], 16)
+		for i := range ops {
+			k := 1000 + 2*int64(i) // present keys
+			if reversed {
+				k = 1030 - 2*int64(i)
+			}
+			ops[i] = core.BatchOp[uint64]{Key: k, Val: &one}
+		}
+		return testing.AllocsPerRun(100, func() { m.ApplyBatch(ops) })
+	}
+
 	type budget struct {
 		name   string
 		got    float64
@@ -316,6 +330,7 @@ func TestWorkBudgets(t *testing.T) {
 		{"allocs per facade Insert of a fresh key", freshInserts(1), freshInsertAllocsBudget},
 		{"allocs per facade Insert of a fresh key, descending", freshInserts(-1), freshInsertAllocsBudget},
 		{"allocs per facade Cursor.Next", cursorNextAllocs(), 0},
+		{"allocs per reversed 16-op ApplyBatch", batchAllocs(true), batchAllocs(false)},
 		{"descents per sorted 64-key Handle.ApplyBatch", batchDescents(), 1},
 		{"descents per 1,000-step facade Cursor walk", cursorDescents(), 1},
 		{"restarts", float64(m.Stats().Restarts), 0},

@@ -28,14 +28,15 @@ func (s *Sharded[V]) NewHandle() *Handle[V] {
 	return &Handle[V]{t: t, s: s, shards: make([]*core.Handle[V], len(t.maps))}
 }
 
-// Close releases every per-shard session. Idempotent.
+// Close releases every per-shard session. Idempotent; as with a core
+// Handle, using the handle afterwards panics.
 func (h *Handle[V]) Close() {
-	for i, sh := range h.shards {
+	for _, sh := range h.shards {
 		if sh != nil {
 			sh.Close()
-			h.shards[i] = nil
 		}
 	}
+	h.shards, h.t = nil, nil
 }
 
 // rebind refreshes the cached table if a rebalance swapped it, carrying the

@@ -126,13 +126,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge creates, registers, and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(entry{name: name, help: help, kind: KindGauge, val: func() float64 { return float64(g.Load()) }})
-	return g
-}
-
 // Histogram creates, registers, and returns a power-of-two histogram.
 func (r *Registry) Histogram(name, help string) *Histogram {
 	h := &Histogram{}

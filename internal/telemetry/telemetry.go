@@ -85,31 +85,6 @@ func (c *Counter) Load() int64 {
 	return sum
 }
 
-// Gauge is a single instantaneous value (set/add semantics, no sharding:
-// gauges track states, not event rates, and are written on rare paths).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Max is a high-water-mark tracker: Observe keeps the largest value seen.
 type Max struct {
 	v atomic.Int64

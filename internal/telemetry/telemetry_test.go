@@ -56,24 +56,17 @@ func TestCounterStripesSum(t *testing.T) {
 	})
 }
 
-func TestGaugeAndMax(t *testing.T) {
-	var g Gauge
+func TestMax(t *testing.T) {
 	var m Max
 	SetEnabled(false)
-	g.Set(5)
 	m.Observe(5)
-	if g.Load() != 0 || m.Load() != 0 {
-		t.Fatalf("disabled gauge/max recorded: %d/%d", g.Load(), m.Load())
+	if m.Load() != 0 {
+		t.Fatalf("disabled max recorded: %d", m.Load())
 	}
 	withEnabled(t, func() {
-		g.Set(5)
-		g.Add(-2)
 		m.Observe(7)
 		m.Observe(3) // must not lower the mark
 	})
-	if g.Load() != 3 {
-		t.Fatalf("gauge = %d, want 3", g.Load())
-	}
 	if m.Load() != 7 {
 		t.Fatalf("max = %d, want 7", m.Load())
 	}
@@ -153,12 +146,11 @@ func TestPrometheusExposition(t *testing.T) {
 	withEnabled(t, func() {
 		r := NewRegistry()
 		c := r.Counter("sv_ops_total", "total ops")
-		g := r.Gauge("sv_live", "live nodes")
+		r.GaugeFunc("sv_live", "live nodes", func() float64 { return 4 })
 		h := r.Histogram("sv_depth", "descent depth")
 		r.CounterFunc("sv_fn_total", "func-backed", func() int64 { return 9 })
 		r.GaugeFunc("sv_occ_mean", "mean occupancy", func() float64 { return 1.5 })
 		c.Add(0, 3)
-		g.Set(4)
 		h.Observe(0, 2)
 		h.Observe(0, 5)
 

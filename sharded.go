@@ -16,22 +16,24 @@ import (
 // hazard domains), so write-heavy multi-core workloads scale with the shard
 // count instead of contending on one structure.
 //
-// The API mirrors Map with the same by-value semantics. The differences are
-// the consistency scope of multi-key operations and the missing Snapshot:
+// It keeps the map contract TestConformance checks for Map, DurableMap and
+// svset, with the same by-value semantics, and shares Map's Handle and
+// Cursor. Its capability flags there are the only differences:
 //
-//   - Point operations (Insert/Upsert/Lookup/Remove/Floor/Ceiling) are
-//     linearizable, exactly as on Map.
-//   - ApplyBatch commits per shard: each shard's part is applied with the
-//     core chunk-grouped batch (its group commits atomic), parts run in
-//     parallel, and the call returns after all shards committed — but a
-//     concurrent reader can observe some shards' parts before others.
-//   - RangeQuery/RangeUpdate/Ascend windows crossing a shard boundary are
-//     stitched from per-shard linearizable segments in key order; the whole
-//     window is not one atomic operation.
-//   - There is no sharded Snapshot: MVCC epochs are per shard, so pinning
-//     all shards would not capture one point in time — a write racing the
-//     pin loop could be visible in a later-pinned shard but invisible in an
-//     earlier one. Use a single Map when point-in-time views are needed.
+//   - Handle: yes. A handle pins one core session per shard it touches.
+//   - Snapshot: no. MVCC epochs are per shard, so pinning all shards would
+//     not capture one point in time; use a single Map for point-in-time
+//     views.
+//   - Durable: no.
+//   - Rebalance: yes. SplitShard/MergeShards move boundaries online; point
+//     operations stay linearizable across a move.
+//
+// Point operations are linearizable, as on Map. Multi-key operations are
+// atomic per shard: ApplyBatch commits each shard's part with the core
+// chunk-grouped batch and returns after every part committed, and
+// RangeQuery/RangeUpdate/Ascend windows crossing a boundary are stitched
+// from per-shard linearizable segments, so a concurrent reader can observe
+// one shard's part before another's.
 //
 // Boundaries are not fixed at construction: SplitShard/MergeShards move
 // them online (readers never block; writes into the moving range are
@@ -180,114 +182,23 @@ func (m *ShardedMap[V]) Keys() []int64 { return m.s.Keys() }
 // pins one session per shard it touches; Close releases them (automatic when
 // the scan is exhausted).
 func (m *ShardedMap[V]) Cursor(start int64) *ShardedCursor[V] {
-	return &ShardedCursor[V]{m: m, next: start}
+	return &Cursor[V]{src: m, next: start}
 }
 
-// ShardedCursor is a forward iterator over a ShardedMap. Not safe for
-// concurrent use (the underlying map remains fully concurrent).
-type ShardedCursor[V any] struct {
-	m    *ShardedMap[V]
-	h    *shard.Handle[V]
-	next int64
-	done bool
-}
+// ShardedCursor is the Cursor of a ShardedMap.
+type ShardedCursor[V any] = Cursor[V]
 
-// Next advances to the next key ≥ the cursor position and returns it.
-// ok=false means the scan is exhausted.
-func (c *ShardedCursor[V]) Next() (int64, V, bool) {
-	if c.done {
-		var zero V
-		return 0, zero, false
-	}
-	if c.h == nil {
-		c.h = c.m.s.NewHandle()
-	}
-	var v V
-	k, ok := c.h.CeilingInto(c.next, &v)
-	if !ok {
-		c.Close()
-		return 0, v, false
-	}
-	if k == MaxKey-1 {
-		c.Close()
-	} else {
-		c.next = k + 1
-	}
-	return k, v, true
-}
-
-// SeekTo repositions the cursor before the first key ≥ start.
-func (c *ShardedCursor[V]) SeekTo(start int64) {
-	c.next = start
-	c.done = false
-}
-
-// Close releases the cursor's pinned sessions. Idempotent; a closed cursor
-// can be revived with SeekTo followed by Next.
-func (c *ShardedCursor[V]) Close() {
-	if c.h != nil {
-		c.h.Close()
-		c.h = nil
-	}
-	c.done = true
-}
+func (m *ShardedMap[V]) session() session[V] { return m.s.NewHandle() }
 
 // NewHandle pins a per-goroutine session: one core session per shard the
 // caller touches, opened lazily, so key locality becomes search-finger hits
 // inside the owning shard. Not safe for concurrent use; Close it.
 func (m *ShardedMap[V]) NewHandle() *ShardedHandle[V] {
-	return &ShardedHandle[V]{h: m.s.NewHandle()}
+	return &Handle[V]{s: m.s.NewHandle()}
 }
 
-// ShardedHandle is a single-goroutine session over a ShardedMap. See
-// ShardedMap.NewHandle.
-type ShardedHandle[V any] struct {
-	h *shard.Handle[V]
-}
-
-// Close returns the session's resources. Idempotent.
-func (h *ShardedHandle[V]) Close() { h.h.Close() }
-
-// Insert is ShardedMap.Insert through the pinned session.
-func (h *ShardedHandle[V]) Insert(k int64, v V) bool { return h.h.Insert(k, &v) }
-
-// Upsert is ShardedMap.Upsert through the pinned session.
-func (h *ShardedHandle[V]) Upsert(k int64, v V) bool { return h.h.Upsert(k, &v) }
-
-// Lookup is ShardedMap.Lookup through the pinned session.
-func (h *ShardedHandle[V]) Lookup(k int64) (V, bool) {
-	var v V
-	ok := h.h.LookupInto(k, &v)
-	return v, ok
-}
-
-// Contains is ShardedMap.Contains through the pinned session.
-func (h *ShardedHandle[V]) Contains(k int64) bool { return h.h.Contains(k) }
-
-// Remove is ShardedMap.Remove through the pinned session.
-func (h *ShardedHandle[V]) Remove(k int64) bool { return h.h.Remove(k) }
-
-// ApplyBatch is ShardedMap.ApplyBatch through the pinned session: a batch
-// confined to one shard, and the first part of one that spans several, run
-// on the pinned session (finger-resumable); the other parts fan out in
-// parallel on their shards.
-func (h *ShardedHandle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
-	return h.h.ApplyBatch(toCoreOps(ops))
-}
-
-// Floor is ShardedMap.Floor through the pinned session.
-func (h *ShardedHandle[V]) Floor(k int64) (int64, V, bool) {
-	var v V
-	fk, ok := h.h.FloorInto(k, &v)
-	return fk, v, ok
-}
-
-// Ceiling is ShardedMap.Ceiling through the pinned session.
-func (h *ShardedHandle[V]) Ceiling(k int64) (int64, V, bool) {
-	var v V
-	ck, ok := h.h.CeilingInto(k, &v)
-	return ck, v, ok
-}
+// ShardedHandle is the Handle of a ShardedMap.
+type ShardedHandle[V any] = Handle[V]
 
 // ShardStats reports each shard's internal event counters, indexed by shard.
 func (m *ShardedMap[V]) ShardStats() []core.StatsSnapshot { return m.s.ShardStats() }

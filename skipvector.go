@@ -105,6 +105,12 @@ func WithSeed(seed uint64) Option {
 // Map is a concurrent ordered map from int64 keys to values of type V.
 // The zero value is not usable; construct with New.
 type Map[V any] struct {
+	reader[V]
+}
+
+// reader is Map's read half. DurableMap embeds it as well, so the two maps
+// share every read and differ only in their writes.
+type reader[V any] struct {
 	m *core.Map[V]
 }
 
@@ -123,7 +129,7 @@ func NewFromSorted[V any](keys []int64, vals []V, opts ...Option) (*Map[V], erro
 	if err != nil {
 		return nil, err
 	}
-	return &Map[V]{m: m}, nil
+	return &Map[V]{reader[V]{m}}, nil
 }
 
 // New builds an empty map with the paper's default configuration, modified
@@ -138,7 +144,7 @@ func New[V any](opts ...Option) *Map[V] {
 	if err != nil {
 		panic(fmt.Sprintf("skipvector: %v", err))
 	}
-	return &Map[V]{m: m}
+	return &Map[V]{reader[V]{m}}
 }
 
 // Insert adds the mapping k→v. It returns false (leaving the map unchanged)
@@ -213,14 +219,14 @@ func toCoreOps[V any](ops []BatchOp[V]) []core.BatchOp[V] {
 }
 
 // Lookup returns the value mapped to k.
-func (m *Map[V]) Lookup(k int64) (V, bool) {
+func (m *reader[V]) Lookup(k int64) (V, bool) {
 	var v V
 	ok := m.m.LookupInto(k, &v)
 	return v, ok
 }
 
 // Contains reports whether k is in the map.
-func (m *Map[V]) Contains(k int64) bool {
+func (m *reader[V]) Contains(k int64) bool {
 	return m.m.Contains(k)
 }
 
@@ -230,12 +236,12 @@ func (m *Map[V]) Remove(k int64) bool {
 }
 
 // Len returns the number of mappings.
-func (m *Map[V]) Len() int { return m.m.Len() }
+func (m *reader[V]) Len() int { return m.m.Len() }
 
 // RangeQuery calls fn for every mapping with lo ≤ key ≤ hi in ascending key
 // order, as one linearizable operation. fn returning false stops early.
 // fn must not call back into the map.
-func (m *Map[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
+func (m *reader[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
 	m.m.RangeQuery(lo, hi, func(k int64, v *V) bool {
 		return fn(k, *v)
 	})
@@ -245,8 +251,13 @@ func (m *Map[V]) RangeQuery(lo, hi int64, fn func(k int64, v V) bool) {
 // fn's return value, as one serializable operation, and returns the number
 // of mappings updated. fn must not call back into the map.
 func (m *Map[V]) RangeUpdate(lo, hi int64, fn func(k int64, v V) V) int {
+	return rangeUpdate(m.m, lo, hi, fn)
+}
+
+// rangeUpdate is RangeUpdate on m, by value.
+func rangeUpdate[V any](m *core.Map[V], lo, hi int64, fn func(k int64, v V) V) int {
 	var nv V
-	return m.m.RangeUpdate(lo, hi, func(k int64, v *V) *V {
+	return m.RangeUpdate(lo, hi, func(k int64, v *V) *V {
 		nv = fn(k, *v)
 		return &nv
 	})
@@ -254,33 +265,33 @@ func (m *Map[V]) RangeUpdate(lo, hi int64, fn func(k int64, v V) V) int {
 
 // Ascend iterates all mappings in ascending key order as one linearizable
 // snapshot-like pass. fn returning false stops early.
-func (m *Map[V]) Ascend(fn func(k int64, v V) bool) {
+func (m *reader[V]) Ascend(fn func(k int64, v V) bool) {
 	m.m.Ascend(func(k int64, v *V) bool { return fn(k, *v) })
 }
 
 // Floor returns the largest key ≤ k and its value (ok=false when none).
-func (m *Map[V]) Floor(k int64) (int64, V, bool) {
+func (m *reader[V]) Floor(k int64) (int64, V, bool) {
 	var v V
 	fk, ok := m.m.FloorInto(k, &v)
 	return fk, v, ok
 }
 
 // Ceiling returns the smallest key ≥ k and its value (ok=false when none).
-func (m *Map[V]) Ceiling(k int64) (int64, V, bool) {
+func (m *reader[V]) Ceiling(k int64) (int64, V, bool) {
 	var v V
 	ck, ok := m.m.CeilingInto(k, &v)
 	return ck, v, ok
 }
 
 // Min returns the smallest key and its value (ok=false when empty).
-func (m *Map[V]) Min() (int64, V, bool) {
+func (m *reader[V]) Min() (int64, V, bool) {
 	var v V
 	k, ok := m.m.CeilingInto(MinKey+1, &v)
 	return k, v, ok
 }
 
 // Max returns the largest key and its value (ok=false when empty).
-func (m *Map[V]) Max() (int64, V, bool) {
+func (m *reader[V]) Max() (int64, V, bool) {
 	var v V
 	k, ok := m.m.FloorInto(MaxKey-1, &v)
 	return k, v, ok
@@ -288,7 +299,7 @@ func (m *Map[V]) Max() (int64, V, bool) {
 
 // Keys returns every key in ascending order. Intended for quiescent use
 // (tests, debugging); concurrent callers should prefer RangeQuery.
-func (m *Map[V]) Keys() []int64 { return m.m.Keys() }
+func (m *reader[V]) Keys() []int64 { return m.m.Keys() }
 
 // Cursor returns a stateful forward iterator positioned before the first
 // key ≥ start. Unlike Ascend/RangeQuery — which hold node locks for the
@@ -302,15 +313,38 @@ func (m *Map[V]) Keys() []int64 { return m.m.Keys() }
 // previous step finished on and walks at most one chunk right — no index
 // descent. The session is released automatically when the scan is exhausted;
 // call Close when abandoning a cursor mid-scan.
-func (m *Map[V]) Cursor(start int64) *Cursor[V] {
-	return &Cursor[V]{m: m, next: start}
+func (m *reader[V]) Cursor(start int64) *Cursor[V] {
+	return &Cursor[V]{src: m, next: start}
 }
 
-// Cursor is a forward iterator over a Map. Not safe for concurrent use by
-// multiple goroutines (the underlying map remains fully concurrent).
+// session is the per-goroutine session a map opens for a Handle or a
+// Cursor: *core.Handle for a Map, *shard.Handle for a ShardedMap. Its
+// methods take and fill values by pointer.
+type session[V any] interface {
+	Close()
+	Insert(k int64, v *V) bool
+	Upsert(k int64, v *V) bool
+	Remove(k int64) bool
+	ApplyBatch(ops []core.BatchOp[V]) []core.BatchResult
+	LookupInto(k int64, out *V) bool
+	Contains(k int64) bool
+	FloorInto(k int64, out *V) (int64, bool)
+	CeilingInto(k int64, out *V) (int64, bool)
+}
+
+// sessions opens sessions: a Map's read half or a ShardedMap.
+type sessions[V any] interface {
+	session() session[V]
+}
+
+func (m *reader[V]) session() session[V] { return m.m.NewHandle() }
+
+// Cursor is a forward iterator over a Map, a DurableMap or a ShardedMap.
+// Not safe for concurrent use by multiple goroutines (the underlying map
+// remains fully concurrent).
 type Cursor[V any] struct {
-	m    *Map[V]
-	h    *core.Handle[V]
+	src  sessions[V]
+	h    Handle[V] // h.s is nil while no session is pinned
 	next int64
 	done bool
 }
@@ -322,21 +356,17 @@ func (c *Cursor[V]) Next() (int64, V, bool) {
 		var zero V
 		return 0, zero, false
 	}
-	if c.h == nil {
-		c.h = c.m.m.NewHandle()
+	if c.h.s == nil {
+		c.h.s = c.src.session()
 	}
-	var v V
-	k, ok := c.h.CeilingInto(c.next, &v)
-	if !ok {
+	k, v, ok := c.h.Ceiling(c.next)
+	switch {
+	case !ok, k == MaxKey-1: // nothing left, or nothing past the largest legal key
 		c.Close()
-		return 0, v, false
-	}
-	if k == MaxKey-1 {
-		c.Close() // cannot advance past the largest legal key
-	} else {
+	default:
 		c.next = k + 1
 	}
-	return k, v, true
+	return k, v, ok
 }
 
 // SeekTo repositions the cursor before the first key ≥ start.
@@ -350,10 +380,7 @@ func (c *Cursor[V]) SeekTo(start int64) {
 // mid-scan needs an explicit Close. A closed cursor can be revived with
 // SeekTo followed by Next.
 func (c *Cursor[V]) Close() {
-	if c.h != nil {
-		c.h.Close()
-		c.h = nil
-	}
+	c.h.Close()
 	c.done = true
 }
 
@@ -373,7 +400,7 @@ func (c *Cursor[V]) Close() {
 // garbage without Close is released by a finalizer and counted in the
 // sv_snapshots_leaked_total metric; treat that as a bug in the caller, not a
 // resource-management strategy.
-func (m *Map[V]) Snapshot() *Snapshot[V] {
+func (m *reader[V]) Snapshot() *Snapshot[V] {
 	s := &Snapshot[V]{s: m.m.Snapshot()}
 	runtime.SetFinalizer(s, func(s *Snapshot[V]) { s.s.MarkLeaked() })
 	return s
@@ -457,57 +484,86 @@ func (c *SnapshotCursor[V]) Next() (int64, V, bool) {
 // A Handle is not safe for concurrent use; create one per goroutine. Close
 // it when the session ends to return its resources to the map.
 func (m *Map[V]) NewHandle() *Handle[V] {
-	return &Handle[V]{h: m.m.NewHandle()}
+	return &Handle[V]{s: m.m.NewHandle()}
 }
 
-// Handle is a single-goroutine session over a Map with a pinned search
-// finger. See Map.NewHandle.
+// Handle is a single-goroutine session over a Map or a ShardedMap with a
+// pinned search finger. See Map.NewHandle and ShardedMap.NewHandle. Using a
+// Handle after Close panics.
 type Handle[V any] struct {
-	h *core.Handle[V]
+	s session[V]
+	// v carries each call's value to and from the session. A value passed
+	// by address through the interface call would escape to the heap on
+	// every call; the handle's own field does not, and is cleared before
+	// the call returns so that it keeps nothing reachable.
+	v V
+}
+
+// take returns the scratch value and clears it.
+func (h *Handle[V]) take() V {
+	v := h.v
+	var zero V
+	h.v = zero
+	return v
 }
 
 // Close returns the session's resources to the map. Idempotent; the handle
 // must not be used afterwards.
-func (h *Handle[V]) Close() { h.h.Close() }
+func (h *Handle[V]) Close() {
+	if h.s != nil {
+		h.s.Close()
+		h.s = nil
+	}
+}
 
 // Insert is Map.Insert through the pinned session.
-func (h *Handle[V]) Insert(k int64, v V) bool { return h.h.Insert(k, &v) }
+func (h *Handle[V]) Insert(k int64, v V) bool {
+	h.v = v
+	ok := h.s.Insert(k, &h.v)
+	h.take()
+	return ok
+}
 
 // Upsert is Map.Upsert through the pinned session.
-func (h *Handle[V]) Upsert(k int64, v V) bool { return h.h.Upsert(k, &v) }
+func (h *Handle[V]) Upsert(k int64, v V) bool {
+	h.v = v
+	ok := h.s.Upsert(k, &h.v)
+	h.take()
+	return ok
+}
 
 // ApplyBatch is Map.ApplyBatch through the pinned session. Batches whose
 // first keys land where the previous operation finished resume from the
-// session's search finger, skipping even the one descent per group.
+// session's search finger, skipping even the one descent per group. On a
+// ShardedMap, a batch confined to one shard, and the first part of one that
+// spans several, run on the pinned session; the other parts fan out in
+// parallel on their shards.
 func (h *Handle[V]) ApplyBatch(ops []BatchOp[V]) []BatchResult {
-	return h.h.ApplyBatch(toCoreOps(ops))
+	return h.s.ApplyBatch(toCoreOps(ops))
 }
 
 // Lookup is Map.Lookup through the pinned session.
 func (h *Handle[V]) Lookup(k int64) (V, bool) {
-	var v V
-	ok := h.h.LookupInto(k, &v)
-	return v, ok
+	ok := h.s.LookupInto(k, &h.v)
+	return h.take(), ok
 }
 
 // Contains is Map.Contains through the pinned session.
-func (h *Handle[V]) Contains(k int64) bool { return h.h.Contains(k) }
+func (h *Handle[V]) Contains(k int64) bool { return h.s.Contains(k) }
 
 // Remove is Map.Remove through the pinned session.
-func (h *Handle[V]) Remove(k int64) bool { return h.h.Remove(k) }
+func (h *Handle[V]) Remove(k int64) bool { return h.s.Remove(k) }
 
 // Floor is Map.Floor through the pinned session.
 func (h *Handle[V]) Floor(k int64) (int64, V, bool) {
-	var v V
-	fk, ok := h.h.FloorInto(k, &v)
-	return fk, v, ok
+	fk, ok := h.s.FloorInto(k, &h.v)
+	return fk, h.take(), ok
 }
 
 // Ceiling is Map.Ceiling through the pinned session.
 func (h *Handle[V]) Ceiling(k int64) (int64, V, bool) {
-	var v V
-	ck, ok := h.h.CeilingInto(k, &v)
-	return ck, v, ok
+	ck, ok := h.s.CeilingInto(k, &h.v)
+	return ck, h.take(), ok
 }
 
 // Stats reports internal event counters (restarts overall and per op kind,
@@ -515,7 +571,7 @@ func (h *Handle[V]) Ceiling(k int64) (int64, V, bool) {
 // retire/reclaim totals, finger hits and misses). The snapshot is tear-free:
 // every field is a single atomic load, so it may be taken while other
 // goroutines mutate the map.
-func (m *Map[V]) Stats() core.StatsSnapshot { return m.m.Stats() }
+func (m *reader[V]) Stats() core.StatsSnapshot { return m.m.Stats() }
 
 // Occupancy walks the structure and reports chunk-fill aggregates per layer
 // class — the paper's locality argument made measurable. Approximate while
@@ -553,4 +609,4 @@ func TelemetryEnabled() bool { return telemetry.Enabled() }
 func (m *Map[V]) FlushRetired() { m.m.FlushRetired() }
 
 // CheckInvariants validates the whole structure. Quiescent use only.
-func (m *Map[V]) CheckInvariants() error { return m.m.CheckInvariants() }
+func (m *reader[V]) CheckInvariants() error { return m.m.CheckInvariants() }
